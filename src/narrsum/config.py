@@ -56,6 +56,13 @@ class RunConfig:
     pagerank_max_iter: int = 100
 
     def __post_init__(self):
+        for name in (
+            "vocab_size", "embedding_dim", "hidden_dim", "batch_size",
+            "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value!r}")
         if self.reference_aggregation not in ("max", "mean"):
             raise ConfigError(
                 f"reference_aggregation must be 'max' or 'mean', got {self.reference_aggregation!r}"

@@ -380,7 +380,7 @@ def cmd_train_extractor(ns, config: RunConfig, out_dir: Path) -> int:
     alignments = _load_or_build_alignments(dataset, "training", out_dir)
     train_data = prepare_extractor_examples(dataset.training, alignments, vocab)
     validation = prepare_extractor_examples(
-        dataset.validation, build_oracle(dataset.validation), vocab
+        dataset.validation, _load_or_build_alignments(dataset, "validation", out_dir), vocab
     )
     model = ExtractorModel(vocab.size, config.embedding_dim, config.hidden_dim, _rng(config, 0))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -408,7 +408,9 @@ def cmd_train_abstractor(ns, config: RunConfig, out_dir: Path) -> int:
     vocab = _training_vocab(dataset, config)
     alignments = _load_or_build_alignments(dataset, "training", out_dir)
     pairs = prepare_abstractor_pairs(dataset.training, alignments, vocab)
-    validation = prepare_abstractor_pairs(dataset.validation, build_oracle(dataset.validation), vocab)
+    validation = prepare_abstractor_pairs(
+        dataset.validation, _load_or_build_alignments(dataset, "validation", out_dir), vocab
+    )
     model = AbstractorModel(vocab.size, config.embedding_dim, config.hidden_dim, _rng(config, 2))
     out_dir.mkdir(parents=True, exist_ok=True)
     train_log = train_abstractor(

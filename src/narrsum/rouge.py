@@ -57,22 +57,26 @@ def rouge_n(candidate: TokenSeq, reference: TokenSeq, n: int) -> RougeScore:
 
 
 def lcs_length(a: TokenSeq, b: TokenSeq) -> int:
-    """Length of the longest common subsequence of two token sequences."""
+    """Length of the longest common subsequence of two token sequences.
+
+    Bit-parallel over the positions of ``b`` (Allison & Dix 1986; Hyyrö
+    2004): one big-int update per token of ``a`` replaces a row of the
+    dynamic program, and the LCS length is the number of cleared bits.
+    """
     if not a or not b:
         return 0
-    # Rolling single row keeps memory O(min side) for long report sentences.
-    if len(b) > len(a):
-        a, b = b, a
-    prev = [0] * (len(b) + 1)
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for tok in a:
-        cur = [0]
-        for j, other in enumerate(b):
-            if tok == other:
-                cur.append(prev[j] + 1)
-            else:
-                cur.append(max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+        match = masks.get(tok)
+        if match:
+            u = v & match
+            # v - u == v & ~match, since u holds only bits of v.
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def lcs_match_positions(reference: TokenSeq, candidate: TokenSeq) -> tuple[int, ...]:
@@ -130,11 +134,14 @@ def rouge_l_summary(candidate_sentences: SentenceSeq, reference_sentences: Sente
     budget = Counter()
     for sent in candidate_sentences:
         budget.update(sent)
+    cand_types = [set(sent) for sent in candidate_sentences]
     matches = 0
     for ref_sent in reference_sentences:
         hit_positions: set[int] = set()
-        for cand_sent in candidate_sentences:
-            hit_positions.update(lcs_match_positions(ref_sent, cand_sent))
+        for cand_sent, types in zip(candidate_sentences, cand_types):
+            # A pair sharing no token has an empty LCS and adds no position.
+            if not types.isdisjoint(ref_sent):
+                hit_positions.update(lcs_match_positions(ref_sent, cand_sent))
         for pos in sorted(hit_positions):
             tok = ref_sent[pos]
             if budget[tok] > 0:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from narrsum import harness
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import ConfigError, RunConfig, load_config
 from narrsum.corpus import (
@@ -425,6 +426,36 @@ def test_cli_exit_codes(pipeline, tmp_path):
     bad_spec = tmp_path / "spec.json"
     bad_spec.write_text('{"made_up_field": 1}')
     assert cli(["synthgen", "--spec", str(bad_spec), "--data-root", str(tmp_path / "d")]) == 2
+
+
+def test_cli_train_stages_reuse_validation_alignments(pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in pipeline["out"].glob("alignments_*.jsonl"):
+        (out / path.name).write_bytes(path.read_bytes())
+
+    def no_rebuild(examples):
+        raise AssertionError("oracle rebuilt although its alignment files exist")
+
+    monkeypatch.setattr(harness, "build_oracle", no_rebuild)
+    base = ["--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
+    assert cli(["train-extractor", *base]) == 0
+    assert cli(["train-abstractor", *base]) == 0
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["vocab_size", "embedding_dim", "hidden_dim", "batch_size",
+     "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens"],
+)
+def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, field: 0}))
+    args = ["train-extractor", "--config", str(cfg),
+            "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
+    assert cli(args) == 2
+    assert f"{field} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_summarize_split_flag(pipeline, tmp_path):

@@ -36,6 +36,41 @@ def oracle_lcs(a, b):
     return 0
 
 
+def dp_lcs_length(a, b):
+    """Rolling-row dynamic program; the reference the bit-parallel LCS replaced."""
+    if not a or not b:
+        return 0
+    if len(b) > len(a):
+        a, b = b, a
+    prev = [0] * (len(b) + 1)
+    for tok in a:
+        cur = [0]
+        for j, other in enumerate(b):
+            if tok == other:
+                cur.append(prev[j] + 1)
+            else:
+                cur.append(max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
+def unskipped_rouge_l_summary(candidate_sentences, reference_sentences):
+    """Summary-level ROUGE-L with the union taken over every sentence pair."""
+    cand_total = sum(len(s) for s in candidate_sentences)
+    ref_total = sum(len(s) for s in reference_sentences)
+    budget = Counter(tok for sent in candidate_sentences for tok in sent)
+    matches = 0
+    for ref_sent in reference_sentences:
+        hit_positions = set()
+        for cand_sent in candidate_sentences:
+            hit_positions.update(lcs_match_positions(ref_sent, cand_sent))
+        for pos in sorted(hit_positions):
+            if budget[ref_sent[pos]] > 0:
+                budget[ref_sent[pos]] -= 1
+                matches += 1
+    return RougeScore.from_counts(matches, cand_total, ref_total)
+
+
 def oracle_match_positions(reference, candidate):
     """Lexicographically smallest maximum-size reference match set."""
     best = ()
@@ -62,6 +97,17 @@ def oracle_su4_units(tokens):
 
 tokens4 = st.lists(st.sampled_from("abcd"), max_size=12)
 sentences4 = st.lists(st.lists(st.sampled_from("abcd"), max_size=6), max_size=4)
+# Past one 64-bit word, over alphabets small enough that matches and repeats are dense.
+def _long_list(alphabet):
+    return st.integers(0, 150).flatmap(
+        lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)
+    )
+
+
+long_tokens = st.sampled_from(["ab", "abcd"]).flatmap(
+    lambda alphabet: st.tuples(_long_list(alphabet), _long_list(alphabet))
+)
+sentences8 = st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), max_size=5)
 
 
 # ---------------------------------------------------------------- lcs
@@ -78,6 +124,21 @@ def test_lcs_length_frozen():
 @given(tokens4, tokens4)
 def test_lcs_length_matches_enumeration(a, b):
     assert lcs_length(a, b) == oracle_lcs(a, b)
+
+
+@settings(max_examples=300)
+@given(long_tokens)
+def test_lcs_length_matches_dp_on_long_sequences(pair):
+    a, b = pair
+    assert lcs_length(a, b) == dp_lcs_length(a, b)
+    assert lcs_length(b, a) == dp_lcs_length(a, b)
+
+
+def test_lcs_length_matches_dp_across_word_boundaries():
+    a = ["a", "b"] * 70 + ["c"]
+    b = ["b"] * 64 + ["c"] + ["a", "b"] * 40
+    assert lcs_length(a, b) == dp_lcs_length(a, b) == 110  # b^30 then (ab)^40
+    assert lcs_length(a, a) == len(a)
 
 
 @settings(max_examples=300)
@@ -166,6 +227,12 @@ def test_rouge_l_summary_candidate_order_invariant(cands, refs, rng):
     again = rouge_l_summary(shuffled, refs)
     assert again.precision == pytest.approx(base.precision)
     assert again.recall == pytest.approx(base.recall)
+
+
+@settings(max_examples=300)
+@given(sentences8, sentences8)
+def test_rouge_l_summary_disjoint_skip_matches_full_union(cands, refs):
+    assert rouge_l_summary(cands, refs) == unskipped_rouge_l_summary(cands, refs)
 
 
 # ---------------------------------------------------------------- rouge-su4
