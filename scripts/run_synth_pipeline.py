@@ -53,6 +53,9 @@ CONFIG = {
     "rl_episodes": 150,
     "rl_lr": 0.001,
     "rl_updates_every": 4,
+    # Gold summaries are at most 3 sentences x 9 tokens; the default
+    # budget of 1000 words would let every baseline emit the whole report.
+    "word_limit": 27,
 }
 
 

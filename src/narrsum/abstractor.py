@@ -230,12 +230,7 @@ class AbstractorModel:
         if cfg.get("kind") != "abstractor":
             raise ValueError(f"checkpoint at {path} is not an abstractor")
         model = cls(cfg["vocab_size"], cfg["embedding_dim"], cfg["hidden_dim"], np.random.default_rng(0))
-        for name, arr in arrays.items():
-            if name not in model.params:
-                raise ValueError(f"unexpected parameter {name!r} in checkpoint")
-            if model.params[name].data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name!r} in checkpoint")
-            model.params[name].data[...] = arr
+        ad.restore_params(model.params, arrays, path)
         return model, vocab
 
 

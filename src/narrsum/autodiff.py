@@ -706,7 +706,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"not a checkpoint file: {path}") from exc
-        if header.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format in {path}")
         blob = fh.read()
     arrays: dict[str, np.ndarray] = {}
@@ -717,9 +717,23 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
         nbytes = count * 8
         chunk = blob[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise ValueError(f"checkpoint truncated at parameter {name!r}")
+            raise ValueError(f"checkpoint {path} truncated at parameter {name!r}")
         arrays[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
     if offset != len(blob):
-        raise ValueError(f"checkpoint has {len(blob) - offset} trailing bytes")
+        raise ValueError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
     return arrays, header["config"], header["vocab"]
+
+
+def restore_params(params: dict[str, Value], arrays: dict[str, np.ndarray], path: str | Path) -> None:
+    """Copy checkpoint arrays into a model's parameters; names and shapes must match exactly."""
+    missing = sorted(set(params) - set(arrays))
+    unexpected = sorted(set(arrays) - set(params))
+    if missing or unexpected:
+        raise ValueError(
+            f"checkpoint {path} does not match the model: missing {missing}, unexpected {unexpected}"
+        )
+    for name, arr in arrays.items():
+        if params[name].data.shape != arr.shape:
+            raise ValueError(f"shape mismatch for {name!r} in checkpoint {path}")
+        params[name].data[...] = arr

@@ -52,16 +52,32 @@ def _token_lists(doc: Document) -> list[list[str]]:
 # ---------------------------------------------------------------- graphs
 
 
+def _term_counts(token_lists: list[list[str]]) -> np.ndarray:
+    """Sentences x sorted document vocabulary matrix of token counts."""
+    vocabulary = sorted({tok for toks in token_lists for tok in toks})
+    index = {tok: k for k, tok in enumerate(vocabulary)}
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[int] = []
+    for i, toks in enumerate(token_lists):
+        for tok, count in Counter(toks).items():
+            rows.append(i)
+            cols.append(index[tok])
+            values.append(count)
+    counts = np.zeros((len(token_lists), len(vocabulary)))
+    counts[rows, cols] = values
+    return counts
+
+
 def textrank_graph(token_lists: list[list[str]]) -> SentenceGraph:
     """Edges weigh shared token types against log sentence lengths."""
-    n = len(token_lists)
-    sets = [set(toks) for toks in token_lists]
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom = log(len(token_lists[i])) + log(len(token_lists[j]))
-            if denom > 0.0:
-                weights[i, j] = weights[j, i] = len(sets[i] & sets[j]) / denom
+    counts = _term_counts(token_lists)
+    present = np.minimum(counts, 1.0, out=counts)
+    shared = present @ present.T
+    logs = np.array([log(len(toks)) for toks in token_lists])
+    denom = logs[:, None] + logs[None, :]
+    weights = np.divide(shared, denom, out=np.zeros_like(shared), where=denom > 0.0)
+    np.fill_diagonal(weights, 0.0)
     return SentenceGraph(weights)
 
 
@@ -71,23 +87,15 @@ def lexrank_graph(token_lists: list[list[str]], threshold: float = LEXRANK_THRES
     Document frequency is computed over this document's sentences.
     """
     n = len(token_lists)
-    vocabulary = sorted({tok for toks in token_lists for tok in toks})
-    index = {tok: k for k, tok in enumerate(vocabulary)}
-    df = Counter(tok for toks in token_lists for tok in set(toks))
-    idf = np.array([log(n / df[tok]) for tok in vocabulary])
-    tf = np.zeros((n, len(vocabulary)))
-    for i, toks in enumerate(token_lists):
-        for tok, count in Counter(toks).items():
-            tf[i, index[tok]] = count
-    vectors = tf * idf
+    vectors = _term_counts(token_lists)
+    idf = np.array([log(n / df) for df in np.count_nonzero(vectors, axis=0).tolist()])
+    vectors *= idf
     norms = np.linalg.norm(vectors, axis=1)
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if norms[i] > 0.0 and norms[j] > 0.0:
-                cosine = float(vectors[i] @ vectors[j] / (norms[i] * norms[j]))
-                if cosine >= threshold:
-                    weights[i, j] = weights[j, i] = cosine
+    gram = vectors @ vectors.T
+    denom = norms[:, None] * norms[None, :]
+    cosines = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
+    weights = np.where(cosines >= threshold, cosines, 0.0)
+    np.fill_diagonal(weights, 0.0)
     return SentenceGraph(weights)
 
 
@@ -178,5 +186,3 @@ def lead_n(doc: Document, word_limit: int = WORD_LIMIT) -> list[int]:
         used += len(toks)
     return chosen
 
-
-BASELINE_METHODS = {"textrank": textrank, "lexrank": lexrank, "lead": lead_n}

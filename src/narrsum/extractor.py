@@ -224,12 +224,7 @@ class ExtractorModel:
         if cfg.get("kind") != "extractor":
             raise ValueError(f"checkpoint at {path} is not an extractor")
         model = cls(cfg["vocab_size"], cfg["embedding_dim"], cfg["hidden_dim"], np.random.default_rng(0))
-        for name, arr in arrays.items():
-            if name not in model.params:
-                raise ValueError(f"unexpected parameter {name!r} in checkpoint")
-            if model.params[name].data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name!r} in checkpoint")
-            model.params[name].data[...] = arr
+        ad.restore_params(model.params, arrays, path)
         return model, vocab
 
 

@@ -325,8 +325,11 @@ def _load_models(
     for path in (extractor_path, abstractor_path):
         if not path.exists():
             raise DataError(f"missing pretrained checkpoint: {path}")
-    extractor, extractor_vocab = ExtractorModel.load(extractor_path)
-    abstractor, abstractor_vocab = AbstractorModel.load(abstractor_path)
+    try:
+        extractor, extractor_vocab = ExtractorModel.load(extractor_path)
+        abstractor, abstractor_vocab = AbstractorModel.load(abstractor_path)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"unusable checkpoint: {exc}") from exc
     if extractor_vocab is None or abstractor_vocab is None:
         raise DataError("pipeline checkpoints must embed their vocabulary")
     if extractor_vocab != abstractor_vocab:

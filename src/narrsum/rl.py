@@ -99,10 +99,7 @@ class Critic:
         if cfg.get("kind") != "critic":
             raise ValueError(f"checkpoint at {path} is not a critic")
         critic = cls(cfg["hidden_dim"], np.random.default_rng(0))
-        for name, arr in arrays.items():
-            if name not in critic.params or critic.params[name].data.shape != arr.shape:
-                raise ValueError(f"unexpected critic parameter {name!r}")
-            critic.params[name].data[...] = arr
+        ad.restore_params(critic.params, arrays, path)
         return critic
 
 

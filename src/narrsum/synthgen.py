@@ -59,7 +59,10 @@ class SynthSpec:
         return SynthSpec(**raw)
 
 
-def _is_subsequence(needle, haystack) -> bool:
+def _is_subsequence(needle, needle_types, haystack, haystack_types) -> bool:
+    """Whether `needle` occurs in order in `haystack`; length and type sets rule most pairs out."""
+    if len(needle) > len(haystack) or not needle_types <= haystack_types:
+        return False
     it = iter(haystack)
     return all(tok in it for tok in needle)
 
@@ -99,11 +102,17 @@ def _perturbed_copy(rng, vocab, spec, report_sents, source_idx) -> list[str]:
 def _make_report(rng, vocab, spec):
     """Report sentences with no mutual containment, plus its summaries."""
     sentences: list[list[str]] = []
+    type_sets: list[frozenset[str]] = []
     while len(sentences) < spec.sentences_per_report:
         cand = _draw_sentence(rng, vocab, spec)
-        if any(_is_subsequence(cand, s) or _is_subsequence(s, cand) for s in sentences):
+        types = frozenset(cand)
+        if any(
+            _is_subsequence(cand, types, s, s_types) or _is_subsequence(s, s_types, cand, types)
+            for s, s_types in zip(sentences, type_sets)
+        ):
             continue
         sentences.append(cand)
+        type_sets.append(types)
 
     summaries = []
     truth_rows = []

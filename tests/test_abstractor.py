@@ -422,3 +422,13 @@ def test_checkpoint_kind_guard(tmp_path):
     wrong.save(path)
     with pytest.raises(ValueError, match="not an abstractor"):
         AbstractorModel.load(path)
+
+
+def test_checkpoint_missing_parameter_refused(tmp_path):
+    path = tmp_path / "abstractor.ckpt"
+    small_model(seed=4).save(path)
+    arrays, cfg, vocab = ad.load_checkpoint(path)
+    del arrays["out_w"]
+    ad.save_checkpoint(path, arrays, cfg, vocab)
+    with pytest.raises(ValueError, match=r"missing \['out_w'\]"):
+        AbstractorModel.load(path)

@@ -1,6 +1,7 @@
 """Graph-baseline tests: edge math, PageRank, budgeted selection."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,6 +38,44 @@ def dense_pagerank(graph: SentenceGraph, damping=0.85) -> np.ndarray:
     principal = np.argmax(eigvals.real)
     vec = np.abs(eigvecs[:, principal].real)
     return vec / vec.sum()
+
+
+def pair_loop_textrank_weights(token_lists):
+    """Reference: the pair-loop TextRank builder the matrix form replaced."""
+    n = len(token_lists)
+    sets = [set(toks) for toks in token_lists]
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            denom = math.log(len(token_lists[i])) + math.log(len(token_lists[j]))
+            if denom > 0.0:
+                weights[i, j] = weights[j, i] = len(sets[i] & sets[j]) / denom
+    return weights
+
+
+def pair_loop_lexrank_weights(token_lists, threshold):
+    """Reference: the pair-loop LexRank builder; returns (weights, raw cosines)."""
+    n = len(token_lists)
+    vocabulary = sorted({tok for toks in token_lists for tok in toks})
+    index = {tok: k for k, tok in enumerate(vocabulary)}
+    df = Counter(tok for toks in token_lists for tok in set(toks))
+    idf = np.array([math.log(n / df[tok]) for tok in vocabulary])
+    tf = np.zeros((n, len(vocabulary)))
+    for i, toks in enumerate(token_lists):
+        for tok, count in Counter(toks).items():
+            tf[i, index[tok]] = count
+    vectors = tf * idf
+    norms = np.linalg.norm(vectors, axis=1)
+    weights = np.zeros((n, n))
+    cosines = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if norms[i] > 0.0 and norms[j] > 0.0:
+                cosine = float(vectors[i] @ vectors[j] / (norms[i] * norms[j]))
+                cosines[i, j] = cosines[j, i] = cosine
+                if cosine >= threshold:
+                    weights[i, j] = weights[j, i] = cosine
+    return weights, cosines
 
 
 # ---------------------------------------------------------------- graphs
@@ -76,6 +115,38 @@ def test_lexrank_threshold_prunes_weak_edges():
     kept = lexrank_graph(sentences, threshold=0.01)
     assert pruned.weights[0, 1] == 0.0
     assert kept.weights[0, 1] > 0.0
+
+
+@st.composite
+def ragged_documents(draw):
+    """1-60 sentences of 1-30 tokens over 2-2000 types, some repeated."""
+    n_types = draw(st.integers(min_value=2, max_value=2000))
+    n_sentences = draw(st.integers(min_value=1, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    token_lists = []
+    for _ in range(n_sentences):
+        if token_lists and rng.uniform() < 0.2:
+            token_lists.append(list(token_lists[int(rng.integers(len(token_lists)))]))
+        else:
+            length = int(rng.integers(1, 31))
+            token_lists.append([f"t{int(k)}" for k in rng.integers(n_types, size=length)])
+    return token_lists
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_documents())
+def test_textrank_graph_matches_pair_loop(token_lists):
+    assert np.array_equal(textrank_graph(token_lists).weights, pair_loop_textrank_weights(token_lists))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_documents(), st.sampled_from([0.0, 0.01, 0.1, 0.3]))
+def test_lexrank_graph_matches_pair_loop(token_lists, threshold):
+    got = lexrank_graph(token_lists, threshold).weights
+    want, cosines = pair_loop_lexrank_weights(token_lists, threshold)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    away = np.abs(cosines - threshold) > 1e-12
+    assert np.array_equal((got != 0.0)[away], (want != 0.0)[away])
 
 
 def test_graph_validation():

@@ -259,6 +259,16 @@ def test_checkpoint_kind_checked(tmp_path):
         ExtractorModel.load(path)
 
 
+def test_checkpoint_missing_parameter_refused(tmp_path):
+    path = tmp_path / "extractor.ckpt"
+    small_model(seed=5).save(path)
+    arrays, cfg, vocab = ad.load_checkpoint(path)
+    del arrays["dec_w"]
+    ad.save_checkpoint(path, arrays, cfg, vocab)
+    with pytest.raises(ValueError, match=r"missing \['dec_w'\]"):
+        ExtractorModel.load(path)
+
+
 def test_extraction_jsonl_round_trip(tmp_path):
     items = [
         Extraction("r1", [0, 2], [-0.1, -0.5, -0.01]),

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from narrsum import autodiff as ad
 from narrsum import harness
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import ConfigError, RunConfig, load_config
@@ -466,3 +467,25 @@ def test_cli_summarize_split_flag(pipeline, tmp_path):
             "--data-root", str(pipeline["data"]), "--out", str(out2)]
     assert cli(args) == 0
     assert len(sorted((out2 / "summaries").glob("*.txt"))) == 2
+
+
+def test_cli_summarize_refuses_incomplete_extractor(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "incomplete.ckpt"
+    arrays, cfg, vocab = ad.load_checkpoint(pipeline["out"] / "extractor.ckpt")
+    del arrays["dec_w"]
+    ad.save_checkpoint(ckpt, arrays, cfg, vocab)
+    args = ["summarize", "--extractor", str(ckpt),
+            "--abstractor", str(pipeline["out"] / "abstractor.ckpt"),
+            "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
+    assert cli(args) == 2
+    assert "missing ['dec_w']" in capsys.readouterr().err
+
+
+def test_cli_summarize_refuses_garbage_extractor(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "garbage.ckpt"
+    ckpt.write_bytes(b"\x89not a checkpoint\n\x00\x01")
+    args = ["summarize", "--extractor", str(ckpt),
+            "--abstractor", str(pipeline["out"] / "abstractor.ckpt"),
+            "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
+    assert cli(args) == 2
+    assert "not a checkpoint file" in capsys.readouterr().err

@@ -114,6 +114,16 @@ def test_critic_kind_guard(tmp_path):
         Critic.load(path)
 
 
+def test_critic_checkpoint_missing_parameter_refused(tmp_path):
+    path = tmp_path / "critic.ckpt"
+    Critic(3, np.random.default_rng(2)).save(path)
+    arrays, cfg, _ = ad.load_checkpoint(path)
+    del arrays["b"]
+    ad.save_checkpoint(path, arrays, cfg)
+    with pytest.raises(ValueError, match=r"missing \['b'\]"):
+        Critic.load(path)
+
+
 # ---------------------------------------------------------------- rollout
 
 
