@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import END_ID, PAD_ID, START_ID, Vocab
+from .corpus import END_ID, PAD_ID, START_ID, UNK_ID, Vocab
 from .training import HalveOnPlateau, PeriodicSaver, TrainLog, iter_batches, mean_of
 
 log = logging.getLogger(__name__)
@@ -92,12 +92,12 @@ class AbstractorModel:
         if not ids:
             raise ValueError("cannot paraphrase an empty sentence")
         p = self.params
-        embedded = ad.embedding_lookup(p["embed"], ids)
-        words = [ad.take_row(embedded, k) for k in range(len(ids))]
-        outputs, f_last, b_first = ad.bilstm_sequence(
-            words, p["enc_f_w"], p["enc_f_b"], p["enc_b_w"], p["enc_b_b"], self.hidden_dim
+        h2 = 2 * self.hidden_dim
+        words = ad.reshape(ad.embedding_lookup(p["embed"], ids), (1, len(ids), self.embedding_dim))
+        states, finals = ad.bilstm_batch(
+            words, [len(ids)], p["enc_f_w"], p["enc_f_b"], p["enc_b_w"], p["enc_b_b"], self.hidden_dim
         )
-        return ad.stack_rows(outputs), ad.concat([f_last, b_first])
+        return ad.reshape(states, (len(ids), h2)), ad.reshape(finals, (h2,))
 
     def _step(self, keys: ad.Value, token_id: int, state: tuple) -> tuple[ad.Value, tuple]:
         """One decoder step from (h, c, context); returns logits, new state."""
@@ -172,8 +172,7 @@ class AbstractorModel:
 
     def _adjusted_logp(self, logits: ad.Value, hyp: _Hypothesis, decode: DecodeConfig) -> np.ndarray:
         logp = _log_softmax(logits.data)
-        logp[PAD_ID] = -np.inf
-        logp[START_ID] = -np.inf
+        logp[[PAD_ID, UNK_ID, START_ID]] = -np.inf
         penalty = np.log(decode.repetition_penalty)
         if penalty > 0.0 and hyp.present:
             logp[list(hyp.present)] -= penalty
@@ -229,7 +228,8 @@ class AbstractorModel:
         arrays, cfg, vocab = ad.load_checkpoint(path)
         if cfg.get("kind") != "abstractor":
             raise ValueError(f"checkpoint at {path} is not an abstractor")
-        model = cls(cfg["vocab_size"], cfg["embedding_dim"], cfg["hidden_dim"], np.random.default_rng(0))
+        sizes = ad.config_sizes(cfg, ("vocab_size", "embedding_dim", "hidden_dim"), path)
+        model = cls(*sizes, np.random.default_rng(0))
         ad.restore_params(model.params, arrays, path)
         return model, vocab
 

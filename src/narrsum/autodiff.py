@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -27,11 +28,17 @@ class NonFiniteGradError(RuntimeError):
 
 
 class Value:
-    """One node of the computation graph: data, lazy grad, backward rule."""
+    """One node of the computation graph: data, lazy grad, backward rule.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    A backward rule receives the node's gradient as its argument and holds
+    references only to the node's parents, never to the node itself, so a
+    graph has no reference cycles and is freed as soon as its last node
+    goes out of scope.
+    """
 
-    def __init__(self, data, parents: tuple = (), backward: Callable[[], None] | None = None):
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
+
+    def __init__(self, data, parents: tuple = (), backward: Callable[[np.ndarray], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._parents = parents
@@ -68,71 +75,58 @@ def _require(cond: bool, message: str) -> None:
 
 def add(a: Value, b: Value) -> Value:
     _require(a.shape == b.shape, f"add: {a.shape} vs {b.shape}")
-    out = Value(a.data + b.data, (a, b))
 
-    def backward():
-        a.accum(out.grad)
-        b.accum(out.grad)
+    def backward(g):
+        a.accum(g)
+        b.accum(g)
 
-    out._backward = backward
-    return out
+    return Value(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Value, b: Value) -> Value:
     _require(a.shape == b.shape, f"sub: {a.shape} vs {b.shape}")
-    out = Value(a.data - b.data, (a, b))
 
-    def backward():
-        a.accum(out.grad)
-        b.accum(-out.grad)
+    def backward(g):
+        a.accum(g)
+        b.accum(-g)
 
-    out._backward = backward
-    return out
+    return Value(a.data - b.data, (a, b), backward)
 
 
 def neg(a: Value) -> Value:
-    out = Value(-a.data, (a,))
+    def backward(g):
+        a.accum(-g)
 
-    def backward():
-        a.accum(-out.grad)
-
-    out._backward = backward
-    return out
+    return Value(-a.data, (a,), backward)
 
 
 def mul(a: Value, b: Value) -> Value:
     _require(a.shape == b.shape, f"mul: {a.shape} vs {b.shape}")
-    out = Value(a.data * b.data, (a, b))
 
-    def backward():
-        a.accum(out.grad * b.data)
-        b.accum(out.grad * a.data)
+    def backward(g):
+        a.accum(g * b.data)
+        b.accum(g * a.data)
 
-    out._backward = backward
-    return out
+    return Value(a.data * b.data, (a, b), backward)
 
 
 def scale(a: Value, s: float) -> Value:
     s = float(s)
-    out = Value(a.data * s, (a,))
 
-    def backward():
-        a.accum(out.grad * s)
+    def backward(g):
+        a.accum(g * s)
 
-    out._backward = backward
-    return out
+    return Value(a.data * s, (a,), backward)
 
 
 def dot(a: Value, b: Value) -> Value:
     _require(a.data.ndim == 1 and a.shape == b.shape, f"dot: {a.shape} vs {b.shape}")
-    out = Value(a.data @ b.data, (a, b))
 
-    def backward():
-        a.accum(out.grad * b.data)
-        b.accum(out.grad * a.data)
+    def backward(g):
+        a.accum(g * b.data)
+        b.accum(g * a.data)
 
-    out._backward = backward
-    return out
+    return Value(a.data @ b.data, (a, b), backward)
 
 
 def matmul(a: Value, b: Value) -> Value:
@@ -140,103 +134,75 @@ def matmul(a: Value, b: Value) -> Value:
     an, bn = a.data.ndim, b.data.ndim
     if an == 2 and bn == 2:
         _require(a.shape[1] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
-        out = Value(a.data @ b.data, (a, b))
 
-        def backward():
-            a.accum(out.grad @ b.data.T)
-            b.accum(a.data.T @ out.grad)
+        def backward(g):
+            a.accum(g @ b.data.T)
+            b.accum(a.data.T @ g)
 
     elif an == 2 and bn == 1:
         _require(a.shape[1] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
-        out = Value(a.data @ b.data, (a, b))
 
-        def backward():
-            a.accum(np.outer(out.grad, b.data))
-            b.accum(a.data.T @ out.grad)
+        def backward(g):
+            a.accum(np.outer(g, b.data))
+            b.accum(a.data.T @ g)
 
     elif an == 1 and bn == 2:
         _require(a.shape[0] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
-        out = Value(a.data @ b.data, (a, b))
 
-        def backward():
-            a.accum(b.data @ out.grad)
-            b.accum(np.outer(a.data, out.grad))
+        def backward(g):
+            a.accum(b.data @ g)
+            b.accum(np.outer(a.data, g))
 
     else:
         raise ShapeError(f"matmul: unsupported ranks {an} and {bn}")
-    out._backward = backward
-    return out
+    return Value(a.data @ b.data, (a, b), backward)
 
 
 def add_row(m: Value, v: Value) -> Value:
     """Add a vector to every row of a matrix (the one sanctioned broadcast)."""
     _require(m.data.ndim == 2 and v.data.ndim == 1, f"add_row: {m.shape} + {v.shape}")
     _require(m.shape[1] == v.shape[0], f"add_row: {m.shape} + {v.shape}")
-    out = Value(m.data + v.data, (m, v))
 
-    def backward():
-        m.accum(out.grad)
-        v.accum(out.grad.sum(axis=0))
+    def backward(g):
+        m.accum(g)
+        v.accum(g.sum(axis=0))
 
-    out._backward = backward
-    return out
+    return Value(m.data + v.data, (m, v), backward)
 
 
 def take_row(m: Value, index: int) -> Value:
     _require(m.data.ndim == 2, f"take_row: rank {m.data.ndim}")
     _require(0 <= index < m.shape[0], f"take_row: index {index} of {m.shape}")
-    out = Value(m.data[index], (m,))
 
-    def backward():
+    def backward(g):
         if m.grad is None:
             m.grad = np.zeros_like(m.data)
-        m.grad[index] += out.grad
+        m.grad[index] += g
 
-    out._backward = backward
-    return out
+    return Value(m.data[index], (m,), backward)
 
 
 def reshape(a: Value, shape: tuple[int, ...]) -> Value:
     _require(int(np.prod(shape)) == a.data.size, f"reshape: {a.shape} -> {shape}")
-    out = Value(a.data.reshape(shape), (a,))
 
-    def backward():
-        a.accum(out.grad.reshape(a.data.shape))
+    def backward(g):
+        a.accum(g.reshape(a.data.shape))
 
-    out._backward = backward
-    return out
+    return Value(a.data.reshape(shape), (a,), backward)
 
 
 def concat(parts: Sequence[Value]) -> Value:
-    parts = list(parts)
+    parts = tuple(parts)
     _require(len(parts) > 0, "concat: no operands")
     for p in parts:
         _require(p.data.ndim == 1, f"concat: rank {p.data.ndim}")
-    out = Value(np.concatenate([p.data for p in parts]), tuple(parts))
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
-    def backward():
+    def backward(g):
         for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            p.accum(out.grad[lo:hi])
+            p.accum(g[lo:hi])
 
-    out._backward = backward
-    return out
-
-
-def stack_rows(rows: Sequence[Value]) -> Value:
-    rows = list(rows)
-    _require(len(rows) > 0, "stack_rows: no operands")
-    width = rows[0].data.shape
-    for r in rows:
-        _require(r.data.ndim == 1 and r.data.shape == width, "stack_rows: ragged rows")
-    out = Value(np.stack([r.data for r in rows]), tuple(rows))
-
-    def backward():
-        for k, r in enumerate(rows):
-            r.accum(out.grad[k])
-
-    out._backward = backward
-    return out
+    return Value(np.concatenate([p.data for p in parts]), parts, backward)
 
 
 # ---------------------------------------------------------------- nonlinear
@@ -244,24 +210,20 @@ def stack_rows(rows: Sequence[Value]) -> Value:
 
 def tanh(a: Value) -> Value:
     t = np.tanh(a.data)
-    out = Value(t, (a,))
 
-    def backward():
-        a.accum(out.grad * (1.0 - t * t))
+    def backward(g):
+        a.accum(g * (1.0 - t * t))
 
-    out._backward = backward
-    return out
+    return Value(t, (a,), backward)
 
 
 def sigmoid(a: Value) -> Value:
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Value(s, (a,))
 
-    def backward():
-        a.accum(out.grad * s * (1.0 - s))
+    def backward(g):
+        a.accum(g * s * (1.0 - s))
 
-    out._backward = backward
-    return out
+    return Value(s, (a,), backward)
 
 
 def softmax(a: Value) -> Value:
@@ -269,14 +231,11 @@ def softmax(a: Value) -> Value:
     shifted = a.data - a.data.max()
     e = np.exp(shifted)
     p = e / e.sum()
-    out = Value(p, (a,))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         a.accum(p * (g - g @ p))
 
-    out._backward = backward
-    return out
+    return Value(p, (a,), backward)
 
 
 def softmax_entropy(logits: Value) -> Value:
@@ -287,14 +246,12 @@ def softmax_entropy(logits: Value) -> Value:
     p = e / e.sum()
     logp = shifted - np.log(e.sum())
     h = -float(p @ logp)
-    out = Value(h, (logits,))
 
-    def backward():
+    def backward(g):
         # dH/ds_j = -p_j (log p_j + H)
-        logits.accum(out.grad * (-p * (logp + h)))
+        logits.accum(g * (-p * (logp + h)))
 
-    out._backward = backward
-    return out
+    return Value(h, (logits,), backward)
 
 
 def log_softmax_at(logits: Value, index: int) -> Value:
@@ -303,17 +260,14 @@ def log_softmax_at(logits: Value, index: int) -> Value:
     _require(0 <= index < logits.shape[0], f"log_softmax_at: index {index} of {logits.shape}")
     shifted = logits.data - logits.data.max()
     lse = np.log(np.exp(shifted).sum())
-    out = Value(shifted[index] - lse, (logits,))
     p = np.exp(shifted - lse)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         delta = -p * g
         delta[index] += g
         logits.accum(delta)
 
-    out._backward = backward
-    return out
+    return Value(shifted[index] - lse, (logits,), backward)
 
 
 def cross_entropy(logits: Value, target: int) -> Value:
@@ -328,37 +282,30 @@ def embedding_lookup(table: Value, ids: Sequence[int]) -> Value:
     _require(idx.ndim == 1, "embedding_lookup: ids must be flat")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"embedding_lookup: id out of range for table {table.shape}")
-    out = Value(table.data[idx], (table,))
 
-    def backward():
+    def backward(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, out.grad)
+        np.add.at(table.grad, idx, g)
 
-    out._backward = backward
-    return out
+    return Value(table.data[idx], (table,), backward)
 
 
 def vsum(a: Value) -> Value:
-    out = Value(a.data.sum(), (a,))
+    def backward(g):
+        a.accum(np.full_like(a.data, g))
 
-    def backward():
-        a.accum(np.full_like(a.data, out.grad))
-
-    out._backward = backward
-    return out
+    return Value(a.data.sum(), (a,), backward)
 
 
 def mean(a: Value) -> Value:
     n = a.data.size
     _require(n > 0, "mean: empty operand")
-    out = Value(a.data.mean(), (a,))
 
-    def backward():
-        a.accum(np.full_like(a.data, out.grad / n))
+    def backward(g):
+        a.accum(np.full_like(a.data, g / n))
 
-    out._backward = backward
-    return out
+    return Value(a.data.mean(), (a,), backward)
 
 
 # ---------------------------------------------------------------- recurrence
@@ -386,26 +333,7 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
     g = np.tanh(z[2 * hidden : 3 * hidden])
     o = 1.0 / (1.0 + np.exp(-z[3 * hidden :]))
 
-    c_next = Value(f * c.data + i * g, (x, h, c, w, b))
-    h_next = Value(o * np.tanh(c_next.data), (x, h, w, b, c_next))
-
-    def backward_h():
-        gh = h_next.grad
-        t = np.tanh(c_next.data)
-        c_next.accum(gh * o * (1.0 - t * t))
-        dz_o = gh * t * o * (1.0 - o)
-        if w.grad is None:
-            w.grad = np.zeros_like(w.data)
-        w.grad[3 * hidden :] += np.outer(dz_o, xh)
-        if b.grad is None:
-            b.grad = np.zeros_like(b.data)
-        b.grad[3 * hidden :] += dz_o
-        dxh = w.data[3 * hidden :].T @ dz_o
-        x.accum(dxh[:in_dim])
-        h.accum(dxh[in_dim:])
-
-    def backward_c():
-        gc = c_next.grad
+    def backward_c(gc):
         c.accum(gc * f)
         dz = np.concatenate(
             [
@@ -424,34 +352,149 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
         x.accum(dxh[:in_dim])
         h.accum(dxh[in_dim:])
 
-    h_next._backward = backward_h
-    c_next._backward = backward_c
+    c_next = Value(f * c.data + i * g, (x, h, c, w, b), backward_c)
+    t = np.tanh(c_next.data)
+
+    def backward_h(gh):
+        c_next.accum(gh * o * (1.0 - t * t))
+        dz_o = gh * t * o * (1.0 - o)
+        if w.grad is None:
+            w.grad = np.zeros_like(w.data)
+        w.grad[3 * hidden :] += np.outer(dz_o, xh)
+        if b.grad is None:
+            b.grad = np.zeros_like(b.data)
+        b.grad[3 * hidden :] += dz_o
+        dxh = w.data[3 * hidden :].T @ dz_o
+        x.accum(dxh[:in_dim])
+        h.accum(dxh[in_dim:])
+
+    h_next = Value(o * t, (x, h, w, b, c_next), backward_h)
     return h_next, c_next
 
 
-def bilstm_sequence(
-    inputs: Sequence[Value], wf: Value, bf: Value, wb: Value, bb: Value, hidden: int
-) -> tuple[list[Value], Value, Value]:
-    """Run both LSTM directions over a sequence of input vectors.
+def _lstm_scan(xz: np.ndarray, wh: np.ndarray, mask: np.ndarray):
+    """One LSTM direction over time-major pre-activations `xz` (T, B, 4H),
+    which already hold the input projection and the bias.
 
-    Returns per-position concatenated states and the two final hidden
-    states (forward direction's last, backward direction's first).
+    Rows whose `mask` (T, B, 1) is 0 at a step have their state zeroed
+    there, so padding never leaks into real positions. Returns the gate
+    activations (T, B, 4H), tanh of the raw cell (T, B, H), and the hidden
+    and cell states (T + 1, B, H) with the zero initial state at index 0.
     """
-    inputs = list(inputs)
-    _require(len(inputs) > 0, "bilstm_sequence: empty input")
-    zeros = const(np.zeros(hidden))
-    fwd: list[Value] = []
-    h, c = zeros, zeros
-    for x in inputs:
-        h, c = lstm_cell(x, h, c, wf, bf)
-        fwd.append(h)
-    bwd: list[Value] = [zeros] * len(inputs)
-    h, c = zeros, zeros
-    for k in range(len(inputs) - 1, -1, -1):
-        h, c = lstm_cell(inputs[k], h, c, wb, bb)
-        bwd[k] = h
-    outputs = [concat([fwd[k], bwd[k]]) for k in range(len(inputs))]
-    return outputs, fwd[-1], bwd[0]
+    steps, n, four_h = xz.shape
+    hidden = four_h // 4
+    ragged = (mask == 0.0).any(axis=(1, 2))
+    acts = np.empty_like(xz)
+    tanh_c = np.empty((steps, n, hidden))
+    hs = np.zeros((steps + 1, n, hidden))
+    cs = np.zeros((steps + 1, n, hidden))
+    wh_t = wh.T
+    for t in range(steps):
+        z = xz[t] + hs[t] @ wh_t
+        a = acts[t]
+        a[:] = 1.0 / (1.0 + np.exp(-z))
+        a[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        c = a[:, hidden : 2 * hidden] * cs[t] + a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
+        tc = np.tanh(c)
+        tanh_c[t] = tc
+        h = a[:, 3 * hidden :] * tc
+        if ragged[t]:
+            c *= mask[t]
+            h *= mask[t]
+        cs[t + 1] = c
+        hs[t + 1] = h
+    return acts, tanh_c, hs, cs
+
+
+def _lstm_scan_grad(dh_out: np.ndarray, wh: np.ndarray, mask: np.ndarray, acts, tanh_c, cs) -> np.ndarray:
+    """Backpropagation through time for `_lstm_scan`: the gradient with
+    respect to the pre-activations (T, B, 4H), given the gradient with
+    respect to the emitted hidden states `dh_out` (T, B, H)."""
+    steps, n, hidden = dh_out.shape
+    ragged = (mask == 0.0).any(axis=(1, 2))
+    dz = np.empty((steps, n, 4 * hidden))
+    dh = np.zeros((n, hidden))
+    dc = np.zeros((n, hidden))
+    for t in range(steps - 1, -1, -1):
+        dh = dh + dh_out[t]
+        if ragged[t]:
+            dh *= mask[t]
+            dc *= mask[t]
+        a = acts[t]
+        i, f = a[:, :hidden], a[:, hidden : 2 * hidden]
+        g, o = a[:, 2 * hidden : 3 * hidden], a[:, 3 * hidden :]
+        tc = tanh_c[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        d = dz[t]
+        d[:, :hidden] = dc * g * i * (1.0 - i)
+        d[:, hidden : 2 * hidden] = dc * cs[t] * f * (1.0 - f)
+        d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
+        d[:, 3 * hidden :] = dh * tc * o * (1.0 - o)
+        dc = dc * f
+        dh = d @ wh
+    return dz
+
+
+def bilstm_batch(
+    x: Value, lengths: Sequence[int], wf: Value, bf: Value, wb: Value, bb: Value, hidden: int
+) -> tuple[Value, Value]:
+    """Both LSTM directions over a padded batch `x` (B, T, D) of sequences
+    with the given per-row lengths; weights use `lstm_cell`'s layout.
+
+    Returns `states` (B, T, 2H), the forward and backward hidden state at
+    each position side by side and zero at padding, and `finals` (B, 2H),
+    each row's forward state at its last position beside its backward
+    state at position 0. Backpropagation through time is hand-written;
+    padded positions receive exactly zero gradient.
+    """
+    _require(x.data.ndim == 3, f"bilstm_batch: rank {x.data.ndim}")
+    n, steps, dim = x.shape
+    lens = np.asarray(lengths, dtype=np.int64)
+    _require(lens.shape == (n,), f"bilstm_batch: lengths {lens.shape} for {n} rows")
+    _require(n > 0 and lens.min() >= 1 and lens.max() <= steps, f"bilstm_batch: lengths outside 1..{steps}")
+    for w, b in ((wf, bf), (wb, bb)):
+        _require(w.shape == (4 * hidden, dim + hidden), f"bilstm_batch: weight {w.shape}")
+        _require(b.shape == (4 * hidden,), f"bilstm_batch: bias {b.shape}")
+
+    x_fwd = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # time-major (T, B, D)
+    mask_fwd = (np.arange(steps)[:, None] < lens[None, :]).astype(np.float64)[:, :, None]
+    # The backward direction is the forward recurrence over time-reversed
+    # rows, whose padding then comes first and keeps the state at zero.
+    directions = ((wf, bf, x_fwd, mask_fwd), (wb, bb, x_fwd[::-1], mask_fwd[::-1]))
+    scans = []
+    for w, b, xs, mask in directions:
+        xz = xs.reshape(-1, dim) @ w.data[:, :dim].T + b.data  # every step's input projection at once
+        scans.append(_lstm_scan(xz.reshape(steps, n, 4 * hidden), w.data[:, dim:], mask))
+    h_fwd = scans[0][2][1:]
+    h_bwd = scans[1][2][:0:-1]
+
+    def backward_states(g):
+        g = g.transpose(1, 0, 2)
+        dx = np.zeros((steps, n, dim))
+        for (w, b, xs, mask), (acts, tanh_c, hs, cs), dh, flip in zip(
+            directions, scans, (g[:, :, :hidden], g[::-1, :, hidden:]), (1, -1)
+        ):
+            dz = _lstm_scan_grad(dh, w.data[:, dim:], mask, acts, tanh_c, cs).reshape(-1, 4 * hidden)
+            w.accum(dz.T @ np.concatenate([xs, hs[:-1]], axis=2).reshape(-1, dim + hidden))
+            b.accum(dz.sum(axis=0))
+            dx += (dz @ w.data[:, :dim]).reshape(steps, n, dim)[::flip]
+        x.accum(dx.transpose(1, 0, 2))
+
+    states = Value(
+        np.concatenate([h_fwd, h_bwd], axis=2).transpose(1, 0, 2), (x, wf, bf, wb, bb), backward_states
+    )
+    rows = np.arange(n)
+
+    def backward_finals(g):
+        if states.grad is None:
+            states.grad = np.zeros_like(states.data)
+        states.grad[rows, lens - 1, :hidden] += g[:, :hidden]
+        states.grad[:, 0, hidden:] += g[:, hidden:]
+
+    finals = Value(
+        np.concatenate([h_fwd[lens - 1, rows], h_bwd[0]], axis=1), (states,), backward_finals
+    )
+    return states, finals
 
 
 def bahdanau_attention(
@@ -518,7 +561,7 @@ def backward(loss: Value) -> None:
     loss.accum(np.asarray(1.0))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def zero_grads(params: Iterable[Value]) -> None:
@@ -674,7 +717,11 @@ def save_checkpoint(
     config: dict,
     vocab: Sequence[str] | None = None,
 ) -> None:
-    """Write named float64 arrays after a one-line JSON header."""
+    """Write named float64 arrays after a one-line JSON header.
+
+    The file is written beside the target and then renamed over it, so a
+    write that fails midway leaves the previous checkpoint intact.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {
@@ -690,15 +737,46 @@ def save_checkpoint(
         "config_hash": config_hash(config),
         "vocab": list(vocab) if vocab is not None else None,
     }
-    with path.open("wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with partial.open("wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            fh.write(b"\n")
+            for name in names:
+                fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _check_header(header: dict, path: Path) -> None:
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"checkpoint {path}: {what}")
+
+    names, shapes = header.get("names"), header.get("shapes")
+    require(
+        isinstance(names, list) and all(isinstance(n, str) for n in names) and len(set(names)) == len(names),
+        "header 'names' must be a list of distinct strings",
+    )
+    require(
+        isinstance(shapes, dict) and set(shapes) == set(names) and all(
+            isinstance(s, list) and all(type(d) is int and d >= 0 for d in s) for s in shapes.values()
+        ),
+        "header 'shapes' must give each name a list of non-negative integers",
+    )
+    require(isinstance(header.get("config"), dict), "header 'config' must be an object")
+    require(header.get("config_hash") == config_hash(header["config"]), "config does not match its config_hash")
+    vocab = header.get("vocab")
+    require(
+        "vocab" in header and (vocab is None or (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab))),
+        "header 'vocab' must be null or a list of strings",
+    )
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list[str] | None]:
-    """Read back (arrays, config, vocab); raises on a malformed file."""
+    """Read back (arrays, config, vocab); raises ValueError on a malformed file."""
     path = Path(path)
     with path.open("rb") as fh:
         header_line = fh.readline()
@@ -708,6 +786,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
             raise ValueError(f"not a checkpoint file: {path}") from exc
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format in {path}")
+        _check_header(header, path)
         blob = fh.read()
     arrays: dict[str, np.ndarray] = {}
     offset = 0
@@ -723,6 +802,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list
     if offset != len(blob):
         raise ValueError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
     return arrays, header["config"], header["vocab"]
+
+
+def config_sizes(config: dict, names: Sequence[str], path: str | Path) -> list[int]:
+    """The named model sizes of a checkpoint config; each must be an integer of at least 1."""
+    sizes = [config.get(name) for name in names]
+    for name, value in zip(names, sizes):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"checkpoint {path}: config {name!r} must be an integer of at least 1, got {value!r}")
+    return sizes
 
 
 def restore_params(params: dict[str, Value], arrays: dict[str, np.ndarray], path: str | Path) -> None:

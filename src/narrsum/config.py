@@ -24,7 +24,7 @@ class RunConfig:
     max_extract_sentences: int = 80
     lr: float = 0.001
     lr_decay: float = 0.5
-    clip_norm: float = 1.0
+    clip_norm: float | None = 1.0  # None: no clipping
     batch_size: int = 16
     checkpoint_every_batches: int = 16
     beam_width: int = 2
@@ -59,10 +59,23 @@ class RunConfig:
         for name in (
             "vocab_size", "embedding_dim", "hidden_dim", "batch_size",
             "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens",
+            "max_extract_sentences", "rl_updates_every", "pagerank_max_iter",
         ):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value!r}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be greater than 0, got {self.lr!r}")
+        if self.rl_lr is not None and not self.rl_lr >= 0:
+            raise ConfigError(f"rl_lr must be null or at least 0, got {self.rl_lr!r}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be null or greater than 0, got {self.clip_norm!r}")
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
+        if not 0 <= self.damping <= 1:
+            raise ConfigError(f"damping must be in [0, 1], got {self.damping!r}")
+        if self.checkpoint_every_batches < 0:
+            raise ConfigError(f"checkpoint_every_batches must be at least 0, got {self.checkpoint_every_batches!r}")
         if self.reference_aggregation not in ("max", "mean"):
             raise ConfigError(
                 f"reference_aggregation must be 'max' or 'mean', got {self.reference_aggregation!r}"
@@ -83,25 +96,6 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return dataclasses.replace(self, **overrides)
-
-    def extractor_arch(self) -> dict:
-        return {
-            "kind": "extractor",
-            "vocab_size": self.vocab_size,
-            "embedding_dim": self.embedding_dim,
-            "hidden_dim": self.hidden_dim,
-        }
-
-    def abstractor_arch(self) -> dict:
-        return {
-            "kind": "abstractor",
-            "vocab_size": self.vocab_size,
-            "embedding_dim": self.embedding_dim,
-            "hidden_dim": self.hidden_dim,
-        }
-
-    def critic_arch(self) -> dict:
-        return {"kind": "critic", "hidden_dim": self.hidden_dim}
 
 
 def load_config(path: str | Path) -> RunConfig:

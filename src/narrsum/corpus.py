@@ -122,9 +122,6 @@ class Vocab:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK_ID) for t in tokens]
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Document, Vocab
+from .corpus import PAD_ID, Document, Vocab
 from .training import HalveOnPlateau, PeriodicSaver, TrainLog, iter_batches, mean_of
 
 log = logging.getLogger(__name__)
@@ -109,20 +109,24 @@ class ExtractorModel:
         """Contextual sentence keys, with the stop sentinel as the last row."""
         if not ids_lists:
             raise ValueError("cannot encode a document with no sentences")
+        lengths = [len(ids) for ids in ids_lists]
+        if min(lengths) == 0:
+            raise ValueError("cannot encode an empty sentence")
         p = self.params
         h = self.hidden_dim
-        sentence_vecs = []
-        for ids in ids_lists:
-            if not ids:
-                raise ValueError("cannot encode an empty sentence")
-            embedded = ad.embedding_lookup(p["embed"], ids)
-            words = [ad.take_row(embedded, k) for k in range(len(ids))]
-            _, f_last, b_first = ad.bilstm_sequence(words, p["word_f_w"], p["word_f_b"], p["word_b_w"], p["word_b_b"], h)
-            sentence_vecs.append(ad.concat([f_last, b_first]))
-        contextual, _, _ = ad.bilstm_sequence(
-            sentence_vecs, p["sent_f_w"], p["sent_f_b"], p["sent_b_w"], p["sent_b_b"], h
+        n = len(ids_lists)
+        width = max(lengths)
+        padded = [i for ids in ids_lists for i in list(ids) + [PAD_ID] * (width - len(ids))]
+        words = ad.reshape(ad.embedding_lookup(p["embed"], padded), (n, width, self.embedding_dim))
+        _, sentence_vecs = ad.bilstm_batch(
+            words, lengths, p["word_f_w"], p["word_f_b"], p["word_b_w"], p["word_b_b"], h
         )
-        return ad.stack_rows(list(contextual) + [p["stop_key"]])
+        contextual, _ = ad.bilstm_batch(
+            ad.reshape(sentence_vecs, (1, n, 2 * h)), [n],
+            p["sent_f_w"], p["sent_f_b"], p["sent_b_w"], p["sent_b_b"], h,
+        )
+        rows = ad.concat([ad.reshape(contextual, (n * 2 * h,)), p["stop_key"]])
+        return ad.reshape(rows, (n + 1, 2 * h))
 
     # ------------------------------------------------------------ decoding
 
@@ -223,7 +227,8 @@ class ExtractorModel:
         arrays, cfg, vocab = ad.load_checkpoint(path)
         if cfg.get("kind") != "extractor":
             raise ValueError(f"checkpoint at {path} is not an extractor")
-        model = cls(cfg["vocab_size"], cfg["embedding_dim"], cfg["hidden_dim"], np.random.default_rng(0))
+        sizes = ad.config_sizes(cfg, ("vocab_size", "embedding_dim", "hidden_dim"), path)
+        model = cls(*sizes, np.random.default_rng(0))
         ad.restore_params(model.params, arrays, path)
         return model, vocab
 

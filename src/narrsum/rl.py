@@ -98,7 +98,7 @@ class Critic:
         arrays, cfg, _ = ad.load_checkpoint(path)
         if cfg.get("kind") != "critic":
             raise ValueError(f"checkpoint at {path} is not a critic")
-        critic = cls(cfg["hidden_dim"], np.random.default_rng(0))
+        critic = cls(*ad.config_sizes(cfg, ("hidden_dim",), path), np.random.default_rng(0))
         ad.restore_params(critic.params, arrays, path)
         return critic
 

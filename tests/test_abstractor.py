@@ -18,6 +18,7 @@ from narrsum.corpus import (
     PAD_ID,
     RESERVED_TOKENS,
     START_ID,
+    UNK_ID,
     Document,
     ReportExample,
     Sentence,
@@ -192,6 +193,15 @@ def test_outputs_never_contain_reserved_control_tokens():
         assert END_ID not in out
 
 
+def test_unk_never_emitted_even_with_the_largest_logit():
+    model = small_model()
+    model.params["out_b"].data[UNK_ID] = 50.0
+    model.params["out_b"].data[END_ID] = -50.0
+    for width in (1, 2):
+        tokens = model.paraphrase([4, 5, 6], DecodeConfig(width, 2.0, 8))
+        assert len(tokens) == 8 and UNK_ID not in tokens
+
+
 def test_forced_end_yields_empty_output():
     model = small_model()
     model.params["out_b"].data[:] = 0.0
@@ -233,9 +243,9 @@ def test_adjusted_logp_penalizes_only_present_tokens():
     cfg = DecodeConfig(2, 2.0, 5)
     base = model._adjusted_logp(logits, _Hypothesis([], frozenset(), 0.0, None, False), cfg)
     adjusted = model._adjusted_logp(logits, hyp, cfg)
-    assert adjusted[PAD_ID] == -np.inf and adjusted[START_ID] == -np.inf
+    assert adjusted[PAD_ID] == adjusted[UNK_ID] == adjusted[START_ID] == -np.inf
     for tok in range(model.vocab_size):
-        if tok in (PAD_ID, START_ID):
+        if tok in (PAD_ID, UNK_ID, START_ID):
             continue
         expected = base[tok] - (math.log(2.0) if tok in (6, 8) else 0.0)
         assert adjusted[tok] == pytest.approx(expected, abs=1e-12)

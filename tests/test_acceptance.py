@@ -25,6 +25,7 @@ from narrsum.oracle import build_oracle
 from narrsum.rl import A2CTrainer, Critic, Trajectory, TrajectoryStep, mean_greedy_reward, train_rl
 from narrsum.rouge import rouge_l_sentence, rouge_l_summary, rouge_n, rouge_su4
 from narrsum.synthgen import SynthSpec, generate
+from percell import bilstm_sequence, stack_rows
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -308,7 +309,7 @@ def _op_builders():
         weights = [w(rng, 4) for _ in range(3)]
 
         def loss():
-            stacked = ad.stack_rows([a, b, a])  # a appears twice: grads accumulate
+            stacked = stack_rows([a, b, a])  # a appears twice: grads accumulate
             total = ad.dot(ad.take_row(stacked, 0), weights[0])
             total = ad.add(total, ad.dot(ad.take_row(stacked, 1), weights[1]))
             return ad.add(total, ad.dot(ad.take_row(stacked, 2), weights[2]))
@@ -363,11 +364,29 @@ def _op_builders():
         pos = int(rng.integers(0, t))
 
         def loss():
-            outputs, h_fwd, h_bwd = ad.bilstm_sequence(xs, wf, bf, wb, bb, h)
+            outputs, h_fwd, h_bwd = bilstm_sequence(xs, wf, bf, wb, bb, h)
             total = ad.add(ad.dot(h_fwd, w1), ad.dot(h_bwd, w2))
             return ad.add(total, ad.dot(outputs[pos], w3))
 
         return loss, xs + [wf, bf, wb, bb]
+
+    def build_bilstm_batch(rng):
+        e, h, n = 3, 2, int(rng.integers(1, 4))
+        lengths = [int(v) for v in rng.integers(1, 5, size=n)]
+        t = max(lengths)
+        x = ad.param(rng.normal(size=(n, t, e)))
+        wf = ad.param(rng.normal(size=(4 * h, e + h)) * 0.5)
+        bf = ad.param(rng.normal(size=4 * h) * 0.5)
+        wb = ad.param(rng.normal(size=(4 * h, e + h)) * 0.5)
+        bb = ad.param(rng.normal(size=4 * h) * 0.5)
+        w1, w2 = w(rng, n * t * 2 * h), w(rng, n * 2 * h)
+
+        def loss():
+            states, finals = ad.bilstm_batch(x, lengths, wf, bf, wb, bb, h)
+            total = ad.dot(ad.reshape(states, (n * t * 2 * h,)), w1)
+            return ad.add(total, ad.dot(ad.reshape(finals, (n * 2 * h,)), w2))
+
+        return loss, [x, wf, bf, wb, bb]
 
     def build_attention(rng):
         dq, dk, inner, t = 3, 4, 3, int(rng.integers(2, 6))
@@ -427,6 +446,7 @@ def _op_builders():
         ("mean", build_mean),
         ("lstm_cell", build_lstm_cell),
         ("bilstm_sequence", build_bilstm),
+        ("bilstm_batch", build_bilstm_batch),
         ("bahdanau_attention", build_attention),
         ("extractor_loss", build_extractor_loss),
         ("abstractor_loss", build_abstractor_loss),

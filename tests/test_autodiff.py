@@ -1,9 +1,18 @@
 """Gradient engine tests: analytic examples, finite differences, Adam, I/O."""
 
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrsum import autodiff as ad
+from narrsum.abstractor import AbstractorModel
+from narrsum.extractor import ExtractorModel
+from percell import bilstm_sequence, stack_rows
 
 
 def rng_for(seed):
@@ -101,6 +110,14 @@ def test_shape_mismatches_raise_at_construction():
         ad.take_row(m, 5)
     with pytest.raises(ad.ShapeError):
         ad.embedding_lookup(m, [0, 7])
+    x = ad.const(np.zeros((2, 3, 4)))
+    w, bias = ad.const(np.zeros((8, 6))), ad.const(np.zeros(8))
+    ad.bilstm_batch(x, [3, 1], w, bias, w, bias, 2)
+    for lengths in ([3, 0], [4, 1], [3], [3, 1, 1]):
+        with pytest.raises(ad.ShapeError):
+            ad.bilstm_batch(x, lengths, w, bias, w, bias, 2)
+    with pytest.raises(ad.ShapeError):
+        ad.bilstm_batch(x, [3, 1], w, bias, w, bias, 3)
 
 
 # ---------------------------------------------------------------- finite differences
@@ -201,7 +218,7 @@ def _primitive_cases(rng):
         ("take_row", lambda: weighted(ad.take_row(mat, 1), wa), [mat]),
         ("reshape", lambda: weighted(ad.reshape(mat, (n, m)), wnm), [mat]),
         ("concat", lambda: weighted(ad.concat([a, b]), wcat), [a, b]),
-        ("stack_rows", lambda: weighted(ad.stack_rows([a, b, a]), wstack), [a, b]),
+        ("stack_rows", lambda: weighted(stack_rows([a, b, a]), wstack), [a, b]),
         ("tanh", lambda: weighted(ad.tanh(a), wa), [a]),
         ("sigmoid", lambda: weighted(ad.sigmoid(a), wa), [a]),
         ("softmax", lambda: weighted(ad.softmax(a), wa), [a]),
@@ -234,13 +251,83 @@ def test_bilstm_sequence_fd():
     weights = [rng.normal(size=2 * hidden) for _ in range(3)]
 
     def loss():
-        outs, _, _ = ad.bilstm_sequence(xs, wf, bf, wb, bb, hidden)
+        outs, _, _ = bilstm_sequence(xs, wf, bf, wb, bb, hidden)
         total = weighted(outs[0], weights[0])
         for o, w_ in zip(outs[1:], weights[1:]):
             total = ad.add(total, weighted(o, w_))
         return total
 
     assert ad.grad_check(loss, xs + [wf, bf, wb, bb], rng=rng_for(10)) < 1e-4
+
+
+@st.composite
+def ragged_batches(draw):
+    lengths = draw(st.lists(st.integers(1, 15), min_size=1, max_size=12))
+    dim, hidden = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return lengths, dim, hidden, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches())
+def test_bilstm_batch_matches_per_cell_reference(case):
+    lengths, dim, hidden, seed = case
+    rng = rng_for(seed)
+    n, steps = len(lengths), max(lengths)
+    x_data = rng.normal(size=(n, steps, dim))
+    weights = []  # wf, bf, wb, bb
+    for _ in range(2):
+        weights += [ad.param(rng.normal(size=(4 * hidden, dim + hidden)) * 0.5), ad.param(rng.normal(size=4 * hidden))]
+    state_w = rng.normal(size=(n, steps, 2 * hidden))
+    final_w = rng.normal(size=(n, 2 * hidden))
+
+    x = ad.param(x_data)
+    states, finals = ad.bilstm_batch(x, lengths, *weights, hidden)
+    loss = ad.add(weighted(states, state_w), weighted(finals, final_w))
+    ad.backward(loss)
+    batched = [x.grad] + [p.grad for p in weights]
+    ad.zero_grads(weights)
+
+    rows = [[ad.param(x_data[r, t]) for t in range(lengths[r])] for r in range(n)]
+    terms = []
+    for r, inputs in enumerate(rows):
+        outputs, f_last, b_first = bilstm_sequence(inputs, *weights, hidden)
+        assert np.abs(states.data[r, : lengths[r]] - np.stack([o.data for o in outputs])).max() < 1e-10
+        terms += [ad.dot(o, ad.const(state_w[r, t])) for t, o in enumerate(outputs)]
+        terms.append(ad.dot(ad.concat([f_last, b_first]), ad.const(final_w[r])))
+    reference = terms[0]
+    for term in terms[1:]:
+        reference = ad.add(reference, term)
+    ad.backward(reference)
+    x_grad = np.zeros_like(x_data)
+    for r, inputs in enumerate(rows):
+        x_grad[r, : lengths[r]] = [xi.grad for xi in inputs]
+
+    assert abs(float(loss.data) - float(reference.data)) < 1e-10
+    for got, want in zip(batched, [x_grad] + [p.grad for p in weights]):
+        assert np.abs(got - want).max() < 1e-10
+    for r, length in enumerate(lengths):
+        assert not states.data[r, length:].any()
+        assert not batched[0][r, length:].any()
+
+
+@pytest.mark.parametrize("kind", ["extractor", "abstractor"])
+def test_graph_holds_no_reference_cycle(kind):
+    rng = rng_for(12)
+    if kind == "extractor":
+        model = ExtractorModel(10, 4, 3, rng)
+        loss = model.teacher_forced_loss([[4, 5, 6], [7], [8, 9]], [2, 0])
+    else:
+        model = AbstractorModel(10, 4, 3, rng)
+        loss = model.teacher_forced_loss([4, 5, 6], [7, 8])
+    gc.disable()
+    try:
+        ad.backward(loss)
+        interior = [weakref.ref(node) for node in ad.topo_order(loss) if node._parents]
+        assert len(interior) > 10
+        del loss
+        assert all(ref() is None for ref in interior)
+    finally:
+        gc.enable()
 
 
 def test_embedding_lookup_accumulates_duplicates():
@@ -359,6 +446,51 @@ def test_checkpoint_rejects_truncation(tmp_path):
     ad.save_checkpoint(path, {"w": ad.param(np.ones(8))}, {"d": 1})
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
+    with pytest.raises(ValueError):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    ad.save_checkpoint(path, {"a": ad.param(np.ones(3)), "b": ad.param(np.ones(2))}, {"d": 1})
+    previous = path.read_bytes()
+    real = ad.np.ascontiguousarray
+    calls = []
+
+    def fail_on_second_array(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ad.np, "ascontiguousarray", fail_on_second_array)
+    with pytest.raises(OSError, match="disk full"):
+        ad.save_checkpoint(path, {"a": ad.param(np.zeros(3)), "b": ad.param(np.zeros(2))}, {"d": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == previous
+    arrays, config, _ = ad.load_checkpoint(path)
+    assert config == {"d": 1} and np.array_equal(arrays["a"], np.ones(3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"names": None},
+        {"shapes": {"w": [2.5]}},
+        {"shapes": {"v": [3]}},
+        {"config": [1]},
+        {"config_hash": "0" * 64},
+        {"vocab": [1, 2]},
+        {"vocab": "drop"},
+    ],
+)
+def test_checkpoint_rejects_malformed_header(tmp_path, change):
+    path = tmp_path / "model.ckpt"
+    ad.save_checkpoint(path, {"w": ad.param(np.ones(3))}, {"d": 1})
+    line, blob = path.read_bytes().split(b"\n", 1)
+    header = {key: value for key, value in {**json.loads(line), **change}.items() if value != "drop"}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
     with pytest.raises(ValueError):
         ad.load_checkpoint(path)
 

@@ -142,8 +142,8 @@ def test_build_vocab_empty_errors():
 
 def test_vocab_lookup_and_round_trip():
     vocab = build_vocab([_doc("r1", [["profit", "rose"]])])
-    assert vocab.id_for("profit") >= 4
-    assert vocab.id_for("absent") == UNK_ID
+    assert vocab.encode(["profit"])[0] >= 4
+    assert vocab.encode(["absent"]) == [UNK_ID]
     ids = vocab.encode(["profit", "absent", "rose"])
     assert vocab.decode(ids) == ["profit", "<unk>", "rose"]
     clone = Vocab.from_list(vocab.to_list())

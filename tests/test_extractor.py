@@ -17,6 +17,7 @@ from narrsum.extractor import (
     train_extractor,
 )
 from narrsum.oracle import OracleAlignment
+from percell import percell_extractor_encode
 
 
 def small_model(seed=0, vocab=30, e=8, h=6):
@@ -39,6 +40,24 @@ def test_encode_shapes():
     assert keys.shape == (2, 12)  # one sentence + stop sentinel
     keys = model.encode([[4], [5, 6], [7, 8, 9]])
     assert keys.shape == (4, 12)
+
+
+def test_encode_matches_per_cell_reference():
+    rng = np.random.default_rng(13)
+    model = small_model(seed=13)
+    ids_lists = [[int(i) for i in rng.integers(0, 20, size=k)] for k in (3, 1, 6, 2, 6)]
+    weights = rng.normal(size=(len(ids_lists) + 1, 12))
+    results = []
+    for encode in (model.encode, lambda ids: percell_extractor_encode(model, ids)):
+        ad.zero_grads(model.params.values())
+        keys = encode(ids_lists)
+        ad.backward(ad.dot(ad.reshape(keys, (keys.data.size,)), ad.const(weights.ravel())))
+        results.append((keys.data, {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}))
+    (keys, grads), (ref_keys, ref_grads) = results
+    assert np.abs(keys - ref_keys).max() < 1e-10
+    assert sorted(grads) == sorted(ref_grads) and "word_f_w" in grads
+    for name, grad in grads.items():
+        assert np.abs(grad - ref_grads[name]).max() < 1e-10, name
 
 
 def test_encode_rejects_empty():

@@ -445,17 +445,25 @@ def test_cli_train_stages_reuse_validation_alignments(pipeline, tmp_path, monkey
 
 
 @pytest.mark.parametrize(
-    "field",
-    ["vocab_size", "embedding_dim", "hidden_dim", "batch_size",
-     "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens"],
+    "field, value",
+    [pytest.param(name, 0, id=name) for name in (
+        "vocab_size", "embedding_dim", "hidden_dim", "batch_size", "extractor_epochs", "abstractor_epochs",
+        "max_sentence_tokens", "max_output_tokens", "max_extract_sentences", "rl_updates_every",
+        "pagerank_max_iter", "clip_norm", "lr",
+    )]
+    + [pytest.param(name, value, id=f"{name}={value}") for name, value in (
+        ("rl_lr", -0.001), ("lr_decay", 0.0), ("lr_decay", 1.5), ("damping", -0.1), ("damping", 1.1),
+        ("checkpoint_every_batches", -1),
+    )],
 )
-def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field):
+def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field, value):
+    """Each out-of-range config value is a config error (exit 2) before any output."""
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({**TINY_CONFIG, field: 0}))
+    cfg.write_text(json.dumps({**TINY_CONFIG, field: value}))
     args = ["train-extractor", "--config", str(cfg),
             "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
     assert cli(args) == 2
-    assert f"{field} must be at least 1" in capsys.readouterr().err
+    assert f"{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -489,3 +497,30 @@ def test_cli_summarize_refuses_garbage_extractor(pipeline, tmp_path, capsys):
             "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
     assert cli(args) == 2
     assert "not a checkpoint file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("header_only", "header 'names'"),
+        ("config_without_sizes", "config 'vocab_size'"),
+        ("edited_config", "does not match its config_hash"),
+    ],
+)
+def test_cli_summarize_refuses_incomplete_checkpoint_header(pipeline, tmp_path, capsys, case, message):
+    ckpt = tmp_path / "extractor.ckpt"
+    if case == "header_only":
+        ckpt.write_bytes(b'{"format":"narrsum-ckpt-v1"}\n')
+    elif case == "config_without_sizes":
+        arrays, _, vocab = ad.load_checkpoint(pipeline["out"] / "extractor.ckpt")
+        ad.save_checkpoint(ckpt, arrays, {"kind": "extractor"}, vocab)
+    else:
+        line, blob = (pipeline["out"] / "extractor.ckpt").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["config"]["note"] = "retrained"
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    args = ["summarize", "--extractor", str(ckpt),
+            "--abstractor", str(pipeline["out"] / "abstractor.ckpt"),
+            "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
+    assert cli(args) == 2
+    assert message in capsys.readouterr().err
