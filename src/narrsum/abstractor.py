@@ -9,7 +9,6 @@ returned hypothesis never scores below greedy.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,48 +98,30 @@ class AbstractorModel:
         )
         return ad.reshape(states, (len(ids), h2)), ad.reshape(finals, (h2,))
 
-    def _step(self, keys: ad.Value, token_id: int, state: tuple) -> tuple[ad.Value, tuple]:
-        """One decoder step from (h, c, context); returns logits, new state."""
+    def forced_logits(self, src_ids: Sequence[int], tgt_ids: Sequence[int]) -> ad.Value:
+        """Teacher-forced logits (len(tgt_ids) + 1, V): one row per target
+        token and one for the end marker."""
         p = self.params
-        h, c, context = state
-        token_vec = ad.take_row(p["embed"], token_id)
-        h, c = ad.lstm_cell(ad.concat([token_vec, context]), h, c, p["dec_w"], p["dec_b"])
-        _, context = ad.bahdanau_attention(h, keys, p["att_wq"], p["att_wk"], p["att_v"])
-        logits = ad.add(ad.matmul(p["out_w"], ad.concat([h, context])), p["out_b"])
-        return logits, (h, c, context)
-
-    def _initial_state(self, init: ad.Value) -> tuple:
-        h2 = 2 * self.hidden_dim
-        return (init, ad.const(np.zeros(h2)), ad.const(np.zeros(h2)))
-
-    def _forced_logits(self, src_ids: Sequence[int], tgt_ids: Sequence[int]) -> list[ad.Value]:
         keys, init = self.encode(src_ids)
-        state = self._initial_state(init)
-        logits_per_step = []
-        for prev in [START_ID] + list(tgt_ids):
-            logits, state = self._step(keys, prev, state)
-            logits_per_step.append(logits)
-        return logits_per_step
+        inputs = ad.embedding_lookup(p["embed"], [START_ID] + list(tgt_ids))
+        features = ad.attention_decoder(
+            inputs, keys, init, p["dec_w"], p["dec_b"], p["att_wq"], p["att_wk"], p["att_v"]
+        )
+        return ad.linear(features, p["out_w"], p["out_b"])
 
     # ------------------------------------------------------------ training
 
     def teacher_forced_loss(self, src_ids: Sequence[int], tgt_ids: Sequence[int]) -> ad.Value:
         """Mean cross-entropy over target tokens plus the end marker."""
-        targets = list(tgt_ids) + [END_ID]
-        nodes = self._forced_logits(src_ids, tgt_ids)
-        total = ad.cross_entropy(nodes[0], targets[0])
-        for logits, target in zip(nodes[1:], targets[1:]):
-            total = ad.add(total, ad.cross_entropy(logits, target))
-        return ad.scale(total, 1.0 / len(targets))
+        return ad.mean_cross_entropy(self.forced_logits(src_ids, tgt_ids), list(tgt_ids) + [END_ID])
 
     def teacher_forced_accuracy(self, pairs: Sequence[tuple[list[int], list[int]]]) -> float:
         """Fraction of forced steps whose argmax equals the target token."""
         hits = total = 0
         for src, tgt in pairs:
-            targets = list(tgt) + [END_ID]
-            for logits, target in zip(self._forced_logits(src, tgt), targets):
-                hits += int(np.argmax(logits.data) == target)
-                total += 1
+            predicted = np.argmax(self.forced_logits(src, tgt).data, axis=1)
+            hits += int((predicted == np.asarray(list(tgt) + [END_ID])).sum())
+            total += len(predicted)
         return hits / total if total else 0.0
 
     # ------------------------------------------------------------ decoding
@@ -160,9 +141,11 @@ class AbstractorModel:
         scores below the greedy lane's hypothesis.
         """
         keys, init = self.encode(src_ids)
-        root = _Hypothesis([], frozenset(), 0.0, self._initial_state(init), False)
-        greedy = self._greedy_lane(keys, root, decode)
-        pool = self._beam(keys, root, decode) + [greedy]
+        source = (keys.data, keys.data @ self.params["att_wk"].data)
+        zeros = np.zeros(2 * self.hidden_dim)
+        root = _Hypothesis([], frozenset(), 0.0, (init.data, zeros, zeros), False)
+        greedy = self._greedy_lane(source, root, decode)
+        pool = self._beam(source, root, decode) + [greedy]
         finished = [h for h in pool if h.finished]
         candidates = finished if finished else pool
         best = max(candidates, key=lambda h: h.score)
@@ -170,8 +153,31 @@ class AbstractorModel:
             best = greedy
         return list(best.tokens), best.score, best.finished
 
-    def _adjusted_logp(self, logits: ad.Value, hyp: _Hypothesis, decode: DecodeConfig) -> np.ndarray:
-        logp = _log_softmax(logits.data)
+    def _decode_step(self, source: tuple, token_id: int, state: tuple) -> tuple[np.ndarray, tuple]:
+        """One decoder step in plain NumPy from (h, c, context); returns the
+        logits and the new state. `source` is the keys and their attention
+        projection. The recurrence and attention products are the ones
+        `attention_decoder` computes for a step, in the same order, so the
+        states match the teacher-forced forward pass bit for bit."""
+        p = self.params
+        keys, key_proj = source
+        h, c, context = state
+        hidden = h.shape[0]
+        z = p["dec_w"].data @ np.concatenate([p["embed"].data[token_id], context, h]) + p["dec_b"].data
+        i = 1.0 / (1.0 + np.exp(-z[:hidden]))
+        f = 1.0 / (1.0 + np.exp(-z[hidden : 2 * hidden]))
+        g = np.tanh(z[2 * hidden : 3 * hidden])
+        o = 1.0 / (1.0 + np.exp(-z[3 * hidden :]))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        scores = np.tanh(key_proj + h @ p["att_wq"].data) @ p["att_v"].data
+        e = np.exp(scores - scores.max())
+        context = (e / e.sum()) @ keys
+        logits = p["out_w"].data @ np.concatenate([h, context]) + p["out_b"].data
+        return logits, (h, c, context)
+
+    def _adjusted_logp(self, logits: np.ndarray, hyp: _Hypothesis, decode: DecodeConfig) -> np.ndarray:
+        logp = _log_softmax(logits)
         logp[[PAD_ID, UNK_ID, START_ID]] = -np.inf
         penalty = np.log(decode.repetition_penalty)
         if penalty > 0.0 and hyp.present:
@@ -185,11 +191,11 @@ class AbstractorModel:
             hyp.tokens + [token], hyp.present | {token}, hyp.score + score, state, False
         )
 
-    def _greedy_lane(self, keys: ad.Value, root: _Hypothesis, decode: DecodeConfig) -> _Hypothesis:
+    def _greedy_lane(self, source: tuple, root: _Hypothesis, decode: DecodeConfig) -> _Hypothesis:
         hyp = root
         for _ in range(decode.max_output_tokens):
             prev = hyp.tokens[-1] if hyp.tokens else START_ID
-            logits, state = self._step(keys, prev, hyp.state)
+            logits, state = self._decode_step(source, prev, hyp.state)
             adjusted = self._adjusted_logp(logits, hyp, decode)
             token = int(np.argmax(adjusted))
             hyp = self._extend(hyp, token, float(adjusted[token]), state)
@@ -197,7 +203,7 @@ class AbstractorModel:
                 break
         return hyp
 
-    def _beam(self, keys: ad.Value, root: _Hypothesis, decode: DecodeConfig) -> list[_Hypothesis]:
+    def _beam(self, source: tuple, root: _Hypothesis, decode: DecodeConfig) -> list[_Hypothesis]:
         width = decode.beam_width
         active = [root]
         finished: list[_Hypothesis] = []
@@ -205,7 +211,7 @@ class AbstractorModel:
             extensions: list[_Hypothesis] = []
             for hyp in active:
                 prev = hyp.tokens[-1] if hyp.tokens else START_ID
-                logits, state = self._step(keys, prev, hyp.state)
+                logits, state = self._decode_step(source, prev, hyp.state)
                 adjusted = self._adjusted_logp(logits, hyp, decode)
                 top = np.argsort(adjusted)[::-1][:width]
                 for token in top:

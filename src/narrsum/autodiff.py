@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -50,7 +51,7 @@ class Value:
 
     def accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         self.grad += g
 
     def __repr__(self) -> str:
@@ -170,6 +171,19 @@ def add_row(m: Value, v: Value) -> Value:
     return Value(m.data + v.data, (m, v), backward)
 
 
+def linear(x: Value, w: Value, b: Value) -> Value:
+    """Affine map of every row: `x @ w.T + b` for x (N, D), w (K, D), b (K,)."""
+    _require(x.data.ndim == 2 and w.data.ndim == 2 and b.data.ndim == 1, "linear: ranks")
+    _require(x.shape[1] == w.shape[1] and w.shape[0] == b.shape[0], f"linear: {x.shape} @ {w.shape}.T + {b.shape}")
+
+    def backward(g):
+        x.accum(g @ w.data)
+        w.accum(g.T @ x.data)
+        b.accum(g.sum(axis=0))
+
+    return Value(x.data @ w.data.T + b.data, (x, w, b), backward)
+
+
 def take_row(m: Value, index: int) -> Value:
     _require(m.data.ndim == 2, f"take_row: rank {m.data.ndim}")
     _require(0 <= index < m.shape[0], f"take_row: index {index} of {m.shape}")
@@ -217,27 +231,6 @@ def tanh(a: Value) -> Value:
     return Value(t, (a,), backward)
 
 
-def sigmoid(a: Value) -> Value:
-    s = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        a.accum(g * s * (1.0 - s))
-
-    return Value(s, (a,), backward)
-
-
-def softmax(a: Value) -> Value:
-    _require(a.data.ndim == 1, f"softmax: rank {a.data.ndim}")
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-
-    def backward(g):
-        a.accum(p * (g - g @ p))
-
-    return Value(p, (a,), backward)
-
-
 def softmax_entropy(logits: Value) -> Value:
     """Entropy of softmax(logits) as a scalar, fused for stability."""
     _require(logits.data.ndim == 1, f"softmax_entropy: rank {logits.data.ndim}")
@@ -276,6 +269,33 @@ def cross_entropy(logits: Value, target: int) -> Value:
     return neg(node)
 
 
+def mean_cross_entropy(logits: Value, targets: Sequence[int]) -> Value:
+    """Mean over the rows of `logits` (N, K) of `cross_entropy(row, target)`.
+
+    Each row's loss is computed as `cross_entropy` computes it and the row
+    losses are summed in order, so the value matches a left-to-right chain
+    of `add` nodes over per-row `cross_entropy` nodes, scaled by 1/N.
+    """
+    _require(logits.data.ndim == 2, f"mean_cross_entropy: rank {logits.data.ndim}")
+    n, k = logits.shape
+    idx = np.asarray(list(targets), dtype=np.int64)
+    _require(n > 0 and idx.shape == (n,), f"mean_cross_entropy: {len(idx)} targets for {n} rows")
+    _require(idx.min() >= 0 and idx.max() < k, f"mean_cross_entropy: target out of range for {logits.shape}")
+    rows = np.arange(n)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    losses = lse - shifted[rows, idx]
+    s = 1.0 / n
+
+    def backward(g):
+        gs = g * s
+        delta = np.exp(shifted - lse[:, None]) * gs
+        delta[rows, idx] -= gs
+        logits.accum(delta)
+
+    return Value(np.cumsum(losses)[-1] * s, (logits,), backward)
+
+
 def embedding_lookup(table: Value, ids: Sequence[int]) -> Value:
     _require(table.data.ndim == 2, f"embedding_lookup: rank {table.data.ndim}")
     idx = np.asarray(list(ids), dtype=np.int64)
@@ -289,23 +309,6 @@ def embedding_lookup(table: Value, ids: Sequence[int]) -> Value:
         np.add.at(table.grad, idx, g)
 
     return Value(table.data[idx], (table,), backward)
-
-
-def vsum(a: Value) -> Value:
-    def backward(g):
-        a.accum(np.full_like(a.data, g))
-
-    return Value(a.data.sum(), (a,), backward)
-
-
-def mean(a: Value) -> Value:
-    n = a.data.size
-    _require(n > 0, "mean: empty operand")
-
-    def backward(g):
-        a.accum(np.full_like(a.data, g / n))
-
-    return Value(a.data.mean(), (a,), backward)
 
 
 # ---------------------------------------------------------------- recurrence
@@ -497,27 +500,104 @@ def bilstm_batch(
     return states, finals
 
 
-def bahdanau_attention(
-    query: Value,
-    keys: Value,
-    wq: Value,
-    wk: Value,
-    v: Value,
-    additive_mask: np.ndarray | None = None,
-) -> tuple[Value, Value]:
-    """Additive attention; returns (weights over keys, context vector)."""
-    _require(query.data.ndim == 1 and keys.data.ndim == 2, "attention: ranks")
-    _require(wq.shape[0] == query.shape[0], f"attention: query {query.shape} vs {wq.shape}")
-    _require(wk.shape[0] == keys.shape[1], f"attention: keys {keys.shape} vs {wk.shape}")
-    _require(wq.shape[1] == wk.shape[1] == v.shape[0], "attention: inner dims disagree")
-    scores = matmul(tanh(add_row(matmul(keys, wk), matmul(query, wq))), v)
-    if additive_mask is not None:
-        mask = np.asarray(additive_mask, dtype=np.float64)
-        _require(mask.shape == scores.shape, f"attention: mask {mask.shape} vs {scores.shape}")
-        scores = add(scores, const(mask))
-    weights = softmax(scores)
-    context = matmul(weights, keys)
-    return weights, context
+def attention_decoder(
+    emb: Value, keys: Value, init: Value, w: Value, b: Value, wq: Value, wk: Value, v: Value
+) -> Value:
+    """A teacher-forced input-feeding LSTM decoder with additive attention
+    over one source, with hand-written backpropagation through time.
+
+    `emb` (T, E) holds each step's input embedding and `keys` (S, K) the
+    source states. The hidden state starts at `init` (H,); the cell and the
+    fed-back context start at zero. Step t runs `lstm_cell` (weights `w`
+    (4H, E + K + H), `b` (4H,)) on `[emb_t; context_{t-1}]` and `h_{t-1}`,
+    then attends with the new `h_t` over `keys`: scores
+    `tanh(keys @ wk + h_t @ wq) @ v`, context `softmax(scores) @ keys`.
+    Returns the (T, H + K) rows `[h_t; context_t]`.
+    """
+    _require(emb.data.ndim == 2 and keys.data.ndim == 2 and init.data.ndim == 1, "attention_decoder: ranks")
+    steps, e_dim = emb.shape
+    k_dim = keys.shape[1]
+    hidden = init.shape[0]
+    _require(steps > 0 and keys.shape[0] > 0, "attention_decoder: empty input or source")
+    _require(w.shape == (4 * hidden, e_dim + k_dim + hidden), f"attention_decoder: weight {w.shape}")
+    _require(b.shape == (4 * hidden,), f"attention_decoder: bias {b.shape}")
+    _require(wq.shape[0] == hidden and wk.shape[0] == k_dim, f"attention_decoder: {wq.shape} and {wk.shape}")
+    _require(wq.shape[1] == wk.shape[1] == v.shape[0], "attention_decoder: attention inner dims disagree")
+
+    key_proj = keys.data @ wk.data  # the same for every step
+    xh = np.empty((steps, e_dim + k_dim + hidden))  # each step's [emb_t; context_{t-1}; h_{t-1}]
+    xh[:, :e_dim] = emb.data
+    acts = np.empty((steps, 4 * hidden))
+    cs = np.zeros((steps + 1, hidden))
+    tanh_c = np.empty((steps, hidden))
+    out = np.empty((steps, hidden + k_dim))
+    squash = np.empty((steps,) + key_proj.shape)  # tanh of each step's attention pre-activation
+    att = np.empty((steps, keys.shape[0]))
+    h, context = init.data, np.zeros(k_dim)
+    for t in range(steps):
+        x = xh[t]
+        x[e_dim : e_dim + k_dim] = context
+        x[e_dim + k_dim :] = h
+        z = w.data @ x + b.data
+        a = acts[t]
+        a[:hidden] = 1.0 / (1.0 + np.exp(-z[:hidden]))
+        a[hidden : 2 * hidden] = 1.0 / (1.0 + np.exp(-z[hidden : 2 * hidden]))
+        a[2 * hidden : 3 * hidden] = np.tanh(z[2 * hidden : 3 * hidden])
+        a[3 * hidden :] = 1.0 / (1.0 + np.exp(-z[3 * hidden :]))
+        cs[t + 1] = a[hidden : 2 * hidden] * cs[t] + a[:hidden] * a[2 * hidden : 3 * hidden]
+        tanh_c[t] = np.tanh(cs[t + 1])
+        h = a[3 * hidden :] * tanh_c[t]
+        u = squash[t]
+        u[:] = np.tanh(key_proj + h @ wq.data)
+        scores = u @ v.data
+        e = np.exp(scores - scores.max())
+        att[t] = e / e.sum()
+        context = att[t] @ keys.data
+        out[t, :hidden] = h
+        out[t, hidden:] = context
+
+    def backward(g):
+        dz = np.empty((steps, 4 * hidden))
+        d_context = np.empty((steps, k_dim))
+        d_scores = np.empty(att.shape)
+        d_query = np.empty((steps, v.shape[0]))
+        d_sq = 1.0 - squash * squash
+        w_fed = w.data[:, e_dim:]
+        dh_next, dc, dcontext_next = np.zeros(hidden), np.zeros(hidden), np.zeros(k_dim)
+        for t in range(steps - 1, -1, -1):
+            dcontext = g[t, hidden:] + dcontext_next
+            d_context[t] = dcontext
+            p = att[t]
+            d_att = keys.data @ dcontext
+            ds = p * (d_att - d_att @ p)
+            d_scores[t] = ds
+            dq = (d_sq[t].T @ ds) * v.data
+            d_query[t] = dq
+            dh = g[t, :hidden] + dh_next + wq.data @ dq
+            a = acts[t]
+            i, f = a[:hidden], a[hidden : 2 * hidden]
+            gg, o = a[2 * hidden : 3 * hidden], a[3 * hidden :]
+            tc = tanh_c[t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d = dz[t]
+            d[:hidden] = dc * gg * i * (1.0 - i)
+            d[hidden : 2 * hidden] = dc * cs[t] * f * (1.0 - f)
+            d[2 * hidden : 3 * hidden] = dc * i * (1.0 - gg * gg)
+            d[3 * hidden :] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            d_fed = d @ w_fed
+            dcontext_next, dh_next = d_fed[:k_dim], d_fed[k_dim:]
+        w.accum(dz.T @ xh)
+        b.accum(dz.sum(axis=0))
+        emb.accum(dz @ w.data[:, :e_dim])
+        init.accum(dh_next)
+        d_key_proj = np.einsum("ts,tsa->sa", d_scores, d_sq) * v.data
+        keys.accum(att.T @ d_context + d_key_proj @ wk.data.T)
+        wk.accum(keys.data.T @ d_key_proj)
+        wq.accum(out[:, :hidden].T @ d_query)
+        v.accum(np.einsum("ts,tsa->a", d_scores, squash))
+
+    return Value(out, (emb, keys, init, w, b, wq, wk, v), backward)
 
 
 # ---------------------------------------------------------------- backward
@@ -611,9 +691,16 @@ def grad_check(
 # ---------------------------------------------------------------- optimization
 
 
-def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float = 1.0) -> float:
-    """Scale all grads in place so the joint L2 norm is at most max_norm."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+def clip_global_norm(
+    grads: Sequence[np.ndarray], max_norm: float = 1.0, squares: Sequence[float] | None = None
+) -> float:
+    """Scale all grads in place so the joint L2 norm is at most max_norm.
+
+    `squares`, when given, holds each grad's sum of squares already.
+    """
+    if squares is None:
+        squares = [float((g * g).sum()) for g in grads]
+    total = float(np.sqrt(sum(squares)))
     if total > max_norm and total > 0.0:
         factor = max_norm / total
         for g in grads:
@@ -628,22 +715,38 @@ def adam_step(
     v: np.ndarray,
     t: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    `work` is two scratch arrays of the parameter's shape. The update is
+    `data -= lr * m_hat / (sqrt(v_hat) + eps)` evaluated with the same
+    operations in the same order, only into `work` instead of temporaries.
+    """
+    a, b = work
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=a)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(grad, 1.0 - beta2, out=a)
+    v += np.multiply(a, grad, out=a)
+    np.divide(m, 1.0 - beta1**t, out=a)
+    a *= lr
+    np.divide(v, 1.0 - beta2**t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    data -= np.divide(a, b, out=a)
 
 
 class Adam:
-    """Adam over named parameters with global-norm clipping first."""
+    """Adam over named parameters with global-norm clipping first.
+
+    Two flat scratch buffers, each the size of the largest parameter, serve
+    every parameter's update and the squared gradients of the norm, so a
+    step allocates no parameter-sized temporary.
+    """
 
     def __init__(
         self,
@@ -663,6 +766,11 @@ class Adam:
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        largest = max((p.data.size for p in self.params.values()), default=0)
+        buffers = (np.empty(largest), np.empty(largest))
+        self._work = {
+            k: tuple(buf[: p.data.size].reshape(p.data.shape) for buf in buffers) for k, p in self.params.items()
+        }
 
     def zero_grad(self) -> None:
         zero_grads(self.params.values())
@@ -671,19 +779,21 @@ class Adam:
         """Apply one update; returns the pre-clip gradient norm."""
         names = [k for k, p in self.params.items() if p.grad is not None]
         grads = [self.params[k].grad for k in names]
-        for k, g in zip(names, grads):
-            if not np.isfinite(g).all():
+        squares = [float(np.multiply(g, g, out=self._work[k][0]).sum()) for k, g in zip(names, grads)]
+        for k, g, sq in zip(names, grads, squares):
+            # A NaN or an infinity in g makes its sum of squares non-finite.
+            if not math.isfinite(sq) and not np.isfinite(g).all():
                 raise NonFiniteGradError(f"non-finite gradient in parameter {k!r}")
-        norm = 0.0
-        if grads:
-            if self.clip_norm is not None:
-                norm = clip_global_norm(grads, self.clip_norm)
-            else:
-                norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        if self.clip_norm is not None:
+            norm = clip_global_norm(grads, self.clip_norm, squares)
+        else:
+            norm = float(np.sqrt(sum(squares)))
         self.t += 1
         for k in names:
             p = self.params[k]
-            adam_step(p.data, p.grad, self._m[k], self._v[k], self.t, self.lr, self.beta1, self.beta2, self.eps)
+            adam_step(
+                p.data, p.grad, self._m[k], self._v[k], self.t, self.lr, self.beta1, self.beta2, self.eps, self._work[k]
+            )
         return norm
 
 

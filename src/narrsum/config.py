@@ -56,10 +56,18 @@ class RunConfig:
     pagerank_max_iter: int = 100
 
     def __post_init__(self):
+        # A JSON `true` is a Python int and `2.0` compares like one, so the
+        # types are checked before any range.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and type(value) is not bool:
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
         for name in (
             "vocab_size", "embedding_dim", "hidden_dim", "batch_size",
             "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens",
-            "max_extract_sentences", "rl_updates_every", "pagerank_max_iter",
+            "max_extract_sentences", "rl_episodes", "rl_updates_every", "pagerank_max_iter",
         ):
             value = getattr(self, name)
             if value < 1:

@@ -175,12 +175,15 @@ class ExtractorModel:
         max_steps: int = DEFAULT_MAX_STEPS,
         mode: str = "greedy",
         rng: np.random.Generator | None = None,
+        keys: ad.Value | None = None,
     ) -> Extraction:
+        """Point at sentences of `ids_lists`; `keys` may hold their encoding already."""
         if mode not in ("greedy", "sample"):
             raise ValueError(f"unknown decode mode: {mode!r}")
         if mode == "sample" and rng is None:
             raise ValueError("sampled extraction needs an rng")
-        keys = self.encode(ids_lists)
+        if keys is None:
+            keys = self.encode(ids_lists)
 
         def choose(probs: np.ndarray, _t: int) -> int:
             if mode == "greedy":
@@ -193,11 +196,12 @@ class ExtractorModel:
         log_probs = [float(np.log(s.probs[s.action])) for s in steps]
         return Extraction(report_id, indices, log_probs)
 
-    def fallback_index(self, ids_lists: Sequence[Sequence[int]]) -> int:
-        """Highest first-step attention among real sentences; used when
-        the pointer stops before choosing anything."""
-        keys = self.encode(ids_lists)
-        steps = self.decode(keys, len(ids_lists), lambda probs, _t: int(np.argmax(probs[:-1])), max_steps=1)
+    def fallback_index(self, keys: ad.Value) -> int:
+        """Highest first-step attention among real sentences, given the
+        document's `encode` keys; used when the pointer stops before
+        choosing anything."""
+        n_sentences = keys.shape[0] - 1
+        steps = self.decode(keys, n_sentences, lambda probs, _t: int(np.argmax(probs[:-1])), max_steps=1)
         return steps[0].action
 
     # ------------------------------------------------------------ training

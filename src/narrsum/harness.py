@@ -116,9 +116,11 @@ def summarize_document(
     sentence so every report gets a non-empty extraction.
     """
     ids_lists = doc_to_ids(document, vocab)
-    extraction = extractor.extract(document.id, ids_lists, max_steps=config.max_extract_sentences)
+    keys = extractor.encode(ids_lists)
+    extraction = extractor.extract(document.id, ids_lists, max_steps=config.max_extract_sentences, keys=keys)
     if not extraction.indices:
-        extraction = Extraction(document.id, [extractor.fallback_index(ids_lists)], [])
+        extraction = Extraction(document.id, [extractor.fallback_index(keys)], [])
+    del keys  # frees the encoder's graph before paraphrasing
     decode = DecodeConfig(config.beam_width, config.repetition_penalty, config.max_output_tokens)
     rewritten = []
     for idx in extraction.indices:

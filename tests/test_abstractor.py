@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrsum import autodiff as ad
 from narrsum.abstractor import (
@@ -27,6 +29,13 @@ from narrsum.corpus import (
 )
 from narrsum.extractor import ExtractorModel
 from narrsum.oracle import OracleAlignment
+from percell import (
+    abstractor_initial_state,
+    abstractor_step,
+    percell_forced_logits,
+    percell_paraphrase_scored,
+    percell_teacher_forced_loss,
+)
 
 
 def small_model(seed=0, vocab=20, e=8, h=6):
@@ -40,13 +49,13 @@ def random_ids(rng, length, vocab=20):
 def reference_score(model, src_ids, tokens, finished, decode):
     """Recompute a hypothesis's penalized score by replaying its steps."""
     keys, init = model.encode(src_ids)
-    state = model._initial_state(init)
+    state = abstractor_initial_state(init)
     seen = set()
     score = 0.0
     emitted = list(tokens) + ([END_ID] if finished else [])
     prev = START_ID
     for token in emitted:
-        logits, state = model._step(keys, prev, state)
+        logits, state = abstractor_step(model, keys, prev, state)
         shifted = logits.data - logits.data.max()
         logp = shifted - np.log(np.exp(shifted).sum())
         score += float(logp[token])
@@ -113,7 +122,7 @@ def test_loss_counts_end_marker():
     model = small_model()
     keys_loss = model.teacher_forced_loss([4, 5], [6])
     # Two forced steps: the target token and the end marker.
-    logits = model._forced_logits([4, 5], [6])
+    logits = percell_forced_logits(model, [4, 5], [6])
     assert len(logits) == 2
     expected = np.mean(
         [float(ad.cross_entropy(logits[0], 6).data), float(ad.cross_entropy(logits[1], END_ID).data)]
@@ -142,11 +151,11 @@ def test_beam_one_no_penalty_matches_manual_greedy():
         got = model.paraphrase(src, cfg)
 
         keys, init = model.encode(src)
-        state = model._initial_state(init)
+        state = abstractor_initial_state(init)
         manual = []
         prev = START_ID
         for _ in range(8):
-            logits, state = model._step(keys, prev, state)
+            logits, state = abstractor_step(model, keys, prev, state)
             masked = logits.data.copy()
             masked[PAD_ID] = -np.inf
             masked[START_ID] = -np.inf
@@ -238,7 +247,8 @@ def test_adjusted_logp_penalizes_only_present_tokens():
 
     model = small_model()
     keys, init = model.encode([4, 5])
-    logits, _ = model._step(keys, START_ID, model._initial_state(init))
+    logits, _ = abstractor_step(model, keys, START_ID, abstractor_initial_state(init))
+    logits = logits.data
     hyp = _Hypothesis([6, 8], frozenset({6, 8}), 0.0, None, False)
     cfg = DecodeConfig(2, 2.0, 5)
     base = model._adjusted_logp(logits, _Hypothesis([], frozenset(), 0.0, None, False), cfg)
@@ -249,6 +259,62 @@ def test_adjusted_logp_penalizes_only_present_tokens():
             continue
         expected = base[tok] - (math.log(2.0) if tok in (6, 8) else 0.0)
         assert adjusted[tok] == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------- fused ops against the per-step graph
+
+
+@st.composite
+def ragged_pairs(draw):
+    vocab = draw(st.integers(5, 12))
+    src = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=15))
+    tgt = draw(st.lists(st.integers(0, vocab - 1), min_size=0, max_size=15))
+    e, h = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return vocab, e, h, src, tgt, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ragged_pairs())
+def test_fused_loss_and_gradients_match_per_step_graph(case):
+    vocab, e, h, src, tgt, seed = case
+    model = AbstractorModel(vocab, e, h, np.random.default_rng(seed))
+    for p in model.params.values():
+        p.data *= 8.0  # saturate gates and attention, away from the linear regime
+    params = list(model.params.values())
+    fused = model.teacher_forced_loss(src, tgt)
+    ad.backward(fused)
+    fused_grads = [p.grad.copy() for p in params]
+    ad.zero_grads(params)
+    reference = percell_teacher_forced_loss(model, src, tgt)
+    ad.backward(reference)
+    assert abs(float(fused.data) - float(reference.data)) < 1e-10
+    for name, got, p in zip(model.params, fused_grads, params):
+        assert np.abs(got - p.grad).max() < 1e-10, name
+
+
+def test_decoding_matches_per_step_graph_exactly():
+    for seed in range(12):
+        rng = np.random.default_rng(seed + 40)
+        vocab = int(rng.integers(8, 16))
+        model = AbstractorModel(vocab, int(rng.integers(2, 7)), int(rng.integers(2, 6)), rng)
+        for p in model.params.values():
+            p.data *= 4.0
+        src = random_ids(rng, int(rng.integers(1, 8)), vocab)
+        for width in (1, 2, 3):
+            for penalty in (1.0, 2.0):
+                cfg = DecodeConfig(width, penalty, 12)
+                assert model.paraphrase_scored(src, cfg) == percell_paraphrase_scored(model, src, cfg)
+
+
+def test_teacher_forced_accuracy_counts_argmax_hits():
+    model = small_model(seed=3)
+    pairs = [([4, 5, 6], [7, 8]), ([9], [])]
+    hits = total = 0
+    for src, tgt in pairs:
+        for logits, target in zip(percell_forced_logits(model, src, tgt), list(tgt) + [END_ID]):
+            hits += int(np.argmax(logits.data) == target)
+            total += 1
+    assert model.teacher_forced_accuracy(pairs) == hits / total
 
 
 # ---------------------------------------------------------------- training

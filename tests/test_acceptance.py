@@ -25,7 +25,7 @@ from narrsum.oracle import build_oracle
 from narrsum.rl import A2CTrainer, Critic, Trajectory, TrajectoryStep, mean_greedy_reward, train_rl
 from narrsum.rouge import rouge_l_sentence, rouge_l_summary, rouge_n, rouge_su4
 from narrsum.synthgen import SynthSpec, generate
-from percell import bilstm_sequence, stack_rows
+from percell import bahdanau_attention, bilstm_sequence, mean, sigmoid, softmax, stack_rows, vsum
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -334,11 +334,11 @@ def _op_builders():
 
     def build_vsum(rng):
         a = vec(rng, 5)
-        return lambda: ad.vsum(ad.mul(a, a)), [a]
+        return lambda: vsum(ad.mul(a, a)), [a]
 
     def build_mean(rng):
         a = vec(rng, 6)
-        return lambda: ad.mean(ad.tanh(a)), [a]
+        return lambda: mean(ad.tanh(a)), [a]
 
     def build_lstm_cell(rng):
         e, h = 3, 4
@@ -402,10 +402,43 @@ def _op_builders():
         w1, w2 = w(rng, t), w(rng, dk)
 
         def loss():
-            weights, context = ad.bahdanau_attention(query, keys, wq, wk, v, mask)
+            weights, context = bahdanau_attention(query, keys, wq, wk, v, mask)
             return ad.add(ad.dot(weights, w1), ad.dot(context, w2))
 
         return loss, [query, keys, wq, wk, v]
+
+    def build_attention_decoder(rng):
+        e, k, h, inner = 2, 3, 2, 2
+        steps, n_src = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        emb = ad.param(rng.normal(size=(steps, e)))
+        keys = ad.param(rng.normal(size=(n_src, k)))
+        init = vec(rng, h)
+        wm = ad.param(rng.normal(size=(4 * h, e + k + h)) * 0.5)
+        bm = ad.param(rng.normal(size=4 * h) * 0.5)
+        wq = ad.param(rng.normal(size=(h, inner)))
+        wk = ad.param(rng.normal(size=(k, inner)))
+        v = vec(rng, inner)
+        weights = w(rng, steps * (h + k))
+
+        def loss():
+            out = ad.attention_decoder(emb, keys, init, wm, bm, wq, wk, v)
+            return ad.dot(ad.reshape(out, (steps * (h + k),)), weights)
+
+        return loss, [emb, keys, init, wm, bm, wq, wk, v]
+
+    def build_linear(rng):
+        n, d, k = int(rng.integers(1, 4)), 3, 4
+        x = ad.param(rng.normal(size=(n, d)))
+        wm = ad.param(rng.normal(size=(k, d)))
+        b = vec(rng, k)
+        weights = w(rng, n * k)
+        return lambda: ad.dot(ad.reshape(ad.linear(x, wm, b), (n * k,)), weights), [x, wm, b]
+
+    def build_mean_cross_entropy(rng):
+        n, k = int(rng.integers(1, 5)), 5
+        logits = ad.param(rng.normal(size=(n, k)))
+        targets = [int(i) for i in rng.integers(0, k, size=n)]
+        return lambda: ad.mean_cross_entropy(logits, targets), [logits]
 
     def build_extractor_loss(rng):
         model = ExtractorModel(8, 5, 4, rng)
@@ -436,8 +469,8 @@ def _op_builders():
         ("concat", build_concat),
         ("stack_rows", build_stack_rows),
         ("tanh", unary(ad.tanh)),
-        ("sigmoid", unary(ad.sigmoid)),
-        ("softmax", unary(ad.softmax)),
+        ("sigmoid", unary(sigmoid)),
+        ("softmax", unary(softmax)),
         ("softmax_entropy", lambda rng: ((lambda a: (lambda: ad.softmax_entropy(a), [a]))(ad.param(rng.normal(size=5))))),
         ("log_softmax_at", build_log_softmax_at),
         ("cross_entropy", build_cross_entropy),
@@ -450,6 +483,9 @@ def _op_builders():
         ("bahdanau_attention", build_attention),
         ("extractor_loss", build_extractor_loss),
         ("abstractor_loss", build_abstractor_loss),
+        ("attention_decoder", build_attention_decoder),
+        ("linear", build_linear),
+        ("mean_cross_entropy", build_mean_cross_entropy),
     ]
 
 

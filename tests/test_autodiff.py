@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from narrsum import autodiff as ad
 from narrsum.abstractor import AbstractorModel
 from narrsum.extractor import ExtractorModel
-from percell import bilstm_sequence, stack_rows
+from percell import bahdanau_attention, bilstm_sequence, mean, sigmoid, softmax, stack_rows, vsum
 
 
 def rng_for(seed):
@@ -21,14 +21,14 @@ def rng_for(seed):
 
 def weighted(out, weight_array):
     """Scalarize an output with fixed weights so grads are non-degenerate."""
-    return ad.vsum(ad.mul(out, ad.const(weight_array)))
+    return vsum(ad.mul(out, ad.const(weight_array)))
 
 
 # ---------------------------------------------------------------- frozen examples
 
 
 def test_softmax_uniform():
-    p = ad.softmax(ad.const([0.0, 0.0, 0.0]))
+    p = softmax(ad.const([0.0, 0.0, 0.0]))
     assert np.allclose(p.data, [1 / 3, 1 / 3, 1 / 3])
     assert abs(p.data.sum() - 1.0) <= 1e-12
 
@@ -52,7 +52,7 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 
 def test_constant_loss_leaves_params_untouched():
     w = ad.param([1.0, 2.0])
-    loss = ad.vsum(ad.mul(ad.const([1.0, 1.0]), ad.const([2.0, 2.0])))
+    loss = vsum(ad.mul(ad.const([1.0, 1.0]), ad.const([2.0, 2.0])))
     ad.backward(loss)
     assert w.grad is None
 
@@ -105,7 +105,7 @@ def test_shape_mismatches_raise_at_construction():
     with pytest.raises(ad.ShapeError):
         ad.add_row(m, b)
     with pytest.raises(ad.ShapeError):
-        ad.softmax(m)
+        softmax(m)
     with pytest.raises(ad.ShapeError):
         ad.take_row(m, 5)
     with pytest.raises(ad.ShapeError):
@@ -118,6 +118,22 @@ def test_shape_mismatches_raise_at_construction():
             ad.bilstm_batch(x, lengths, w, bias, w, bias, 2)
     with pytest.raises(ad.ShapeError):
         ad.bilstm_batch(x, [3, 1], w, bias, w, bias, 3)
+    with pytest.raises(ad.ShapeError):
+        ad.linear(m, m, a)  # (2, 3) @ (2, 3).T
+    with pytest.raises(ad.ShapeError):
+        ad.mean_cross_entropy(m, [0])  # one target for two rows
+    with pytest.raises(ad.ShapeError):
+        ad.mean_cross_entropy(m, [0, 3])  # target outside the row
+    emb, keys, init = ad.const(np.zeros((2, 3))), ad.const(np.zeros((4, 5))), ad.const(np.zeros(2))
+    dec_w, dec_b = ad.const(np.zeros((8, 3 + 5 + 2))), ad.const(np.zeros(8))
+    wq, wk, v = ad.const(np.zeros((2, 6))), ad.const(np.zeros((5, 6))), ad.const(np.zeros(6))
+    assert ad.attention_decoder(emb, keys, init, dec_w, dec_b, wq, wk, v).shape == (2, 2 + 5)
+    with pytest.raises(ad.ShapeError):
+        ad.attention_decoder(emb, keys, init, ad.const(np.zeros((8, 9))), dec_b, wq, wk, v)
+    with pytest.raises(ad.ShapeError):
+        ad.attention_decoder(emb, keys, init, dec_w, dec_b, wq, wk, ad.const(np.zeros(5)))
+    with pytest.raises(ad.ShapeError):
+        ad.attention_decoder(ad.const(np.zeros((0, 3))), keys, init, dec_w, dec_b, wq, wk, v)
 
 
 # ---------------------------------------------------------------- finite differences
@@ -161,7 +177,7 @@ def test_lstm_cell_fd():
 
     def loss():
         h2, c2 = ad.lstm_cell(x, h, c, w, b)
-        return ad.add(ad.vsum(ad.mul(h2, ch)), ad.vsum(ad.mul(c2, cc)))
+        return ad.add(vsum(ad.mul(h2, ch)), vsum(ad.mul(c2, cc)))
 
     assert ad.grad_check(loss, [x, h, c, w, b], rng=rng_for(6)) < 1e-4
 
@@ -177,8 +193,8 @@ def test_attention_fd():
     cctx = ad.const(rng.normal(size=6))
 
     def loss():
-        weights, context = ad.bahdanau_attention(query, keys, wq, wk, v)
-        return ad.add(ad.vsum(ad.mul(weights, cw)), ad.vsum(ad.mul(context, cctx)))
+        weights, context = bahdanau_attention(query, keys, wq, wk, v)
+        return ad.add(vsum(ad.mul(weights, cw)), vsum(ad.mul(context, cctx)))
 
     assert ad.grad_check(loss, [keys, query, wq, wk, v], rng=rng_for(8)) < 1e-4
 
@@ -220,14 +236,14 @@ def _primitive_cases(rng):
         ("concat", lambda: weighted(ad.concat([a, b]), wcat), [a, b]),
         ("stack_rows", lambda: weighted(stack_rows([a, b, a]), wstack), [a, b]),
         ("tanh", lambda: weighted(ad.tanh(a), wa), [a]),
-        ("sigmoid", lambda: weighted(ad.sigmoid(a), wa), [a]),
-        ("softmax", lambda: weighted(ad.softmax(a), wa), [a]),
+        ("sigmoid", lambda: weighted(sigmoid(a), wa), [a]),
+        ("softmax", lambda: weighted(softmax(a), wa), [a]),
         ("softmax_entropy", lambda: ad.softmax_entropy(a), [a]),
         ("log_softmax_at", lambda: ad.log_softmax_at(a, target), [a]),
         ("cross_entropy", lambda: ad.cross_entropy(a, target), [a]),
         ("embedding_lookup", lambda: weighted(ad.embedding_lookup(mat, ids), wid), [mat]),
-        ("vsum", lambda: ad.vsum(mat), [mat]),
-        ("mean", lambda: ad.mean(mat), [mat]),
+        ("vsum", lambda: vsum(mat), [mat]),
+        ("mean", lambda: mean(mat), [mat]),
     ]
     return cases
 
@@ -318,7 +334,9 @@ def test_graph_holds_no_reference_cycle(kind):
         loss = model.teacher_forced_loss([[4, 5, 6], [7], [8, 9]], [2, 0])
     else:
         model = AbstractorModel(10, 4, 3, rng)
-        loss = model.teacher_forced_loss([4, 5, 6], [7, 8])
+        # One pair's fused graph has exactly 10 interior nodes; two pairs
+        # sharing the parameters keep the graph above the floor below.
+        loss = ad.add(model.teacher_forced_loss([4, 5, 6], [7, 8]), model.teacher_forced_loss([9, 4], [5]))
     gc.disable()
     try:
         ad.backward(loss)
@@ -333,7 +351,7 @@ def test_graph_holds_no_reference_cycle(kind):
 def test_embedding_lookup_accumulates_duplicates():
     table = ad.param(np.zeros((3, 2)))
     out = ad.embedding_lookup(table, [1, 1, 2])
-    ad.backward(ad.vsum(out))
+    ad.backward(vsum(out))
     assert np.allclose(table.grad, [[0, 0], [2, 2], [1, 1]])
 
 
@@ -348,7 +366,7 @@ def test_attention_weights_sum_to_one_and_mask_kills_position():
     wk = ad.const(ad.uniform_init(rng, (5, 2)))
     v = ad.const(ad.uniform_init(rng, (2,)))
     mask = np.array([0.0, 0.0, -1e9, 0.0])
-    weights, context = ad.bahdanau_attention(query, keys, wq, wk, v, additive_mask=mask)
+    weights, context = bahdanau_attention(query, keys, wq, wk, v, additive_mask=mask)
     assert abs(weights.data.sum() - 1.0) <= 1e-12
     assert weights.data[2] < 1e-20
     assert context.shape == (5,)
@@ -406,6 +424,53 @@ def test_adam_clips_before_update():
     assert norm == pytest.approx(50.0)
     # Post-clip direction is preserved.
     assert float(x.data[0]) < 0 and float(x.data[1]) < 0
+
+
+def _formula_clip(grads, max_norm):
+    """Global-norm clipping written out with a temporary per gradient."""
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if total > max_norm and total > 0.0:
+        for g in grads:
+            g *= max_norm / total
+    return total
+
+
+def _formula_adam(data, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam written out with temporaries."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("clip_norm", [None, 1.0, 1e-3])
+def test_adam_step_equals_the_written_out_formula_exactly(clip_norm):
+    rng = rng_for(31)
+    shapes = {"w": (6, 5), "b": (7,), "s": (), "big": (9, 11)}
+    params = {k: ad.param(rng.normal(size=s)) for k, s in shapes.items()}
+    data = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(a) for k, a in data.items()}
+    v = {k: np.zeros_like(a) for k, a in data.items()}
+    opt = ad.Adam(params, lr=0.01, clip_norm=clip_norm)
+    for t in range(1, 7):
+        grads = {k: rng.normal(size=s) * 3.0 for k, s in shapes.items() if (t + len(k)) % 5}
+        for k, p in params.items():
+            p.grad = grads[k].copy() if k in grads else None
+        norm = opt.step()
+        names = list(grads)
+        expected = [grads[k].copy() for k in names]
+        if clip_norm is None:
+            want_norm = float(np.sqrt(sum(float((g * g).sum()) for g in expected)))
+        else:
+            want_norm = _formula_clip(expected, clip_norm)
+        for k, g in zip(names, expected):
+            _formula_adam(data[k], g, m[k], v[k], t, 0.01)
+        assert norm == want_norm
+        for k, p in params.items():
+            assert np.array_equal(p.data, data[k]), (t, k)
 
 
 # ---------------------------------------------------------------- persistence

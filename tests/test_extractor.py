@@ -118,7 +118,7 @@ def test_extract_modes_validate():
 def test_fallback_index_is_real_sentence():
     model = small_model(seed=5)
     doc = [[4, 5], [6], [7, 8]]
-    idx = model.fallback_index(doc)
+    idx = model.fallback_index(model.encode(doc))
     assert 0 <= idx < len(doc)
 
 

@@ -19,7 +19,7 @@ from narrsum.corpus import (
     load_dataset,
     sentences_from_text,
 )
-from narrsum.extractor import Extraction, ExtractorModel
+from narrsum.extractor import Extraction, ExtractorModel, doc_to_ids
 from narrsum.rouge import RougeScore
 from narrsum.harness import (
     REPORT_VARIANTS,
@@ -317,6 +317,28 @@ def test_summarize_document_falls_back_when_pointer_stops_early(monkeypatch):
     assert 0 <= extraction.indices[0] < len(doc.sentences)
 
 
+def test_summarize_document_fallback_reuses_the_extraction_encoding(monkeypatch):
+    doc = Document("r1", sentences_from_text("Alpha beta gamma. Delta epsilon zeta. Eta theta."), "")
+    vocab = _training_vocab(
+        type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
+    )
+    rng = np.random.default_rng(5)
+    extractor = ExtractorModel(vocab.size, 6, 4, rng)
+    abstractor = AbstractorModel(vocab.size, 6, 4, rng)
+    p = extractor.params
+    # Project the stop sentinel onto 20 * sign(att_v) so its first-step score is the largest.
+    p["stop_key"].data[:] = np.linalg.lstsq(p["att_wk"].data.T, 20.0 * np.sign(p["att_v"].data), rcond=None)[0]
+    ids_lists = doc_to_ids(doc, vocab)
+    assert extractor.extract("r1", ids_lists).indices == []
+    encoded = []
+    encode = extractor.encode
+    monkeypatch.setattr(extractor, "encode", lambda ids: encoded.append(ids) or encode(ids))
+    config = RunConfig(embedding_dim=6, hidden_dim=4, max_output_tokens=5)
+    extraction, _ = summarize_document(doc, extractor, abstractor, vocab, config)
+    assert len(encoded) == 1
+    assert extraction.indices == [extractor.fallback_index(encode(ids_lists))]
+
+
 def test_summarize_document_respects_word_limit():
     doc = Document("r1", sentences_from_text("Alpha beta gamma delta. Epsilon zeta eta theta."), "")
     vocab = _training_vocab(
@@ -453,11 +475,17 @@ def test_cli_train_stages_reuse_validation_alignments(pipeline, tmp_path, monkey
     )]
     + [pytest.param(name, value, id=f"{name}={value}") for name, value in (
         ("rl_lr", -0.001), ("lr_decay", 0.0), ("lr_decay", 1.5), ("damping", -0.1), ("damping", 1.1),
-        ("checkpoint_every_batches", -1),
+        ("checkpoint_every_batches", -1), ("rl_episodes", -3),
+    )]
+    # Wrong types: a bool, float or string for an integer, anything but a bool for a flag.
+    + [pytest.param(name, value, id=f"{name}={value!r}") for name, value in (
+        ("batch_size", True), ("checkpoint_every_batches", False), ("hidden_dim", 2.5), ("beam_width", 1.5),
+        ("extractor_epochs", 2.0), ("seed", "3"), ("rl_finetune_abstractor", "false"),
+        ("freeze_embeddings", 1), ("normalize_advantage", None),
     )],
 )
 def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field, value):
-    """Each out-of-range config value is a config error (exit 2) before any output."""
+    """Each out-of-range or mistyped config value is a config error (exit 2) before any output."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, field: value}))
     args = ["train-extractor", "--config", str(cfg),
