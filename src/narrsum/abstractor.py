@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .corpus import END_ID, PAD_ID, START_ID, UNK_ID, Vocab
-from .training import HalveOnPlateau, PeriodicSaver, TrainLog, iter_batches, mean_of
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +50,11 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
-class AbstractorModel:
+class AbstractorModel(ad.Checkpointed):
     """Encoder-decoder weights plus forward passes; state in .params."""
+
+    KIND = "abstractor"
+    SIZES = ("vocab_size", "embedding_dim", "hidden_dim")
 
     def __init__(self, vocab_size: int, embedding_dim: int, hidden_dim: int, rng: np.random.Generator):
         e, h = embedding_dim, hidden_dim
@@ -74,14 +75,6 @@ class AbstractorModel:
             "att_v": u((h,)),
             "out_w": u((vocab_size, 4 * h)),
             "out_b": u((vocab_size,)),
-        }
-
-    def arch(self) -> dict:
-        return {
-            "kind": "abstractor",
-            "vocab_size": self.vocab_size,
-            "embedding_dim": self.embedding_dim,
-            "hidden_dim": self.hidden_dim,
         }
 
     # ------------------------------------------------------------ forward
@@ -224,23 +217,8 @@ class AbstractorModel:
                 break
         return finished + active
 
-    # ------------------------------------------------------------ persistence
 
-    def save(self, path: str | Path, vocab: Sequence[str] | None = None) -> None:
-        ad.save_checkpoint(path, self.params, self.arch(), vocab)
-
-    @classmethod
-    def load(cls, path: str | Path) -> tuple["AbstractorModel", list[str] | None]:
-        arrays, cfg, vocab = ad.load_checkpoint(path)
-        if cfg.get("kind") != "abstractor":
-            raise ValueError(f"checkpoint at {path} is not an abstractor")
-        sizes = ad.config_sizes(cfg, ("vocab_size", "embedding_dim", "hidden_dim"), path)
-        model = cls(*sizes, np.random.default_rng(0))
-        ad.restore_params(model.params, arrays, path)
-        return model, vocab
-
-
-# ---------------------------------------------------------------- training loop
+# ---------------------------------------------------------------- training data
 
 
 def prepare_abstractor_pairs(examples, alignments, vocab: Vocab):
@@ -260,46 +238,3 @@ def prepare_abstractor_pairs(examples, alignments, vocab: Vocab):
                 continue
             prepared.append((vocab.encode(src_tokens), vocab.encode(tgt_tokens)))
     return prepared
-
-
-def train_abstractor(
-    model: AbstractorModel,
-    pairs: Sequence[tuple[list[int], list[int]]],
-    *,
-    epochs: int,
-    lr: float = 0.001,
-    lr_decay: float = 0.5,
-    clip_norm: float = 1.0,
-    batch_size: int = 16,
-    checkpoint_every: int = 16,
-    rng: np.random.Generator,
-    validation_pairs: Sequence[tuple[list[int], list[int]]] = (),
-    periodic_save: Callable[[], None] | None = None,
-    frozen_params: Sequence[str] = (),
-) -> TrainLog:
-    """Teacher-forced seq2seq training; deterministic under a fixed rng."""
-    if not pairs:
-        raise ValueError("no abstractor training pairs")
-    trainable = {k: v for k, v in model.params.items() if k not in frozen_params}
-    optimizer = ad.Adam(trainable, lr=lr, clip_norm=clip_norm)
-    schedule = HalveOnPlateau(optimizer, lr_decay)
-    train_log = TrainLog()
-    saver = PeriodicSaver(checkpoint_every, periodic_save, train_log)
-
-    for _ in range(epochs):
-        epoch_losses = []
-        for batch in iter_batches(len(pairs), batch_size, rng):
-            optimizer.zero_grad()
-            for idx in batch:
-                src, tgt = pairs[idx]
-                loss = ad.scale(model.teacher_forced_loss(src, tgt), 1.0 / len(batch))
-                ad.backward(loss)
-                epoch_losses.append(float(loss.data) * len(batch))
-            optimizer.step()
-            saver.batch_done()
-        val_losses = [float(model.teacher_forced_loss(s, t).data) for s, t in validation_pairs]
-        train_loss = mean_of(epoch_losses)
-        watched = mean_of(val_losses) if validation_pairs else train_loss
-        train_log.record_epoch(train_loss, watched if validation_pairs else float("nan"), optimizer.lr)
-        schedule.epoch_end(watched)
-    return train_log

@@ -935,3 +935,33 @@ def restore_params(params: dict[str, Value], arrays: dict[str, np.ndarray], path
         if params[name].data.shape != arr.shape:
             raise ValueError(f"shape mismatch for {name!r} in checkpoint {path}")
         params[name].data[...] = arr
+
+
+class Checkpointed:
+    """Saving and loading for a model whose weights are all in `.params`.
+
+    `KIND` names the model in its checkpoints. `SIZES` names the size
+    attributes that the constructor takes first, in order, before an rng.
+    """
+
+    KIND: str
+    SIZES: tuple[str, ...]
+    params: dict[str, Value]
+
+    def arch(self) -> dict:
+        return {"kind": self.KIND, **{name: getattr(self, name) for name in self.SIZES}}
+
+    def save(self, path: str | Path, vocab: Sequence[str] | None = None) -> None:
+        save_checkpoint(path, self.params, self.arch(), vocab)
+
+    @classmethod
+    def load(cls, path: str | Path) -> tuple["Checkpointed", list[str] | None]:
+        """Read back (model, vocab); raises ValueError for a checkpoint of
+        another kind, a malformed one, or one that does not fit the model."""
+        arrays, cfg, vocab = load_checkpoint(path)
+        if cfg.get("kind") != cls.KIND:
+            article = "an" if cls.KIND[0] in "aeiou" else "a"
+            raise ValueError(f"checkpoint at {path} is not {article} {cls.KIND}")
+        model = cls(*config_sizes(cfg, cls.SIZES, path), np.random.default_rng(0))
+        restore_params(model.params, arrays, path)
+        return model, vocab

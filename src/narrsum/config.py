@@ -12,6 +12,17 @@ class ConfigError(Exception):
     """Raised for unusable configuration files or values."""
 
 
+# The exact types each RunConfig annotation admits, and how a refusal names them.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "bool": ((bool,), "true or false"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
 @dataclass
 class RunConfig:
     """Every knob of the pipeline. Defaults are the published settings."""
@@ -57,13 +68,12 @@ class RunConfig:
 
     def __post_init__(self):
         # A JSON `true` is a Python int and `2.0` compares like one, so the
-        # types are checked before any range.
+        # exact types are checked before any range.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "bool" and type(value) is not bool:
-                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            types, described = _FIELD_TYPES[f.type]
+            if type(value) not in types:
+                raise ConfigError(f"{f.name} must be {described}, got {value!r}")
         for name in (
             "vocab_size", "embedding_dim", "hidden_dim", "batch_size",
             "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens",
@@ -82,8 +92,10 @@ class RunConfig:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
         if not 0 <= self.damping <= 1:
             raise ConfigError(f"damping must be in [0, 1], got {self.damping!r}")
-        if self.checkpoint_every_batches < 0:
-            raise ConfigError(f"checkpoint_every_batches must be at least 0, got {self.checkpoint_every_batches!r}")
+        for name in ("seed", "checkpoint_every_batches"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be at least 0, got {value!r}")
         if self.reference_aggregation not in ("max", "mean"):
             raise ConfigError(
                 f"reference_aggregation must be 'max' or 'mean', got {self.reference_aggregation!r}"

@@ -7,6 +7,7 @@ splits training, validation, testing. All text is UTF-8.
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 from collections import Counter
@@ -231,3 +232,18 @@ def load_dataset(root: str | Path, max_tokens: int = MAX_SENTENCE_TOKENS) -> Loa
             raise DataError(f"missing split directory: {split_dir}")
         setattr(loaded, name, _load_split(split_dir, name, max_tokens))
     return loaded
+
+
+def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
+    """One compact JSON object per line; the directory is created if needed."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """The JSON objects on the non-blank lines of a file."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]

@@ -9,7 +9,6 @@ hard maximum number of steps.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,8 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import PAD_ID, Document, Vocab
-from .training import HalveOnPlateau, PeriodicSaver, TrainLog, iter_batches, mean_of
+from .corpus import PAD_ID, Document, Vocab, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -68,8 +66,11 @@ def doc_to_ids(doc: Document, vocab: Vocab) -> list[list[int]]:
     return [vocab.encode(s.tokens) for s in doc.sentences]
 
 
-class ExtractorModel:
+class ExtractorModel(ad.Checkpointed):
     """Weights plus the forward passes; all state lives in .params."""
+
+    KIND = "extractor"
+    SIZES = ("vocab_size", "embedding_dim", "hidden_dim")
 
     def __init__(self, vocab_size: int, embedding_dim: int, hidden_dim: int, rng: np.random.Generator):
         e, h = embedding_dim, hidden_dim
@@ -93,14 +94,6 @@ class ExtractorModel:
             "att_wk": u((2 * h, h)),
             "att_v": u((h,)),
             "stop_key": u((2 * h,)),
-        }
-
-    def arch(self) -> dict:
-        return {
-            "kind": "extractor",
-            "vocab_size": self.vocab_size,
-            "embedding_dim": self.embedding_dim,
-            "hidden_dim": self.hidden_dim,
         }
 
     # ------------------------------------------------------------ encoding
@@ -221,23 +214,8 @@ class ExtractorModel:
             total = ad.add(total, node)
         return ad.scale(total, 1.0 / len(losses))
 
-    # ------------------------------------------------------------ persistence
 
-    def save(self, path: str | Path, vocab: Sequence[str] | None = None) -> None:
-        ad.save_checkpoint(path, self.params, self.arch(), vocab)
-
-    @classmethod
-    def load(cls, path: str | Path) -> tuple["ExtractorModel", list[str] | None]:
-        arrays, cfg, vocab = ad.load_checkpoint(path)
-        if cfg.get("kind") != "extractor":
-            raise ValueError(f"checkpoint at {path} is not an extractor")
-        sizes = ad.config_sizes(cfg, ("vocab_size", "embedding_dim", "hidden_dim"), path)
-        model = cls(*sizes, np.random.default_rng(0))
-        ad.restore_params(model.params, arrays, path)
-        return model, vocab
-
-
-# ---------------------------------------------------------------- training loop
+# ---------------------------------------------------------------- training data
 
 
 def prepare_extractor_examples(examples, alignments, vocab: Vocab):
@@ -256,68 +234,17 @@ def prepare_extractor_examples(examples, alignments, vocab: Vocab):
     return prepared
 
 
-def train_extractor(
-    model: ExtractorModel,
-    train_data: Sequence[tuple[str, list[list[int]], list[int]]],
-    *,
-    epochs: int,
-    lr: float = 0.001,
-    lr_decay: float = 0.5,
-    clip_norm: float = 1.0,
-    batch_size: int = 16,
-    checkpoint_every: int = 16,
-    rng: np.random.Generator,
-    validation_data: Sequence[tuple[str, list[list[int]], list[int]]] = (),
-    periodic_save: Callable[[], None] | None = None,
-    frozen_params: Sequence[str] = (),
-) -> TrainLog:
-    """Teacher-forced pointer training with plateau-halved learning rate."""
-    if not train_data:
-        raise ValueError("no extractor training examples")
-    trainable = {k: v for k, v in model.params.items() if k not in frozen_params}
-    optimizer = ad.Adam(trainable, lr=lr, clip_norm=clip_norm)
-    schedule = HalveOnPlateau(optimizer, lr_decay)
-    train_log = TrainLog()
-    saver = PeriodicSaver(checkpoint_every, periodic_save, train_log)
-
-    for _ in range(epochs):
-        epoch_losses = []
-        for batch in iter_batches(len(train_data), batch_size, rng):
-            optimizer.zero_grad()
-            for idx in batch:
-                _, ids_lists, targets = train_data[idx]
-                loss = ad.scale(model.teacher_forced_loss(ids_lists, targets), 1.0 / len(batch))
-                ad.backward(loss)
-                epoch_losses.append(float(loss.data) * len(batch))
-            optimizer.step()
-            saver.batch_done()
-        val_losses = [
-            float(model.teacher_forced_loss(ids_lists, targets).data)
-            for _, ids_lists, targets in validation_data
-        ]
-        train_loss = mean_of(epoch_losses)
-        watched = mean_of(val_losses) if validation_data else train_loss
-        train_log.record_epoch(train_loss, watched if validation_data else float("nan"), optimizer.lr)
-        schedule.epoch_end(watched)
-    return train_log
+def example_loss(model: ExtractorModel) -> Callable[..., ad.Value]:
+    """`training.fit`'s loss over prepared (report id, sentence ids, targets) examples."""
+    return lambda _report_id, ids_lists, targets: model.teacher_forced_loss(ids_lists, targets)
 
 
 # ---------------------------------------------------------------- persistence of runs
 
 
 def save_extractions(extractions: Sequence[Extraction], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for ex in extractions:
-            fh.write(json.dumps(ex.to_record(), separators=(",", ":")) + "\n")
+    write_jsonl((ex.to_record() for ex in extractions), path)
 
 
 def load_extractions(path: str | Path) -> list[Extraction]:
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Extraction.from_record(json.loads(line)))
-    return out
+    return [Extraction.from_record(record) for record in read_jsonl(path)]

@@ -15,11 +15,11 @@ import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .abstractor import AbstractorModel, DecodeConfig, prepare_abstractor_pairs, train_abstractor
+from .abstractor import AbstractorModel, DecodeConfig, prepare_abstractor_pairs
 from .baselines import lead_n, lexrank, textrank
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
@@ -37,14 +37,15 @@ from .extractor import (
     Extraction,
     ExtractorModel,
     doc_to_ids,
+    example_loss,
     prepare_extractor_examples,
     save_extractions,
-    train_extractor,
 )
 from .oracle import OracleAlignment, build_oracle, load_alignments, save_alignments
 from .rl import Critic, train_rl
 from .rouge import MetricVariant, RougeScore, best_against_references
 from .synthgen import SynthSpec, generate
+from .training import fit
 
 log = logging.getLogger(__name__)
 
@@ -379,61 +380,60 @@ def cmd_oracle(ns, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_train_extractor(ns, config: RunConfig, out_dir: Path) -> int:
+@dataclass(frozen=True)
+class TrainStage:
+    """What tells the teacher-forced training stages apart."""
+
+    name: str  # printed, and the stem of the stage's checkpoint names
+    model: type
+    prepare: Callable  # (examples, alignments, vocab) -> training items
+    loss: Callable  # model -> `fit`'s loss over one item
+    epochs: str  # the RunConfig field holding the epoch count
+    streams: tuple[int, int]  # RNG streams of the initial weights and of the batch order
+
+
+TRAIN_STAGES = {
+    "train-extractor": TrainStage(
+        "extractor", ExtractorModel, prepare_extractor_examples, example_loss, "extractor_epochs", (0, 1)
+    ),
+    "train-abstractor": TrainStage(
+        "abstractor", AbstractorModel, prepare_abstractor_pairs, lambda model: model.teacher_forced_loss,
+        "abstractor_epochs", (2, 3),
+    ),
+}
+
+
+def cmd_train(ns, config: RunConfig, out_dir: Path) -> int:
+    stage = TRAIN_STAGES[ns.command]
     dataset = _load_corpus(config)
     vocab = _training_vocab(dataset, config)
     alignments = _load_or_build_alignments(dataset, "training", out_dir)
-    train_data = prepare_extractor_examples(dataset.training, alignments, vocab)
-    validation = prepare_extractor_examples(
+    items = stage.prepare(dataset.training, alignments, vocab)
+    if not items:
+        raise DataError(f"no {stage.name} training examples: no training report has a usable alignment")
+    validation = stage.prepare(
         dataset.validation, _load_or_build_alignments(dataset, "validation", out_dir), vocab
     )
-    model = ExtractorModel(vocab.size, config.embedding_dim, config.hidden_dim, _rng(config, 0))
+    model = stage.model(vocab.size, config.embedding_dim, config.hidden_dim, _rng(config, stage.streams[0]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_log = train_extractor(
-        model,
-        train_data,
-        epochs=config.extractor_epochs,
+    epochs = getattr(config, stage.epochs)
+    train_log = fit(
+        model.params,
+        stage.loss(model),
+        items,
+        epochs=epochs,
         lr=config.lr,
         lr_decay=config.lr_decay,
         clip_norm=config.clip_norm,
         batch_size=config.batch_size,
         checkpoint_every=config.checkpoint_every_batches,
-        rng=_rng(config, 1),
-        validation_data=validation,
-        periodic_save=lambda: model.save(out_dir / "extractor_periodic.ckpt", vocab.to_list()),
+        rng=_rng(config, stage.streams[1]),
+        validation=validation,
+        periodic_save=lambda: model.save(out_dir / f"{stage.name}_periodic.ckpt", vocab.to_list()),
         frozen_params=("embed",) if config.freeze_embeddings else (),
     )
-    model.save(out_dir / "extractor.ckpt", vocab.to_list())
-    print(f"extractor: {config.extractor_epochs} epochs, final loss {train_log.epoch_losses[-1]:.4f}")
-    return 0
-
-
-def cmd_train_abstractor(ns, config: RunConfig, out_dir: Path) -> int:
-    dataset = _load_corpus(config)
-    vocab = _training_vocab(dataset, config)
-    alignments = _load_or_build_alignments(dataset, "training", out_dir)
-    pairs = prepare_abstractor_pairs(dataset.training, alignments, vocab)
-    validation = prepare_abstractor_pairs(
-        dataset.validation, _load_or_build_alignments(dataset, "validation", out_dir), vocab
-    )
-    model = AbstractorModel(vocab.size, config.embedding_dim, config.hidden_dim, _rng(config, 2))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_log = train_abstractor(
-        model,
-        pairs,
-        epochs=config.abstractor_epochs,
-        lr=config.lr,
-        lr_decay=config.lr_decay,
-        clip_norm=config.clip_norm,
-        batch_size=config.batch_size,
-        checkpoint_every=config.checkpoint_every_batches,
-        rng=_rng(config, 3),
-        validation_pairs=validation,
-        periodic_save=lambda: model.save(out_dir / "abstractor_periodic.ckpt", vocab.to_list()),
-        frozen_params=("embed",) if config.freeze_embeddings else (),
-    )
-    model.save(out_dir / "abstractor.ckpt", vocab.to_list())
-    print(f"abstractor: {config.abstractor_epochs} epochs, final loss {train_log.epoch_losses[-1]:.4f}")
+    model.save(out_dir / f"{stage.name}.ckpt", vocab.to_list())
+    print(f"{stage.name}: {epochs} epochs, final loss {train_log.epoch_losses[-1]:.4f}")
     return 0
 
 
@@ -555,8 +555,8 @@ def cmd_synthgen(ns, config: RunConfig, out_dir: Path) -> int:
 HANDLERS = {
     "ingest": cmd_ingest,
     "oracle": cmd_oracle,
-    "train-extractor": cmd_train_extractor,
-    "train-abstractor": cmd_train_abstractor,
+    "train-extractor": cmd_train,
+    "train-abstractor": cmd_train,
     "train-rl": cmd_train_rl,
     "summarize": cmd_summarize,
     "baseline": cmd_baseline,

@@ -7,13 +7,12 @@ extractions reconstruct with the highest summary-level recall.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Document, ReportExample, Sentence, SummarySet
+from .corpus import Document, ReportExample, Sentence, SummarySet, read_jsonl, write_jsonl
 from .rouge import rouge_l_sentence, rouge_l_summary
 
 log = logging.getLogger(__name__)
@@ -116,18 +115,8 @@ def abstractor_pairs(
 
 
 def save_alignments(alignments: Sequence[OracleAlignment], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for al in alignments:
-            fh.write(json.dumps(al.to_record(), separators=(",", ":")) + "\n")
+    write_jsonl((al.to_record() for al in alignments), path)
 
 
 def load_alignments(path: str | Path) -> list[OracleAlignment]:
-    out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(OracleAlignment.from_record(json.loads(line)))
-    return out
+    return [OracleAlignment.from_record(record) for record in read_jsonl(path)]

@@ -21,10 +21,11 @@ import numpy as np
 from . import autodiff as ad
 from .abstractor import AbstractorModel, DecodeConfig
 from .config import RunConfig
-from .corpus import Document, ReportExample, Vocab
+from .corpus import DataError, Document, ReportExample, Vocab
 from .extractor import ExtractorModel, doc_to_ids
 from .oracle import OracleAlignment
 from .rouge import rouge_l_sentence, rouge_l_summary
+from .training import accumulate_gradients
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +72,11 @@ def suffix_returns(rewards: Sequence[float]) -> list[float]:
 # ---------------------------------------------------------------- critic
 
 
-class Critic:
+class Critic(ad.Checkpointed):
     """Affine value head over the detached pointer decoder state (2H,)."""
+
+    KIND = "critic"
+    SIZES = ("hidden_dim",)
 
     def __init__(self, hidden_dim: int, rng: np.random.Generator):
         self.hidden_dim = hidden_dim
@@ -81,26 +85,11 @@ class Critic:
             "b": ad.param(np.zeros(())),
         }
 
-    def arch(self) -> dict:
-        return {"kind": "critic", "hidden_dim": self.hidden_dim}
-
     def value_node(self, state: np.ndarray) -> ad.Value:
         return ad.add(ad.dot(self.params["w"], ad.const(state)), self.params["b"])
 
     def value(self, state: np.ndarray) -> float:
         return float(self.params["w"].data @ state + self.params["b"].data)
-
-    def save(self, path: str | Path) -> None:
-        ad.save_checkpoint(path, self.params, self.arch())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Critic":
-        arrays, cfg, _ = ad.load_checkpoint(path)
-        if cfg.get("kind") != "critic":
-            raise ValueError(f"checkpoint at {path} is not a critic")
-        critic = cls(*ad.config_sizes(cfg, ("hidden_dim",), path), np.random.default_rng(0))
-        ad.restore_params(critic.params, arrays, path)
-        return critic
 
 
 # ---------------------------------------------------------------- rollout
@@ -333,7 +322,7 @@ def train_rl(
     """
     paired = _paired_examples(examples, alignments)
     if not paired:
-        raise ValueError("no usable reports for rl training")
+        raise DataError("no usable reports for rl training")
     episodes = config.rl_episodes if episodes is None else episodes
     decode = DecodeConfig(config.beam_width, config.repetition_penalty, config.max_output_tokens)
     trainer = A2CTrainer(
@@ -352,25 +341,19 @@ def train_rl(
         else None
     )
 
+    def play(example: ReportExample, gold: list[list[str]], **mode) -> Trajectory:
+        return rollout(
+            example.document, gold, extractor, abstractor, vocab, critic=critic, decode=decode,
+            max_steps=config.max_extract_sentences, paraphrase_cache=cache, **mode,
+        )
+
     rows: list[RewardRow] = []
     wave: list[Trajectory] = []
     wave_pairs: list[tuple[list[int], list[int]]] = []
     last = UpdateStats(0.0, 0.0, 0.0, 0.0)
     for episode in range(episodes):
         example, gold = paired[episode % len(paired)]
-        traj = rollout(
-            example.document,
-            gold,
-            extractor,
-            abstractor,
-            vocab,
-            mode="sample",
-            rng=rng,
-            critic=critic,
-            decode=decode,
-            max_steps=config.max_extract_sentences,
-            paraphrase_cache=cache,
-        )
+        traj = play(example, gold, mode="sample", rng=rng)
         wave.append(traj)
         if abstractor_opt is not None:
             ids_lists = doc_to_ids(example.document, vocab)
@@ -382,24 +365,11 @@ def train_rl(
             if stats is not None:
                 last = stats
             if abstractor_opt is not None and wave_pairs:
-                abstractor_opt.zero_grad()
-                for src, tgt in wave_pairs:
-                    ad.backward(ad.scale(abstractor.teacher_forced_loss(src, tgt), 1.0 / len(wave_pairs)))
+                accumulate_gradients(abstractor_opt, abstractor.teacher_forced_loss, wave_pairs)
                 abstractor_opt.step()
             wave = []
             wave_pairs = []
-        greedy = rollout(
-            example.document,
-            gold,
-            extractor,
-            abstractor,
-            vocab,
-            mode="greedy",
-            critic=critic,
-            decode=decode,
-            max_steps=config.max_extract_sentences,
-            paraphrase_cache=cache,
-        )
+        greedy = play(example, gold, mode="greedy")
         rows.append(RewardRow(episode, greedy.mean_reward(), last.mean_advantage, last.critic_loss))
     if csv_path is not None:
         write_reward_curve(rows, csv_path)

@@ -1,14 +1,14 @@
-"""Shared training-loop plumbing: batching, plateau decay, checkpoints."""
+"""One training loop for every stage: mini-batches, plateau decay, periodic saves."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Adam
+from . import autodiff as ad
 
 
 @dataclass
@@ -25,20 +25,11 @@ class TrainLog:
         self.lr_history.append(lr)
 
 
-def iter_batches(n_items: int, batch_size: int, rng: np.random.Generator | None) -> Iterator[list[int]]:
-    """Index batches over one epoch; shuffled when an rng is given."""
-    order = np.arange(n_items)
-    if rng is not None:
-        rng.shuffle(order)
-    for start in range(0, n_items, batch_size):
-        yield order[start : start + batch_size].tolist()
-
-
 class HalveOnPlateau:
     """Multiply the optimizer lr by decay when a full epoch brings no
     improvement in the watched loss."""
 
-    def __init__(self, optimizer: Adam, decay: float = 0.5):
+    def __init__(self, optimizer: ad.Adam, decay: float = 0.5):
         self.optimizer = optimizer
         self.decay = decay
         self.best = math.inf
@@ -51,20 +42,65 @@ class HalveOnPlateau:
         return True
 
 
-class PeriodicSaver:
-    """Invoke a save callback every fixed number of completed batches."""
+def accumulate_gradients(
+    optimizer: ad.Adam, loss: Callable[..., ad.Value], batch: Sequence[tuple]
+) -> list[float]:
+    """Zero the optimizer's gradients, then accumulate those of the batch's
+    mean `loss(*item)`; returns each item's loss."""
+    optimizer.zero_grad()
+    losses = []
+    for item in batch:
+        node = ad.scale(loss(*item), 1.0 / len(batch))
+        ad.backward(node)
+        losses.append(float(node.data) * len(batch))
+    return losses
 
-    def __init__(self, every: int, save: Callable[[], None] | None, log: TrainLog):
-        self.every = every
-        self.save = save
-        self.log = log
 
-    def batch_done(self) -> None:
-        self.log.batches_seen += 1
-        if self.save is not None and self.every > 0 and self.log.batches_seen % self.every == 0:
-            self.save()
-            self.log.periodic_saves += 1
+def fit(
+    params: dict[str, ad.Value],
+    loss: Callable[..., ad.Value],
+    items: Sequence[tuple],
+    *,
+    epochs: int,
+    lr: float = 0.001,
+    lr_decay: float = 0.5,
+    clip_norm: float | None = 1.0,
+    batch_size: int = 16,
+    checkpoint_every: int = 16,
+    rng: np.random.Generator,
+    validation: Sequence[tuple] = (),
+    periodic_save: Callable[[], None] | None = None,
+    frozen_params: Sequence[str] = (),
+) -> TrainLog:
+    """Adam on the mean `loss(*item)` of mini-batches of `items`.
 
+    Each epoch visits `items` in an order shuffled by `rng`. The learning
+    rate is halved on a plateau of the mean validation loss, or of the
+    epoch's training loss when there is no validation data.
+    `periodic_save` runs after every `checkpoint_every` batches (never
+    when 0). Parameters named in `frozen_params` are not updated.
+    """
+    if not items:
+        raise ValueError("no training items")
+    trainable = {k: v for k, v in params.items() if k not in frozen_params}
+    optimizer = ad.Adam(trainable, lr=lr, clip_norm=clip_norm)
+    schedule = HalveOnPlateau(optimizer, lr_decay)
+    train_log = TrainLog()
 
-def mean_of(values: Sequence[float]) -> float:
-    return float(np.mean(values)) if len(values) else 0.0
+    for _ in range(epochs):
+        order = np.arange(len(items))
+        rng.shuffle(order)
+        epoch_losses = []
+        for start in range(0, len(items), batch_size):
+            batch = [items[i] for i in order[start : start + batch_size]]
+            epoch_losses += accumulate_gradients(optimizer, loss, batch)
+            optimizer.step()
+            train_log.batches_seen += 1
+            if periodic_save is not None and checkpoint_every > 0 and train_log.batches_seen % checkpoint_every == 0:
+                periodic_save()
+                train_log.periodic_saves += 1
+        train_loss = float(np.mean(epoch_losses))
+        val_loss = float(np.mean([float(loss(*item).data) for item in validation])) if validation else math.nan
+        train_log.record_epoch(train_loss, val_loss, optimizer.lr)
+        schedule.epoch_end(val_loss if validation else train_loss)
+    return train_log

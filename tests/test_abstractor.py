@@ -13,7 +13,6 @@ from narrsum.abstractor import (
     AbstractorModel,
     DecodeConfig,
     prepare_abstractor_pairs,
-    train_abstractor,
 )
 from narrsum.corpus import (
     END_ID,
@@ -29,6 +28,7 @@ from narrsum.corpus import (
 )
 from narrsum.extractor import ExtractorModel
 from narrsum.oracle import OracleAlignment
+from narrsum.training import fit
 from percell import (
     abstractor_initial_state,
     abstractor_step,
@@ -337,8 +337,8 @@ def test_overfits_copy_task_and_beam_reproduces_input():
     rng = np.random.default_rng(1)
     pairs = copy_task_pairs(rng, 6, vocab)
     model = AbstractorModel(vocab, 16, 16, np.random.default_rng(0))
-    train_abstractor(
-        model,
+    fit(
+        model.params, model.teacher_forced_loss,
         pairs,
         epochs=60,
         lr=0.01,
@@ -355,8 +355,9 @@ def test_training_loss_decreases():
     rng = np.random.default_rng(3)
     pairs = copy_task_pairs(rng, 4, vocab)
     model = AbstractorModel(vocab, 12, 10, np.random.default_rng(0))
-    train_log = train_abstractor(
-        model, pairs, epochs=40, lr=0.01, batch_size=2, rng=np.random.default_rng(4)
+    train_log = fit(
+        model.params, model.teacher_forced_loss, pairs,
+        epochs=40, lr=0.01, batch_size=2, rng=np.random.default_rng(4)
     )
     assert train_log.epoch_losses[-1] < 0.25 * train_log.epoch_losses[0]
 
@@ -366,8 +367,9 @@ def test_training_is_deterministic():
         rng = np.random.default_rng(5)
         pairs = copy_task_pairs(rng, 3, 10)
         model = AbstractorModel(10, 8, 6, np.random.default_rng(1))
-        train_log = train_abstractor(
-            model, pairs, epochs=4, lr=0.01, batch_size=2, rng=np.random.default_rng(6)
+        train_log = fit(
+            model.params, model.teacher_forced_loss, pairs,
+            epochs=4, lr=0.01, batch_size=2, rng=np.random.default_rng(6)
         )
         return train_log.epoch_losses, {k: v.data.copy() for k, v in model.params.items()}
 
@@ -383,8 +385,8 @@ def test_periodic_saves_counted():
     pairs = copy_task_pairs(rng, 5, 10)
     model = AbstractorModel(10, 8, 6, np.random.default_rng(1))
     calls = []
-    train_log = train_abstractor(
-        model,
+    train_log = fit(
+        model.params, model.teacher_forced_loss,
         pairs,
         epochs=2,
         batch_size=2,
@@ -400,21 +402,21 @@ def test_periodic_saves_counted():
 def test_empty_pair_list_rejected():
     model = small_model()
     with pytest.raises(ValueError):
-        train_abstractor(model, [], epochs=1, rng=np.random.default_rng(0))
+        fit(model.params, model.teacher_forced_loss, [], epochs=1, rng=np.random.default_rng(0))
 
 
 def test_validation_pairs_watched_for_plateau():
     rng = np.random.default_rng(9)
     pairs = copy_task_pairs(rng, 3, 10)
     model = AbstractorModel(10, 8, 6, np.random.default_rng(1))
-    train_log = train_abstractor(
-        model,
+    train_log = fit(
+        model.params, model.teacher_forced_loss,
         pairs,
         epochs=3,
         lr=0.01,
         batch_size=2,
         rng=np.random.default_rng(10),
-        validation_pairs=pairs[:1],
+        validation=pairs[:1],
     )
     assert len(train_log.validation_losses) == 3
     assert all(np.isfinite(v) for v in train_log.validation_losses)
@@ -425,8 +427,8 @@ def test_frozen_params_stay_fixed():
     pairs = copy_task_pairs(rng, 3, 10)
     model = AbstractorModel(10, 8, 6, np.random.default_rng(1))
     before = model.params["embed"].data.copy()
-    train_abstractor(
-        model,
+    fit(
+        model.params, model.teacher_forced_loss,
         pairs,
         epochs=2,
         lr=0.01,

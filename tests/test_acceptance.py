@@ -15,16 +15,17 @@ import numpy as np
 import pytest
 
 from narrsum import autodiff as ad
-from narrsum.abstractor import AbstractorModel, DecodeConfig, train_abstractor
+from narrsum.abstractor import AbstractorModel, DecodeConfig
 from narrsum.baselines import lead_n, lexrank_graph, power_iteration, textrank_graph
 from narrsum.config import RunConfig
 from narrsum.corpus import build_vocab, load_dataset
-from narrsum.extractor import ExtractorModel, prepare_extractor_examples, train_extractor
+from narrsum.extractor import ExtractorModel, example_loss, prepare_extractor_examples
 from narrsum.harness import cli, detokenize, evaluate_system, truncate_sentences
 from narrsum.oracle import build_oracle
 from narrsum.rl import A2CTrainer, Critic, Trajectory, TrajectoryStep, mean_greedy_reward, train_rl
 from narrsum.rouge import rouge_l_sentence, rouge_l_summary, rouge_n, rouge_su4
 from narrsum.synthgen import SynthSpec, generate
+from narrsum.training import fit
 from percell import bahdanau_attention, bilstm_sequence, mean, sigmoid, softmax, stack_rows, vsum
 
 
@@ -94,8 +95,8 @@ def identity_abstractor(small_world):
         return all(model.paraphrase(src, PIPE_DECODE) == tgt for src, tgt in pairs)
 
     for stage in range(20):
-        train_abstractor(
-            model, pairs, epochs=20, lr=0.01, batch_size=16,
+        fit(
+            model.params, model.teacher_forced_loss, pairs, epochs=20, lr=0.01, batch_size=16,
             rng=np.random.default_rng([51, stage]),
         )
         if model.teacher_forced_accuracy(pairs) >= 0.995 and copies_all():
@@ -109,8 +110,8 @@ def trained_extractor(small_world):
     """A pointer trained to convergence on the oracle targets."""
     model = ExtractorModel(small_world["vocab"].size, 32, 32, np.random.default_rng(52))
     for stage in range(20):
-        train_extractor(
-            model, small_world["data"], epochs=10, lr=0.01, batch_size=3,
+        fit(
+            model.params, example_loss(model), small_world["data"], epochs=10, lr=0.01, batch_size=3,
             rng=np.random.default_rng([53, stage]),
         )
         if exact_step_accuracy(model, small_world["data"]) >= 0.95:
@@ -535,8 +536,8 @@ def test_a4_oracle_and_extractor_closure(tmp_path):
     epochs_done = 0
     accuracy = 0.0
     while epochs_done < 200:
-        train_extractor(model, data, epochs=10, lr=0.01, batch_size=8,
-                        rng=np.random.default_rng([405, epochs_done]))
+        fit(model.params, example_loss(model), data, epochs=10, lr=0.01, batch_size=8,
+            rng=np.random.default_rng([405, epochs_done]))
         epochs_done += 10
         accuracy = exact_step_accuracy(model, data)
         if accuracy >= 0.95:
@@ -559,8 +560,8 @@ def test_a5_abstractor_copy_task():
     epochs_done = 0
     tf_accuracy = 0.0
     while epochs_done < 300:
-        train_abstractor(model, pairs, epochs=20, lr=0.01, batch_size=16,
-                         rng=np.random.default_rng([507, epochs_done]))
+        fit(model.params, model.teacher_forced_loss, pairs, epochs=20, lr=0.01, batch_size=16,
+            rng=np.random.default_rng([507, epochs_done]))
         epochs_done += 20
         tf_accuracy = model.teacher_forced_accuracy(pairs)
         if tf_accuracy >= 0.99:
@@ -620,9 +621,9 @@ def test_a6_rl_improvement(small_world, identity_abstractor):
         acc = exact_step_accuracy(extractor, data)
         snapshots.append((acc, {k: v.data.copy() for k, v in extractor.params.items()}))
 
-    train_extractor(extractor, data, epochs=40, lr=0.005, batch_size=3,
-                    checkpoint_every=1, rng=np.random.default_rng(609),
-                    periodic_save=snap)
+    fit(extractor.params, example_loss(extractor), data, epochs=40, lr=0.005, batch_size=3,
+        checkpoint_every=1, rng=np.random.default_rng(609),
+        periodic_save=snap)
     half_acc, half_params = min(snapshots, key=lambda s: abs(s[0] - 0.5))
     assert 0.25 <= half_acc <= 0.75, f"no snapshot near 50% accuracy: {half_acc:.2f}"
     for name, arr in half_params.items():

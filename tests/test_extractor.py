@@ -11,12 +11,13 @@ from narrsum.extractor import (
     DEFAULT_MAX_STEPS,
     Extraction,
     ExtractorModel,
+    example_loss,
     load_extractions,
     prepare_extractor_examples,
     save_extractions,
-    train_extractor,
 )
 from narrsum.oracle import OracleAlignment
+from narrsum.training import fit
 from percell import percell_extractor_encode
 
 
@@ -141,8 +142,8 @@ def test_overfit_single_report():
     model = small_model(seed=11, vocab=20, e=8, h=6)
     doc = [[4, 5, 6], [7, 8], [9, 10, 11], [12]]
     data = [("r", doc, [0])]
-    train_extractor(
-        model, data, epochs=50, lr=0.01, batch_size=1, checkpoint_every=0,
+    fit(
+        model.params, example_loss(model), data, epochs=50, lr=0.01, batch_size=1, checkpoint_every=0,
         rng=np.random.default_rng(0),
     )
     ex = model.extract("r", doc)
@@ -154,8 +155,8 @@ def test_training_loss_drops_sharply():
     docs = [random_doc(rng, 6, vocab=25) for _ in range(5)]
     data = [(f"r{k}", doc, sorted(rng.choice(6, size=2, replace=False).tolist())) for k, doc in enumerate(docs)]
     model = small_model(seed=13, vocab=25, e=10, h=8)
-    train_log = train_extractor(
-        model, data, epochs=60, lr=0.01, batch_size=3, checkpoint_every=0,
+    train_log = fit(
+        model.params, example_loss(model), data, epochs=60, lr=0.01, batch_size=3, checkpoint_every=0,
         rng=np.random.default_rng(1),
     )
     assert train_log.epoch_losses[-1] <= 0.10 * train_log.epoch_losses[0]
@@ -167,8 +168,8 @@ def test_training_is_deterministic():
         docs = [random_doc(rng, 4, vocab=20) for _ in range(3)]
         data = [(f"r{k}", d, [k % 4]) for k, d in enumerate(docs)]
         model = small_model(seed=17, vocab=20, e=6, h=5)
-        train_log = train_extractor(
-            model, data, epochs=3, lr=0.005, batch_size=2, checkpoint_every=0,
+        train_log = fit(
+            model.params, example_loss(model), data, epochs=3, lr=0.005, batch_size=2, checkpoint_every=0,
             rng=np.random.default_rng(2),
         )
         return train_log.epoch_losses
@@ -182,8 +183,8 @@ def test_periodic_checkpoints_counted(tmp_path):
     data = [(f"r{k}", d, [0]) for k, d in enumerate(docs)]
     model = small_model(seed=19, vocab=20, e=5, h=4)
     saves = []
-    train_log = train_extractor(
-        model, data, epochs=1, batch_size=1, checkpoint_every=2,
+    train_log = fit(
+        model.params, example_loss(model), data, epochs=1, batch_size=1, checkpoint_every=2,
         rng=np.random.default_rng(3),
         periodic_save=lambda: saves.append(model.save(tmp_path / "periodic.ckpt")),
     )
@@ -198,9 +199,9 @@ def test_lr_halves_on_plateau():
     # so validation stops improving and the schedule must fire.
     data = [("a", doc, [0]), ("b", doc, [1])]
     model = small_model(seed=23, vocab=20, e=5, h=4)
-    train_log = train_extractor(
-        model, data, epochs=15, lr=0.05, batch_size=2, checkpoint_every=0,
-        rng=np.random.default_rng(4), validation_data=data,
+    train_log = fit(
+        model.params, example_loss(model), data, epochs=15, lr=0.05, batch_size=2, checkpoint_every=0,
+        rng=np.random.default_rng(4), validation=data,
     )
     assert train_log.lr_history[-1] < 0.05
 
@@ -221,7 +222,7 @@ def test_halve_on_plateau_rule():
 def test_train_requires_data():
     model = small_model()
     with pytest.raises(ValueError):
-        train_extractor(model, [], epochs=1, rng=np.random.default_rng(0))
+        fit(model.params, example_loss(model), [], epochs=1, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- data prep

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -482,6 +483,11 @@ def test_cli_train_stages_reuse_validation_alignments(pipeline, tmp_path, monkey
         ("batch_size", True), ("checkpoint_every_batches", False), ("hidden_dim", 2.5), ("beam_width", 1.5),
         ("extractor_epochs", 2.0), ("seed", "3"), ("rl_finetune_abstractor", "false"),
         ("freeze_embeddings", 1), ("normalize_advantage", None),
+    )]
+    # A bool or string for a number, anything but a string for the data root, a negative seed.
+    + [pytest.param(name, value, id=f"{name}={value!r}") for name, value in (
+        ("lexrank_threshold", "x"), ("pagerank_tol", "x"), ("lr", True), ("clip_norm", True),
+        ("entropy_coef", "abc"), ("rl_lr", False), ("data_root", 5), ("seed", -1),
     )],
 )
 def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field, value):
@@ -493,6 +499,19 @@ def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field, value
     assert cli(args) == 2
     assert f"{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])
+def test_cli_training_without_usable_alignments_is_data_error(pipeline, tmp_path, capsys, stage):
+    """An empty training alignment file leaves nothing to train on: exit 2, not a traceback."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "alignments_training.jsonl").write_text("")
+    for name in ("extractor.ckpt", "abstractor.ckpt"):
+        shutil.copy(pipeline["out"] / name, out / name)
+    args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
+    assert cli(args) == 2
+    assert "error: no " in capsys.readouterr().err
 
 
 def test_cli_summarize_split_flag(pipeline, tmp_path):

@@ -9,7 +9,7 @@ from narrsum import autodiff as ad
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import RunConfig
 from narrsum.corpus import RESERVED_TOKENS, Document, ReportExample, Sentence, SummarySet, Vocab
-from narrsum.extractor import ExtractorModel, doc_to_ids, train_extractor
+from narrsum.extractor import ExtractorModel, doc_to_ids, example_loss
 from narrsum.oracle import OracleAlignment
 from narrsum.rl import (
     A2CTrainer,
@@ -23,6 +23,7 @@ from narrsum.rl import (
     train_rl,
 )
 from narrsum.rouge import rouge_l_summary
+from narrsum.training import fit
 
 
 def softmax(x):
@@ -62,8 +63,8 @@ def toy_world():
 
 def pointer_overfit(doc_ids, targets, seed=0, epochs=60):
     model = ExtractorModel(14, 8, 6, np.random.default_rng(seed))
-    train_extractor(
-        model,
+    fit(
+        model.params, example_loss(model),
         [("r1", doc_ids, targets)],
         epochs=epochs,
         lr=0.01,
@@ -101,7 +102,7 @@ def test_critic_checkpoint_round_trip(tmp_path):
     critic = Critic(3, np.random.default_rng(2))
     path = tmp_path / "critic.ckpt"
     critic.save(path)
-    loaded = Critic.load(path)
+    loaded, _ = Critic.load(path)
     for name in critic.params:
         assert np.array_equal(critic.params[name].data, loaded.params[name].data)
 

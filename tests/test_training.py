@@ -1,0 +1,96 @@
+"""The shared training loop: golden values recorded from the per-model loops it replaced.
+
+Every value below was produced by the separate extractor and abstractor
+training loops, and by the RL fine-tune's own gradient step, that `fit` and
+`accumulate_gradients` replaced. Equality is exact: the refactor kept the
+batch order, the arithmetic and the RNG draws.
+"""
+
+import hashlib
+
+import numpy as np
+
+from narrsum.abstractor import AbstractorModel
+from narrsum.config import RunConfig
+from narrsum.corpus import RESERVED_TOKENS, Document, ReportExample, Sentence, SummarySet, Vocab
+from narrsum.extractor import ExtractorModel, example_loss
+from narrsum.oracle import OracleAlignment
+from narrsum.rl import Critic, train_rl
+from narrsum.training import fit
+
+
+def params_digest(params):
+    h = hashlib.sha256()
+    for name in sorted(params):
+        h.update(name.encode())
+        h.update(params[name].data.tobytes())
+    return h.hexdigest()
+
+
+def extractor_examples(rng, n):
+    docs = [[[int(rng.integers(4, 20)) for _ in range(int(rng.integers(1, 5)))] for _ in range(4)] for _ in range(n)]
+    return [(f"r{k}", doc, sorted(rng.choice(4, size=2, replace=False).tolist())) for k, doc in enumerate(docs)]
+
+
+def abstractor_pairs(rng, n):
+    pairs = []
+    for _ in range(n):
+        ids = [int(i) for i in rng.integers(4, 14, size=int(rng.integers(2, 6)))]
+        pairs.append((ids, ids[::-1]))
+    return pairs
+
+
+def golden_fit(params, loss, items, validation, seed):
+    """5 items in batches of 2 for 3 epochs, a plateau decay of 0.5, a save
+    every 2 batches, validation data and a frozen embedding."""
+    saves = []
+    train_log = fit(
+        params, loss, items, epochs=3, lr=0.05, lr_decay=0.5, clip_norm=1.0, batch_size=2,
+        checkpoint_every=2, rng=np.random.default_rng(seed), validation=validation,
+        periodic_save=lambda: saves.append(1), frozen_params=("embed",),
+    )
+    assert len(saves) == train_log.periodic_saves
+    return train_log
+
+
+def test_fit_extractor_golden_values():
+    data = extractor_examples(np.random.default_rng(100), 7)
+    model = ExtractorModel(20, 6, 5, np.random.default_rng(101))
+    train_log = golden_fit(model.params, example_loss(model), data[:5], data[5:], 102)
+    assert train_log.epoch_losses == [1.3637813428515353, 1.3491715371158146, 1.3420237063614968]
+    assert train_log.validation_losses == [1.3579078508419888, 1.361653775306336, 1.3444149320683323]
+    assert train_log.lr_history == [0.05, 0.05, 0.025]
+    assert (train_log.batches_seen, train_log.periodic_saves) == (9, 4)
+    assert params_digest(model.params) == "45e5f00676103db80bae43d7782f9b2986633a849e9c7cc5d6af012c089d4d49"
+
+
+def test_fit_abstractor_golden_values():
+    pairs = abstractor_pairs(np.random.default_rng(200), 7)
+    model = AbstractorModel(14, 6, 5, np.random.default_rng(201))
+    train_log = golden_fit(model.params, model.teacher_forced_loss, pairs[:5], pairs[5:], 202)
+    assert train_log.epoch_losses == [2.6193446729362564, 2.338804537204723, 2.147563030111119]
+    assert train_log.validation_losses == [2.4969262146462006, 2.3006569260121026, 2.432962846237208]
+    assert train_log.lr_history == [0.05, 0.05, 0.05]
+    assert (train_log.batches_seen, train_log.periodic_saves) == (9, 4)
+    assert params_digest(model.params) == "16940798c3b132c9b5a7bfb55d6f9f32eff6c8bb25cec50f470d797d8e24b36f"
+
+
+def sent(*tokens):
+    return Sentence(tokens=tuple(tokens), char_span=(0, 0))
+
+
+def test_rl_abstractor_fine_tune_golden_digest():
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa"]
+    vocab = Vocab.from_list(list(RESERVED_TOKENS) + words)
+    doc = Document("r1", (sent("alpha", "beta", "gamma"), sent("delta", "epsilon"),
+                          sent("zeta", "eta", "theta"), sent("iota", "kappa")), None)
+    example = ReportExample(doc, SummarySet("r1", [("1", (doc.sentences[0], doc.sentences[2]))]))
+    alignment = OracleAlignment("r1", 0, [(0, 0, 1.0), (1, 2, 1.0)], [0, 2])
+    extractor = ExtractorModel(14, 8, 6, np.random.default_rng(301))
+    abstractor = AbstractorModel(14, 8, 6, np.random.default_rng(302))
+    critic = Critic(6, np.random.default_rng(303))
+    config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6,
+                       rl_finetune_abstractor=True)
+    train_rl([example], [alignment], extractor, abstractor, critic, vocab, config,
+             rng=np.random.default_rng(304), episodes=4)
+    assert params_digest(abstractor.params) == "80c279a64e866ae9bfd5bd1781207019f409f5ea1b6403be9be37ff74a06391e"
