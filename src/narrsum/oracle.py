@@ -7,13 +7,17 @@ extractions reconstruct with the highest summary-level recall.
 
 from __future__ import annotations
 
+import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Document, ReportExample, Sentence, SummarySet, read_jsonl, write_jsonl
-from .rouge import rouge_l_sentence, rouge_l_summary
+import numpy as np
+
+from .corpus import DataError, Document, ReportExample, Sentence, SummarySet, write_jsonl
+from .rouge import lcs_length, rouge_l_summary
 
 log = logging.getLogger(__name__)
 
@@ -43,23 +47,75 @@ class OracleAlignment:
         )
 
 
-def align_summary(report: Document, summary: Sequence[Sentence]) -> list[tuple[int, int, float]]:
+class SourceIndex:
+    """The sentences of one report, indexed for the best-LCS search.
+
+    For each token type it keeps the sentences holding that type and how
+    often, as flat postings grouped by type: memory is linear in the
+    report's token count, with no sentences x vocabulary matrix.
+    """
+
+    def __init__(self, sentences: Sequence[Sequence[str]]):
+        self.sentences = sentences
+        self._types: dict[str, int] = {}
+        tokens = [self._types.setdefault(tok, len(self._types)) for sent in sentences for tok in sent]
+        n = max(len(sentences), 1)
+        owners = np.repeat(np.arange(len(sentences)), [len(sent) for sent in sentences])
+        # One posting per (type, sentence) pair, sorted by type, then by sentence.
+        keys, self._counts = np.unique(np.array(tokens, dtype=np.int64) * n + owners, return_counts=True)
+        self._ids = keys % n
+        self._starts = np.searchsorted(keys // n, np.arange(len(self._types) + 1)).tolist()
+
+    def overlap_bounds(self, target: Sequence[str]) -> np.ndarray:
+        """Per sentence, the clipped unigram overlap with `target`: an upper bound on their LCS."""
+        spans = []
+        for tok, need in Counter(target).items():
+            t = self._types.get(tok)
+            if t is not None:
+                spans.append((self._starts[t], self._starts[t + 1], need))
+        if not spans:
+            return np.zeros(len(self.sentences))
+        ids = np.concatenate([self._ids[start:end] for start, end, _ in spans])
+        caps = np.concatenate([np.minimum(self._counts[start:end], need) for start, end, need in spans])
+        return np.bincount(ids, weights=caps, minlength=len(self.sentences))
+
+    def best_source(self, target: Sequence[str]) -> tuple[int, int]:
+        """The lowest index among the sentences with the longest LCS against `target`, and that length.
+
+        Sentences are walked in index order and an LCS is computed only
+        where the unigram bound could beat the best length so far, so the
+        result is that of the full scan with a strict `>`.
+        """
+        bounds = self.overlap_bounds(target)
+        best_idx, best = 0, 0
+        candidates = np.flatnonzero(bounds)
+        for i, bound in zip(candidates.tolist(), bounds[candidates].tolist()):
+            if bound > best:
+                matches = lcs_length(self.sentences[i], target)
+                if matches > best:
+                    best_idx, best = i, matches
+        return best_idx, best
+
+
+def align_summary(
+    report: Document, summary: Sequence[Sentence], index: SourceIndex | None = None
+) -> list[tuple[int, int, float]]:
     """Best report sentence per summary sentence by LCS recall.
 
     Recall is taken with the summary sentence as the denominator; ties,
-    including the all-zero case, fall to the lowest report index.
+    including the all-zero case, fall to the lowest report index. `index`,
+    when given, must be built from this report's sentences.
     """
     if not report.sentences:
         raise ValueError(f"report {report.id} has no sentences")
+    if index is None:
+        index = SourceIndex([s.tokens for s in report.sentences])
     rows = []
     for t, target in enumerate(summary):
-        best_idx = 0
-        best_recall = -1.0
-        for i, source in enumerate(report.sentences):
-            recall = rouge_l_sentence(source.tokens, target.tokens).recall
-            if recall > best_recall:
-                best_idx, best_recall = i, recall
-        rows.append((t, best_idx, best_recall))
+        best_idx, matches = index.best_source(target.tokens)
+        # Every candidate shares the denominator, so the most matches is the best recall.
+        recall = matches / len(target.tokens) if target.tokens else 0.0
+        rows.append((t, best_idx, recall))
     return rows
 
 
@@ -77,10 +133,11 @@ def select_reference(report: Document, summary_set: SummarySet) -> OracleAlignme
     """Pick the reference summary best reconstructed by its own alignment."""
     if not summary_set.summaries:
         raise ValueError(f"report {report.id} has no summaries to align")
+    index = SourceIndex([s.tokens for s in report.sentences])
     best: OracleAlignment | None = None
     best_recall = -1.0
     for j, (_, sentences) in enumerate(summary_set.summaries):
-        rows = align_summary(report, sentences)
+        rows = align_summary(report, sentences, index)
         targets = _dedup_keep_order([jt for _, jt, _ in rows])
         extracted = [list(report.sentences[i].tokens) for i in targets]
         reference = [list(s.tokens) for s in sentences]
@@ -119,4 +176,14 @@ def save_alignments(alignments: Sequence[OracleAlignment], path: str | Path) -> 
 
 
 def load_alignments(path: str | Path) -> list[OracleAlignment]:
-    return [OracleAlignment.from_record(record) for record in read_jsonl(path)]
+    """The alignments of a file written by `save_alignments`; a malformed line is a `DataError`."""
+    alignments = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                alignments.append(OracleAlignment.from_record(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path} line {lineno}: malformed alignment record ({exc!r})") from exc
+    return alignments

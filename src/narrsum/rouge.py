@@ -85,20 +85,29 @@ def lcs_match_positions(reference: TokenSeq, candidate: TokenSeq) -> tuple[int, 
     Of all position sets realizing the LCS length, returns the
     lexicographically smallest, which makes union-based summary scoring
     deterministic.
+
+    The greedy walk needs, for each suffix pair, whether dropping
+    ``candidate[j]`` keeps LCS(reference[i:], candidate[j:]). That is the
+    bit-parallel recurrence of `lcs_length` run over both sequences
+    reversed: ``rows[i]`` is its state after ``reference[i:]``, and its bit
+    ``m-1-j`` is set exactly when the LCS does not shrink without
+    ``candidate[j]``.
     """
     n, m = len(reference), len(candidate)
     if n == 0 or m == 0:
         return ()
-    # suffix[i][j] = LCS length of reference[i:] vs candidate[j:]
-    suffix = [[0] * (m + 1) for _ in range(n + 1)]
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(candidate):
+        masks[tok] = masks.get(tok, 0) | (1 << (m - 1 - j))
+    full = (1 << m) - 1
+    rows = [0] * n
+    v = full
     for i in range(n - 1, -1, -1):
-        row = suffix[i]
-        nxt = suffix[i + 1]
-        for j in range(m - 1, -1, -1):
-            if reference[i] == candidate[j]:
-                row[j] = nxt[j + 1] + 1
-            else:
-                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
+        match = masks.get(reference[i])
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+        rows[i] = v
     positions = []
     i = j = 0
     while i < n and j < m:
@@ -106,7 +115,7 @@ def lcs_match_positions(reference: TokenSeq, candidate: TokenSeq) -> tuple[int, 
             positions.append(i)
             i += 1
             j += 1
-        elif suffix[i][j + 1] == suffix[i][j]:
+        elif rows[i] >> (m - 1 - j) & 1:
             j += 1
         else:
             i += 1

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, Sentence, SummarySet
-from .oracle import OracleAlignment, save_alignments, select_reference
+from .oracle import OracleAlignment, SourceIndex, save_alignments, select_reference
 from .rouge import rouge_l_sentence, rouge_l_summary
 
 _SPLIT_PREFIX = {"training": "tr", "validation": "va", "testing": "te"}
@@ -77,23 +77,14 @@ def _draw_sentence(rng, vocab, spec) -> list[str]:
     return [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
 
 
-def _best_source(report_sents: list[list[str]], target: list[str]) -> tuple[int, float]:
-    best, best_recall = 0, -1.0
-    for i, sent in enumerate(report_sents):
-        recall = rouge_l_sentence(sent, target).recall
-        if recall > best_recall:
-            best, best_recall = i, recall
-    return best, best_recall
-
-
-def _perturbed_copy(rng, vocab, spec, report_sents, source_idx) -> list[str]:
-    source = report_sents[source_idx]
+def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> list[str]:
+    source = index.sentences[source_idx]
     for _ in range(50):
         cand = [
             vocab[int(rng.integers(len(vocab)))] if rng.random() < spec.noise_rate else tok
             for tok in source
         ]
-        if _best_source(report_sents, cand)[0] == source_idx:
+        if index.best_source(cand)[0] == source_idx:
             return cand
     # Verbatim copy: optimal because no report sentence contains another.
     return list(source)
@@ -114,6 +105,7 @@ def _make_report(rng, vocab, spec):
         sentences.append(cand)
         type_sets.append(types)
 
+    index = SourceIndex(sentences)
     summaries = []
     truth_rows = []
     for _ in range(spec.summaries_per_report):
@@ -121,7 +113,7 @@ def _make_report(rng, vocab, spec):
         sents = []
         rows = []
         for t, src in enumerate(sources):
-            copy = _perturbed_copy(rng, vocab, spec, sentences, src)
+            copy = _perturbed_copy(rng, vocab, spec, index, src)
             sents.append(copy)
             rows.append((t, src, rouge_l_sentence(sentences[src], copy).recall))
         summaries.append(sents)

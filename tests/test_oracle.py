@@ -1,13 +1,18 @@
 """Proxy-label tests: alignment argmax, reference choice, persistence."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from narrsum.corpus import Document, Sentence, SummarySet
+from narrsum import oracle
+from narrsum.corpus import DataError, Document, Sentence, SummarySet
 from narrsum.oracle import (
     OracleAlignment,
+    SourceIndex,
     abstractor_pairs,
     align_summary,
     build_oracle,
@@ -25,6 +30,20 @@ def make_sentences(token_lists):
 
 def make_doc(doc_id, token_lists):
     return Document(doc_id, make_sentences(token_lists), f"{doc_id}.txt")
+
+
+def scan_align_summary(report, summary):
+    """Every (report sentence, summary sentence) LCS; the reference the bound-pruned argmax replaced."""
+    rows = []
+    for t, target in enumerate(summary):
+        best_idx = 0
+        best_recall = -1.0
+        for i, source in enumerate(report.sentences):
+            recall = rouge_l_sentence(source.tokens, target.tokens).recall
+            if recall > best_recall:
+                best_idx, best_recall = i, recall
+        rows.append((t, best_idx, best_recall))
+    return rows
 
 
 # ---------------------------------------------------------------- align_summary
@@ -64,6 +83,42 @@ def test_align_dominance(report_sents, summary_sents):
         assert recall == pytest.approx(lcs_length(report_sents[j], target) / len(target))
         for other in report_sents:
             assert lcs_length(other, target) / len(target) <= recall + 1e-12
+
+
+# Report tokens repeat often over four letters; "x" and "y" never occur in a report.
+ragged_reports = st.lists(st.lists(st.sampled_from("abcd"), max_size=8), min_size=1, max_size=10)
+ragged_targets = st.lists(st.lists(st.sampled_from("abcdxy"), max_size=8), max_size=6)
+
+
+@settings(max_examples=300)
+@given(ragged_reports, ragged_targets)
+# Equal bounds, the later sentence with the longer LCS.
+@example([["b", "a"], ["a", "b"], ["a", "b", "a"]], [["a", "b"]])
+# Equal bounds and equal LCS at a later index.
+@example([["c"], ["a", "b"], ["b", "a", "b"], ["a", "b"]], [["a", "b"], ["b", "a"]])
+# No overlap, tokens absent from the report, an empty target.
+@example([["a", "b"], ["c"]], [["x", "y"], ["d"], []])
+def test_pruned_align_matches_full_scan(report_sents, summary_sents):
+    doc = make_doc("r", report_sents)
+    summary = make_sentences(summary_sents)
+    assert align_summary(doc, summary) == scan_align_summary(doc, summary)
+    index = SourceIndex(report_sents)
+    for target in summary_sents:
+        expected = [sum((Counter(source) & Counter(target)).values()) for source in report_sents]
+        assert index.overlap_bounds(target).tolist() == expected
+
+
+def test_pruned_align_skips_sentences_that_cannot_win(monkeypatch):
+    calls = []
+
+    def counting_lcs(a, b):
+        calls.append(a)
+        return lcs_length(a, b)
+
+    monkeypatch.setattr(oracle, "lcs_length", counting_lcs)
+    doc = make_doc("r", [["profit", "rose"], ["costs", "fell"], ["profit", "fell"], ["cash", "grew"]])
+    assert align_summary(doc, make_sentences([["profit", "rose"]])) == [(0, 0, 1.0)]
+    assert calls == [("profit", "rose")]
 
 
 # ---------------------------------------------------------------- select_reference
@@ -178,6 +233,19 @@ def test_abstractor_pairs_duplicates_included():
         (["alpha", "beta"], ["alpha"]),
         (["gamma", "delta"], ["gamma", "delta"]),
     ]
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["{not json", '{"report_id": "r2", "pairs": [], "targets": []}', "[1, 2]", '"r2"'],
+    ids=["not-json", "missing-field", "list", "string"],
+)
+def test_load_alignments_names_file_and_line_of_a_malformed_record(tmp_path, bad_line):
+    path = tmp_path / "alignments.jsonl"
+    good = json.dumps(OracleAlignment("r1", 0, [(0, 1, 1.0)], [1]).to_record())
+    path.write_text(f"{good}\n\n{bad_line}\n{good}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"alignments\.jsonl line 3: malformed alignment record"):
+        load_alignments(path)
 
 
 def test_record_round_trip_preserves_fields():

@@ -54,6 +54,35 @@ def dp_lcs_length(a, b):
     return prev[-1]
 
 
+def dp_lcs_match_positions(reference, candidate):
+    """Full suffix-table dynamic program; the reference the bit-parallel walk replaced."""
+    n, m = len(reference), len(candidate)
+    if n == 0 or m == 0:
+        return ()
+    # suffix[i][j] = LCS length of reference[i:] vs candidate[j:]
+    suffix = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row = suffix[i]
+        nxt = suffix[i + 1]
+        for j in range(m - 1, -1, -1):
+            if reference[i] == candidate[j]:
+                row[j] = nxt[j + 1] + 1
+            else:
+                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
+    positions = []
+    i = j = 0
+    while i < n and j < m:
+        if reference[i] == candidate[j]:
+            positions.append(i)
+            i += 1
+            j += 1
+        elif suffix[i][j + 1] == suffix[i][j]:
+            j += 1
+        else:
+            i += 1
+    return tuple(positions)
+
+
 def unskipped_rouge_l_summary(candidate_sentences, reference_sentences):
     """Summary-level ROUGE-L with the union taken over every sentence pair."""
     cand_total = sum(len(s) for s in candidate_sentences)
@@ -107,6 +136,12 @@ def _long_list(alphabet):
 long_tokens = st.sampled_from(["ab", "abcd"]).flatmap(
     lambda alphabet: st.tuples(_long_list(alphabet), _long_list(alphabet))
 )
+def _mid_pair(alphabet):
+    tokens = st.lists(st.sampled_from(alphabet), max_size=60)
+    return st.tuples(tokens, tokens)
+
+
+mid_tokens = st.sampled_from(["ab", "abcd"]).flatmap(_mid_pair)
 sentences8 = st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), max_size=5)
 
 
@@ -151,6 +186,27 @@ def test_match_positions_are_valid_and_smallest(ref, cand):
     assert all(tok in it for tok in sub)
     assert len(positions) == lcs_length(ref, cand)
     assert positions == tuple(oracle_match_positions(ref, cand))
+
+
+@settings(max_examples=300)
+@given(mid_tokens)
+def test_match_positions_match_dp(pair):
+    ref, cand = pair
+    assert lcs_match_positions(ref, cand) == dp_lcs_match_positions(ref, cand)
+    assert lcs_match_positions(cand, ref) == dp_lcs_match_positions(cand, ref)
+
+
+def test_match_positions_match_dp_across_word_boundaries():
+    ref = ["a", "b"] * 40 + ["c"]
+    cand = ["b"] * 66 + ["c"]
+    expected = tuple(range(1, 80, 2)) + (80,)
+    assert lcs_match_positions(ref, cand) == dp_lcs_match_positions(ref, cand) == expected
+    a = ["a", "b"] * 70 + ["c"]
+    b = ["b"] * 64 + ["c"] + ["a", "b"] * 40
+    for x, y in ((a, b), (b, a)):
+        positions = lcs_match_positions(x, y)
+        assert positions == dp_lcs_match_positions(x, y)
+        assert len(positions) == 110
 
 
 # ---------------------------------------------------------------- rouge-n
