@@ -13,9 +13,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 SPLITS = ("training", "validation", "testing")
 
@@ -243,7 +245,19 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """The JSON objects on the non-blank lines of a file."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` of each JSON object on the non-blank lines of a file.
+
+    A line that is not UTF-8, not JSON, or that `parse` rejects is a
+    `DataError` naming the file and the line.
+    """
+    records = []
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(json.loads(line.decode("utf-8"))))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path} line {lineno}: malformed record ({exc!r})") from exc
+    return records

@@ -247,4 +247,4 @@ def save_extractions(extractions: Sequence[Extraction], path: str | Path) -> Non
 
 
 def load_extractions(path: str | Path) -> list[Extraction]:
-    return [Extraction.from_record(record) for record in read_jsonl(path)]
+    return read_jsonl(path, Extraction.from_record)

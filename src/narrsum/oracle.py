@@ -7,7 +7,6 @@ extractions reconstruct with the highest summary-level recall.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DataError, Document, ReportExample, Sentence, SummarySet, write_jsonl
+from .corpus import Document, ReportExample, Sentence, SummarySet, read_jsonl, write_jsonl
 from .rouge import lcs_length, rouge_l_summary
 
 log = logging.getLogger(__name__)
@@ -176,14 +175,4 @@ def save_alignments(alignments: Sequence[OracleAlignment], path: str | Path) -> 
 
 
 def load_alignments(path: str | Path) -> list[OracleAlignment]:
-    """The alignments of a file written by `save_alignments`; a malformed line is a `DataError`."""
-    alignments = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                alignments.append(OracleAlignment.from_record(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"{path} line {lineno}: malformed alignment record ({exc!r})") from exc
-    return alignments
+    return read_jsonl(path, OracleAlignment.from_record)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from narrsum import autodiff as ad
-from narrsum.corpus import Document, ReportExample, Sentence, SummarySet, Vocab, RESERVED_TOKENS
+from narrsum.corpus import DataError, Document, ReportExample, Sentence, SummarySet, Vocab, RESERVED_TOKENS
 from narrsum.extractor import (
     DEFAULT_MAX_STEPS,
     Extraction,
@@ -300,3 +300,13 @@ def test_extraction_jsonl_round_trip(tmp_path):
     first = path.read_bytes()
     save_extractions(items, path)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("bad_line", [b"{not json", b'{"report_id": "r2"}', b'{"report_id": "r\xff2"}'],
+                         ids=["not-json", "missing-field", "not-utf8"])
+def test_load_extractions_names_file_and_line_of_a_malformed_record(tmp_path, bad_line):
+    path = tmp_path / "extractions.jsonl"
+    save_extractions([Extraction("r1", [0], [-0.1, -0.2])], path)
+    path.write_bytes(path.read_bytes() + bad_line + b"\n")
+    with pytest.raises(DataError, match=r"extractions\.jsonl line 2: malformed record"):
+        load_extractions(path)

@@ -514,25 +514,28 @@ def test_cli_training_without_usable_alignments_is_data_error(pipeline, tmp_path
     assert "error: no " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corruption", ["not-json", "missing-field"])
+@pytest.mark.parametrize("corruption", ["not-json", "missing-field", "not-utf8"])
 @pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])
 def test_cli_training_with_malformed_alignments_is_data_error(pipeline, tmp_path, capsys, stage, corruption):
     """A broken line in the alignment file is exit 2 naming the file and line, not a traceback."""
     out = tmp_path / "out"
     out.mkdir()
-    lines = (pipeline["out"] / "alignments_training.jsonl").read_text(encoding="utf-8").splitlines()
+    lines = (pipeline["out"] / "alignments_training.jsonl").read_bytes().splitlines()
     if corruption == "not-json":
         lines[1] = lines[1][:-1]
+    elif corruption == "not-utf8":
+        lines[1] = lines[1].replace(b'"report_id":"', b'"report_id":"\xff', 1)
+        assert b"\xff" in lines[1]
     else:
         record = json.loads(lines[1])
         del record["chosen_summary"]
-        lines[1] = json.dumps(record)
-    (out / "alignments_training.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines[1] = json.dumps(record).encode()
+    (out / "alignments_training.jsonl").write_bytes(b"\n".join(lines) + b"\n")
     for name in ("extractor.ckpt", "abstractor.ckpt"):
         shutil.copy(pipeline["out"] / name, out / name)
     args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
     assert cli(args) == 2
-    assert "alignments_training.jsonl line 2: malformed alignment record" in capsys.readouterr().err
+    assert "alignments_training.jsonl line 2: malformed record" in capsys.readouterr().err
 
 
 def test_cli_summarize_split_flag(pipeline, tmp_path):

@@ -237,14 +237,14 @@ def test_abstractor_pairs_duplicates_included():
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["{not json", '{"report_id": "r2", "pairs": [], "targets": []}', "[1, 2]", '"r2"'],
-    ids=["not-json", "missing-field", "list", "string"],
+    [b"{not json", b'{"report_id": "r2", "pairs": [], "targets": []}', b"[1, 2]", b'"r2"', b'{"report_id": "r\xff2"}'],
+    ids=["not-json", "missing-field", "list", "string", "not-utf8"],
 )
 def test_load_alignments_names_file_and_line_of_a_malformed_record(tmp_path, bad_line):
     path = tmp_path / "alignments.jsonl"
-    good = json.dumps(OracleAlignment("r1", 0, [(0, 1, 1.0)], [1]).to_record())
-    path.write_text(f"{good}\n\n{bad_line}\n{good}\n", encoding="utf-8")
-    with pytest.raises(DataError, match=rf"alignments\.jsonl line 3: malformed alignment record"):
+    good = json.dumps(OracleAlignment("r1", 0, [(0, 1, 1.0)], [1]).to_record()).encode()
+    path.write_bytes(good + b"\n\n" + bad_line + b"\n" + good + b"\n")
+    with pytest.raises(DataError, match=r"alignments\.jsonl line 3: malformed record"):
         load_alignments(path)
 
 
