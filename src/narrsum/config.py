@@ -7,6 +7,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import read_text
+
 
 class ConfigError(Exception):
     """Raised for unusable configuration files or values."""
@@ -121,10 +123,9 @@ class RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Parse a JSON config; any key outside RunConfig is fatal."""
     path = Path(path)
+    text = read_text(path, ConfigError)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {path} ({exc})") from exc
     if not isinstance(raw, dict):

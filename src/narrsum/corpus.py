@@ -11,7 +11,7 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -157,21 +157,41 @@ def build_vocab(documents: Sequence[Document], max_size: int = DEFAULT_VOCAB_SIZ
     return Vocab({t: i for i, t in enumerate(id_to_token)}, id_to_token)
 
 
-@dataclass
 class LoadedDataset:
-    training: list[ReportExample] = field(default_factory=list)
-    validation: list[ReportExample] = field(default_factory=list)
-    testing: list[ReportExample] = field(default_factory=list)
+    """The three splits of a corpus whose layout has been checked.
+
+    A split's files are read and tokenised the first time the split is
+    read, then kept, so a stage parses only the splits it uses.
+    """
+
+    def __init__(self, split_dirs: dict[str, Path], max_tokens: int):
+        self._split_dirs = split_dirs
+        self._max_tokens = max_tokens
+        self._parsed: dict[str, list[ReportExample]] = {}
 
     def split(self, name: str) -> list[ReportExample]:
         if name not in SPLITS:
             raise DataError(f"unknown split: {name!r}")
-        return getattr(self, name)
+        if name not in self._parsed:
+            self._parsed[name] = _load_split(self._split_dirs[name], name, self._max_tokens)
+        return self._parsed[name]
+
+    @property
+    def training(self) -> list[ReportExample]:
+        return self.split("training")
+
+    @property
+    def validation(self) -> list[ReportExample]:
+        return self.split("validation")
+
+    @property
+    def testing(self) -> list[ReportExample]:
+        return self.split("testing")
 
     def manifest(self) -> dict[str, dict[str, int]]:
         out = {}
         for name in SPLITS:
-            examples = getattr(self, name)
+            examples = self.split(name)
             out[name] = {
                 "reports": len(examples),
                 "summaries": sum(len(ex.summary_set.summaries) for ex in examples),
@@ -187,14 +207,8 @@ def _summary_sort_key(name: str):
 
 
 def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[ReportExample]:
-    reports_dir = split_dir / "annual_reports"
-    summaries_dir = split_dir / "gold_summaries"
-    for needed in (reports_dir, summaries_dir):
-        if not needed.is_dir():
-            raise DataError(f"missing directory: {needed}")
-
     by_report: dict[str, list[tuple[str, Path]]] = {}
-    for path in sorted(summaries_dir.glob("*.txt")):
+    for path in sorted((split_dir / "gold_summaries").glob("*.txt")):
         stem = path.stem
         if "_" not in stem:
             log.warning("ignoring summary without a _<j> suffix: %s", path.name)
@@ -203,16 +217,16 @@ def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[Repor
         by_report.setdefault(report_id, []).append((summary_id, path))
 
     examples = []
-    report_paths = sorted(reports_dir.glob("*.txt"), key=lambda p: p.stem)
+    report_paths = sorted((split_dir / "annual_reports").glob("*.txt"), key=lambda p: p.stem)
     for path in report_paths:
-        sentences = sentences_from_text(path.read_text(encoding="utf-8"), max_tokens)
+        sentences = sentences_from_text(read_text(path), max_tokens)
         if not sentences:
             log.warning("excluding empty report %s from %s", path.stem, split_name)
             continue
         doc = Document(path.stem, sentences, str(path))
         summaries = []
         for summary_id, spath in sorted(by_report.pop(path.stem, []), key=lambda kv: _summary_sort_key(kv[0])):
-            summaries.append((summary_id, sentences_from_text(spath.read_text(encoding="utf-8"), max_tokens)))
+            summaries.append((summary_id, sentences_from_text(read_text(spath), max_tokens)))
         if not summaries and split_name == "training":
             log.warning("excluding training report %s: no gold summaries", path.stem)
             continue
@@ -223,17 +237,30 @@ def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[Repor
 
 
 def load_dataset(root: str | Path, max_tokens: int = MAX_SENTENCE_TOKENS) -> LoadedDataset:
-    """Load all three splits from the standard layout under root."""
+    """Check the standard layout under root; each split is parsed when first read."""
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root is not a directory: {root}")
-    loaded = LoadedDataset()
+    split_dirs = {}
     for name in SPLITS:
         split_dir = root / name
         if not split_dir.is_dir():
             raise DataError(f"missing split directory: {split_dir}")
-        setattr(loaded, name, _load_split(split_dir, name, max_tokens))
-    return loaded
+        for needed in (split_dir / "annual_reports", split_dir / "gold_summaries"):
+            if not needed.is_dir():
+                raise DataError(f"missing directory: {needed}")
+        split_dirs[name] = split_dir
+    return LoadedDataset(split_dirs, max_tokens)
+
+
+def read_text(path: str | Path, error: type[Exception] = DataError) -> str:
+    """The UTF-8 text of a file; one that cannot be read or decoded is `error` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def write_jsonl(records: Iterable[dict], path: str | Path) -> None:

@@ -27,10 +27,12 @@ from .corpus import (
     DataError,
     Document,
     LoadedDataset,
+    ReportExample,
     SummarySet,
     Vocab,
     build_vocab,
     load_dataset,
+    read_text,
     sentences_from_text,
 )
 from .extractor import (
@@ -316,10 +318,42 @@ def _training_vocab(dataset: LoadedDataset, config: RunConfig) -> Vocab:
 
 
 def _load_or_build_alignments(dataset: LoadedDataset, split: str, out_dir: Path) -> list[OracleAlignment]:
+    """The split's alignment file from `oracle` if there is one, else a fresh oracle.
+
+    A loaded record whose indices fall outside its report or summaries is a
+    `DataError`; one for a report not in the split is left to the stage,
+    which warns and skips it.
+    """
+    examples = dataset.split(split)
     path = out_dir / f"alignments_{split}.jsonl"
-    if path.exists():
-        return load_alignments(path)
-    return build_oracle(dataset.split(split))
+    if not path.exists():
+        return build_oracle(examples)
+    alignments = load_alignments(path)
+    by_id = {ex.document.id: ex for ex in examples}
+    for al in alignments:
+        ex = by_id.get(al.report_id)
+        problem = _alignment_range_problem(al, ex) if ex is not None else None
+        if problem:
+            raise DataError(f"{path}: alignment of report {al.report_id} does not fit it: {problem}")
+    return alignments
+
+
+def _alignment_range_problem(al: OracleAlignment, example: ReportExample) -> str | None:
+    """The first index of `al` outside its report or summaries, described, or None."""
+    n_summaries = len(example.summary_set.summaries)
+    if not 0 <= al.chosen_summary < n_summaries:
+        return f"chosen_summary {al.chosen_summary} of {n_summaries} summaries"
+    n_gold = len(example.summary_set.summaries[al.chosen_summary][1])
+    n_report = len(example.document.sentences)
+    for t, j, _ in al.per_sentence:
+        if not 0 <= t < n_gold:
+            return f"gold sentence {t} of {n_gold}"
+        if not 0 <= j < n_report:
+            return f"report sentence {j} of {n_report}"
+    for i in al.extract_targets:
+        if not 0 <= i < n_report:
+            return f"target {i} of {n_report} report sentences"
+    return None
 
 
 def _load_models(
@@ -373,8 +407,10 @@ def cmd_ingest(ns, config: RunConfig, out_dir: Path) -> int:
 
 def cmd_oracle(ns, config: RunConfig, out_dir: Path) -> int:
     dataset = _load_corpus(config)
+    # Parse every split first, so a bad file is refused before any alignment file is written.
+    examples = {split: dataset.split(split) for split in SPLITS}
     for split in SPLITS:
-        alignments = build_oracle(dataset.split(split))
+        alignments = build_oracle(examples[split])
         save_alignments(alignments, out_dir / f"alignments_{split}.jsonl")
         print(f"{split}: {len(alignments)} alignments")
     return 0
@@ -465,7 +501,7 @@ def cmd_train_rl(ns, config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_summarize(ns, config: RunConfig, out_dir: Path) -> int:
-    dataset = _load_corpus(config)
+    examples = sorted(_load_corpus(config).split(ns.split), key=lambda ex: ex.document.id)
     extractor_path = Path(getattr(ns, "extractor", out_dir / "extractor.ckpt"))
     abstractor_path = Path(getattr(ns, "abstractor", out_dir / "abstractor.ckpt"))
     extractor, abstractor, vocab = _load_models(
@@ -474,7 +510,7 @@ def cmd_summarize(ns, config: RunConfig, out_dir: Path) -> int:
     target_dir = out_dir / "summaries"
     target_dir.mkdir(parents=True, exist_ok=True)
     extractions = []
-    for example in sorted(dataset.split(ns.split), key=lambda ex: ex.document.id):
+    for example in examples:
         extraction, text = summarize_document(example.document, extractor, abstractor, vocab, config)
         (target_dir / f"{example.document.id}.txt").write_text(text + "\n", encoding="utf-8")
         extractions.append(extraction)
@@ -484,11 +520,11 @@ def cmd_summarize(ns, config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_baseline(ns, config: RunConfig, out_dir: Path) -> int:
-    dataset = _load_corpus(config)
+    examples = sorted(_load_corpus(config).split(ns.split), key=lambda ex: ex.document.id)
     target_dir = out_dir / f"baseline_{ns.method}"
     target_dir.mkdir(parents=True, exist_ok=True)
     extractions = []
-    for example in sorted(dataset.split(ns.split), key=lambda ex: ex.document.id):
+    for example in examples:
         doc = example.document
         if ns.method == "textrank":
             indices = textrank(
@@ -520,9 +556,7 @@ def cmd_evaluate(ns, config: RunConfig, out_dir: Path) -> int:
     for pred_dir in pred_dirs:
         if not pred_dir.is_dir():
             raise DataError(f"prediction directory not found: {pred_dir}")
-        predictions = {
-            path.stem: path.read_text(encoding="utf-8") for path in sorted(pred_dir.glob("*.txt"))
-        }
+        predictions = {path.stem: read_text(path) for path in sorted(pred_dir.glob("*.txt"))}
         systems.append(
             evaluate_system(
                 predictions,

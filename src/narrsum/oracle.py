@@ -40,7 +40,7 @@ class OracleAlignment:
     def from_record(record: dict) -> "OracleAlignment":
         return OracleAlignment(
             report_id=record["report_id"],
-            chosen_summary=record["chosen_summary"],
+            chosen_summary=int(record["chosen_summary"]),
             per_sentence=[(int(t), int(j), float(r)) for t, j, r in record["pairs"]],
             extract_targets=[int(i) for i in record["targets"]],
         )

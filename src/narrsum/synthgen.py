@@ -59,12 +59,47 @@ class SynthSpec:
         return SynthSpec(**raw)
 
 
-def _is_subsequence(needle, needle_types, haystack, haystack_types) -> bool:
-    """Whether `needle` occurs in order in `haystack`; length and type sets rule most pairs out."""
-    if len(needle) > len(haystack) or not needle_types <= haystack_types:
+def _is_subsequence(needle, haystack) -> bool:
+    """Whether `needle` occurs in order in `haystack`."""
+    if len(needle) > len(haystack):
         return False
     it = iter(haystack)
     return all(tok in it for tok in needle)
+
+
+class _Uncontained:
+    """Non-empty sentences offered one by one, keeping those that neither
+    contain nor are contained in (as a subsequence) one kept before.
+
+    Containment needs one sentence's token types inside the other's. A
+    postings map from each type to the kept sentences holding it counts
+    the types a candidate shares with each of them, and only a sentence
+    sharing all of its own types or all of the candidate's is compared.
+    """
+
+    def __init__(self) -> None:
+        self.sentences: list[list[str]] = []
+        self._n_types: list[int] = []
+        self._postings: dict[str, list[int]] = {}
+
+    def offer(self, cand: list[str]) -> bool:
+        """Keep `cand` unless it contains or is contained in a kept sentence."""
+        types = set(cand)
+        shared: dict[int, int] = {}
+        for tok in types:
+            for i in self._postings.get(tok, ()):
+                shared[i] = shared.get(i, 0) + 1
+        for i, count in shared.items():
+            kept = self.sentences[i]
+            if (count == len(types) and _is_subsequence(cand, kept)) or (
+                count == self._n_types[i] and _is_subsequence(kept, cand)
+            ):
+                return False
+        for tok in types:
+            self._postings.setdefault(tok, []).append(len(self.sentences))
+        self.sentences.append(cand)
+        self._n_types.append(len(types))
+        return True
 
 
 def _sentence_line(tokens: list[str]) -> str:
@@ -92,18 +127,10 @@ def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> list[st
 
 def _make_report(rng, vocab, spec):
     """Report sentences with no mutual containment, plus its summaries."""
-    sentences: list[list[str]] = []
-    type_sets: list[frozenset[str]] = []
-    while len(sentences) < spec.sentences_per_report:
-        cand = _draw_sentence(rng, vocab, spec)
-        types = frozenset(cand)
-        if any(
-            _is_subsequence(cand, types, s, s_types) or _is_subsequence(s, s_types, cand, types)
-            for s, s_types in zip(sentences, type_sets)
-        ):
-            continue
-        sentences.append(cand)
-        type_sets.append(types)
+    kept = _Uncontained()
+    while len(kept.sentences) < spec.sentences_per_report:
+        kept.offer(_draw_sentence(rng, vocab, spec))
+    sentences = kept.sentences
 
     index = SourceIndex(sentences)
     summaries = []

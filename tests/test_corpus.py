@@ -1,6 +1,7 @@
 """Ingestion tests: splitting, tokenizing, vocabulary, dataset layout."""
 
 import logging
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from narrsum.corpus import (
     Vocab,
     build_vocab,
     load_dataset,
+    read_text,
     sentences_from_text,
     split_sentence_spans,
     split_sentences,
@@ -251,3 +253,54 @@ def test_load_dataset_summary_numeric_order(tmp_path):
     assert [sid for sid, _ in data.training[0].summary_set.summaries] == ["1", "2", "10"]
     # report_id is everything before the last underscore.
     assert data.training[0].summary_set.report_id == "rep_a"
+
+
+def test_load_dataset_parses_a_split_once_when_first_read(tmp_path):
+    miniature(tmp_path)
+    data = load_dataset(tmp_path)
+    # A split nobody reads is never parsed, so its bad file goes unnoticed.
+    (tmp_path / "testing" / "annual_reports" / "t1.txt").write_bytes(b"Debt \xff shrank.")
+    first = data.training
+    for path in (tmp_path / "training" / "annual_reports").iterdir():
+        path.unlink()
+    assert data.split("training") is first and data.training is first
+    assert [ex.document.id for ex in first] == ["r1", "r2"]
+    assert [ex.document.id for ex in data.validation] == ["v1"]
+    with pytest.raises(DataError, match="t1.txt"):
+        data.testing
+
+
+@pytest.mark.parametrize("split", ["training", "testing"])
+@pytest.mark.parametrize("subdir", ["annual_reports", "gold_summaries"])
+def test_load_dataset_checks_every_split_layout_before_reading(tmp_path, split, subdir):
+    miniature(tmp_path)
+    shutil.rmtree(tmp_path / split / subdir)
+    with pytest.raises(DataError, match=subdir):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("annual_reports/r9.txt", lambda p: p.write_bytes(b"Profit \xff rose.")),
+        ("annual_reports/r9.txt", lambda p: p.mkdir()),
+        ("gold_summaries/r1_3.txt", lambda p: p.write_bytes(b"\xffProfit rose.")),
+        ("gold_summaries/r1_3.txt", lambda p: p.mkdir()),
+    ],
+    ids=["undecodable-report", "report-directory", "undecodable-summary", "summary-directory"],
+)
+def test_unreadable_corpus_file_is_data_error_naming_it(tmp_path, name, make):
+    miniature(tmp_path)
+    make(tmp_path / "training" / name)
+    data = load_dataset(tmp_path)
+    with pytest.raises(DataError, match=name.split("/")[1]):
+        data.training
+
+
+def test_read_text_raises_the_given_error(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ValueError, match="c.json is not UTF-8 text"):
+        read_text(path, ValueError)
+    (tmp_path / "ok.txt").write_text("Profit é rose.", encoding="utf-8")
+    assert read_text(tmp_path / "ok.txt") == "Profit é rose."

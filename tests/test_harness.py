@@ -595,3 +595,126 @@ def test_cli_summarize_refuses_incomplete_checkpoint_header(pipeline, tmp_path, 
             "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
     assert cli(args) == 2
     assert message in capsys.readouterr().err
+
+
+def _copy_corpus(pipeline, tmp_path) -> Path:
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        ("oracle-undecodable-report", "tr0001.txt"),
+        ("oracle-undecodable-summary", "va0000_1.txt"),
+        ("oracle-report-directory", "tr9999.txt"),
+        ("baseline-undecodable-report", "te0001.txt"),
+        ("evaluate-undecodable-prediction", "te0000.txt"),
+        ("undecodable-config", "config.json"),
+        ("config-directory", "config.json"),
+    ],
+)
+def test_cli_unreadable_text_input_is_data_error_naming_it(pipeline, tmp_path, capsys, case, named):
+    """Undecodable or unreadable text exits 2 naming the file, not with a traceback."""
+    data = _copy_corpus(pipeline, tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(pipeline["cfg"].read_bytes())
+    out = tmp_path / "out"
+    stage = ["oracle"]
+    if case == "oracle-undecodable-report":
+        (data / "training" / "annual_reports" / named).write_bytes(b"Profit \xff rose.\n")
+    elif case == "oracle-undecodable-summary":
+        (data / "validation" / "gold_summaries" / named).write_bytes(b"\xff\n")
+    elif case == "oracle-report-directory":
+        (data / "training" / "annual_reports" / named).mkdir()
+    elif case == "baseline-undecodable-report":
+        (data / "testing" / "annual_reports" / named).write_bytes(b"Profit \xff rose.\n")
+        stage = ["baseline", "--method", "lead"]
+    elif case == "evaluate-undecodable-prediction":
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / named).write_bytes(b"Profit \xff rose.\n")
+        stage = ["evaluate", "--pred", str(pred)]
+    elif case == "undecodable-config":
+        cfg.write_bytes(b'{"seed": "\xff"}')
+    else:
+        cfg.unlink()
+        cfg.mkdir()
+    args = [*stage, "--config", str(cfg), "--data-root", str(data), "--out", str(out)]
+    assert cli(args) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_cli_testing_split_stages_never_read_training(pipeline, tmp_path):
+    """Stages on `--split testing` parse only that split: a bad training report cannot stop them."""
+    clean = pipeline["data"]
+    corrupt = _copy_corpus(pipeline, tmp_path)
+    report = corrupt / "training" / "annual_reports" / "tr0000.txt"
+    report.write_bytes(report.read_bytes() + b"Profit \xff rose.\n")
+    outs = {}
+    for name, data in (("clean", clean), ("corrupt", corrupt)):
+        out = tmp_path / name
+        base = ["--split", "testing", "--config", str(pipeline["cfg"]), "--data-root", str(data),
+                "--out", str(out)]
+        assert cli(["summarize", "--extractor", str(pipeline["out"] / "extractor.ckpt"),
+                    "--abstractor", str(pipeline["out"] / "abstractor.ckpt"), *base]) == 0
+        for method in ("textrank", "lexrank", "lead"):
+            assert cli(["baseline", "--method", method, *base]) == 0
+        preds = [str(out / "summaries"), *(str(out / f"baseline_{m}") for m in ("textrank", "lexrank", "lead"))]
+        assert cli(["evaluate", "--pred", *preds, *base]) == 0
+        outs[name] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(outs["clean"]) == 2 * 4 + 4 + 3  # 2 reports + extractions x 4 systems, 3 report files
+    assert outs["corrupt"] == outs["clean"]
+    base = ["--config", str(pipeline["cfg"]), "--data-root", str(corrupt), "--out", str(tmp_path / "bad")]
+    assert cli(["oracle", *base]) == 2
+    assert not (tmp_path / "bad").exists()
+    assert cli(["train-extractor", *base]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("chosen_summary", 1),  # one summary per report
+        ("gold", TINY_SPEC["summary_sentences"]),
+        ("report", TINY_SPEC["sentences_per_report"]),
+        ("target", TINY_SPEC["sentences_per_report"]),
+        ("target", 999),
+        ("target", -1),
+    ],
+)
+@pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])
+def test_cli_training_with_out_of_range_alignment_is_data_error(pipeline, tmp_path, capsys, stage, field, value):
+    """An alignment index outside its report or summaries is exit 2 naming file and report."""
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = (pipeline["out"] / "alignments_training.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    if field == "chosen_summary":
+        record["chosen_summary"] = value
+    elif field == "gold":
+        record["pairs"][0][0] = value
+    elif field == "report":
+        record["pairs"][0][1] = value
+    else:
+        record["targets"][-1] = value
+    lines[1] = json.dumps(record)
+    (out / "alignments_training.jsonl").write_text("\n".join(lines) + "\n")
+    for name in ("extractor.ckpt", "abstractor.ckpt"):
+        shutil.copy(pipeline["out"] / name, out / name)
+    args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "alignments_training.jsonl" in err and f"report {record['report_id']}" in err
+    assert str(value) in err
+
+
+def test_loaded_alignment_for_an_unknown_report_is_kept_for_the_stage(pipeline, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = (pipeline["out"] / "alignments_training.jsonl").read_text().splitlines()
+    record = json.loads(lines[0])
+    record.update(report_id="elsewhere", chosen_summary=7, targets=[999])
+    (out / "alignments_training.jsonl").write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+    alignments = harness._load_or_build_alignments(load_dataset(pipeline["data"]), "training", out)
+    assert [al.report_id for al in alignments][0] == "elsewhere"

@@ -237,8 +237,11 @@ def test_abstractor_pairs_duplicates_included():
 
 @pytest.mark.parametrize(
     "bad_line",
-    [b"{not json", b'{"report_id": "r2", "pairs": [], "targets": []}', b"[1, 2]", b'"r2"', b'{"report_id": "r\xff2"}'],
-    ids=["not-json", "missing-field", "list", "string", "not-utf8"],
+    [
+        b"{not json", b'{"report_id": "r2", "pairs": [], "targets": []}', b"[1, 2]", b'"r2"',
+        b'{"report_id": "r\xff2"}', b'{"report_id": "r2", "chosen_summary": "first", "pairs": [], "targets": []}',
+    ],
+    ids=["not-json", "missing-field", "list", "string", "not-utf8", "non-integer-summary"],
 )
 def test_load_alignments_names_file_and_line_of_a_malformed_record(tmp_path, bad_line):
     path = tmp_path / "alignments.jsonl"

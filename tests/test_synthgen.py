@@ -5,10 +5,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from narrsum.corpus import load_dataset
 from narrsum.oracle import build_oracle, load_alignments
-from narrsum.synthgen import SynthSpec, generate
+from narrsum.synthgen import SynthSpec, _Uncontained, generate
 
 
 def tree_digest(root: Path) -> str:
@@ -102,3 +104,39 @@ def test_targets_are_sorted_and_unique(tmp_path):
         targets = alignment.extract_targets
         assert targets == sorted(set(targets))
         assert len(alignment.per_sentence) == 4
+
+
+def is_subsequence(needle, haystack) -> bool:
+    it = iter(haystack)
+    return all(tok in it for tok in needle)
+
+
+def pairwise_uncontained(candidates):
+    """Reference for `_Uncontained`: each candidate against every kept sentence, both ways."""
+    kept = []
+    for cand in candidates:
+        if any(is_subsequence(cand, s) or is_subsequence(s, cand) for s in kept):
+            continue
+        kept.append(cand)
+    return kept
+
+
+ragged_candidates = st.integers(1, 8).flatmap(
+    lambda v: st.lists(
+        st.lists(st.sampled_from([f"w{i}" for i in range(v)]), min_size=1, max_size=12),
+        min_size=1,
+        max_size=60,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ragged_candidates)
+@example([["a", "b"], ["b", "a"], ["a", "b", "a"], ["a"], ["b", "b"], ["c", "a", "b"]])
+@example([["a", "b", "c"], ["c", "b", "a"], ["a", "c"], ["b", "a", "c", "b"]])
+def test_postings_filter_matches_pairwise_scan(candidates):
+    kept = _Uncontained()
+    offered = [kept.offer(list(cand)) for cand in candidates]
+    expected = pairwise_uncontained(candidates)
+    assert kept.sentences == expected
+    assert [cand for cand, ok in zip(candidates, offered) if ok] == expected
