@@ -155,17 +155,10 @@ class AbstractorModel(ad.Checkpointed):
         p = self.params
         keys, key_proj = source
         h, c, context = state
-        hidden = h.shape[0]
         z = p["dec_w"].data @ np.concatenate([p["embed"].data[token_id], context, h]) + p["dec_b"].data
-        i = 1.0 / (1.0 + np.exp(-z[:hidden]))
-        f = 1.0 / (1.0 + np.exp(-z[hidden : 2 * hidden]))
-        g = np.tanh(z[2 * hidden : 3 * hidden])
-        o = 1.0 / (1.0 + np.exp(-z[3 * hidden :]))
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        scores = np.tanh(key_proj + h @ p["att_wq"].data) @ p["att_v"].data
-        e = np.exp(scores - scores.max())
-        context = (e / e.sum()) @ keys
+        c, _, h = ad.lstm_gates(z, c, np.empty_like(z))
+        _, _, weights = ad.attend(key_proj, h, p["att_wq"].data, p["att_v"].data)
+        context = weights @ keys
         logits = p["out_w"].data @ np.concatenate([h, context]) + p["out_b"].data
         return logits, (h, c, context)
 

@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
-Supplies exactly the primitives the sentence extractor, the sentence
-paraphraser, and the value head need: dense linear algebra, gated
-recurrence, additive attention, and classification losses, plus Adam,
-global-norm clipping, finite-difference verification, and a binary
-checkpoint format. No broadcasting is ever implicit; every shape rule
-is explicit and mismatches fail at graph construction time.
+Supplies exactly the primitives the sentence extractor and the sentence
+paraphraser need: affine maps, lookups, a batched BiLSTM, two attention
+decoders and classification losses, each recurrence one node with
+hand-written backpropagation through time, plus Adam, global-norm
+clipping, and a binary checkpoint format. The LSTM gate step and the
+additive-attention step are NumPy helpers that every recurrence and the
+graph-free decoders share. No broadcasting is ever implicit; every shape
+rule is explicit and mismatches fail at graph construction time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -58,10 +61,6 @@ class Value:
         return f"Value(shape={self.data.shape})"
 
 
-def const(data) -> Value:
-    return Value(data)
-
-
 def param(data) -> Value:
     return Value(np.array(data, dtype=np.float64, copy=True))
 
@@ -74,43 +73,6 @@ def _require(cond: bool, message: str) -> None:
 # ---------------------------------------------------------------- arithmetic
 
 
-def add(a: Value, b: Value) -> Value:
-    _require(a.shape == b.shape, f"add: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        a.accum(g)
-        b.accum(g)
-
-    return Value(a.data + b.data, (a, b), backward)
-
-
-def sub(a: Value, b: Value) -> Value:
-    _require(a.shape == b.shape, f"sub: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        a.accum(g)
-        b.accum(-g)
-
-    return Value(a.data - b.data, (a, b), backward)
-
-
-def neg(a: Value) -> Value:
-    def backward(g):
-        a.accum(-g)
-
-    return Value(-a.data, (a,), backward)
-
-
-def mul(a: Value, b: Value) -> Value:
-    _require(a.shape == b.shape, f"mul: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        a.accum(g * b.data)
-        b.accum(g * a.data)
-
-    return Value(a.data * b.data, (a, b), backward)
-
-
 def scale(a: Value, s: float) -> Value:
     s = float(s)
 
@@ -118,57 +80,6 @@ def scale(a: Value, s: float) -> Value:
         a.accum(g * s)
 
     return Value(a.data * s, (a,), backward)
-
-
-def dot(a: Value, b: Value) -> Value:
-    _require(a.data.ndim == 1 and a.shape == b.shape, f"dot: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        a.accum(g * b.data)
-        b.accum(g * a.data)
-
-    return Value(a.data @ b.data, (a, b), backward)
-
-
-def matmul(a: Value, b: Value) -> Value:
-    """Matrix product for (m,n)@(n,k), (m,n)@(n,), and (n,)@(n,k)."""
-    an, bn = a.data.ndim, b.data.ndim
-    if an == 2 and bn == 2:
-        _require(a.shape[1] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
-
-        def backward(g):
-            a.accum(g @ b.data.T)
-            b.accum(a.data.T @ g)
-
-    elif an == 2 and bn == 1:
-        _require(a.shape[1] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
-
-        def backward(g):
-            a.accum(np.outer(g, b.data))
-            b.accum(a.data.T @ g)
-
-    elif an == 1 and bn == 2:
-        _require(a.shape[0] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
-
-        def backward(g):
-            a.accum(b.data @ g)
-            b.accum(np.outer(a.data, g))
-
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {an} and {bn}")
-    return Value(a.data @ b.data, (a, b), backward)
-
-
-def add_row(m: Value, v: Value) -> Value:
-    """Add a vector to every row of a matrix (the one sanctioned broadcast)."""
-    _require(m.data.ndim == 2 and v.data.ndim == 1, f"add_row: {m.shape} + {v.shape}")
-    _require(m.shape[1] == v.shape[0], f"add_row: {m.shape} + {v.shape}")
-
-    def backward(g):
-        m.accum(g)
-        v.accum(g.sum(axis=0))
-
-    return Value(m.data + v.data, (m, v), backward)
 
 
 def linear(x: Value, w: Value, b: Value) -> Value:
@@ -182,18 +93,6 @@ def linear(x: Value, w: Value, b: Value) -> Value:
         b.accum(g.sum(axis=0))
 
     return Value(x.data @ w.data.T + b.data, (x, w, b), backward)
-
-
-def take_row(m: Value, index: int) -> Value:
-    _require(m.data.ndim == 2, f"take_row: rank {m.data.ndim}")
-    _require(0 <= index < m.shape[0], f"take_row: index {index} of {m.shape}")
-
-    def backward(g):
-        if m.grad is None:
-            m.grad = np.zeros_like(m.data)
-        m.grad[index] += g
-
-    return Value(m.data[index], (m,), backward)
 
 
 def reshape(a: Value, shape: tuple[int, ...]) -> Value:
@@ -219,54 +118,7 @@ def concat(parts: Sequence[Value]) -> Value:
     return Value(np.concatenate([p.data for p in parts]), parts, backward)
 
 
-# ---------------------------------------------------------------- nonlinear
-
-
-def tanh(a: Value) -> Value:
-    t = np.tanh(a.data)
-
-    def backward(g):
-        a.accum(g * (1.0 - t * t))
-
-    return Value(t, (a,), backward)
-
-
-def softmax_entropy(logits: Value) -> Value:
-    """Entropy of softmax(logits) as a scalar, fused for stability."""
-    _require(logits.data.ndim == 1, f"softmax_entropy: rank {logits.data.ndim}")
-    shifted = logits.data - logits.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    logp = shifted - np.log(e.sum())
-    h = -float(p @ logp)
-
-    def backward(g):
-        # dH/ds_j = -p_j (log p_j + H)
-        logits.accum(g * (-p * (logp + h)))
-
-    return Value(h, (logits,), backward)
-
-
-def log_softmax_at(logits: Value, index: int) -> Value:
-    """log softmax(logits)[index] as a scalar graph node."""
-    _require(logits.data.ndim == 1, f"log_softmax_at: rank {logits.data.ndim}")
-    _require(0 <= index < logits.shape[0], f"log_softmax_at: index {index} of {logits.shape}")
-    shifted = logits.data - logits.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    p = np.exp(shifted - lse)
-
-    def backward(g):
-        delta = -p * g
-        delta[index] += g
-        logits.accum(delta)
-
-    return Value(shifted[index] - lse, (logits,), backward)
-
-
-def cross_entropy(logits: Value, target: int) -> Value:
-    """Negative log softmax probability of the target index."""
-    node = log_softmax_at(logits, target)
-    return neg(node)
+# ---------------------------------------------------------------- losses and lookup
 
 
 def mean_cross_entropy(logits: Value, targets: Sequence[int]) -> Value:
@@ -330,11 +182,9 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
     _require(b.shape == (4 * hidden,), f"lstm_cell: bias {b.shape}")
 
     xh = np.concatenate([x.data, h.data])
-    z = w.data @ xh + b.data
-    i = 1.0 / (1.0 + np.exp(-z[:hidden]))
-    f = 1.0 / (1.0 + np.exp(-z[hidden : 2 * hidden]))
-    g = np.tanh(z[2 * hidden : 3 * hidden])
-    o = 1.0 / (1.0 + np.exp(-z[3 * hidden :]))
+    acts = np.empty(4 * hidden)
+    c_data, t, h_data = lstm_gates(w.data @ xh + b.data, c.data, acts)
+    i, f, g, o = np.split(acts, 4)
 
     def backward_c(gc):
         c.accum(gc * f)
@@ -355,8 +205,7 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
         x.accum(dxh[:in_dim])
         h.accum(dxh[in_dim:])
 
-    c_next = Value(f * c.data + i * g, (x, h, c, w, b), backward_c)
-    t = np.tanh(c_next.data)
+    c_next = Value(c_data, (x, h, c, w, b), backward_c)
 
     def backward_h(gh):
         c_next.accum(gh * o * (1.0 - t * t))
@@ -371,8 +220,48 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
         x.accum(dxh[:in_dim])
         h.accum(dxh[in_dim:])
 
-    h_next = Value(o * t, (x, h, w, b, c_next), backward_h)
+    h_next = Value(h_data, (x, h, w, b, c_next), backward_h)
     return h_next, c_next
+
+
+def lstm_gates(z: np.ndarray, c_prev: np.ndarray, acts: np.ndarray):
+    """The LSTM gate step, in `lstm_cell`'s [i; f; g; o] layout, on
+    pre-activations `z` (..., 4H) that already hold every matrix product and
+    the bias. Writes the gate activations into `acts` (shaped like `z`) and
+    returns the new cell, its tanh and the new hidden state."""
+    hidden = z.shape[-1] // 4
+    acts[...] = 1.0 / (1.0 + np.exp(-z))
+    acts[..., 2 * hidden : 3 * hidden] = np.tanh(z[..., 2 * hidden : 3 * hidden])
+    c = acts[..., hidden : 2 * hidden] * c_prev + acts[..., :hidden] * acts[..., 2 * hidden : 3 * hidden]
+    tanh_c = np.tanh(c)
+    return c, tanh_c, acts[..., 3 * hidden :] * tanh_c
+
+
+def lstm_gates_grad(dh, dc, acts, tanh_c, c_prev, dz) -> np.ndarray:
+    """Backward of `lstm_gates`: given the gradient `dh` of the new hidden
+    state and the gradient `dc` that later steps pass to the new cell, writes
+    the pre-activations' gradient into `dz` and returns the previous cell's."""
+    hidden = dh.shape[-1]
+    i, f = acts[..., :hidden], acts[..., hidden : 2 * hidden]
+    g, o = acts[..., 2 * hidden : 3 * hidden], acts[..., 3 * hidden :]
+    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    dz[..., :hidden] = dc * g * i * (1.0 - i)
+    dz[..., hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
+    dz[..., 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
+    dz[..., 3 * hidden :] = dh * tanh_c * o * (1.0 - o)
+    return dc * f
+
+
+def attend(key_proj: np.ndarray, query: np.ndarray, wq: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None):
+    """Additive attention of `query` over keys whose projection is `key_proj`
+    (S, A). Returns `tanh(key_proj + query @ wq)` (S, A), the scores (S,)
+    that it gives with `v`, plus `mask` where one is given, and their softmax."""
+    squash = np.tanh(key_proj + query @ wq)
+    scores = squash @ v
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max())
+    return squash, scores, e / e.sum()
 
 
 def _lstm_scan(xz: np.ndarray, wh: np.ndarray, mask: np.ndarray):
@@ -393,14 +282,7 @@ def _lstm_scan(xz: np.ndarray, wh: np.ndarray, mask: np.ndarray):
     cs = np.zeros((steps + 1, n, hidden))
     wh_t = wh.T
     for t in range(steps):
-        z = xz[t] + hs[t] @ wh_t
-        a = acts[t]
-        a[:] = 1.0 / (1.0 + np.exp(-z))
-        a[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        c = a[:, hidden : 2 * hidden] * cs[t] + a[:, :hidden] * a[:, 2 * hidden : 3 * hidden]
-        tc = np.tanh(c)
-        tanh_c[t] = tc
-        h = a[:, 3 * hidden :] * tc
+        c, tanh_c[t], h = lstm_gates(xz[t] + hs[t] @ wh_t, cs[t], acts[t])
         if ragged[t]:
             c *= mask[t]
             h *= mask[t]
@@ -423,18 +305,8 @@ def _lstm_scan_grad(dh_out: np.ndarray, wh: np.ndarray, mask: np.ndarray, acts, 
         if ragged[t]:
             dh *= mask[t]
             dc *= mask[t]
-        a = acts[t]
-        i, f = a[:, :hidden], a[:, hidden : 2 * hidden]
-        g, o = a[:, 2 * hidden : 3 * hidden], a[:, 3 * hidden :]
-        tc = tanh_c[t]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        d = dz[t]
-        d[:, :hidden] = dc * g * i * (1.0 - i)
-        d[:, hidden : 2 * hidden] = dc * cs[t] * f * (1.0 - f)
-        d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
-        d[:, 3 * hidden :] = dh * tc * o * (1.0 - o)
-        dc = dc * f
-        dh = d @ wh
+        dc = lstm_gates_grad(dh, dc, acts[t], tanh_c[t], cs[t], dz[t])
+        dh = dz[t] @ wh
     return dz
 
 
@@ -538,20 +410,8 @@ def attention_decoder(
         x = xh[t]
         x[e_dim : e_dim + k_dim] = context
         x[e_dim + k_dim :] = h
-        z = w.data @ x + b.data
-        a = acts[t]
-        a[:hidden] = 1.0 / (1.0 + np.exp(-z[:hidden]))
-        a[hidden : 2 * hidden] = 1.0 / (1.0 + np.exp(-z[hidden : 2 * hidden]))
-        a[2 * hidden : 3 * hidden] = np.tanh(z[2 * hidden : 3 * hidden])
-        a[3 * hidden :] = 1.0 / (1.0 + np.exp(-z[3 * hidden :]))
-        cs[t + 1] = a[hidden : 2 * hidden] * cs[t] + a[:hidden] * a[2 * hidden : 3 * hidden]
-        tanh_c[t] = np.tanh(cs[t + 1])
-        h = a[3 * hidden :] * tanh_c[t]
-        u = squash[t]
-        u[:] = np.tanh(key_proj + h @ wq.data)
-        scores = u @ v.data
-        e = np.exp(scores - scores.max())
-        att[t] = e / e.sum()
+        cs[t + 1], tanh_c[t], h = lstm_gates(w.data @ x + b.data, cs[t], acts[t])
+        squash[t], _, att[t] = attend(key_proj, h, wq.data, v.data)
         context = att[t] @ keys.data
         out[t, :hidden] = h
         out[t, hidden:] = context
@@ -574,18 +434,8 @@ def attention_decoder(
             dq = (d_sq[t].T @ ds) * v.data
             d_query[t] = dq
             dh = g[t, :hidden] + dh_next + wq.data @ dq
-            a = acts[t]
-            i, f = a[:hidden], a[hidden : 2 * hidden]
-            gg, o = a[2 * hidden : 3 * hidden], a[3 * hidden :]
-            tc = tanh_c[t]
-            dc = dc + dh * o * (1.0 - tc * tc)
-            d = dz[t]
-            d[:hidden] = dc * gg * i * (1.0 - i)
-            d[hidden : 2 * hidden] = dc * cs[t] * f * (1.0 - f)
-            d[2 * hidden : 3 * hidden] = dc * i * (1.0 - gg * gg)
-            d[3 * hidden :] = dh * tc * o * (1.0 - o)
-            dc = dc * f
-            d_fed = d @ w_fed
+            dc = lstm_gates_grad(dh, dc, acts[t], tanh_c[t], cs[t], dz[t])
+            d_fed = dz[t] @ w_fed
             dcontext_next, dh_next = d_fed[:k_dim], d_fed[k_dim:]
         w.accum(dz.T @ xh)
         b.accum(dz.sum(axis=0))
@@ -598,6 +448,122 @@ def attention_decoder(
         v.accum(np.einsum("ts,tsa->a", d_scores, squash))
 
     return Value(out, (emb, keys, init, w, b, wq, wk, v), backward)
+
+
+MASK_SCORE = -1e9  # added to the score of a sentence the pointer has already chosen
+
+
+@dataclass
+class PointerStep:
+    """One step of `pointer_scan`: the choice, the masked probabilities it
+    was drawn from and the hidden state, then what backpropagation reads."""
+
+    action: int
+    probs: np.ndarray
+    state: np.ndarray
+    scores: np.ndarray  # masked
+    inputs: np.ndarray  # [x_t; h_{t-1}]
+    acts: np.ndarray
+    cell_prev: np.ndarray
+    tanh_c: np.ndarray
+    squash: np.ndarray
+
+
+def pointer_scan(
+    keys: np.ndarray,
+    key_proj: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    wq: np.ndarray,
+    v: np.ndarray,
+    choose: Callable[[np.ndarray, int], int],
+    max_steps: int,
+) -> list[PointerStep]:
+    """The pointer decoder's recurrence in NumPy, with no graph.
+
+    `keys` (n + 1, K) are the candidates, the stop sentinel last, and
+    `key_proj` their attention projection. Step t runs the LSTM gate step on
+    `w @ [x_t; h_{t-1}] + b`, where x_0 is zero and x_t is the key chosen at
+    step t - 1, scores every candidate by additive attention from h_t, adds
+    `MASK_SCORE` to the chosen ones and lets `choose(probs, t)` pick an index
+    from their softmax. The scan ends at stop (index n), once every sentence
+    is chosen, or after `max_steps` steps.
+    """
+    n = keys.shape[0] - 1
+    hidden = w.shape[0] // 4
+    x, h, c = np.zeros(keys.shape[1]), np.zeros(hidden), np.zeros(hidden)
+    mask = np.zeros(n + 1)
+    steps: list[PointerStep] = []
+    for t in range(max_steps):
+        xh = np.concatenate([x, h])
+        acts = np.empty(4 * hidden)
+        c_prev = c
+        c, tanh_c, h = lstm_gates(w @ xh + b, c_prev, acts)
+        squash, scores, probs = attend(key_proj, h, wq, v, mask)
+        action = int(choose(probs, t))
+        steps.append(PointerStep(action, probs, h, scores, xh, acts, c_prev, tanh_c, squash))
+        if action == n or t + 1 == n:  # stop, or every sentence chosen
+            break
+        mask[action] = MASK_SCORE
+        x = keys[action]
+    return steps
+
+
+def pointer_decoder(keys: Value, actions: Sequence[int], w: Value, b: Value, wq: Value, wk: Value, v: Value) -> Value:
+    """The pointer decoder of `pointer_scan` replayed along `actions`, as one
+    node with hand-written backpropagation through time.
+
+    Returns the masked score rows (T, n + 1) of the steps the scan runs; T is
+    below len(actions) when they go on past a stop or past the last sentence.
+    The forward pass is `pointer_scan` itself. The backward pass adds each
+    step's contributions in the order that a graph of per-step ops (one
+    `lstm_cell`, additive attention and mask per step) adds them, last step
+    first, so the gradients equal that graph's bit for bit.
+    """
+    _require(keys.data.ndim == 2 and len(actions) > 0, "pointer_decoder: keys rank or no actions")
+    n, k_dim = keys.shape[0] - 1, keys.shape[1]
+    hidden = b.shape[0] // 4
+    _require(w.shape == (4 * hidden, k_dim + hidden), f"pointer_decoder: weight {w.shape}")
+    _require(wq.shape[0] == hidden and wk.shape[0] == k_dim, f"pointer_decoder: {wq.shape} and {wk.shape}")
+    _require(wq.shape[1] == wk.shape[1] == v.shape[0], "pointer_decoder: attention inner dims disagree")
+
+    def forced(_probs, t):
+        action = int(actions[t])
+        _require(0 <= action <= n, f"pointer_decoder: action {action} of {n + 1} candidates")
+        return action
+
+    key_proj = keys.data @ wk.data
+    steps = pointer_scan(keys.data, key_proj, w.data, b.data, wq.data, v.data, forced, len(actions))
+
+    def backward(g):
+        d_keys = np.zeros_like(keys.data)
+        d_key_proj = np.zeros_like(key_proj)
+        dz = np.empty(4 * hidden)
+        dh, dc = np.zeros(hidden), np.zeros(hidden)
+        for t in range(len(steps) - 1, -1, -1):
+            step = steps[t]
+            v.accum(step.squash.T @ g[t])
+            d_pre = np.outer(g[t], v.data) * (1.0 - step.squash * step.squash)
+            d_key_proj += d_pre
+            dq = d_pre.sum(axis=0)
+            dh = dh + wq.data @ dq
+            wq.accum(np.outer(step.state, dq))
+            dc = lstm_gates_grad(dh, dc, step.acts, step.tanh_c, step.cell_prev, dz)
+            w.accum(np.outer(dz, step.inputs))
+            b.accum(dz)
+            # The output gate's rows and the other three gates' rows reach the
+            # step's inputs through separate products, as in `lstm_cell`, so
+            # the sums round as they do in the per-step graph.
+            d_out = w.data[3 * hidden :].T @ dz[3 * hidden :]
+            d_rest = w.data[: 3 * hidden].T @ dz[: 3 * hidden]
+            dh = d_out[k_dim:] + d_rest[k_dim:]
+            if t > 0:
+                d_keys[steps[t - 1].action] += d_out[:k_dim] + d_rest[:k_dim]
+        d_keys += d_key_proj @ wk.data.T
+        keys.accum(d_keys)
+        wk.accum(keys.data.T @ d_key_proj)
+
+    return Value(np.stack([step.scores for step in steps]), (keys, w, b, wq, wk, v), backward)
 
 
 # ---------------------------------------------------------------- backward
@@ -647,45 +613,6 @@ def backward(loss: Value) -> None:
 def zero_grads(params: Iterable[Value]) -> None:
     for p in params:
         p.grad = None
-
-
-# ---------------------------------------------------------------- verification
-
-
-def grad_check(
-    build_loss: Callable[[], Value],
-    params: Sequence[Value],
-    eps: float = 1e-5,
-    max_coords: int = 6,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic and central-difference grads.
-
-    The relative error at a coordinate is |a - n| / max(1e-8, |a| + |n|).
-    build_loss must be a pure function of the current parameter data.
-    """
-    rng = rng or np.random.default_rng(0)
-    zero_grads(params)
-    backward(build_loss())
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        size = p.data.size
-        if size == 0:
-            continue
-        count = min(max_coords, size)
-        coords = rng.choice(size, size=count, replace=False)
-        for idx in coords:
-            original = p.data.flat[idx]
-            p.data.flat[idx] = original + eps
-            f_plus = float(build_loss().data)
-            p.data.flat[idx] = original - eps
-            f_minus = float(build_loss().data)
-            p.data.flat[idx] = original
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(a.flat[idx] - numeric) / max(1e-8, abs(a.flat[idx]) + abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------- optimization

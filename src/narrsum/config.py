@@ -80,6 +80,7 @@ class RunConfig:
             "vocab_size", "embedding_dim", "hidden_dim", "batch_size",
             "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens",
             "max_extract_sentences", "rl_episodes", "rl_updates_every", "pagerank_max_iter",
+            "beam_width", "word_limit",
         ):
             value = getattr(self, name)
             if value < 1:
@@ -102,12 +103,8 @@ class RunConfig:
             raise ConfigError(
                 f"reference_aggregation must be 'max' or 'mean', got {self.reference_aggregation!r}"
             )
-        if self.beam_width < 1:
-            raise ConfigError("beam_width must be at least 1")
         if self.repetition_penalty < 1.0:
             raise ConfigError("repetition_penalty must be at least 1")
-        if self.word_limit < 1:
-            raise ConfigError("word_limit must be at least 1")
 
     @property
     def effective_rl_lr(self) -> float:

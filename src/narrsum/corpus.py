@@ -275,16 +275,19 @@ def write_jsonl(records: Iterable[dict], path: str | Path) -> None:
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """`parse` of each JSON object on the non-blank lines of a file.
 
-    A line that is not UTF-8, not JSON, or that `parse` rejects is a
-    `DataError` naming the file and the line.
+    A file that cannot be read is a `DataError` naming it, and a line that
+    is not UTF-8, not JSON, or that `parse` rejects one naming the file and
+    the line.
     """
     records = []
-    with Path(path).open("rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                records.append(parse(json.loads(line.decode("utf-8"))))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"{path} line {lineno}: malformed record ({exc!r})") from exc
+    lineno = 0
+    try:
+        with Path(path).open("rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    records.append(parse(json.loads(line.decode("utf-8"))))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path} line {lineno}: malformed record ({exc!r})") from exc
     return records

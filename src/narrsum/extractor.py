@@ -4,7 +4,8 @@ Each document sentence is encoded word-by-word, then the sentence
 vectors are contextualized by a second bidirectional pass. An attention
 decoder points at one not-yet-chosen sentence per step, with a learned
 stop sentinel appended to the candidate set; selection is capped at a
-hard maximum number of steps.
+hard maximum number of steps. Decoding runs in NumPy with no graph;
+training replays a path through one fused op.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .corpus import PAD_ID, Document, Vocab, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
-MASK_SCORE = -1e9
 DEFAULT_MAX_STEPS = 80
 
 
@@ -45,21 +45,6 @@ class Extraction:
             [int(i) for i in record["indices"]],
             [float(p) for p in record["log_probs"]],
         )
-
-
-@dataclass
-class DecodeStep:
-    """One pointer step: masked logits, decoder state, realized choice."""
-
-    action: int
-    scores: ad.Value
-    state: ad.Value
-    probs: np.ndarray
-
-
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
 
 
 def doc_to_ids(doc: Document, vocab: Vocab) -> list[list[int]]:
@@ -125,41 +110,26 @@ class ExtractorModel(ad.Checkpointed):
 
     def decode(
         self,
-        keys: ad.Value,
+        keys: ad.Value | np.ndarray,
         n_sentences: int,
         choose: Callable[[np.ndarray, int], int],
         max_steps: int = DEFAULT_MAX_STEPS,
-    ) -> list[DecodeStep]:
-        """Pointer steps until stop, exhaustion, or the step cap.
+    ) -> list[ad.PointerStep]:
+        """Pointer steps until stop, exhaustion, or the step cap, in NumPy
+        with no graph; `keys` is the document's `encode` output or its data.
 
         choose() sees the masked probability vector (stop at position
         n_sentences) and must return one unmasked index.
         """
+        if isinstance(keys, ad.Value):
+            keys = keys.data
+        if keys.shape[0] != n_sentences + 1:
+            raise ValueError(f"{keys.shape[0]} keys for {n_sentences} sentences and stop")
         p = self.params
-        h2 = 2 * self.hidden_dim
-        stop = n_sentences
-        key_proj = ad.matmul(keys, p["att_wk"])
-        state = ad.const(np.zeros(h2))
-        cell = ad.const(np.zeros(h2))
-        prev = ad.const(np.zeros(h2))
-        chosen: list[int] = []
-        steps: list[DecodeStep] = []
-        for t in range(max_steps):
-            state, cell = ad.lstm_cell(prev, state, cell, p["dec_w"], p["dec_b"])
-            mask = np.zeros(n_sentences + 1)
-            mask[chosen] = MASK_SCORE
-            scores = ad.matmul(ad.tanh(ad.add_row(key_proj, ad.matmul(state, p["att_wq"]))), p["att_v"])
-            masked = ad.add(scores, ad.const(mask))
-            probs = _stable_softmax(masked.data)
-            action = int(choose(probs, t))
-            steps.append(DecodeStep(action, masked, state, probs))
-            if action == stop:
-                break
-            chosen.append(action)
-            if len(chosen) == n_sentences:
-                break
-            prev = ad.take_row(keys, action)
-        return steps
+        return ad.pointer_scan(
+            keys, keys @ p["att_wk"].data, p["dec_w"].data, p["dec_b"].data, p["att_wq"].data, p["att_v"].data,
+            choose, max_steps,
+        )
 
     def extract(
         self,
@@ -168,7 +138,7 @@ class ExtractorModel(ad.Checkpointed):
         max_steps: int = DEFAULT_MAX_STEPS,
         mode: str = "greedy",
         rng: np.random.Generator | None = None,
-        keys: ad.Value | None = None,
+        keys: ad.Value | np.ndarray | None = None,
     ) -> Extraction:
         """Point at sentences of `ids_lists`; `keys` may hold their encoding already."""
         if mode not in ("greedy", "sample"):
@@ -176,7 +146,7 @@ class ExtractorModel(ad.Checkpointed):
         if mode == "sample" and rng is None:
             raise ValueError("sampled extraction needs an rng")
         if keys is None:
-            keys = self.encode(ids_lists)
+            keys = self.encode(ids_lists).data
 
         def choose(probs: np.ndarray, _t: int) -> int:
             if mode == "greedy":
@@ -189,7 +159,7 @@ class ExtractorModel(ad.Checkpointed):
         log_probs = [float(np.log(s.probs[s.action])) for s in steps]
         return Extraction(report_id, indices, log_probs)
 
-    def fallback_index(self, keys: ad.Value) -> int:
+    def fallback_index(self, keys: ad.Value | np.ndarray) -> int:
         """Highest first-step attention among real sentences, given the
         document's `encode` keys; used when the pointer stops before
         choosing anything."""
@@ -199,20 +169,20 @@ class ExtractorModel(ad.Checkpointed):
 
     # ------------------------------------------------------------ training
 
+    def forced_scores(self, ids_lists: Sequence[Sequence[int]], actions: Sequence[int]) -> ad.Value:
+        """The masked score rows (T, n + 1) of the pointer replayed along
+        `actions` over a fresh encoding of `ids_lists`, as a graph; a path
+        that chooses every sentence ends there, without a stop step."""
+        p = self.params
+        return ad.pointer_decoder(
+            self.encode(ids_lists), actions, p["dec_w"], p["dec_b"], p["att_wq"], p["att_wk"], p["att_v"]
+        )
+
     def teacher_forced_loss(self, ids_lists: Sequence[Sequence[int]], targets: Sequence[int]) -> ad.Value:
         """Mean cross-entropy along the forced path targets + stop."""
-        keys = self.encode(ids_lists)
-        stop = len(ids_lists)
-        forced = list(targets) + [stop]
-        it = iter(forced)
-        losses: list[ad.Value] = []
-        steps = self.decode(keys, len(ids_lists), lambda _p, _t: next(it), max_steps=len(forced))
-        for step, target in zip(steps, forced):
-            losses.append(ad.cross_entropy(step.scores, int(target)))
-        total = losses[0]
-        for node in losses[1:]:
-            total = ad.add(total, node)
-        return ad.scale(total, 1.0 / len(losses))
+        forced = list(targets) + [len(ids_lists)]
+        rows = self.forced_scores(ids_lists, forced)
+        return ad.mean_cross_entropy(rows, forced[: rows.shape[0]])
 
 
 # ---------------------------------------------------------------- training data

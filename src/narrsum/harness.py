@@ -119,11 +119,10 @@ def summarize_document(
     sentence so every report gets a non-empty extraction.
     """
     ids_lists = doc_to_ids(document, vocab)
-    keys = extractor.encode(ids_lists)
+    keys = extractor.encode(ids_lists).data
     extraction = extractor.extract(document.id, ids_lists, max_steps=config.max_extract_sentences, keys=keys)
     if not extraction.indices:
         extraction = Extraction(document.id, [extractor.fallback_index(keys)], [])
-    del keys  # frees the encoder's graph before paraphrasing
     decode = DecodeConfig(config.beam_width, config.repetition_penalty, config.max_output_tokens)
     rewritten = []
     for idx in extraction.indices:
@@ -615,8 +614,10 @@ def cli(argv: Sequence[str] | None = None) -> int:
         print("error: a subcommand is required", file=sys.stderr)
         return 1
     try:
-        config = _resolve_config(ns)
         out_dir = Path(getattr(ns, "out", "out"))
+        if ns.command != "synthgen" and out_dir.exists() and not out_dir.is_dir():
+            raise UsageError(f"--out {out_dir} exists and is not a directory")
+        config = _resolve_config(ns)
         return HANDLERS[ns.command](ns, config, out_dir)
     except UsageError as exc:
         print(parser.format_usage(), file=sys.stderr, end="")

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,14 +46,20 @@ class TrajectoryStep:
 
 @dataclass
 class Trajectory:
+    """One episode, detached from any graph.
+
+    `replay()` rebuilds the score rows (T, K) of the steps as a graph over
+    the policy's parameters; while those are unchanged, its rows are the
+    ones the actions were drawn from. `states` are the decoder states the
+    critic reads, and `keys` the report encoding the pointer decoded over.
+    """
+
     report_id: str
     steps: list[TrajectoryStep]
     return_per_step: list[float]
-    # Graph handles for the update that consumes this rollout. States are
-    # detached copies so critic gradients never reach the policy.
-    log_prob_nodes: list[ad.Value] = field(default_factory=list)
-    entropy_nodes: list[ad.Value] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
+    states: list[np.ndarray]
+    replay: Callable[[], ad.Value]
+    keys: np.ndarray | None = None
 
     def mean_reward(self) -> float:
         return float(np.mean([s.reward for s in self.steps])) if self.steps else 0.0
@@ -85,11 +92,51 @@ class Critic(ad.Checkpointed):
             "b": ad.param(np.zeros(())),
         }
 
-    def value_node(self, state: np.ndarray) -> ad.Value:
-        return ad.add(ad.dot(self.params["w"], ad.const(state)), self.params["b"])
-
     def value(self, state: np.ndarray) -> float:
         return float(self.params["w"].data @ state + self.params["b"].data)
+
+    def loss(self, states: Sequence[np.ndarray], returns: Sequence[float]) -> ad.Value:
+        """Summed squared error of the values of `states` against `returns`, as one node."""
+        w, b = self.params["w"], self.params["b"]
+        diff = np.asarray(returns, dtype=np.float64) - np.array([self.value(s) for s in states])
+
+        def backward(g):
+            # Last state first, each term as a chain of per-state nodes adds it.
+            for state, d in zip(reversed(states), reversed(diff)):
+                gd = -(g * d + g * d)
+                w.accum(gd * state)
+                b.accum(gd)
+
+        return ad.Value(np.cumsum(diff * diff)[-1], (w, b), backward)
+
+
+def policy_loss(rows: ad.Value, actions: Sequence[int], advantages: np.ndarray, entropy_coef: float) -> ad.Value:
+    """The actor's loss over one trajectory's score rows (T, K), as one node:
+    the sum over steps of -advantage * log softmax(row)[action], minus
+    `entropy_coef` times the summed entropies of the rows' softmaxes.
+
+    Each row's gradient is computed as separate log-softmax and entropy
+    nodes, scaled by those coefficients, would compute it."""
+    steps = np.arange(len(actions))
+    shifted = rows.data - rows.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)[:, None]
+    log_probs = shifted - np.log(total)
+    p = np.exp(log_probs)
+    probs = e / total
+    entropy = -np.array([pe @ lp for pe, lp in zip(probs, log_probs)])
+    advantages = np.asarray(advantages, dtype=np.float64)
+
+    def backward(g):
+        coef = g * -advantages
+        delta = -p * coef[:, None]
+        delta[steps, actions] += coef
+        if entropy_coef:
+            delta = (g * -entropy_coef) * (-probs * (log_probs + entropy[:, None])) + delta
+        rows.accum(delta)
+
+    value = -(advantages @ log_probs[steps, actions]) - entropy_coef * entropy.sum()
+    return ad.Value(value, (rows,), backward)
 
 
 # ---------------------------------------------------------------- rollout
@@ -114,11 +161,14 @@ def rollout(
     decode: DecodeConfig = DecodeConfig(),
     max_steps: int = 80,
     paraphrase_cache: dict | None = None,
+    keys: np.ndarray | None = None,
 ) -> Trajectory:
     """One episode: point, paraphrase, reward each step against gold.
 
     The episode ends when the policy picks stop, when gold sentences are
-    exhausted, or at max_steps, whichever comes first.
+    exhausted, or at max_steps, whichever comes first. `keys` may hold the
+    report's encoding under the extractor's current weights; the rollout
+    builds no graph either way.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown rollout mode: {mode!r}")
@@ -128,7 +178,8 @@ def rollout(
         raise ValueError(f"report {document.id}: rollout needs gold sentences")
 
     ids_lists = doc_to_ids(document, vocab)
-    keys = extractor.encode(ids_lists)
+    if keys is None:
+        keys = extractor.encode(ids_lists).data
     n = len(ids_lists)
     horizon = min(len(gold_sentences), max_steps)
 
@@ -141,7 +192,6 @@ def rollout(
 
     generated: list[list[str]] = []
     steps: list[TrajectoryStep] = []
-    traj = Trajectory(document.id, steps, [])
     for t, step in enumerate(decode_steps):
         if step.action == n:  # stop
             full = _summary_f1(generated, gold_sentences)
@@ -158,14 +208,13 @@ def rollout(
             rewrite = vocab.decode(out_ids)
             reward = compute_reward(rewrite, gold_sentences[t])
             generated.append(rewrite)
-        state = step.state.data.copy()
-        value = critic.value(state) if critic is not None else 0.0
+        value = critic.value(step.state) if critic is not None else 0.0
         steps.append(TrajectoryStep(step.action, float(np.log(step.probs[step.action])), reward, value))
-        traj.log_prob_nodes.append(ad.log_softmax_at(step.scores, step.action))
-        traj.entropy_nodes.append(ad.softmax_entropy(step.scores))
-        traj.states.append(state)
-    traj.return_per_step = suffix_returns([s.reward for s in steps])
-    return traj
+    actions = [s.action for s in steps]
+    return Trajectory(
+        document.id, steps, suffix_returns([s.reward for s in steps]), [s.state for s in decode_steps],
+        partial(extractor.forced_scores, ids_lists, actions), keys,
+    )
 
 
 # ---------------------------------------------------------------- update
@@ -205,24 +254,20 @@ class A2CTrainer:
         self.normalize_advantage = normalize_advantage
 
     def update(self, trajectories: Sequence[Trajectory]) -> UpdateStats | None:
-        """One A2C step over a batch; returns None when it is discarded."""
+        """One A2C step over a batch; returns None when it is discarded.
+
+        Each trajectory's graph is rebuilt by its `replay` and backpropagated
+        on its own, last trajectory first, so at most one graph is alive and
+        the gradients add up in the order that one graph over the whole
+        batch would add them.
+        """
         if not trajectories:
             raise ValueError("a2c update needs at least one trajectory")
-        log_probs: list[ad.Value] = []
-        entropies: list[ad.Value] = []
-        value_nodes: list[ad.Value] = []
-        returns: list[float] = []
-        for traj in trajectories:
-            for g, state, logp, ent in zip(
-                traj.return_per_step, traj.states, traj.log_prob_nodes, traj.entropy_nodes
-            ):
-                value_nodes.append(self.critic.value_node(state))
-                returns.append(g)
-                log_probs.append(logp)
-                entropies.append(ent)
-        if not log_probs:
+        returns = [g for traj in trajectories for g in traj.return_per_step]
+        states = [s for traj in trajectories for s in traj.states]
+        if not returns:
             raise ValueError("a2c update got trajectories without steps")
-        advantages = np.array(returns) - np.array([float(v.data) for v in value_nodes])
+        advantages = np.array(returns) - np.array([self.critic.value(s) for s in states])
         if not np.isfinite(advantages).all():
             log.warning("discarding a2c batch: non-finite advantage")
             return None
@@ -232,22 +277,16 @@ class A2CTrainer:
         self.policy_opt.zero_grad()
         self.critic_opt.zero_grad()
 
-        policy_terms = [ad.scale(lp, -float(a)) for lp, a in zip(log_probs, advantages)]
-        if self.entropy_coef:
-            policy_terms.extend(ad.scale(h, -self.entropy_coef) for h in entropies)
-        policy_loss = policy_terms[0]
-        for term in policy_terms[1:]:
-            policy_loss = ad.add(policy_loss, term)
-        ad.backward(policy_loss)
+        end = len(returns)
+        for traj in reversed(trajectories):
+            start = end - len(traj.steps)
+            if traj.steps:
+                actions = [s.action for s in traj.steps]
+                ad.backward(policy_loss(traj.replay(), actions, advantages[start:end], self.entropy_coef))
+            end = start
         policy_norm = self.policy_opt.step()
 
-        critic_terms = []
-        for g, v in zip(returns, value_nodes):
-            diff = ad.sub(ad.const(np.asarray(g)), v)
-            critic_terms.append(ad.mul(diff, diff))
-        critic_loss = critic_terms[0]
-        for term in critic_terms[1:]:
-            critic_loss = ad.add(critic_loss, term)
+        critic_loss = self.critic.loss(states, returns)
         ad.backward(critic_loss)
         critic_norm = self.critic_opt.step()
 
@@ -355,6 +394,7 @@ def train_rl(
         example, gold = paired[episode % len(paired)]
         traj = play(example, gold, mode="sample", rng=rng)
         wave.append(traj)
+        keys = traj.keys  # the greedy probe's encoding too, unless an update changes the weights first
         if abstractor_opt is not None:
             ids_lists = doc_to_ids(example.document, vocab)
             for t, step in enumerate(traj.steps):
@@ -369,7 +409,8 @@ def train_rl(
                 abstractor_opt.step()
             wave = []
             wave_pairs = []
-        greedy = play(example, gold, mode="greedy")
+            keys = None
+        greedy = play(example, gold, mode="greedy", keys=keys)
         rows.append(RewardRow(episode, greedy.mean_reward(), last.mean_advantage, last.critic_loss))
     if csv_path is not None:
         write_reward_curve(rows, csv_path)

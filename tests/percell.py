@@ -11,12 +11,21 @@ the same way, one word sequence at a time.
 `concat`, `lstm_cell`, `bahdanau_attention` and output `matmul` per token.
 The `percell_*` abstractor functions build the loss and run beam search on it.
 
-`sigmoid`, `softmax`, `vsum`, `mean` and `bahdanau_attention` are graph
-primitives with no caller left in the package; the gradient checks and this
-reference still use them.
+`pointer_step_scores` is the pointer decoder that `autodiff.pointer_decoder`
+replaced in training and `autodiff.pointer_scan` in decoding: one
+`lstm_cell`, `matmul`, `add_row`, `tanh`, `matmul` and mask `add` per step,
+then `take_row` of the chosen key. `percell_pointer_loss` is the extractor's
+teacher-forced loss on it, one `cross_entropy` node per step, and
+`percell_policy_loss` the actor's loss over it, one `log_softmax_at` and
+`softmax_entropy` node per step.
+
+The generic graph ops below (`const` to `cross_entropy`, and `sigmoid`,
+`softmax`, `vsum`, `mean` and `bahdanau_attention`) have no caller left in
+the package; the gradient checks and these references still use them.
+`grad_check` is the finite-difference check that the gradient tests run.
 """
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +55,7 @@ def bilstm_sequence(
     """
     inputs = list(inputs)
     assert inputs, "bilstm_sequence: empty input"
-    zeros = ad.const(np.zeros(hidden))
+    zeros = const(np.zeros(hidden))
     fwd: list[ad.Value] = []
     h, c = zeros, zeros
     for x in inputs:
@@ -68,7 +77,7 @@ def percell_extractor_encode(model, ids_lists: Sequence[Sequence[int]]) -> ad.Va
     sentence_vecs = []
     for ids in ids_lists:
         embedded = ad.embedding_lookup(p["embed"], ids)
-        words = [ad.take_row(embedded, k) for k in range(len(ids))]
+        words = [take_row(embedded, k) for k in range(len(ids))]
         _, f_last, b_first = bilstm_sequence(words, p["word_f_w"], p["word_f_b"], p["word_b_w"], p["word_b_b"], h)
         sentence_vecs.append(ad.concat([f_last, b_first]))
     contextual, _, _ = bilstm_sequence(sentence_vecs, p["sent_f_w"], p["sent_f_b"], p["sent_b_w"], p["sent_b_b"], h)
@@ -76,6 +85,156 @@ def percell_extractor_encode(model, ids_lists: Sequence[Sequence[int]]) -> ad.Va
 
 
 # ---------------------------------------------------------------- primitives
+
+
+def const(data) -> ad.Value:
+    return ad.Value(data)
+
+
+def add(a: ad.Value, b: ad.Value) -> ad.Value:
+    ad._require(a.shape == b.shape, f"add: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accum(g)
+        b.accum(g)
+
+    return ad.Value(a.data + b.data, (a, b), backward)
+
+
+def sub(a: ad.Value, b: ad.Value) -> ad.Value:
+    ad._require(a.shape == b.shape, f"sub: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accum(g)
+        b.accum(-g)
+
+    return ad.Value(a.data - b.data, (a, b), backward)
+
+
+def neg(a: ad.Value) -> ad.Value:
+    def backward(g):
+        a.accum(-g)
+
+    return ad.Value(-a.data, (a,), backward)
+
+
+def mul(a: ad.Value, b: ad.Value) -> ad.Value:
+    ad._require(a.shape == b.shape, f"mul: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accum(g * b.data)
+        b.accum(g * a.data)
+
+    return ad.Value(a.data * b.data, (a, b), backward)
+
+
+def dot(a: ad.Value, b: ad.Value) -> ad.Value:
+    ad._require(a.data.ndim == 1 and a.shape == b.shape, f"dot: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accum(g * b.data)
+        b.accum(g * a.data)
+
+    return ad.Value(a.data @ b.data, (a, b), backward)
+
+
+def matmul(a: ad.Value, b: ad.Value) -> ad.Value:
+    """Matrix product for (m,n)@(n,k), (m,n)@(n,), and (n,)@(n,k)."""
+    an, bn = a.data.ndim, b.data.ndim
+    if an == 2 and bn == 2:
+        ad._require(a.shape[1] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
+
+        def backward(g):
+            a.accum(g @ b.data.T)
+            b.accum(a.data.T @ g)
+
+    elif an == 2 and bn == 1:
+        ad._require(a.shape[1] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
+
+        def backward(g):
+            a.accum(np.outer(g, b.data))
+            b.accum(a.data.T @ g)
+
+    elif an == 1 and bn == 2:
+        ad._require(a.shape[0] == b.shape[0], f"matmul: {a.shape} @ {b.shape}")
+
+        def backward(g):
+            a.accum(b.data @ g)
+            b.accum(np.outer(a.data, g))
+
+    else:
+        raise ad.ShapeError(f"matmul: unsupported ranks {an} and {bn}")
+    return ad.Value(a.data @ b.data, (a, b), backward)
+
+
+def add_row(m: ad.Value, v: ad.Value) -> ad.Value:
+    """Add a vector to every row of a matrix."""
+    ad._require(m.data.ndim == 2 and v.data.ndim == 1, f"add_row: {m.shape} + {v.shape}")
+    ad._require(m.shape[1] == v.shape[0], f"add_row: {m.shape} + {v.shape}")
+
+    def backward(g):
+        m.accum(g)
+        v.accum(g.sum(axis=0))
+
+    return ad.Value(m.data + v.data, (m, v), backward)
+
+
+def take_row(m: ad.Value, index: int) -> ad.Value:
+    ad._require(m.data.ndim == 2, f"take_row: rank {m.data.ndim}")
+    ad._require(0 <= index < m.shape[0], f"take_row: index {index} of {m.shape}")
+
+    def backward(g):
+        if m.grad is None:
+            m.grad = np.zeros_like(m.data)
+        m.grad[index] += g
+
+    return ad.Value(m.data[index], (m,), backward)
+
+
+def tanh(a: ad.Value) -> ad.Value:
+    t = np.tanh(a.data)
+
+    def backward(g):
+        a.accum(g * (1.0 - t * t))
+
+    return ad.Value(t, (a,), backward)
+
+
+def softmax_entropy(logits: ad.Value) -> ad.Value:
+    """Entropy of softmax(logits) as a scalar, fused for stability."""
+    ad._require(logits.data.ndim == 1, f"softmax_entropy: rank {logits.data.ndim}")
+    shifted = logits.data - logits.data.max()
+    e = np.exp(shifted)
+    p = e / e.sum()
+    logp = shifted - np.log(e.sum())
+    h = -float(p @ logp)
+
+    def backward(g):
+        # dH/ds_j = -p_j (log p_j + H)
+        logits.accum(g * (-p * (logp + h)))
+
+    return ad.Value(h, (logits,), backward)
+
+
+def log_softmax_at(logits: ad.Value, index: int) -> ad.Value:
+    """log softmax(logits)[index] as a scalar graph node."""
+    ad._require(logits.data.ndim == 1, f"log_softmax_at: rank {logits.data.ndim}")
+    ad._require(0 <= index < logits.shape[0], f"log_softmax_at: index {index} of {logits.shape}")
+    shifted = logits.data - logits.data.max()
+    lse = np.log(np.exp(shifted).sum())
+    p = np.exp(shifted - lse)
+
+    def backward(g):
+        delta = -p * g
+        delta[index] += g
+        logits.accum(delta)
+
+    return ad.Value(shifted[index] - lse, (logits,), backward)
+
+
+def cross_entropy(logits: ad.Value, target: int) -> ad.Value:
+    """Negative log softmax probability of the target index."""
+    return neg(log_softmax_at(logits, target))
 
 
 def sigmoid(a: ad.Value) -> ad.Value:
@@ -129,13 +288,13 @@ def bahdanau_attention(
     ad._require(wq.shape[0] == query.shape[0], f"attention: query {query.shape} vs {wq.shape}")
     ad._require(wk.shape[0] == keys.shape[1], f"attention: keys {keys.shape} vs {wk.shape}")
     ad._require(wq.shape[1] == wk.shape[1] == v.shape[0], "attention: inner dims disagree")
-    scores = ad.matmul(ad.tanh(ad.add_row(ad.matmul(keys, wk), ad.matmul(query, wq))), v)
+    scores = matmul(tanh(add_row(matmul(keys, wk), matmul(query, wq))), v)
     if additive_mask is not None:
         mask = np.asarray(additive_mask, dtype=np.float64)
         ad._require(mask.shape == scores.shape, f"attention: mask {mask.shape} vs {scores.shape}")
-        scores = ad.add(scores, ad.const(mask))
+        scores = add(scores, const(mask))
     weights = softmax(scores)
-    context = ad.matmul(weights, keys)
+    context = matmul(weights, keys)
     return weights, context
 
 
@@ -143,7 +302,7 @@ def bahdanau_attention(
 
 
 def abstractor_initial_state(init: ad.Value) -> tuple:
-    zeros = ad.const(np.zeros(init.shape[0]))
+    zeros = const(np.zeros(init.shape[0]))
     return (init, zeros, zeros)
 
 
@@ -151,10 +310,10 @@ def abstractor_step(model, keys: ad.Value, token_id: int, state: tuple) -> tuple
     """One decoder step from (h, c, context) as graph nodes; returns logits, new state."""
     p = model.params
     h, c, context = state
-    token_vec = ad.take_row(p["embed"], token_id)
+    token_vec = take_row(p["embed"], token_id)
     h, c = ad.lstm_cell(ad.concat([token_vec, context]), h, c, p["dec_w"], p["dec_b"])
     _, context = bahdanau_attention(h, keys, p["att_wq"], p["att_wk"], p["att_v"])
-    logits = ad.add(ad.matmul(p["out_w"], ad.concat([h, context])), p["out_b"])
+    logits = add(matmul(p["out_w"], ad.concat([h, context])), p["out_b"])
     return logits, (h, c, context)
 
 
@@ -172,9 +331,9 @@ def percell_teacher_forced_loss(model, src_ids: Sequence[int], tgt_ids: Sequence
     """Mean cross-entropy over target tokens plus the end marker, one node chain per step."""
     targets = list(tgt_ids) + [END_ID]
     nodes = percell_forced_logits(model, src_ids, tgt_ids)
-    total = ad.cross_entropy(nodes[0], targets[0])
+    total = cross_entropy(nodes[0], targets[0])
     for logits, target in zip(nodes[1:], targets[1:]):
-        total = ad.add(total, ad.cross_entropy(logits, target))
+        total = add(total, cross_entropy(logits, target))
     return ad.scale(total, 1.0 / len(targets))
 
 
@@ -216,3 +375,94 @@ def percell_paraphrase_scored(model, src_ids: Sequence[int], decode) -> tuple[li
     if best.score < greedy.score:
         best = greedy
     return list(best.tokens), best.score, best.finished
+
+
+# ---------------------------------------------------------------- pointer decoder
+
+
+def pointer_step_scores(model, keys: ad.Value, actions: Sequence[int]) -> list[ad.Value]:
+    """The masked score node of each step of the extractor's pointer replayed
+    along `actions`, built from per-step graph ops over the `encode` keys."""
+    p = model.params
+    n = keys.shape[0] - 1
+    key_proj = matmul(keys, p["att_wk"])
+    zeros = const(np.zeros(keys.shape[1]))
+    state, cell, prev = zeros, zeros, zeros
+    chosen: list[int] = []
+    rows = []
+    for action in actions:
+        state, cell = ad.lstm_cell(prev, state, cell, p["dec_w"], p["dec_b"])
+        mask = np.zeros(n + 1)
+        mask[chosen] = ad.MASK_SCORE
+        scores = matmul(tanh(add_row(key_proj, matmul(state, p["att_wq"]))), p["att_v"])
+        rows.append(add(scores, const(mask)))
+        if action == n:
+            break
+        chosen.append(action)
+        if len(chosen) == n:
+            break
+        prev = take_row(keys, action)
+    return rows
+
+
+def percell_pointer_loss(model, ids_lists: Sequence[Sequence[int]], targets: Sequence[int]) -> ad.Value:
+    """`ExtractorModel.teacher_forced_loss` with one `cross_entropy` node per step."""
+    forced = list(targets) + [len(ids_lists)]
+    rows = pointer_step_scores(model, model.encode(ids_lists), forced)
+    total = cross_entropy(rows[0], forced[0])
+    for row, target in zip(rows[1:], forced[1:]):
+        total = add(total, cross_entropy(row, target))
+    return ad.scale(total, 1.0 / len(rows))
+
+
+def percell_policy_loss(
+    rows: Sequence[ad.Value], actions: Sequence[int], advantages: Sequence[float], entropy_coef: float
+) -> ad.Value:
+    """`rl.policy_loss` over per-step score nodes: one scaled `log_softmax_at`
+    node per step, then one scaled `softmax_entropy` node per step."""
+    terms = [ad.scale(log_softmax_at(row, a), -float(adv)) for row, a, adv in zip(rows, actions, advantages)]
+    if entropy_coef:
+        terms += [ad.scale(softmax_entropy(row), -entropy_coef) for row in rows]
+    total = terms[0]
+    for term in terms[1:]:
+        total = add(total, term)
+    return total
+
+
+# ---------------------------------------------------------------- verification
+
+
+def grad_check(
+    build_loss: Callable[[], ad.Value],
+    params: Sequence[ad.Value],
+    eps: float = 1e-5,
+    max_coords: int = 6,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Max relative error between analytic and central-difference grads.
+
+    The relative error at a coordinate is |a - n| / max(1e-8, |a| + |n|).
+    build_loss must be a pure function of the current parameter data.
+    """
+    rng = rng or np.random.default_rng(0)
+    ad.zero_grads(params)
+    ad.backward(build_loss())
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        size = p.data.size
+        if size == 0:
+            continue
+        count = min(max_coords, size)
+        coords = rng.choice(size, size=count, replace=False)
+        for idx in coords:
+            original = p.data.flat[idx]
+            p.data.flat[idx] = original + eps
+            f_plus = float(build_loss().data)
+            p.data.flat[idx] = original - eps
+            f_minus = float(build_loss().data)
+            p.data.flat[idx] = original
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(a.flat[idx] - numeric) / max(1e-8, abs(a.flat[idx]) + abs(numeric))
+            worst = max(worst, err)
+    return worst

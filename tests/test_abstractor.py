@@ -32,6 +32,7 @@ from narrsum.training import fit
 from percell import (
     abstractor_initial_state,
     abstractor_step,
+    cross_entropy,
     percell_forced_logits,
     percell_paraphrase_scored,
     percell_teacher_forced_loss,
@@ -125,7 +126,7 @@ def test_loss_counts_end_marker():
     logits = percell_forced_logits(model, [4, 5], [6])
     assert len(logits) == 2
     expected = np.mean(
-        [float(ad.cross_entropy(logits[0], 6).data), float(ad.cross_entropy(logits[1], END_ID).data)]
+        [float(cross_entropy(logits[0], 6).data), float(cross_entropy(logits[1], END_ID).data)]
     )
     assert float(keys_loss.data) == pytest.approx(expected, rel=1e-12)
 

@@ -26,7 +26,29 @@ from narrsum.rl import A2CTrainer, Critic, Trajectory, TrajectoryStep, mean_gree
 from narrsum.rouge import rouge_l_sentence, rouge_l_summary, rouge_n, rouge_su4
 from narrsum.synthgen import SynthSpec, generate
 from narrsum.training import fit
-from percell import bahdanau_attention, bilstm_sequence, mean, sigmoid, softmax, stack_rows, vsum
+from percell import (
+    add,
+    add_row,
+    bahdanau_attention,
+    bilstm_sequence,
+    const,
+    cross_entropy,
+    dot,
+    grad_check,
+    log_softmax_at,
+    matmul,
+    mean,
+    mul,
+    neg,
+    sigmoid,
+    softmax,
+    softmax_entropy,
+    stack_rows,
+    sub,
+    take_row,
+    tanh,
+    vsum,
+)
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -247,14 +269,14 @@ def _op_builders():
         return ad.param(rng.normal(size=n))
 
     def w(rng, n):
-        return ad.const(rng.normal(size=n))
+        return const(rng.normal(size=n))
 
     def pairwise(op):
         def build(rng):
             n = int(rng.integers(2, 7))
             a, b = vec(rng, n), vec(rng, n)
             weights = w(rng, n)
-            return lambda: ad.dot(op(a, b), weights), [a, b]
+            return lambda: dot(op(a, b), weights), [a, b]
         return build
 
     def unary(op):
@@ -262,24 +284,24 @@ def _op_builders():
             n = int(rng.integers(2, 7))
             a = vec(rng, n)
             weights = w(rng, n)
-            return lambda: ad.dot(op(a), weights), [a]
+            return lambda: dot(op(a), weights), [a]
         return build
 
     def build_scale(rng):
         a = vec(rng, 4)
         weights = w(rng, 4)
-        return lambda: ad.dot(ad.scale(a, 1.7), weights), [a]
+        return lambda: dot(ad.scale(a, 1.7), weights), [a]
 
     def build_dot(rng):
         a, b = vec(rng, 5), vec(rng, 5)
-        return lambda: ad.dot(a, b), [a, b]
+        return lambda: dot(a, b), [a, b]
 
     def build_matmul(rng):
         r, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         m = ad.param(rng.normal(size=(r, c)))
         x = vec(rng, c)
         weights = w(rng, r)
-        return lambda: ad.dot(ad.matmul(m, x), weights), [m, x]
+        return lambda: dot(matmul(m, x), weights), [m, x]
 
     def build_add_row(rng):
         r, c = 3, 4
@@ -287,23 +309,23 @@ def _op_builders():
         v = vec(rng, c)
         weights = w(rng, c)
         idx = int(rng.integers(0, r))
-        return lambda: ad.dot(ad.take_row(ad.add_row(m, v), idx), weights), [m, v]
+        return lambda: dot(take_row(add_row(m, v), idx), weights), [m, v]
 
     def build_take_row(rng):
         m = ad.param(rng.normal(size=(4, 3)))
         weights = w(rng, 3)
         idx = int(rng.integers(0, 4))
-        return lambda: ad.dot(ad.take_row(m, idx), weights), [m]
+        return lambda: dot(take_row(m, idx), weights), [m]
 
     def build_reshape(rng):
         m = ad.param(rng.normal(size=(3, 4)))
         weights = w(rng, 12)
-        return lambda: ad.dot(ad.reshape(m, (12,)), weights), [m]
+        return lambda: dot(ad.reshape(m, (12,)), weights), [m]
 
     def build_concat(rng):
         a, b = vec(rng, 3), vec(rng, 4)
         weights = w(rng, 7)
-        return lambda: ad.dot(ad.concat([a, b]), weights), [a, b]
+        return lambda: dot(ad.concat([a, b]), weights), [a, b]
 
     def build_stack_rows(rng):
         a, b = vec(rng, 4), vec(rng, 4)
@@ -311,35 +333,35 @@ def _op_builders():
 
         def loss():
             stacked = stack_rows([a, b, a])  # a appears twice: grads accumulate
-            total = ad.dot(ad.take_row(stacked, 0), weights[0])
-            total = ad.add(total, ad.dot(ad.take_row(stacked, 1), weights[1]))
-            return ad.add(total, ad.dot(ad.take_row(stacked, 2), weights[2]))
+            total = dot(take_row(stacked, 0), weights[0])
+            total = add(total, dot(take_row(stacked, 1), weights[1]))
+            return add(total, dot(take_row(stacked, 2), weights[2]))
 
         return loss, [a, b]
 
     def build_log_softmax_at(rng):
         a = vec(rng, 5)
         idx = int(rng.integers(0, 5))
-        return lambda: ad.log_softmax_at(a, idx), [a]
+        return lambda: log_softmax_at(a, idx), [a]
 
     def build_cross_entropy(rng):
         a = vec(rng, 6)
         idx = int(rng.integers(0, 6))
-        return lambda: ad.cross_entropy(a, idx), [a]
+        return lambda: cross_entropy(a, idx), [a]
 
     def build_embedding(rng):
         table = ad.param(rng.normal(size=(5, 3)))
         ids = [int(i) for i in rng.integers(0, 5, size=4)] + [2, 2]  # forced repeat
         weights = w(rng, len(ids) * 3)
-        return lambda: ad.dot(ad.reshape(ad.embedding_lookup(table, ids), (len(ids) * 3,)), weights), [table]
+        return lambda: dot(ad.reshape(ad.embedding_lookup(table, ids), (len(ids) * 3,)), weights), [table]
 
     def build_vsum(rng):
         a = vec(rng, 5)
-        return lambda: vsum(ad.mul(a, a)), [a]
+        return lambda: vsum(mul(a, a)), [a]
 
     def build_mean(rng):
         a = vec(rng, 6)
-        return lambda: mean(ad.tanh(a)), [a]
+        return lambda: mean(tanh(a)), [a]
 
     def build_lstm_cell(rng):
         e, h = 3, 4
@@ -350,7 +372,7 @@ def _op_builders():
 
         def loss():
             h2, c2 = ad.lstm_cell(x, hh, cc, wm, bm)
-            return ad.add(ad.dot(h2, w1), ad.dot(c2, w2))
+            return add(dot(h2, w1), dot(c2, w2))
 
         return loss, [x, hh, cc, wm, bm]
 
@@ -366,8 +388,8 @@ def _op_builders():
 
         def loss():
             outputs, h_fwd, h_bwd = bilstm_sequence(xs, wf, bf, wb, bb, h)
-            total = ad.add(ad.dot(h_fwd, w1), ad.dot(h_bwd, w2))
-            return ad.add(total, ad.dot(outputs[pos], w3))
+            total = add(dot(h_fwd, w1), dot(h_bwd, w2))
+            return add(total, dot(outputs[pos], w3))
 
         return loss, xs + [wf, bf, wb, bb]
 
@@ -384,8 +406,8 @@ def _op_builders():
 
         def loss():
             states, finals = ad.bilstm_batch(x, lengths, wf, bf, wb, bb, h)
-            total = ad.dot(ad.reshape(states, (n * t * 2 * h,)), w1)
-            return ad.add(total, ad.dot(ad.reshape(finals, (n * 2 * h,)), w2))
+            total = dot(ad.reshape(states, (n * t * 2 * h,)), w1)
+            return add(total, dot(ad.reshape(finals, (n * 2 * h,)), w2))
 
         return loss, [x, wf, bf, wb, bb]
 
@@ -404,7 +426,7 @@ def _op_builders():
 
         def loss():
             weights, context = bahdanau_attention(query, keys, wq, wk, v, mask)
-            return ad.add(ad.dot(weights, w1), ad.dot(context, w2))
+            return add(dot(weights, w1), dot(context, w2))
 
         return loss, [query, keys, wq, wk, v]
 
@@ -423,7 +445,7 @@ def _op_builders():
 
         def loss():
             out = ad.attention_decoder(emb, keys, init, wm, bm, wq, wk, v)
-            return ad.dot(ad.reshape(out, (steps * (h + k),)), weights)
+            return dot(ad.reshape(out, (steps * (h + k),)), weights)
 
         return loss, [emb, keys, init, wm, bm, wq, wk, v]
 
@@ -433,7 +455,7 @@ def _op_builders():
         wm = ad.param(rng.normal(size=(k, d)))
         b = vec(rng, k)
         weights = w(rng, n * k)
-        return lambda: ad.dot(ad.reshape(ad.linear(x, wm, b), (n * k,)), weights), [x, wm, b]
+        return lambda: dot(ad.reshape(ad.linear(x, wm, b), (n * k,)), weights), [x, wm, b]
 
     def build_mean_cross_entropy(rng):
         n, k = int(rng.integers(1, 5)), 5
@@ -456,11 +478,40 @@ def _op_builders():
         tgt = [int(i) for i in rng.integers(4, 9, size=rng.integers(1, 4))]
         return lambda: model.teacher_forced_loss(src, tgt), list(model.params.values())
 
+    def build_pointer_decoder(rng):
+        k, h, inner = 3, 2, 2
+        n = int(rng.integers(1, 5))
+        keys = ad.param(rng.normal(size=(n + 1, k)))
+        wm = ad.param(rng.normal(size=(4 * h, k + h)) * 0.5)
+        bm = ad.param(rng.normal(size=4 * h) * 0.5)
+        wq = ad.param(rng.normal(size=(h, inner)))
+        wk = ad.param(rng.normal(size=(k, inner)))
+        v = vec(rng, inner)
+        order = [int(i) for i in rng.permutation(n)]
+        ending = int(rng.integers(0, 3))
+        if ending == 0:  # stop
+            actions = order[: int(rng.integers(0, n))] + [n]
+        elif ending == 1:  # every sentence chosen
+            actions = order
+        else:  # the step cap
+            actions = order[: int(rng.integers(1, n + 1))]
+        steps = len(actions)
+        weights = rng.normal(size=(steps, n + 1))
+        for t in range(1, steps):  # the -1e9 masks would drown a finite difference
+            weights[t:, actions[t - 1]] = 0.0
+        weights = const(weights.ravel())
+
+        def loss():
+            rows = ad.pointer_decoder(keys, actions, wm, bm, wq, wk, v)
+            return dot(ad.reshape(rows, (rows.data.size,)), weights)
+
+        return loss, [keys, wm, bm, wq, wk, v]
+
     return [
-        ("add", pairwise(ad.add)),
-        ("sub", pairwise(ad.sub)),
-        ("neg", unary(ad.neg)),
-        ("mul", pairwise(ad.mul)),
+        ("add", pairwise(add)),
+        ("sub", pairwise(sub)),
+        ("neg", unary(neg)),
+        ("mul", pairwise(mul)),
         ("scale", build_scale),
         ("dot", build_dot),
         ("matmul", build_matmul),
@@ -469,10 +520,10 @@ def _op_builders():
         ("reshape", build_reshape),
         ("concat", build_concat),
         ("stack_rows", build_stack_rows),
-        ("tanh", unary(ad.tanh)),
+        ("tanh", unary(tanh)),
         ("sigmoid", unary(sigmoid)),
         ("softmax", unary(softmax)),
-        ("softmax_entropy", lambda rng: ((lambda a: (lambda: ad.softmax_entropy(a), [a]))(ad.param(rng.normal(size=5))))),
+        ("softmax_entropy", lambda rng: ((lambda a: (lambda: softmax_entropy(a), [a]))(ad.param(rng.normal(size=5))))),
         ("log_softmax_at", build_log_softmax_at),
         ("cross_entropy", build_cross_entropy),
         ("embedding_lookup", build_embedding),
@@ -487,6 +538,7 @@ def _op_builders():
         ("attention_decoder", build_attention_decoder),
         ("linear", build_linear),
         ("mean_cross_entropy", build_mean_cross_entropy),
+        ("pointer_decoder", build_pointer_decoder),
     ]
 
 
@@ -502,7 +554,7 @@ def test_a3_gradient_correctness():
         for k in range(20):
             rng = np.random.default_rng([303, op_idx, k])
             build_loss, params = builder(rng)
-            worst = max(worst, ad.grad_check(build_loss, params, eps=eps_for.get(name, 1e-5), rng=rng))
+            worst = max(worst, grad_check(build_loss, params, eps=eps_for.get(name, 1e-5), rng=rng))
         worst_by_op[name] = worst
     took = time.monotonic() - t0
     bad = {name: err for name, err in worst_by_op.items() if err >= 1e-4}
@@ -574,14 +626,12 @@ def test_a5_abstractor_copy_task():
 
 
 def _bandit_trajectory(theta, arm, reward):
-    logp = ad.log_softmax_at(theta, arm)
     return Trajectory(
         "bandit",
-        [TrajectoryStep(arm, float(logp.data), reward, 0.0)],
+        [TrajectoryStep(arm, float(np.log(_softmax(theta.data)[arm])), reward, 0.0)],
         [reward],
-        [logp],
-        [ad.softmax_entropy(theta)],
         [np.zeros(2)],
+        lambda: stack_rows([theta]),
     )
 
 
@@ -607,7 +657,7 @@ def test_a6_rl_improvement(small_world, identity_abstractor):
     empirical = np.zeros(3)
     for arm in range(3):
         node = ad.param(theta_vals)
-        ad.backward(ad.log_softmax_at(node, arm))
+        ad.backward(log_softmax_at(node, arm))
         empirical += (counts[arm] / 100_000.0) * (arm_rewards[arm] - expected_reward) * node.grad
     estimator_err = float(np.max(np.abs(empirical - analytic) / np.abs(analytic)))
 

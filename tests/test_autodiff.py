@@ -12,7 +12,29 @@ from hypothesis import strategies as st
 from narrsum import autodiff as ad
 from narrsum.abstractor import AbstractorModel
 from narrsum.extractor import ExtractorModel
-from percell import bahdanau_attention, bilstm_sequence, mean, sigmoid, softmax, stack_rows, vsum
+from percell import (
+    add,
+    add_row,
+    bahdanau_attention,
+    bilstm_sequence,
+    const,
+    cross_entropy,
+    dot,
+    grad_check,
+    log_softmax_at,
+    matmul,
+    mean,
+    mul,
+    neg,
+    sigmoid,
+    softmax,
+    softmax_entropy,
+    stack_rows,
+    sub,
+    take_row,
+    tanh,
+    vsum,
+)
 
 
 def rng_for(seed):
@@ -21,28 +43,28 @@ def rng_for(seed):
 
 def weighted(out, weight_array):
     """Scalarize an output with fixed weights so grads are non-degenerate."""
-    return vsum(ad.mul(out, ad.const(weight_array)))
+    return vsum(mul(out, const(weight_array)))
 
 
 # ---------------------------------------------------------------- frozen examples
 
 
 def test_softmax_uniform():
-    p = softmax(ad.const([0.0, 0.0, 0.0]))
+    p = softmax(const([0.0, 0.0, 0.0]))
     assert np.allclose(p.data, [1 / 3, 1 / 3, 1 / 3])
     assert abs(p.data.sum() - 1.0) <= 1e-12
 
 
 def test_square_gradient():
     x = ad.param(3.0)
-    loss = ad.mul(x, x)
+    loss = mul(x, x)
     ad.backward(loss)
     assert x.grad == pytest.approx(6.0)
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
     logits = ad.param([1.0, 2.0, 3.0])
-    loss = ad.cross_entropy(logits, 0)
+    loss = cross_entropy(logits, 0)
     ad.backward(loss)
     p = np.exp([1.0, 2.0, 3.0])
     p /= p.sum()
@@ -52,7 +74,7 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 
 def test_constant_loss_leaves_params_untouched():
     w = ad.param([1.0, 2.0])
-    loss = vsum(ad.mul(ad.const([1.0, 1.0]), ad.const([2.0, 2.0])))
+    loss = vsum(mul(const([1.0, 1.0]), const([2.0, 2.0])))
     ad.backward(loss)
     assert w.grad is None
 
@@ -60,7 +82,7 @@ def test_constant_loss_leaves_params_untouched():
 def test_linear_loss_grad_is_input():
     x = np.array([0.5, -1.5, 2.0])
     w = ad.param([0.1, 0.2, 0.3])
-    loss = ad.dot(w, ad.const(x))
+    loss = dot(w, const(x))
     ad.backward(loss)
     assert np.allclose(w.grad, x)
 
@@ -68,12 +90,12 @@ def test_linear_loss_grad_is_input():
 def test_backward_requires_scalar():
     w = ad.param([1.0, 2.0])
     with pytest.raises(ad.ShapeError):
-        ad.backward(ad.add(w, w))
+        ad.backward(add(w, w))
 
 
 def test_backward_accumulates_across_calls():
     x = ad.param(2.0)
-    loss = ad.mul(x, x)
+    loss = mul(x, x)
     ad.backward(loss)
     first = float(x.grad)
     ad.backward(loss)
@@ -82,7 +104,7 @@ def test_backward_accumulates_across_calls():
 
 def test_diamond_graph_reuse():
     x = ad.param(1.5)
-    y = ad.add(ad.mul(x, x), x)  # x^2 + x, dy/dx = 2x + 1
+    y = add(mul(x, x), x)  # x^2 + x, dy/dx = 2x + 1
     ad.backward(y)
     assert float(x.grad) == pytest.approx(4.0)
 
@@ -91,27 +113,27 @@ def test_diamond_graph_reuse():
 
 
 def test_shape_mismatches_raise_at_construction():
-    a = ad.const(np.zeros(3))
-    b = ad.const(np.zeros(4))
-    m = ad.const(np.zeros((2, 3)))
+    a = const(np.zeros(3))
+    b = const(np.zeros(4))
+    m = const(np.zeros((2, 3)))
     with pytest.raises(ad.ShapeError):
-        ad.add(a, b)
+        add(a, b)
     with pytest.raises(ad.ShapeError):
-        ad.mul(a, b)
+        mul(a, b)
     with pytest.raises(ad.ShapeError):
-        ad.matmul(m, b)
+        matmul(m, b)
     with pytest.raises(ad.ShapeError):
-        ad.dot(a, b)
+        dot(a, b)
     with pytest.raises(ad.ShapeError):
-        ad.add_row(m, b)
+        add_row(m, b)
     with pytest.raises(ad.ShapeError):
         softmax(m)
     with pytest.raises(ad.ShapeError):
-        ad.take_row(m, 5)
+        take_row(m, 5)
     with pytest.raises(ad.ShapeError):
         ad.embedding_lookup(m, [0, 7])
-    x = ad.const(np.zeros((2, 3, 4)))
-    w, bias = ad.const(np.zeros((8, 6))), ad.const(np.zeros(8))
+    x = const(np.zeros((2, 3, 4)))
+    w, bias = const(np.zeros((8, 6))), const(np.zeros(8))
     ad.bilstm_batch(x, [3, 1], w, bias, w, bias, 2)
     for lengths in ([3, 0], [4, 1], [3], [3, 1, 1]):
         with pytest.raises(ad.ShapeError):
@@ -124,16 +146,16 @@ def test_shape_mismatches_raise_at_construction():
         ad.mean_cross_entropy(m, [0])  # one target for two rows
     with pytest.raises(ad.ShapeError):
         ad.mean_cross_entropy(m, [0, 3])  # target outside the row
-    emb, keys, init = ad.const(np.zeros((2, 3))), ad.const(np.zeros((4, 5))), ad.const(np.zeros(2))
-    dec_w, dec_b = ad.const(np.zeros((8, 3 + 5 + 2))), ad.const(np.zeros(8))
-    wq, wk, v = ad.const(np.zeros((2, 6))), ad.const(np.zeros((5, 6))), ad.const(np.zeros(6))
+    emb, keys, init = const(np.zeros((2, 3))), const(np.zeros((4, 5))), const(np.zeros(2))
+    dec_w, dec_b = const(np.zeros((8, 3 + 5 + 2))), const(np.zeros(8))
+    wq, wk, v = const(np.zeros((2, 6))), const(np.zeros((5, 6))), const(np.zeros(6))
     assert ad.attention_decoder(emb, keys, init, dec_w, dec_b, wq, wk, v).shape == (2, 2 + 5)
     with pytest.raises(ad.ShapeError):
-        ad.attention_decoder(emb, keys, init, ad.const(np.zeros((8, 9))), dec_b, wq, wk, v)
+        ad.attention_decoder(emb, keys, init, const(np.zeros((8, 9))), dec_b, wq, wk, v)
     with pytest.raises(ad.ShapeError):
-        ad.attention_decoder(emb, keys, init, dec_w, dec_b, wq, wk, ad.const(np.zeros(5)))
+        ad.attention_decoder(emb, keys, init, dec_w, dec_b, wq, wk, const(np.zeros(5)))
     with pytest.raises(ad.ShapeError):
-        ad.attention_decoder(ad.const(np.zeros((0, 3))), keys, init, dec_w, dec_b, wq, wk, v)
+        ad.attention_decoder(const(np.zeros((0, 3))), keys, init, dec_w, dec_b, wq, wk, v)
 
 
 # ---------------------------------------------------------------- finite differences
@@ -147,10 +169,10 @@ def test_two_layer_tanh_network_matches_fd():
     x = rng.normal(size=5)
 
     def loss():
-        h = ad.tanh(ad.add(ad.matmul(w1, ad.const(x)), b1))
-        return ad.dot(w2, h)
+        h = tanh(add(matmul(w1, const(x)), b1))
+        return dot(w2, h)
 
-    assert ad.grad_check(loss, [w1, b1, w2], rng=rng_for(2)) < 1e-6
+    assert grad_check(loss, [w1, b1, w2], rng=rng_for(2)) < 1e-6
 
 
 def test_affine_graph_fd_error_tiny():
@@ -159,9 +181,9 @@ def test_affine_graph_fd_error_tiny():
     x = rng.normal(size=6)
 
     def loss():
-        return ad.dot(w, ad.const(x))
+        return dot(w, const(x))
 
-    assert ad.grad_check(loss, [w], rng=rng_for(4)) < 1e-10
+    assert grad_check(loss, [w], rng=rng_for(4)) < 1e-10
 
 
 def test_lstm_cell_fd():
@@ -172,14 +194,14 @@ def test_lstm_cell_fd():
     c = ad.param(rng.normal(size=hidden))
     w = ad.param(ad.uniform_init(rng, (4 * hidden, in_dim + hidden)))
     b = ad.param(ad.lstm_bias_init(hidden))
-    ch = ad.const(rng.normal(size=hidden))
-    cc = ad.const(rng.normal(size=hidden))
+    ch = const(rng.normal(size=hidden))
+    cc = const(rng.normal(size=hidden))
 
     def loss():
         h2, c2 = ad.lstm_cell(x, h, c, w, b)
-        return ad.add(vsum(ad.mul(h2, ch)), vsum(ad.mul(c2, cc)))
+        return add(vsum(mul(h2, ch)), vsum(mul(c2, cc)))
 
-    assert ad.grad_check(loss, [x, h, c, w, b], rng=rng_for(6)) < 1e-4
+    assert grad_check(loss, [x, h, c, w, b], rng=rng_for(6)) < 1e-4
 
 
 def test_attention_fd():
@@ -189,14 +211,14 @@ def test_attention_fd():
     wq = ad.param(ad.uniform_init(rng, (4, 3)))
     wk = ad.param(ad.uniform_init(rng, (6, 3)))
     v = ad.param(ad.uniform_init(rng, (3,)))
-    cw = ad.const(rng.normal(size=5))
-    cctx = ad.const(rng.normal(size=6))
+    cw = const(rng.normal(size=5))
+    cctx = const(rng.normal(size=6))
 
     def loss():
         weights, context = bahdanau_attention(query, keys, wq, wk, v)
-        return ad.add(vsum(ad.mul(weights, cw)), vsum(ad.mul(context, cctx)))
+        return add(vsum(mul(weights, cw)), vsum(mul(context, cctx)))
 
-    assert ad.grad_check(loss, [keys, query, wq, wk, v], rng=rng_for(8)) < 1e-4
+    assert grad_check(loss, [keys, query, wq, wk, v], rng=rng_for(8)) < 1e-4
 
 
 def _primitive_cases(rng):
@@ -221,26 +243,26 @@ def _primitive_cases(rng):
     wid = rng.normal(size=(4, n))
 
     cases = [
-        ("add", lambda: weighted(ad.add(a, b), wa), [a, b]),
-        ("sub", lambda: weighted(ad.sub(a, b), wa), [a, b]),
-        ("neg", lambda: weighted(ad.neg(a), wa), [a]),
-        ("mul", lambda: weighted(ad.mul(a, b), wa), [a, b]),
+        ("add", lambda: weighted(add(a, b), wa), [a, b]),
+        ("sub", lambda: weighted(sub(a, b), wa), [a, b]),
+        ("neg", lambda: weighted(neg(a), wa), [a]),
+        ("mul", lambda: weighted(mul(a, b), wa), [a, b]),
         ("scale", lambda: weighted(ad.scale(a, 0.7), wa), [a]),
-        ("dot", lambda: ad.dot(a, b), [a, b]),
-        ("matmul_mv", lambda: weighted(ad.matmul(mat, a), wvm), [mat, a]),
-        ("matmul_mm", lambda: weighted(ad.matmul(mat2, ad.const(rhs_km)), wnm), [mat2]),
-        ("matmul_vm", lambda: weighted(ad.matmul(a, mat2), wk_), [a, mat2]),
-        ("add_row", lambda: weighted(ad.add_row(mat, a), wm), [mat, a]),
-        ("take_row", lambda: weighted(ad.take_row(mat, 1), wa), [mat]),
+        ("dot", lambda: dot(a, b), [a, b]),
+        ("matmul_mv", lambda: weighted(matmul(mat, a), wvm), [mat, a]),
+        ("matmul_mm", lambda: weighted(matmul(mat2, const(rhs_km)), wnm), [mat2]),
+        ("matmul_vm", lambda: weighted(matmul(a, mat2), wk_), [a, mat2]),
+        ("add_row", lambda: weighted(add_row(mat, a), wm), [mat, a]),
+        ("take_row", lambda: weighted(take_row(mat, 1), wa), [mat]),
         ("reshape", lambda: weighted(ad.reshape(mat, (n, m)), wnm), [mat]),
         ("concat", lambda: weighted(ad.concat([a, b]), wcat), [a, b]),
         ("stack_rows", lambda: weighted(stack_rows([a, b, a]), wstack), [a, b]),
-        ("tanh", lambda: weighted(ad.tanh(a), wa), [a]),
+        ("tanh", lambda: weighted(tanh(a), wa), [a]),
         ("sigmoid", lambda: weighted(sigmoid(a), wa), [a]),
         ("softmax", lambda: weighted(softmax(a), wa), [a]),
-        ("softmax_entropy", lambda: ad.softmax_entropy(a), [a]),
-        ("log_softmax_at", lambda: ad.log_softmax_at(a, target), [a]),
-        ("cross_entropy", lambda: ad.cross_entropy(a, target), [a]),
+        ("softmax_entropy", lambda: softmax_entropy(a), [a]),
+        ("log_softmax_at", lambda: log_softmax_at(a, target), [a]),
+        ("cross_entropy", lambda: cross_entropy(a, target), [a]),
         ("embedding_lookup", lambda: weighted(ad.embedding_lookup(mat, ids), wid), [mat]),
         ("vsum", lambda: vsum(mat), [mat]),
         ("mean", lambda: mean(mat), [mat]),
@@ -252,7 +274,7 @@ def _primitive_cases(rng):
 def test_every_primitive_passes_grad_check(seed):
     rng = rng_for(100 + seed)
     for name, loss, params in _primitive_cases(rng):
-        err = ad.grad_check(loss, params, rng=rng_for(200 + seed))
+        err = grad_check(loss, params, rng=rng_for(200 + seed))
         assert err < 1e-4, f"{name} grad error {err}"
 
 
@@ -270,10 +292,10 @@ def test_bilstm_sequence_fd():
         outs, _, _ = bilstm_sequence(xs, wf, bf, wb, bb, hidden)
         total = weighted(outs[0], weights[0])
         for o, w_ in zip(outs[1:], weights[1:]):
-            total = ad.add(total, weighted(o, w_))
+            total = add(total, weighted(o, w_))
         return total
 
-    assert ad.grad_check(loss, xs + [wf, bf, wb, bb], rng=rng_for(10)) < 1e-4
+    assert grad_check(loss, xs + [wf, bf, wb, bb], rng=rng_for(10)) < 1e-4
 
 
 @st.composite
@@ -298,7 +320,7 @@ def test_bilstm_batch_matches_per_cell_reference(case):
 
     x = ad.param(x_data)
     states, finals = ad.bilstm_batch(x, lengths, *weights, hidden)
-    loss = ad.add(weighted(states, state_w), weighted(finals, final_w))
+    loss = add(weighted(states, state_w), weighted(finals, final_w))
     ad.backward(loss)
     batched = [x.grad] + [p.grad for p in weights]
     ad.zero_grads(weights)
@@ -308,11 +330,11 @@ def test_bilstm_batch_matches_per_cell_reference(case):
     for r, inputs in enumerate(rows):
         outputs, f_last, b_first = bilstm_sequence(inputs, *weights, hidden)
         assert np.abs(states.data[r, : lengths[r]] - np.stack([o.data for o in outputs])).max() < 1e-10
-        terms += [ad.dot(o, ad.const(state_w[r, t])) for t, o in enumerate(outputs)]
-        terms.append(ad.dot(ad.concat([f_last, b_first]), ad.const(final_w[r])))
+        terms += [dot(o, const(state_w[r, t])) for t, o in enumerate(outputs)]
+        terms.append(dot(ad.concat([f_last, b_first]), const(final_w[r])))
     reference = terms[0]
     for term in terms[1:]:
-        reference = ad.add(reference, term)
+        reference = add(reference, term)
     ad.backward(reference)
     x_grad = np.zeros_like(x_data)
     for r, inputs in enumerate(rows):
@@ -336,7 +358,7 @@ def test_graph_holds_no_reference_cycle(kind):
         model = AbstractorModel(10, 4, 3, rng)
         # One pair's fused graph has exactly 10 interior nodes; two pairs
         # sharing the parameters keep the graph above the floor below.
-        loss = ad.add(model.teacher_forced_loss([4, 5, 6], [7, 8]), model.teacher_forced_loss([9, 4], [5]))
+        loss = add(model.teacher_forced_loss([4, 5, 6], [7, 8]), model.teacher_forced_loss([9, 4], [5]))
     gc.disable()
     try:
         ad.backward(loss)
@@ -360,11 +382,11 @@ def test_embedding_lookup_accumulates_duplicates():
 
 def test_attention_weights_sum_to_one_and_mask_kills_position():
     rng = rng_for(11)
-    keys = ad.const(rng.normal(size=(4, 5)))
-    query = ad.const(rng.normal(size=3))
-    wq = ad.const(ad.uniform_init(rng, (3, 2)))
-    wk = ad.const(ad.uniform_init(rng, (5, 2)))
-    v = ad.const(ad.uniform_init(rng, (2,)))
+    keys = const(rng.normal(size=(4, 5)))
+    query = const(rng.normal(size=3))
+    wq = const(ad.uniform_init(rng, (3, 2)))
+    wk = const(ad.uniform_init(rng, (5, 2)))
+    v = const(ad.uniform_init(rng, (2,)))
     mask = np.array([0.0, 0.0, -1e9, 0.0])
     weights, context = bahdanau_attention(query, keys, wq, wk, v, additive_mask=mask)
     assert abs(weights.data.sum() - 1.0) <= 1e-12
@@ -373,10 +395,10 @@ def test_attention_weights_sum_to_one_and_mask_kills_position():
 
 
 def test_softmax_entropy_value():
-    logits = ad.const([0.0, 0.0, 0.0, 0.0])
-    assert float(ad.softmax_entropy(logits).data) == pytest.approx(np.log(4.0))
-    peaked = ad.const([50.0, 0.0, 0.0, 0.0])
-    assert float(ad.softmax_entropy(peaked).data) == pytest.approx(0.0, abs=1e-12)
+    logits = const([0.0, 0.0, 0.0, 0.0])
+    assert float(softmax_entropy(logits).data) == pytest.approx(np.log(4.0))
+    peaked = const([50.0, 0.0, 0.0, 0.0])
+    assert float(softmax_entropy(peaked).data) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- optimizer
@@ -402,8 +424,8 @@ def test_adam_minimizes_quadratic():
     target = 0.3
     for _ in range(10_000):
         opt.zero_grad()
-        diff = ad.sub(x, ad.const(target))
-        ad.backward(ad.mul(diff, diff))
+        diff = sub(x, const(target))
+        ad.backward(mul(diff, diff))
         opt.step()
     assert abs(float(x.data) - target) < 1e-2
 
@@ -575,10 +597,10 @@ def test_forward_is_bit_deterministic():
         rng = rng_for(13)
         w = ad.param(ad.uniform_init(rng, (4 * 3, 5 + 3)))
         b = ad.param(ad.lstm_bias_init(3))
-        h, c = ad.const(np.zeros(3)), ad.const(np.zeros(3))
+        h, c = const(np.zeros(3)), const(np.zeros(3))
         outs = []
         for _ in range(4):
-            x = ad.const(rng.normal(size=5))
+            x = const(rng.normal(size=5))
             h, c = ad.lstm_cell(x, h, c, w, b)
             outs.append(h.data.copy())
         return np.stack(outs)

@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrsum import autodiff as ad
 from narrsum.corpus import DataError, Document, ReportExample, Sentence, SummarySet, Vocab, RESERVED_TOKENS
@@ -18,7 +20,7 @@ from narrsum.extractor import (
 )
 from narrsum.oracle import OracleAlignment
 from narrsum.training import fit
-from percell import percell_extractor_encode
+from percell import add, const, cross_entropy, dot, percell_extractor_encode, percell_pointer_loss, pointer_step_scores
 
 
 def small_model(seed=0, vocab=30, e=8, h=6):
@@ -52,7 +54,7 @@ def test_encode_matches_per_cell_reference():
     for encode in (model.encode, lambda ids: percell_extractor_encode(model, ids)):
         ad.zero_grads(model.params.values())
         keys = encode(ids_lists)
-        ad.backward(ad.dot(ad.reshape(keys, (keys.data.size,)), ad.const(weights.ravel())))
+        ad.backward(dot(ad.reshape(keys, (keys.data.size,)), const(weights.ravel())))
         results.append((keys.data, {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}))
     (keys, grads), (ref_keys, ref_grads) = results
     assert np.abs(keys - ref_keys).max() < 1e-10
@@ -121,6 +123,106 @@ def test_fallback_index_is_real_sentence():
     doc = [[4, 5], [6], [7, 8]]
     idx = model.fallback_index(model.encode(doc))
     assert 0 <= idx < len(doc)
+
+
+# ---------------------------------------------------------------- the fused pointer
+
+
+@st.composite
+def pointer_paths(draw):
+    """A document of 1-12 sentences and an action path over it that ends in
+    stop, in exhaustion (every sentence chosen) or at a step cap."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(list(range(n))))
+    ending = draw(st.sampled_from(["stop", "exhaustion", "cap"]))
+    if ending == "stop":
+        actions = order[: draw(st.integers(0, n - 1))] + [n]
+    elif ending == "exhaustion":
+        actions = order + draw(st.sampled_from([[], [n]]))  # a stop after the last sentence is never reached
+    else:
+        actions = order[: draw(st.integers(1, n))]
+    return n, actions, draw(st.integers(0, 2**32 - 1))
+
+
+def _pointer_loss_and_grads(model, build_loss):
+    ad.zero_grads(model.params.values())
+    loss = build_loss()
+    ad.backward(loss)
+    return float(loss.data), {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointer_paths())
+def test_fused_pointer_matches_per_step_graph(case):
+    n, actions, seed = case
+    rng = np.random.default_rng(seed)
+    model = ExtractorModel(20, 5, 3, rng)
+    for p in model.params.values():  # saturate some gates and scores
+        p.data *= rng.uniform(1.0, 8.0)
+    ids_lists = random_doc(rng, n, vocab=20)
+    rows = model.forced_scores(ids_lists, actions)
+    reference = pointer_step_scores(model, model.encode(ids_lists), actions)
+    steps = min(len(actions), n, actions.index(n) + 1 if n in actions else n)  # stop, exhaustion or cap
+    assert rows.shape == (steps, n + 1)
+    assert np.array_equal(rows.data, np.stack([r.data for r in reference]))
+
+    def fused():
+        rows = model.forced_scores(ids_lists, actions)
+        return ad.mean_cross_entropy(rows, actions[: rows.shape[0]])
+
+    def per_step():
+        rows = pointer_step_scores(model, model.encode(ids_lists), actions)
+        total = cross_entropy(rows[0], actions[0])
+        for row, action in zip(rows[1:], actions[1:]):
+            total = add(total, cross_entropy(row, action))
+        return ad.scale(total, 1.0 / len(rows))
+
+    loss, grads = _pointer_loss_and_grads(model, fused)
+    ref_loss, ref_grads = _pointer_loss_and_grads(model, per_step)
+    assert abs(loss - ref_loss) < 1e-10
+    assert sorted(grads) == sorted(ref_grads) == sorted(model.params)
+    for name, grad in grads.items():
+        assert np.abs(grad - ref_grads[name]).max() < 1e-10, name
+
+
+def test_teacher_forced_loss_equals_per_step_graph_exactly():
+    rng = np.random.default_rng(17)
+    model = small_model(seed=17)
+    ids_lists = random_doc(rng, 6)
+    loss, grads = _pointer_loss_and_grads(model, lambda: model.teacher_forced_loss(ids_lists, [4, 1, 2]))
+    ref_loss, ref_grads = _pointer_loss_and_grads(model, lambda: percell_pointer_loss(model, ids_lists, [4, 1, 2]))
+    assert loss == ref_loss
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+
+
+def test_decode_probabilities_equal_the_fused_forward_pass():
+    rng = np.random.default_rng(23)
+    model = small_model(seed=23)
+    ids_lists = random_doc(rng, 9)
+    keys = model.encode(ids_lists)
+    draws = np.random.default_rng(24)
+    steps = model.decode(keys, 9, lambda probs, _t: int(draws.choice(len(probs), p=probs)), max_steps=12)
+    rows = model.forced_scores(ids_lists, [s.action for s in steps]).data
+    assert len(rows) == len(steps)
+    for row, step in zip(rows, steps):
+        e = np.exp(row - row.max())
+        assert np.array_equal(e / e.sum(), step.probs)
+
+
+def test_decode_builds_no_graph_and_checks_the_sentence_count():
+    model = small_model()
+    keys = model.encode([[4, 5], [6]]).data
+    steps = model.decode(keys, 2, lambda probs, _t: int(np.argmax(probs)))
+    assert all(isinstance(s.state, np.ndarray) and isinstance(s.probs, np.ndarray) for s in steps)
+    with pytest.raises(ValueError, match="3 keys for 3 sentences"):
+        model.decode(keys, 3, lambda probs, _t: 0)
+
+
+def test_pointer_decoder_rejects_an_action_outside_the_candidates():
+    model = small_model()
+    with pytest.raises(ad.ShapeError, match="action 3 of 3"):
+        model.forced_scores([[4, 5], [6]], [0, 3])
 
 
 # ---------------------------------------------------------------- training

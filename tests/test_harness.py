@@ -472,7 +472,7 @@ def test_cli_train_stages_reuse_validation_alignments(pipeline, tmp_path, monkey
     [pytest.param(name, 0, id=name) for name in (
         "vocab_size", "embedding_dim", "hidden_dim", "batch_size", "extractor_epochs", "abstractor_epochs",
         "max_sentence_tokens", "max_output_tokens", "max_extract_sentences", "rl_updates_every",
-        "pagerank_max_iter", "clip_norm", "lr",
+        "pagerank_max_iter", "clip_norm", "lr", "beam_width", "word_limit",
     )]
     + [pytest.param(name, value, id=f"{name}={value}") for name, value in (
         ("rl_lr", -0.001), ("lr_decay", 0.0), ("lr_decay", 1.5), ("damping", -0.1), ("damping", 1.1),
@@ -536,6 +536,29 @@ def test_cli_training_with_malformed_alignments_is_data_error(pipeline, tmp_path
     args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
     assert cli(args) == 2
     assert "alignments_training.jsonl line 2: malformed record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])
+def test_cli_training_with_alignment_path_that_is_a_directory_is_data_error(pipeline, tmp_path, capsys, stage):
+    """An alignment file that cannot be opened is exit 2 naming it, not a traceback."""
+    out = tmp_path / "out"
+    (out / "alignments_training.jsonl").mkdir(parents=True)
+    for name in ("extractor.ckpt", "abstractor.ckpt"):
+        shutil.copy(pipeline["out"] / name, out / name)
+    args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
+    assert cli(args) == 2
+    assert f"cannot read {out / 'alignments_training.jsonl'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "oracle", "train-extractor", "evaluate"])
+def test_cli_out_that_is_a_file_is_usage_error(pipeline, tmp_path, capsys, command):
+    """An --out naming an existing file is exit 1 naming it, before the stage reads anything."""
+    out = tmp_path / "out.txt"
+    out.write_text("keep me\n")
+    args = [command, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
+    assert cli(args) == 1
+    assert f"--out {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "keep me\n"
 
 
 def test_cli_summarize_split_flag(pipeline, tmp_path):

@@ -1,6 +1,8 @@
 """Actor-critic tests: rewards, rollouts, estimator math, training loop."""
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from narrsum.oracle import OracleAlignment
 from narrsum.rl import (
     A2CTrainer,
     Critic,
+    policy_loss,
     Trajectory,
     TrajectoryStep,
     compute_reward,
@@ -24,6 +27,18 @@ from narrsum.rl import (
 )
 from narrsum.rouge import rouge_l_summary
 from narrsum.training import fit
+from percell import (
+    add,
+    const,
+    dot,
+    log_softmax_at,
+    mul,
+    percell_policy_loss,
+    pointer_step_scores,
+    stack_rows,
+    sub,
+    take_row,
+)
 
 
 def softmax(x):
@@ -95,7 +110,10 @@ def test_suffix_returns():
 def test_critic_value_matches_node():
     critic = Critic(3, np.random.default_rng(0))
     state = np.random.default_rng(1).normal(size=6)
-    assert critic.value(state) == pytest.approx(float(critic.value_node(state).data))
+    value = critic.value(state)
+    assert value == pytest.approx(float(critic.params["w"].data @ state + critic.params["b"].data))
+    for target in (0.0, 1.5):
+        assert float(critic.loss([state], [target]).data) == pytest.approx((target - value) ** 2)
 
 
 def test_critic_checkpoint_round_trip(tmp_path):
@@ -200,18 +218,62 @@ def test_paraphrase_cache_is_filled_and_reused():
     assert set(cache) == {("r1", 0), ("r1", 2)}
 
 
+def test_sampled_rollout_probabilities_equal_its_replay():
+    vocab, doc, _ = toy_world()
+    gold = [list(s.tokens) for s in doc.sentences]
+    extractor = ExtractorModel(14, 8, 6, np.random.default_rng(61))
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="sample", rng=rng)
+        rows = traj.replay().data
+        replayed = [float(np.log(softmax(row)[s.action])) for row, s in zip(rows, traj.steps)]
+        assert len(rows) == len(traj.steps)
+        assert np.array_equal(np.array([s.log_prob for s in traj.steps]), np.array(replayed))
+        greedy = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy")
+        reused = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy", keys=traj.keys)
+        assert reused.steps == greedy.steps
+
+
+def test_rollout_keeps_no_encoder_graph(monkeypatch):
+    vocab, doc, gold = toy_world()
+    extractor = ExtractorModel(14, 8, 6, np.random.default_rng(63))
+    refs = []
+    encode = extractor.encode
+
+    def tracked(ids_lists):
+        keys = encode(ids_lists)
+        refs.append(weakref.ref(keys))
+        return keys
+
+    monkeypatch.setattr(extractor, "encode", tracked)
+    gc.disable()
+    try:
+        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="sample",
+                       rng=np.random.default_rng(64), critic=Critic(6, np.random.default_rng(65)))
+        assert len(refs) == 1 and refs[0]() is None
+        rows = traj.replay()  # the update's replay encodes again, and its graph lives as long as the rows
+        assert len(refs) == 2 and refs[1]() is not None
+        del rows
+        assert refs[1]() is None
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------- updates
 
 
+def theta_rows(theta: ad.Value, steps: int) -> ad.Value:
+    """The bandit policy's score rows: `theta` once per step."""
+    return stack_rows([theta] * steps)
+
+
 def bandit_trajectory(theta: ad.Value, arm: int, reward: float, state_dim: int = 2) -> Trajectory:
-    logp = ad.log_softmax_at(theta, arm)
     return Trajectory(
         "bandit",
-        [TrajectoryStep(arm, float(logp.data), reward, 0.0)],
+        [TrajectoryStep(arm, float(np.log(softmax(theta.data)[arm])), reward, 0.0)],
         [reward],
-        [logp],
-        [ad.softmax_entropy(theta)],
         [np.zeros(state_dim)],
+        lambda: theta_rows(theta, 1),
     )
 
 
@@ -253,9 +315,8 @@ def test_critic_regression_drives_loss_to_zero():
                 "fixed",
                 [TrajectoryStep(0, -0.5, ret, 0.0)],
                 [ret],
-                [ad.log_softmax_at(theta, 0)],
-                [ad.softmax_entropy(theta)],
                 [state],
+                lambda: theta_rows(theta, 1),
             )
             for state, ret in zip(states, [1.0, -0.5])
         ]
@@ -292,9 +353,8 @@ def test_normalized_advantage_keeps_update_direction():
             "one",
             steps,
             suffix_returns([1.0, 0.0, 1.0]),
-            [ad.log_softmax_at(theta, a) for a in [0, 1, 2]],
-            [ad.softmax_entropy(theta) for _ in range(3)],
             [np.zeros(2) for _ in range(3)],
+            lambda: theta_rows(theta, 3),
         )
         before = theta.data.copy()
         trainer.update([traj])
@@ -317,11 +377,68 @@ def test_reinforce_with_baseline_matches_analytic_gradient():
     empirical = np.zeros(3)
     for arm in range(3):
         theta = ad.param(theta_vals)
-        ad.backward(ad.log_softmax_at(theta, arm))
+        ad.backward(log_softmax_at(theta, arm))
         weight = (counts[arm] / 100_000.0) * (arm_rewards[arm] - expected_reward)
         empirical += weight * theta.grad
     rel = np.abs(empirical - analytic) / np.abs(analytic)
     assert np.all(rel < 0.02), rel
+
+
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.3])
+def test_policy_loss_matches_per_step_nodes(entropy_coef):
+    rng = np.random.default_rng(71)
+    data = rng.normal(size=(4, 200)) * 3.0
+    data[1, 2] += -1e9  # a masked candidate
+    actions, advantages = [0, 133, 2, 199], rng.normal(size=4)
+    grads = []
+    for build in (
+        lambda rows: policy_loss(rows, actions, advantages, entropy_coef),
+        lambda rows: percell_policy_loss([take_row(rows, t) for t in range(4)], actions, advantages, entropy_coef),
+    ):
+        rows = ad.param(data)
+        ad.backward(build(rows))
+        grads.append(rows.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.05])
+def test_update_matches_one_graph_over_the_wave(entropy_coef):
+    """Replaying each trajectory on its own, last first, leaves the same
+    weights as one graph of per-step nodes over the whole wave."""
+    vocab, doc, _ = toy_world()
+    gold = [list(s.tokens) for s in doc.sentences]
+    models = [ExtractorModel(14, 8, 6, np.random.default_rng(81)) for _ in range(2)]
+    critics = [Critic(6, np.random.default_rng(82)) for _ in range(2)]
+    rng = np.random.default_rng(83)
+    wave = [rollout(doc, gold, models[0], IdentityParaphraser(), vocab, mode="sample", rng=rng, critic=critics[0])
+            for _ in range(3)]
+    trainer = A2CTrainer(models[0].params, critics[0], policy_lr=0.01, entropy_coef=entropy_coef)
+    stats = trainer.update(wave)
+
+    model, critic = models[1], critics[1]
+    returns = [g for traj in wave for g in traj.return_per_step]
+    states = [s for traj in wave for s in traj.states]
+    values = [add(dot(critic.params["w"], const(s)), critic.params["b"]) for s in states]
+    advantages = np.array(returns) - np.array([float(v.data) for v in values])
+    ids_lists = doc_to_ids(doc, vocab)
+    rows, actions = [], []
+    for traj in wave:
+        traj_actions = [s.action for s in traj.steps]
+        rows += pointer_step_scores(model, model.encode(ids_lists), traj_actions)
+        actions += traj_actions
+    ad.backward(percell_policy_loss(rows, actions, advantages, entropy_coef))
+    assert ad.Adam(model.params, lr=0.01).step() == stats.policy_grad_norm
+    squares = [mul(d, d) for d in (sub(const(np.asarray(g)), v) for g, v in zip(returns, values))]
+    critic_loss = squares[0]
+    for term in squares[1:]:
+        critic_loss = add(critic_loss, term)
+    ad.backward(critic_loss)
+    assert float(critic_loss.data) == stats.critic_loss
+    assert ad.Adam(critic.params, lr=0.01).step() == stats.critic_grad_norm
+    for name, p in models[0].params.items():
+        assert np.array_equal(p.data, model.params[name].data), name
+    for name, p in critics[0].params.items():
+        assert np.array_equal(p.data, critic.params[name].data), name
 
 
 # ---------------------------------------------------------------- training
