@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import END_ID, PAD_ID, START_ID, UNK_ID, Vocab
+from .oracle import abstractor_pairs, aligned_reports
 
 log = logging.getLogger(__name__)
 
@@ -216,15 +217,8 @@ class AbstractorModel(ad.Checkpointed):
 
 def prepare_abstractor_pairs(examples, alignments, vocab: Vocab):
     """Oracle (report sentence, summary sentence) id pairs for training."""
-    from .oracle import abstractor_pairs  # local import avoids a cycle
-
-    by_id = {ex.document.id: ex for ex in examples}
     prepared = []
-    for alignment in alignments:
-        ex = by_id.get(alignment.report_id)
-        if ex is None:
-            log.warning("alignment for unknown report %s ignored", alignment.report_id)
-            continue
+    for ex, alignment in aligned_reports(examples, alignments):
         for src_tokens, tgt_tokens in abstractor_pairs(alignment, ex.document, ex.summary_set):
             if not tgt_tokens:
                 log.warning("report %s: pair with empty target skipped", alignment.report_id)

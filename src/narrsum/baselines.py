@@ -174,15 +174,7 @@ def lexrank(
 
 
 def lead_n(doc: Document, word_limit: int = WORD_LIMIT) -> list[int]:
-    token_lists = _token_lists(doc)
-    chosen: list[int] = []
-    used = 0
-    for i, toks in enumerate(token_lists):
-        if used + len(toks) > word_limit:
-            if not chosen:
-                chosen = [0]
-            break
-        chosen.append(i)
-        used += len(toks)
-    return chosen
+    """The budget fill over equal scores, which takes sentences in document order."""
+    lengths = [len(toks) for toks in _token_lists(doc)]
+    return select_by_score(np.zeros(len(lengths)), lengths, word_limit)
 

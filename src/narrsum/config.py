@@ -14,7 +14,7 @@ class ConfigError(Exception):
     """Raised for unusable configuration files or values."""
 
 
-# The exact types each RunConfig annotation admits, and how a refusal names them.
+# The exact types each config annotation admits, and how a refusal names them.
 _FIELD_TYPES = {
     "int": ((int,), "an integer"),
     "bool": ((bool,), "true or false"),
@@ -23,6 +23,20 @@ _FIELD_TYPES = {
     "str": ((str,), "a string"),
     "str | None": ((str, type(None)), "a string or null"),
 }
+
+
+def check_field_types(obj, error: type[Exception]) -> None:
+    """Raise `error` for the first field of dataclass `obj` whose value is
+    not of the exact types its annotation admits.
+
+    A JSON `true` is a Python int and `2.0` compares like one, so the exact
+    types are checked before any range.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        types, described = _FIELD_TYPES[f.type]
+        if type(value) not in types:
+            raise error(f"{f.name} must be {described}, got {value!r}")
 
 
 @dataclass
@@ -69,13 +83,7 @@ class RunConfig:
     pagerank_max_iter: int = 100
 
     def __post_init__(self):
-        # A JSON `true` is a Python int and `2.0` compares like one, so the
-        # exact types are checked before any range.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            types, described = _FIELD_TYPES[f.type]
-            if type(value) not in types:
-                raise ConfigError(f"{f.name} must be {described}, got {value!r}")
+        check_field_types(self, ConfigError)
         for name in (
             "vocab_size", "embedding_dim", "hidden_dim", "batch_size",
             "extractor_epochs", "abstractor_epochs", "max_sentence_tokens", "max_output_tokens",

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import PAD_ID, Document, Vocab, read_jsonl, write_jsonl
+from .oracle import aligned_reports
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +50,18 @@ class Extraction:
 
 def doc_to_ids(doc: Document, vocab: Vocab) -> list[list[int]]:
     return [vocab.encode(s.tokens) for s in doc.sentences]
+
+
+def pointer_chooser(mode: str, rng: np.random.Generator | None) -> Callable[[np.ndarray, int], int]:
+    """The `decode` chooser of a mode: "greedy" takes the most probable
+    index, "sample" draws one from the masked probabilities with `rng`."""
+    if mode not in ("greedy", "sample"):
+        raise ValueError(f"unknown decode mode: {mode!r}")
+    if mode == "greedy":
+        return lambda probs, _t: int(np.argmax(probs))
+    if rng is None:
+        raise ValueError("sampled decoding needs an rng")
+    return lambda probs, _t: int(rng.choice(len(probs), p=probs))
 
 
 class ExtractorModel(ad.Checkpointed):
@@ -141,18 +154,9 @@ class ExtractorModel(ad.Checkpointed):
         keys: ad.Value | np.ndarray | None = None,
     ) -> Extraction:
         """Point at sentences of `ids_lists`; `keys` may hold their encoding already."""
-        if mode not in ("greedy", "sample"):
-            raise ValueError(f"unknown decode mode: {mode!r}")
-        if mode == "sample" and rng is None:
-            raise ValueError("sampled extraction needs an rng")
+        choose = pointer_chooser(mode, rng)
         if keys is None:
             keys = self.encode(ids_lists).data
-
-        def choose(probs: np.ndarray, _t: int) -> int:
-            if mode == "greedy":
-                return int(np.argmax(probs))
-            return int(rng.choice(len(probs), p=probs / probs.sum()))
-
         steps = self.decode(keys, len(ids_lists), choose, max_steps)
         stop = len(ids_lists)
         indices = [s.action for s in steps if s.action != stop]
@@ -189,14 +193,9 @@ class ExtractorModel(ad.Checkpointed):
 
 
 def prepare_extractor_examples(examples, alignments, vocab: Vocab):
-    """Join loaded reports with their alignments into (id, ids, targets)."""
-    by_id = {ex.document.id: ex for ex in examples}
+    """(id, sentence ids, targets) per aligned report with extraction targets."""
     prepared = []
-    for alignment in alignments:
-        ex = by_id.get(alignment.report_id)
-        if ex is None:
-            log.warning("alignment for unknown report %s ignored", alignment.report_id)
-            continue
+    for ex, alignment in aligned_reports(examples, alignments):
         if not alignment.extract_targets:
             log.warning("report %s skipped: empty extraction targets", alignment.report_id)
             continue

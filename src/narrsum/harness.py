@@ -124,11 +124,8 @@ def summarize_document(
     if not extraction.indices:
         extraction = Extraction(document.id, [extractor.fallback_index(keys)], [])
     decode = DecodeConfig(config.beam_width, config.repetition_penalty, config.max_output_tokens)
-    rewritten = []
-    for idx in extraction.indices:
-        tokens = vocab.decode(abstractor.paraphrase(ids_lists[idx], decode))
-        if tokens:
-            rewritten.append(tokens)
+    # An empty rewrite is dropped by `truncate_sentences`, as an empty baseline sentence is.
+    rewritten = [vocab.decode(abstractor.paraphrase(ids_lists[idx], decode)) for idx in extraction.indices]
     text = detokenize(truncate_sentences(rewritten, config.word_limit))
     return extraction, text
 
@@ -274,7 +271,7 @@ def build_parser() -> _Parser:
     p.add_argument("--abstractor", default=argparse.SUPPRESS, help="abstractor checkpoint path")
 
     p = command("baseline", "run an unsupervised baseline over a split")
-    p.add_argument("--method", required=True, choices=["textrank", "lexrank", "lead"])
+    p.add_argument("--method", required=True, choices=list(BASELINES))
     p.add_argument("--split", default="testing", choices=SPLITS)
 
     p = command("evaluate", "score prediction directories against references")
@@ -319,9 +316,9 @@ def _training_vocab(dataset: LoadedDataset, config: RunConfig) -> Vocab:
 def _load_or_build_alignments(dataset: LoadedDataset, split: str, out_dir: Path) -> list[OracleAlignment]:
     """The split's alignment file from `oracle` if there is one, else a fresh oracle.
 
-    A loaded record whose indices fall outside its report or summaries is a
-    `DataError`; one for a report not in the split is left to the stage,
-    which warns and skips it.
+    A second record for one report, or a loaded record whose indices fall
+    outside its report or summaries, is a `DataError`; one for a report not
+    in the split is left to the stage, which warns and skips it.
     """
     examples = dataset.split(split)
     path = out_dir / f"alignments_{split}.jsonl"
@@ -329,7 +326,11 @@ def _load_or_build_alignments(dataset: LoadedDataset, split: str, out_dir: Path)
         return build_oracle(examples)
     alignments = load_alignments(path)
     by_id = {ex.document.id: ex for ex in examples}
+    seen: set[str] = set()
     for al in alignments:
+        if al.report_id in seen:
+            raise DataError(f"{path}: more than one alignment of report {al.report_id}")
+        seen.add(al.report_id)
         ex = by_id.get(al.report_id)
         problem = _alignment_range_problem(al, ex) if ex is not None else None
         if problem:
@@ -499,52 +500,54 @@ def cmd_train_rl(ns, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _write_summaries(examples, summarize: Callable, target_dir: Path, label: str) -> int:
+    """`summarize(document)` -> (extraction, text) written as `<id>.txt` per
+    report and `extractions.jsonl` under `target_dir`, in report-id order."""
+    target_dir.mkdir(parents=True, exist_ok=True)
+    extractions = []
+    for example in sorted(examples, key=lambda ex: ex.document.id):
+        extraction, text = summarize(example.document)
+        (target_dir / f"{example.document.id}.txt").write_text(text + "\n", encoding="utf-8")
+        extractions.append(extraction)
+    save_extractions(extractions, target_dir / "extractions.jsonl")
+    print(f"{label}: {len(extractions)} reports -> {target_dir}")
+    return 0
+
+
 def cmd_summarize(ns, config: RunConfig, out_dir: Path) -> int:
-    examples = sorted(_load_corpus(config).split(ns.split), key=lambda ex: ex.document.id)
+    examples = _load_corpus(config).split(ns.split)
     extractor_path = Path(getattr(ns, "extractor", out_dir / "extractor.ckpt"))
     abstractor_path = Path(getattr(ns, "abstractor", out_dir / "abstractor.ckpt"))
     extractor, abstractor, vocab = _load_models(
         extractor_path, abstractor_path, config, hasattr(ns, "config")
     )
-    target_dir = out_dir / "summaries"
-    target_dir.mkdir(parents=True, exist_ok=True)
-    extractions = []
-    for example in examples:
-        extraction, text = summarize_document(example.document, extractor, abstractor, vocab, config)
-        (target_dir / f"{example.document.id}.txt").write_text(text + "\n", encoding="utf-8")
-        extractions.append(extraction)
-    save_extractions(extractions, target_dir / "extractions.jsonl")
-    print(f"summarize: {len(extractions)} reports -> {target_dir}")
-    return 0
+    return _write_summaries(
+        examples, lambda doc: summarize_document(doc, extractor, abstractor, vocab, config),
+        out_dir / "summaries", "summarize",
+    )
+
+
+# `--method` name -> the baseline's sentence indices for (document, config).
+BASELINES: dict[str, Callable[[Document, RunConfig], list[int]]] = {
+    "textrank": lambda doc, c: textrank(
+        doc, c.word_limit, damping=c.damping, tol=c.pagerank_tol, max_iter=c.pagerank_max_iter
+    ),
+    "lexrank": lambda doc, c: lexrank(
+        doc, c.word_limit, threshold=c.lexrank_threshold,
+        damping=c.damping, tol=c.pagerank_tol, max_iter=c.pagerank_max_iter,
+    ),
+    "lead": lambda doc, c: lead_n(doc, c.word_limit),
+}
 
 
 def cmd_baseline(ns, config: RunConfig, out_dir: Path) -> int:
-    examples = sorted(_load_corpus(config).split(ns.split), key=lambda ex: ex.document.id)
-    target_dir = out_dir / f"baseline_{ns.method}"
-    target_dir.mkdir(parents=True, exist_ok=True)
-    extractions = []
-    for example in examples:
-        doc = example.document
-        if ns.method == "textrank":
-            indices = textrank(
-                doc, config.word_limit,
-                damping=config.damping, tol=config.pagerank_tol, max_iter=config.pagerank_max_iter,
-            )
-        elif ns.method == "lexrank":
-            indices = lexrank(
-                doc, config.word_limit,
-                threshold=config.lexrank_threshold,
-                damping=config.damping, tol=config.pagerank_tol, max_iter=config.pagerank_max_iter,
-            )
-        else:
-            indices = lead_n(doc, config.word_limit)
+    def summarize(doc: Document) -> tuple[Extraction, str]:
+        indices = BASELINES[ns.method](doc, config)
         sentences = [list(doc.sentences[i].tokens) for i in indices]
-        text = detokenize(truncate_sentences(sentences, config.word_limit))
-        (target_dir / f"{doc.id}.txt").write_text(text + "\n", encoding="utf-8")
-        extractions.append(Extraction(doc.id, indices, []))
-    save_extractions(extractions, target_dir / "extractions.jsonl")
-    print(f"baseline {ns.method}: {len(extractions)} reports -> {target_dir}")
-    return 0
+        return Extraction(doc.id, indices, []), detokenize(truncate_sentences(sentences, config.word_limit))
+
+    examples = _load_corpus(config).split(ns.split)
+    return _write_summaries(examples, summarize, out_dir / f"baseline_{ns.method}", f"baseline {ns.method}")
 
 
 def cmd_evaluate(ns, config: RunConfig, out_dir: Path) -> int:

@@ -3,6 +3,8 @@
 For each gold summary sentence, find the report sentence whose LCS
 covers it best; per report, keep the reference summary that those
 extractions reconstruct with the highest summary-level recall.
+`aligned_reports` is the one join of a split's reports with their
+alignments, which every training stage reads its data through.
 """
 
 from __future__ import annotations
@@ -128,24 +130,29 @@ def _dedup_keep_order(indices: Sequence[int]) -> list[int]:
     return out
 
 
+def pick_reference(
+    report_id: str,
+    report: Sequence[Sequence[str]],
+    summaries: Sequence[Sequence[Sequence[str]]],
+    rows: Sequence[list[tuple[int, int, float]]],
+) -> OracleAlignment:
+    """The alignment, among each summary's `rows`, whose extraction targets
+    reconstruct that summary with the highest summary-level recall; ties
+    fall to the earliest summary. Sentences are token sequences."""
+    targets = [_dedup_keep_order([jt for _, jt, _ in summary_rows]) for summary_rows in rows]
+    recalls = [rouge_l_summary([report[i] for i in kept], summary).recall for kept, summary in zip(targets, summaries)]
+    j = max(range(len(rows)), key=lambda k: (recalls[k], -k))
+    return OracleAlignment(report_id, j, rows[j], targets[j])
+
+
 def select_reference(report: Document, summary_set: SummarySet) -> OracleAlignment:
     """Pick the reference summary best reconstructed by its own alignment."""
     if not summary_set.summaries:
         raise ValueError(f"report {report.id} has no summaries to align")
     index = SourceIndex([s.tokens for s in report.sentences])
-    best: OracleAlignment | None = None
-    best_recall = -1.0
-    for j, (_, sentences) in enumerate(summary_set.summaries):
-        rows = align_summary(report, sentences, index)
-        targets = _dedup_keep_order([jt for _, jt, _ in rows])
-        extracted = [list(report.sentences[i].tokens) for i in targets]
-        reference = [list(s.tokens) for s in sentences]
-        recall = rouge_l_summary(extracted, reference).recall
-        if recall > best_recall:
-            best = OracleAlignment(report.id, j, rows, targets)
-            best_recall = recall
-    assert best is not None
-    return best
+    summaries = [[s.tokens for s in sentences] for _, sentences in summary_set.summaries]
+    rows = [align_summary(report, sentences, index) for _, sentences in summary_set.summaries]
+    return pick_reference(report.id, index.sentences, summaries, rows)
 
 
 def build_oracle(examples: Sequence[ReportExample]) -> list[OracleAlignment]:
@@ -157,6 +164,23 @@ def build_oracle(examples: Sequence[ReportExample]) -> list[OracleAlignment]:
             continue
         alignments.append(select_reference(ex.document, ex.summary_set))
     return alignments
+
+
+def aligned_reports(
+    examples: Sequence[ReportExample], alignments: Sequence[OracleAlignment]
+) -> list[tuple[ReportExample, OracleAlignment]]:
+    """Each report paired with its alignment, in the order of `examples`.
+
+    An alignment of a report not in `examples`, and a report without an
+    alignment, are each warned about and left out.
+    """
+    by_id = {ex.document.id: ex for ex in examples}
+    found = {al.report_id: al for al in alignments}
+    for report_id in sorted(found.keys() - by_id.keys()):
+        log.warning("alignment for unknown report %s ignored", report_id)
+    for report_id in sorted(by_id.keys() - found.keys()):
+        log.warning("report %s has no alignment; skipped", report_id)
+    return [(ex, found[report_id]) for report_id, ex in by_id.items() if report_id in found]
 
 
 def abstractor_pairs(

@@ -23,8 +23,8 @@ from . import autodiff as ad
 from .abstractor import AbstractorModel, DecodeConfig
 from .config import RunConfig
 from .corpus import DataError, Document, ReportExample, Vocab
-from .extractor import ExtractorModel, doc_to_ids
-from .oracle import OracleAlignment
+from .extractor import ExtractorModel, doc_to_ids, pointer_chooser
+from .oracle import OracleAlignment, aligned_reports
 from .rouge import rouge_l_sentence, rouge_l_summary
 from .training import accumulate_gradients
 
@@ -41,7 +41,6 @@ class TrajectoryStep:
     action: int  # sentence index, or n_sentences for stop
     log_prob: float
     reward: float
-    value: float
 
 
 @dataclass
@@ -157,7 +156,6 @@ def rollout(
     *,
     mode: str,
     rng: np.random.Generator | None = None,
-    critic: Critic | None = None,
     decode: DecodeConfig = DecodeConfig(),
     max_steps: int = 80,
     paraphrase_cache: dict | None = None,
@@ -170,10 +168,7 @@ def rollout(
     report's encoding under the extractor's current weights; the rollout
     builds no graph either way.
     """
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown rollout mode: {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ValueError("sampled rollout needs an rng")
+    choose = pointer_chooser(mode, rng)
     if not gold_sentences:
         raise ValueError(f"report {document.id}: rollout needs gold sentences")
 
@@ -182,12 +177,6 @@ def rollout(
         keys = extractor.encode(ids_lists).data
     n = len(ids_lists)
     horizon = min(len(gold_sentences), max_steps)
-
-    def choose(probs: np.ndarray, _t: int) -> int:
-        if mode == "greedy":
-            return int(np.argmax(probs))
-        return int(rng.choice(len(probs), p=probs))
-
     decode_steps = extractor.decode(keys, n, choose, max_steps=horizon)
 
     generated: list[list[str]] = []
@@ -208,8 +197,7 @@ def rollout(
             rewrite = vocab.decode(out_ids)
             reward = compute_reward(rewrite, gold_sentences[t])
             generated.append(rewrite)
-        value = critic.value(step.state) if critic is not None else 0.0
-        steps.append(TrajectoryStep(step.action, float(np.log(step.probs[step.action])), reward, value))
+        steps.append(TrajectoryStep(step.action, float(np.log(step.probs[step.action])), reward))
     actions = [s.action for s in steps]
     return Trajectory(
         document.id, steps, suffix_returns([s.reward for s in steps]), [s.state for s in decode_steps],
@@ -324,13 +312,8 @@ def write_reward_curve(rows: Sequence[RewardRow], path: str | Path) -> None:
 def _paired_examples(
     examples: Sequence[ReportExample], alignments: Sequence[OracleAlignment]
 ) -> list[tuple[ReportExample, list[list[str]]]]:
-    by_id = {al.report_id: al for al in alignments}
     paired = []
-    for ex in examples:
-        al = by_id.get(ex.document.id)
-        if al is None:
-            log.warning("report %s has no alignment; skipped for rl", ex.document.id)
-            continue
+    for ex, al in aligned_reports(examples, alignments):
         _, chosen = ex.summary_set.summaries[al.chosen_summary]
         gold = [list(s.tokens) for s in chosen if s.tokens]
         if not gold:
@@ -382,7 +365,7 @@ def train_rl(
 
     def play(example: ReportExample, gold: list[list[str]], **mode) -> Trajectory:
         return rollout(
-            example.document, gold, extractor, abstractor, vocab, critic=critic, decode=decode,
+            example.document, gold, extractor, abstractor, vocab, decode=decode,
             max_steps=config.max_extract_sentences, paraphrase_cache=cache, **mode,
         )
 

@@ -15,11 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, check_field_types
 from .corpus import Document, Sentence, SummarySet
-from .oracle import OracleAlignment, SourceIndex, save_alignments, select_reference
-from .rouge import rouge_l_sentence, rouge_l_summary
+from .oracle import OracleAlignment, SourceIndex, pick_reference, save_alignments, select_reference
+from .rouge import rouge_l_sentence
 
 _SPLIT_PREFIX = {"training": "tr", "validation": "va", "testing": "te"}
+# Consecutive draws `_make_report` may reject before it gives up on a spec
+# whose vocabulary and sentence lengths cannot fill a report.
+MAX_REJECTED_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,9 @@ class SynthSpec:
     max_sentence_tokens: int = 9
 
     def __post_init__(self):
+        check_field_types(self, ValueError)
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if not 0 <= self.noise_rate < 1:
             raise ValueError(f"noise_rate must be in [0,1), got {self.noise_rate}")
         if self.summary_sentences > self.sentences_per_report:
@@ -52,6 +59,8 @@ class SynthSpec:
     def from_json(path: str | Path) -> "SynthSpec":
         with Path(path).open("r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"synth spec root must be a JSON object: {path}")
         known = set(SynthSpec.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -128,8 +137,14 @@ def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> list[st
 def _make_report(rng, vocab, spec):
     """Report sentences with no mutual containment, plus its summaries."""
     kept = _Uncontained()
+    rejected = 0
     while len(kept.sentences) < spec.sentences_per_report:
-        kept.offer(_draw_sentence(rng, vocab, spec))
+        rejected = 0 if kept.offer(_draw_sentence(rng, vocab, spec)) else rejected + 1
+        if rejected == MAX_REJECTED_DRAWS:
+            raise ConfigError(
+                f"synthesis spec cannot be met: {MAX_REJECTED_DRAWS} draws in a row contained or were "
+                f"contained in a kept sentence, with {len(kept.sentences)} of {spec.sentences_per_report} kept"
+            )
     sentences = kept.sentences
 
     index = SourceIndex(sentences)
@@ -146,24 +161,6 @@ def _make_report(rng, vocab, spec):
         summaries.append(sents)
         truth_rows.append(rows)
     return sentences, summaries, truth_rows
-
-
-def _truth_alignment(report_id, sentences, summaries, truth_rows) -> OracleAlignment:
-    recalls = []
-    for sents, rows in zip(summaries, truth_rows):
-        targets = []
-        for _, src, _ in rows:
-            if src not in targets:
-                targets.append(src)
-        extracted = [sentences[i] for i in targets]
-        recalls.append(rouge_l_summary(extracted, sents).recall)
-    chosen = max(range(len(summaries)), key=lambda j: (recalls[j], -j))
-    rows = truth_rows[chosen]
-    targets = []
-    for _, src, _ in rows:
-        if src not in targets:
-            targets.append(src)
-    return OracleAlignment(report_id, chosen, rows, targets)
 
 
 def _as_example(report_id, sentences, summaries):
@@ -199,12 +196,12 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
             for attempt in range(20):
                 rng = np.random.default_rng([spec.seed, split_idx, ridx, attempt])
                 sentences, summaries, truth_rows = _make_report(rng, vocab, spec)
-                alignment = _truth_alignment(report_id, sentences, summaries, truth_rows)
+                alignment = pick_reference(report_id, sentences, summaries, truth_rows)
                 doc, sset = _as_example(report_id, sentences, summaries)
                 if select_reference(doc, sset) == alignment:
                     break
             else:
-                raise RuntimeError(f"could not build an argmax-consistent report {report_id}")
+                raise ConfigError(f"synthesis spec cannot be met: no argmax-consistent report {report_id}")
             (reports_dir / f"{report_id}.txt").write_text(
                 "\n".join(_sentence_line(s) for s in sentences) + "\n", encoding="utf-8"
             )

@@ -628,7 +628,7 @@ def test_a5_abstractor_copy_task():
 def _bandit_trajectory(theta, arm, reward):
     return Trajectory(
         "bandit",
-        [TrajectoryStep(arm, float(np.log(_softmax(theta.data)[arm])), reward, 0.0)],
+        [TrajectoryStep(arm, float(np.log(_softmax(theta.data)[arm])), reward)],
         [reward],
         [np.zeros(2)],
         lambda: stack_rows([theta]),

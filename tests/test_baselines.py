@@ -280,6 +280,27 @@ def test_lead_first_sentence_over_limit():
     assert lead_n(doc, word_limit=5) == [0]
 
 
+def loop_lead_n(doc, word_limit):
+    """The lead-N fill written as its own loop; the reference `lead_n` replaced."""
+    chosen = []
+    used = 0
+    for i, sentence in enumerate(doc.sentences):
+        if used + len(sentence.tokens) > word_limit:
+            if not chosen:
+                chosen = [0]
+            break
+        chosen.append(i)
+        used += len(sentence.tokens)
+    return chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=30), st.integers(1, 200))
+def test_lead_n_matches_its_own_loop(lengths, word_limit):
+    doc = mk_doc([["w"] * n for n in lengths])
+    assert lead_n(doc, word_limit) == loop_lead_n(doc, word_limit)
+
+
 def test_methods_output_document_order():
     doc = hub_doc()
     picked = textrank(doc, word_limit=7)  # hub (4 tokens) + one 3-token sentence

@@ -97,6 +97,12 @@ def test_truncate_sentences_budget_crosses_mid_sentence():
     assert truncate_sentences(sents, 5) == [["a"] * 5]
 
 
+def test_truncate_sentences_drops_empty_sentences():
+    """Empty rewrites and empty report sentences both vanish here, before the text is written."""
+    assert truncate_sentences([[], ["a"] * 2, [], ["b"]], 3) == [["a"] * 2, ["b"]]
+    assert truncate_sentences([["a"] * 3, []], 3) == [["a"] * 3]
+
+
 def test_detokenize_periods_and_capitals():
     assert detokenize([["profit", "rose"], ["costs", "fell"]]) == "Profit rose. Costs fell."
     assert detokenize([["profit", "rose", "."]]) == "Profit rose ."
@@ -548,6 +554,22 @@ def test_cli_training_with_alignment_path_that_is_a_directory_is_data_error(pipe
     args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
     assert cli(args) == 2
     assert f"cannot read {out / 'alignments_training.jsonl'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])
+def test_cli_training_with_duplicate_alignment_records_is_data_error(pipeline, tmp_path, capsys, stage):
+    """A second record for one report is exit 2 naming file and report, not a report trained on twice."""
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = (pipeline["out"] / "alignments_training.jsonl").read_text().splitlines()
+    (out / "alignments_training.jsonl").write_text("\n".join([*lines, lines[0]]) + "\n")
+    for name in ("extractor.ckpt", "abstractor.ckpt"):
+        shutil.copy(pipeline["out"] / name, out / name)
+    args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert "alignments_training.jsonl" in err
+    assert f"more than one alignment of report {json.loads(lines[0])['report_id']}" in err
 
 
 @pytest.mark.parametrize("command", ["ingest", "oracle", "train-extractor", "evaluate"])

@@ -1,6 +1,7 @@
 """Proxy-label tests: alignment argmax, reference choice, persistence."""
 
 import json
+import logging
 from collections import Counter
 
 import numpy as np
@@ -9,12 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narrsum import oracle
-from narrsum.corpus import DataError, Document, Sentence, SummarySet
+from narrsum.abstractor import prepare_abstractor_pairs
+from narrsum.corpus import RESERVED_TOKENS, DataError, Document, Sentence, SummarySet, Vocab
+from narrsum.extractor import prepare_extractor_examples
 from narrsum.oracle import (
     OracleAlignment,
     SourceIndex,
     abstractor_pairs,
     align_summary,
+    aligned_reports,
     build_oracle,
     load_alignments,
     save_alignments,
@@ -204,8 +208,6 @@ def test_build_oracle_round_trip(tmp_path):
 def test_build_oracle_skips_summaryless(caplog):
     examples = _examples()
     examples.append(ReportExample(make_doc("r3", [["lонely"]]), SummarySet("r3", [])))
-    import logging
-
     with caplog.at_level(logging.WARNING):
         alignments = build_oracle(examples)
     assert [a.report_id for a in alignments] == ["r1", "r2"]
@@ -232,6 +234,41 @@ def test_abstractor_pairs_duplicates_included():
         (["gamma", "delta"], ["gamma"]),
         (["alpha", "beta"], ["alpha"]),
         (["gamma", "delta"], ["gamma", "delta"]),
+    ]
+
+
+def _three_reports():
+    """Reports r1..r3, each with its own tokens and one gold summary copying its second sentence."""
+    return [
+        ReportExample(
+            make_doc(rid, [[f"{rid}a"], [f"{rid}b"]]),
+            SummarySet(rid, [("1", make_sentences([[f"{rid}b"]]))]),
+        )
+        for rid in ("r1", "r2", "r3")
+    ]
+
+
+def test_aligned_reports_follow_report_order_not_record_order():
+    examples = _three_reports()
+    alignments = [OracleAlignment(rid, 0, [(0, 1, 1.0)], [1]) for rid in ("r3", "r1", "r2")]
+    joined = aligned_reports(examples, alignments)
+    assert [(ex.document.id, al.report_id) for ex, al in joined] == [("r1", "r1"), ("r2", "r2"), ("r3", "r3")]
+    vocab = Vocab.from_list(list(RESERVED_TOKENS) + [f"{rid}{x}" for rid in ("r1", "r2", "r3") for x in "ab"])
+    assert [rid for rid, _, _ in prepare_extractor_examples(examples, alignments, vocab)] == ["r1", "r2", "r3"]
+    pairs = prepare_abstractor_pairs(examples, alignments, vocab)
+    assert [vocab.decode(src) for src, _ in pairs] == [["r1b"], ["r2b"], ["r3b"]]
+
+
+def test_aligned_reports_warn_for_unknown_and_unaligned_reports(caplog):
+    alignments = [OracleAlignment("ghost", 0, [(0, 0, 1.0)], [0]), OracleAlignment("r2", 0, [(0, 1, 1.0)], [1])]
+    with caplog.at_level(logging.WARNING, logger="narrsum.oracle"):
+        joined = aligned_reports(_three_reports(), alignments)
+    assert [ex.document.id for ex, _ in joined] == ["r2"]
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert messages == [
+        "alignment for unknown report ghost ignored",
+        "report r1 has no alignment; skipped",
+        "report r3 has no alignment; skipped",
     ]
 
 

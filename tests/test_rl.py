@@ -249,7 +249,7 @@ def test_rollout_keeps_no_encoder_graph(monkeypatch):
     gc.disable()
     try:
         traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="sample",
-                       rng=np.random.default_rng(64), critic=Critic(6, np.random.default_rng(65)))
+                       rng=np.random.default_rng(64))
         assert len(refs) == 1 and refs[0]() is None
         rows = traj.replay()  # the update's replay encodes again, and its graph lives as long as the rows
         assert len(refs) == 2 and refs[1]() is not None
@@ -270,7 +270,7 @@ def theta_rows(theta: ad.Value, steps: int) -> ad.Value:
 def bandit_trajectory(theta: ad.Value, arm: int, reward: float, state_dim: int = 2) -> Trajectory:
     return Trajectory(
         "bandit",
-        [TrajectoryStep(arm, float(np.log(softmax(theta.data)[arm])), reward, 0.0)],
+        [TrajectoryStep(arm, float(np.log(softmax(theta.data)[arm])), reward)],
         [reward],
         [np.zeros(state_dim)],
         lambda: theta_rows(theta, 1),
@@ -313,7 +313,7 @@ def test_critic_regression_drives_loss_to_zero():
         return [
             Trajectory(
                 "fixed",
-                [TrajectoryStep(0, -0.5, ret, 0.0)],
+                [TrajectoryStep(0, -0.5, ret)],
                 [ret],
                 [state],
                 lambda: theta_rows(theta, 1),
@@ -348,7 +348,7 @@ def test_normalized_advantage_keeps_update_direction():
         trainer = A2CTrainer(
             {"theta": theta}, critic, policy_lr=0.01, critic_lr=0.0, normalize_advantage=normalize
         )
-        steps = [TrajectoryStep(a, -1.0, r, 0.0) for a, r in zip([0, 1, 2], [1.0, 0.0, 1.0])]
+        steps = [TrajectoryStep(a, -1.0, r) for a, r in zip([0, 1, 2], [1.0, 0.0, 1.0])]
         traj = Trajectory(
             "one",
             steps,
@@ -410,7 +410,7 @@ def test_update_matches_one_graph_over_the_wave(entropy_coef):
     models = [ExtractorModel(14, 8, 6, np.random.default_rng(81)) for _ in range(2)]
     critics = [Critic(6, np.random.default_rng(82)) for _ in range(2)]
     rng = np.random.default_rng(83)
-    wave = [rollout(doc, gold, models[0], IdentityParaphraser(), vocab, mode="sample", rng=rng, critic=critics[0])
+    wave = [rollout(doc, gold, models[0], IdentityParaphraser(), vocab, mode="sample", rng=rng)
             for _ in range(3)]
     trainer = A2CTrainer(models[0].params, critics[0], policy_lr=0.01, entropy_coef=entropy_coef)
     stats = trainer.update(wave)

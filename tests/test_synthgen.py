@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from narrsum import synthgen
 from narrsum.corpus import load_dataset
+from narrsum.harness import cli
 from narrsum.oracle import build_oracle, load_alignments
-from narrsum.synthgen import SynthSpec, _Uncontained, generate
+from narrsum.synthgen import MAX_REJECTED_DRAWS, SynthSpec, _Uncontained, generate
 
 
 def tree_digest(root: Path) -> str:
@@ -31,6 +33,47 @@ def test_spec_validation():
         SynthSpec(vocabulary_size=3)
     with pytest.raises(ValueError):
         SynthSpec(min_sentence_tokens=0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": -2}, "seed must be at least 0"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"n_reports": "3"}, "n_reports must be an integer"),
+        ({"noise_rate": None}, "noise_rate must be a number"),
+    ],
+)
+def test_spec_rejects_mistyped_fields_and_negative_seed(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SynthSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": -2}, "bad synthesis spec: seed must be at least 0"),
+        ({"n_reports": "3"}, "bad synthesis spec: n_reports must be an integer"),
+        (5, "bad synthesis spec: synth spec root must be a JSON object"),
+        # Only 10 one-token sentences avoid containing each other, far fewer than 40.
+        (
+            {"vocabulary_size": 10, "sentences_per_report": 40, "min_sentence_tokens": 1, "max_sentence_tokens": 1},
+            f"synthesis spec cannot be met: {MAX_REJECTED_DRAWS} draws in a row",
+        ),
+    ],
+)
+def test_cli_unusable_spec_is_config_error(tmp_path, capsys, fields, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields), encoding="utf-8")
+    assert cli(["synthgen", "--spec", str(spec), "--data-root", str(tmp_path / "data")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_report_without_argmax_consistent_draw_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(synthgen, "select_reference", lambda doc, sset: None)
+    assert cli(["synthgen", "--data-root", str(tmp_path / "data")]) == 2
+    assert "no argmax-consistent report tr0000" in capsys.readouterr().err
 
 
 def test_spec_from_json(tmp_path):
