@@ -7,13 +7,13 @@ until the word budget is full, re-sorted into document order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
 from .corpus import Document
+from .oracle import SourceIndex
 
 DAMPING = 0.85
 LEXRANK_THRESHOLD = 0.1
@@ -32,6 +32,8 @@ class SentenceGraph:
         w = self.weights
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"sentence graph must be square, got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("sentence graph weights must be finite")
         if not np.allclose(w, w.T):
             raise ValueError("sentence graph weights must be symmetric")
         if np.any(np.diag(w) != 0.0):
@@ -52,33 +54,21 @@ def _token_lists(doc: Document) -> list[list[str]]:
 # ---------------------------------------------------------------- graphs
 
 
-def _term_counts(token_lists: list[list[str]]) -> np.ndarray:
-    """Sentences x sorted document vocabulary matrix of token counts."""
-    vocabulary = sorted({tok for toks in token_lists for tok in toks})
-    index = {tok: k for k, tok in enumerate(vocabulary)}
-    rows: list[int] = []
-    cols: list[int] = []
-    values: list[int] = []
-    for i, toks in enumerate(token_lists):
-        for tok, count in Counter(toks).items():
-            rows.append(i)
-            cols.append(index[tok])
-            values.append(count)
-    counts = np.zeros((len(token_lists), len(vocabulary)))
-    counts[rows, cols] = values
-    return counts
+def _divide_in_place(gram: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """`gram / denom` where `denom` is positive and 0 elsewhere and on the diagonal, written into `gram`."""
+    positive = denom > 0.0
+    np.divide(gram, denom, out=gram, where=positive)
+    gram[~positive] = 0.0
+    np.fill_diagonal(gram, 0.0)
+    return gram
 
 
 def textrank_graph(token_lists: list[list[str]]) -> SentenceGraph:
     """Edges weigh shared token types against log sentence lengths."""
-    counts = _term_counts(token_lists)
-    present = np.minimum(counts, 1.0, out=counts)
-    shared = present @ present.T
+    index = SourceIndex(token_lists)
+    shared = index.gram(np.ones(len(index.df)), counted=False)
     logs = np.array([log(len(toks)) for toks in token_lists])
-    denom = logs[:, None] + logs[None, :]
-    weights = np.divide(shared, denom, out=np.zeros_like(shared), where=denom > 0.0)
-    np.fill_diagonal(weights, 0.0)
-    return SentenceGraph(weights)
+    return SentenceGraph(_divide_in_place(shared, np.add.outer(logs, logs)))
 
 
 def lexrank_graph(token_lists: list[list[str]], threshold: float = LEXRANK_THRESHOLD) -> SentenceGraph:
@@ -87,16 +77,13 @@ def lexrank_graph(token_lists: list[list[str]], threshold: float = LEXRANK_THRES
     Document frequency is computed over this document's sentences.
     """
     n = len(token_lists)
-    vectors = _term_counts(token_lists)
-    idf = np.array([log(n / df) for df in np.count_nonzero(vectors, axis=0).tolist()])
-    vectors *= idf
-    norms = np.linalg.norm(vectors, axis=1)
-    gram = vectors @ vectors.T
-    denom = norms[:, None] * norms[None, :]
-    cosines = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
-    weights = np.where(cosines >= threshold, cosines, 0.0)
-    np.fill_diagonal(weights, 0.0)
-    return SentenceGraph(weights)
+    index = SourceIndex(token_lists)
+    idf = np.array([log(n / df) for df in index.df.tolist()])
+    gram = index.gram(idf)
+    norms = np.sqrt(np.diag(gram))
+    cosines = _divide_in_place(gram, np.multiply.outer(norms, norms))
+    cosines[cosines < threshold] = 0.0
+    return SentenceGraph(cosines)
 
 
 # ---------------------------------------------------------------- ranking
@@ -113,7 +100,7 @@ def power_iteration(
     row_sums = graph.weights.sum(axis=1)
     transition = np.full((n, n), 1.0 / n)
     linked = row_sums > 0.0
-    transition[linked] = graph.weights[linked] / row_sums[linked, None]
+    np.divide(graph.weights, row_sums[:, None], out=transition, where=linked[:, None])
     scores = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         updated = (1.0 - damping) / n + damping * (transition.T @ scores)

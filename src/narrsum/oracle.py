@@ -49,7 +49,9 @@ class OracleAlignment:
 
 
 class SourceIndex:
-    """The sentences of one report, indexed for the best-LCS search.
+    """The sentences of one report, indexed for the best-LCS search and
+    for the sentence graphs of `baselines`: the report's only sentence x
+    type counter.
 
     For each token type it keeps the sentences holding that type and how
     often, as flat postings grouped by type: memory is linear in the
@@ -66,6 +68,38 @@ class SourceIndex:
         keys, self._counts = np.unique(np.array(tokens, dtype=np.int64) * n + owners, return_counts=True)
         self._ids = keys % n
         self._starts = np.searchsorted(keys // n, np.arange(len(self._types) + 1)).tolist()
+
+    @property
+    def df(self) -> np.ndarray:
+        """Per type, in order of first appearance, the number of sentences holding it."""
+        return np.diff(self._starts)
+
+    def gram(self, type_weights: np.ndarray, counted: bool = True) -> np.ndarray:
+        """`m @ m.T` for the sentences x types matrix `m` whose entry for a
+        sentence and a type it holds is that type's weight (types in `df`'s
+        order), times the sentence's count of it when `counted`.
+
+        The postings of n consecutive types at a time are scattered into
+        one reused n x n buffer and multiplied once, and the products are
+        summed: no array is larger than n x n, whatever the vocabulary.
+        """
+        n = len(self.sentences)
+        df = self.df
+        values = np.repeat(type_weights, df)
+        if counted:
+            values *= self._counts
+        width = max(n, 1)
+        gram = np.zeros((n, n))
+        block = np.zeros((n, width))
+        product = np.empty((n, n))
+        for first in range(0, len(df), width):
+            used = min(width, len(df) - first)
+            lo, hi = self._starts[first], self._starts[first + used]
+            rows, cols = self._ids[lo:hi], np.repeat(np.arange(used), df[first : first + used])
+            block[rows, cols] = values[lo:hi]
+            gram += np.matmul(block[:, :used], block[:, :used].T, out=product)
+            block[rows, cols] = 0.0
+        return gram
 
     def overlap_bounds(self, target: Sequence[str]) -> np.ndarray:
         """Per sentence, the clipped unigram overlap with `target`: an upper bound on their LCS."""

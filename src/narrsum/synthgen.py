@@ -175,7 +175,9 @@ def _as_example(report_id, sentences, summaries):
 def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignment]]:
     """Write the corpus tree under root; returns truth alignments per split.
 
-    Same spec and root contents are byte-identical across runs.
+    Every report is drawn before the first file is written, so a spec
+    that cannot be met leaves root as it was. Same spec and root contents
+    are byte-identical across runs.
     """
     root = Path(root)
     vocab = [f"w{i}" for i in range(spec.vocabulary_size)]
@@ -184,13 +186,10 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
         "validation": spec.n_validation_reports,
         "testing": spec.n_testing_reports,
     }
+    drawn: dict[str, list[tuple[str, list, list]]] = {}
     truth: dict[str, list[OracleAlignment]] = {}
     for split_idx, (split, n) in enumerate(counts.items()):
-        reports_dir = root / split / "annual_reports"
-        summaries_dir = root / split / "gold_summaries"
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        summaries_dir.mkdir(parents=True, exist_ok=True)
-        alignments = []
+        drawn[split], truth[split] = [], []
         for ridx in range(n):
             report_id = f"{_SPLIT_PREFIX[split]}{ridx:04d}"
             for attempt in range(20):
@@ -202,6 +201,14 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
                     break
             else:
                 raise ConfigError(f"synthesis spec cannot be met: no argmax-consistent report {report_id}")
+            drawn[split].append((report_id, sentences, summaries))
+            truth[split].append(alignment)
+    for split, reports in drawn.items():
+        reports_dir = root / split / "annual_reports"
+        summaries_dir = root / split / "gold_summaries"
+        reports_dir.mkdir(parents=True, exist_ok=True)
+        summaries_dir.mkdir(parents=True, exist_ok=True)
+        for report_id, sentences, summaries in reports:
             (reports_dir / f"{report_id}.txt").write_text(
                 "\n".join(_sentence_line(s) for s in sentences) + "\n", encoding="utf-8"
             )
@@ -209,9 +216,7 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
                 (summaries_dir / f"{report_id}_{j + 1}.txt").write_text(
                     "\n".join(_sentence_line(s) for s in sents) + "\n", encoding="utf-8"
                 )
-            alignments.append(alignment)
-        save_alignments(alignments, root / f"truth_alignments_{split}.jsonl")
-        truth[split] = alignments
+        save_alignments(truth[split], root / f"truth_alignments_{split}.jsonl")
     with (root / "synth_spec.json").open("w", encoding="utf-8") as fh:
         json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,6 +1,7 @@
 """Graph-baseline tests: edge math, PageRank, budgeted selection."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -78,6 +79,63 @@ def pair_loop_lexrank_weights(token_lists, threshold):
     return weights, cosines
 
 
+def dense_term_counts(token_lists):
+    """Reference: the sentences x sorted-vocabulary count matrix the dense builders read."""
+    vocabulary = sorted({tok for toks in token_lists for tok in toks})
+    index = {tok: k for k, tok in enumerate(vocabulary)}
+    rows, cols, values = [], [], []
+    for i, toks in enumerate(token_lists):
+        for tok, count in Counter(toks).items():
+            rows.append(i)
+            cols.append(index[tok])
+            values.append(count)
+    counts = np.zeros((len(token_lists), len(vocabulary)))
+    counts[rows, cols] = values
+    return counts
+
+
+def dense_textrank_weights(token_lists):
+    """Reference: TextRank as one product over the dense 0/1 term matrix."""
+    present = np.minimum(dense_term_counts(token_lists), 1.0)
+    shared = present @ present.T
+    logs = np.array([math.log(len(toks)) for toks in token_lists])
+    denom = logs[:, None] + logs[None, :]
+    weights = np.divide(shared, denom, out=np.zeros_like(shared), where=denom > 0.0)
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def dense_lexrank_weights(token_lists, threshold):
+    """Reference: LexRank as one product over the dense tf-idf matrix."""
+    n = len(token_lists)
+    vectors = dense_term_counts(token_lists)
+    vectors *= np.array([math.log(n / df) for df in np.count_nonzero(vectors, axis=0).tolist()])
+    norms = np.linalg.norm(vectors, axis=1)
+    gram = vectors @ vectors.T
+    denom = norms[:, None] * norms[None, :]
+    cosines = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0.0)
+    weights = np.where(cosines >= threshold, cosines, 0.0)
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+def dense_power_iteration(weights, damping=0.85, tol=1e-6, max_iter=100):
+    """Reference: PageRank with the transition rows filled by a boolean-mask copy."""
+    n = len(weights)
+    row_sums = weights.sum(axis=1)
+    transition = np.full((n, n), 1.0 / n)
+    linked = row_sums > 0.0
+    transition[linked] = weights[linked] / row_sums[linked, None]
+    scores = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        updated = (1.0 - damping) / n + damping * (transition.T @ scores)
+        done = float(np.abs(updated - scores).sum()) < tol
+        scores = updated
+        if done:
+            break
+    return scores
+
+
 # ---------------------------------------------------------------- graphs
 
 
@@ -149,9 +207,48 @@ def test_lexrank_graph_matches_pair_loop(token_lists, threshold):
     assert np.array_equal((got != 0.0)[away], (want != 0.0)[away])
 
 
+@settings(max_examples=150, deadline=None)
+@given(ragged_documents())
+def test_textrank_blocks_match_dense_product(token_lists):
+    graph = textrank_graph(token_lists)
+    want = dense_textrank_weights(token_lists)
+    assert np.array_equal(graph.weights, want)
+    assert np.array_equal(power_iteration(graph), dense_power_iteration(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_documents(), st.sampled_from([0.0, 0.01, 0.1, 0.3]))
+def test_lexrank_blocks_match_dense_product(token_lists, threshold):
+    got = lexrank_graph(token_lists, threshold).weights
+    want = dense_lexrank_weights(token_lists, threshold)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    _, cosines = pair_loop_lexrank_weights(token_lists, threshold)
+    away = np.abs(cosines - threshold) > 1e-12
+    assert np.array_equal((got != 0.0)[away], (want != 0.0)[away])
+
+
+@pytest.mark.parametrize("builder", [textrank_graph, lexrank_graph])
+def test_graph_memory_stays_within_four_square_arrays(builder):
+    # 400 sentences over 6000 types: a sentences x vocabulary matrix alone is 15 n x n arrays.
+    rng = np.random.default_rng(7)
+    n = 400
+    token_lists = [[f"t{int(k)}" for k in rng.integers(6000, size=int(rng.integers(1, 31)))] for _ in range(n)]
+    tracemalloc.start()
+    try:
+        builder(token_lists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8
+
+
 def test_graph_validation():
     with pytest.raises(ValueError, match="square"):
         SentenceGraph(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        SentenceGraph(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        SentenceGraph(np.array([[0.0, np.inf], [np.inf, 0.0]]))
     with pytest.raises(ValueError, match="symmetric"):
         SentenceGraph(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="self-edges"):

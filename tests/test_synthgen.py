@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narrsum import synthgen
+from narrsum.config import ConfigError
 from narrsum.corpus import load_dataset
 from narrsum.harness import cli
 from narrsum.oracle import build_oracle, load_alignments
@@ -68,6 +69,30 @@ def test_cli_unusable_spec_is_config_error(tmp_path, capsys, fields, message):
     spec.write_text(json.dumps(fields), encoding="utf-8")
     assert cli(["synthgen", "--spec", str(spec), "--data-root", str(tmp_path / "data")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_refused_spec_leaves_data_root_as_it_was(tmp_path):
+    # Training reports draw first; the unmeetable sentence count refuses the first one.
+    spec = tmp_path / "spec.json"
+    fields = {"vocabulary_size": 10, "sentences_per_report": 40, "min_sentence_tokens": 1, "max_sentence_tokens": 1}
+    spec.write_text(json.dumps(fields), encoding="utf-8")
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert cli(["synthgen", "--spec", str(spec), "--data-root", str(existing)]) == 2
+    assert sorted(p.relative_to(existing).as_posix() for p in existing.rglob("*")) == ["notes.txt"]
+    assert cli(["synthgen", "--spec", str(spec), "--data-root", str(tmp_path / "absent")]) == 2
+    assert not (tmp_path / "absent").exists()
+
+
+def test_refused_report_in_a_later_split_writes_nothing(tmp_path, monkeypatch):
+    accept = synthgen.select_reference
+    monkeypatch.setattr(
+        synthgen, "select_reference", lambda doc, sset: None if doc.id == "te0001" else accept(doc, sset)
+    )
+    with pytest.raises(ConfigError, match="te0001"):
+        generate(SynthSpec(n_reports=2, n_validation_reports=1), tmp_path / "data")
+    assert not (tmp_path / "data").exists()
 
 
 def test_cli_report_without_argmax_consistent_draw_is_config_error(tmp_path, capsys, monkeypatch):
