@@ -3,8 +3,10 @@
 Maps one extracted report sentence to one summary sentence. Decoding is
 beam search with a repetition penalty: the log-probability of a token
 already present in a hypothesis is reduced by ln(penalty) before
-ranking. A width-1 greedy lane always runs alongside the beam so the
-returned hypothesis never scores below greedy.
+ranking. One search loop runs twice per sentence, at width 1 (the greedy
+lane) and at `beam_width`, so the returned hypothesis never scores below
+greedy. Each step ranks a row by its largest entries, ties going to the
+lower token id, so the width-1 lane is exactly argmax decoding.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ class _Hypothesis:
     score: float
     state: tuple
     finished: bool
+
+
+def _top(row: np.ndarray, width: int) -> np.ndarray:
+    """Indices of the `width` largest entries, largest first, ties to the
+    lower index; O(V), and `np.argmax` at width 1."""
+    width = min(width, row.size)
+    kth = np.partition(row, -width)[-width]
+    candidates = np.flatnonzero(row >= kth)
+    return candidates[np.argsort(-row[candidates], kind="stable")[:width]]
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -109,15 +120,6 @@ class AbstractorModel(ad.Checkpointed):
         """Mean cross-entropy over target tokens plus the end marker."""
         return ad.mean_cross_entropy(self.forced_logits(src_ids, tgt_ids), list(tgt_ids) + [END_ID])
 
-    def teacher_forced_accuracy(self, pairs: Sequence[tuple[list[int], list[int]]]) -> float:
-        """Fraction of forced steps whose argmax equals the target token."""
-        hits = total = 0
-        for src, tgt in pairs:
-            predicted = np.argmax(self.forced_logits(src, tgt).data, axis=1)
-            hits += int((predicted == np.asarray(list(tgt) + [END_ID])).sum())
-            total += len(predicted)
-        return hits / total if total else 0.0
-
     # ------------------------------------------------------------ decoding
 
     def paraphrase(self, src_ids: Sequence[int], decode: DecodeConfig = DecodeConfig()) -> list[int]:
@@ -138,8 +140,8 @@ class AbstractorModel(ad.Checkpointed):
         source = (keys.data, keys.data @ self.params["att_wk"].data)
         zeros = np.zeros(2 * self.hidden_dim)
         root = _Hypothesis([], frozenset(), 0.0, (init.data, zeros, zeros), False)
-        greedy = self._greedy_lane(source, root, decode)
-        pool = self._beam(source, root, decode) + [greedy]
+        (greedy,) = self._search(source, root, 1, decode)
+        pool = self._search(source, root, decode.beam_width, decode) + [greedy]
         finished = [h for h in pool if h.finished]
         candidates = finished if finished else pool
         best = max(candidates, key=lambda h: h.score)
@@ -178,20 +180,11 @@ class AbstractorModel(ad.Checkpointed):
             hyp.tokens + [token], hyp.present | {token}, hyp.score + score, state, False
         )
 
-    def _greedy_lane(self, source: tuple, root: _Hypothesis, decode: DecodeConfig) -> _Hypothesis:
-        hyp = root
-        for _ in range(decode.max_output_tokens):
-            prev = hyp.tokens[-1] if hyp.tokens else START_ID
-            logits, state = self._decode_step(source, prev, hyp.state)
-            adjusted = self._adjusted_logp(logits, hyp, decode)
-            token = int(np.argmax(adjusted))
-            hyp = self._extend(hyp, token, float(adjusted[token]), state)
-            if hyp.finished:
-                break
-        return hyp
-
-    def _beam(self, source: tuple, root: _Hypothesis, decode: DecodeConfig) -> list[_Hypothesis]:
-        width = decode.beam_width
+    def _search(
+        self, source: tuple, root: _Hypothesis, width: int, decode: DecodeConfig
+    ) -> list[_Hypothesis]:
+        """Beam search of `width` from `root`: the finished hypotheses, then
+        those still active at the length cap. Width 1 is the greedy lane."""
         active = [root]
         finished: list[_Hypothesis] = []
         for _ in range(decode.max_output_tokens):
@@ -200,8 +193,7 @@ class AbstractorModel(ad.Checkpointed):
                 prev = hyp.tokens[-1] if hyp.tokens else START_ID
                 logits, state = self._decode_step(source, prev, hyp.state)
                 adjusted = self._adjusted_logp(logits, hyp, decode)
-                top = np.argsort(adjusted)[::-1][:width]
-                for token in top:
+                for token in _top(adjusted, width):
                     extensions.append(self._extend(hyp, int(token), float(adjusted[token]), state))
             extensions.sort(key=lambda h: h.score, reverse=True)
             kept = extensions[:width]

@@ -851,7 +851,8 @@ def config_sizes(config: dict, names: Sequence[str], path: str | Path) -> list[i
 
 
 def restore_params(params: dict[str, Value], arrays: dict[str, np.ndarray], path: str | Path) -> None:
-    """Copy checkpoint arrays into a model's parameters; names and shapes must match exactly."""
+    """Copy checkpoint arrays into a model's parameters; names and shapes must
+    match exactly, and every value must be finite."""
     missing = sorted(set(params) - set(arrays))
     unexpected = sorted(set(arrays) - set(params))
     if missing or unexpected:
@@ -861,6 +862,8 @@ def restore_params(params: dict[str, Value], arrays: dict[str, np.ndarray], path
     for name, arr in arrays.items():
         if params[name].data.shape != arr.shape:
             raise ValueError(f"shape mismatch for {name!r} in checkpoint {path}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite values in {name!r} in checkpoint {path}")
         params[name].data[...] = arr
 
 

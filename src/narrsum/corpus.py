@@ -92,11 +92,6 @@ def split_sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def split_sentences(text: str) -> list[str]:
-    """Sentence substrings of a raw document, in order."""
-    return [text[a:b] for a, b in split_sentence_spans(text)]
-
-
 def tokenize_words(sentence_text: str, max_tokens: int = MAX_SENTENCE_TOKENS) -> list[str]:
     """Lowercased alphanumeric runs, truncated to the first max_tokens.
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import PAD_ID, Document, Vocab, read_jsonl, write_jsonl
+from .corpus import PAD_ID, Document, Vocab, write_jsonl
 from .oracle import aligned_reports
 
 log = logging.getLogger(__name__)
@@ -213,7 +213,3 @@ def example_loss(model: ExtractorModel) -> Callable[..., ad.Value]:
 
 def save_extractions(extractions: Sequence[Extraction], path: str | Path) -> None:
     write_jsonl((ex.to_record() for ex in extractions), path)
-
-
-def load_extractions(path: str | Path) -> list[Extraction]:
-    return read_jsonl(path, Extraction.from_record)

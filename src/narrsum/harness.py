@@ -369,6 +369,15 @@ def _load_models(
         raise DataError(f"unusable checkpoint: {exc}") from exc
     if extractor_vocab is None or abstractor_vocab is None:
         raise DataError("pipeline checkpoints must embed their vocabulary")
+    for path, model, vocab in (
+        (extractor_path, extractor, extractor_vocab),
+        (abstractor_path, abstractor, abstractor_vocab),
+    ):
+        if len(vocab) != model.vocab_size:
+            raise DataError(
+                f"checkpoint {path} embeds {len(vocab)} vocabulary tokens "
+                f"but its model has vocab_size {model.vocab_size}"
+            )
     if extractor_vocab != abstractor_vocab:
         raise DataError("extractor and abstractor checkpoints disagree on the vocabulary")
     if enforce_config:

@@ -398,35 +398,3 @@ def train_rl(
     if csv_path is not None:
         write_reward_curve(rows, csv_path)
     return rows
-
-
-def mean_greedy_reward(
-    examples: Sequence[ReportExample],
-    alignments: Sequence[OracleAlignment],
-    extractor: ExtractorModel,
-    abstractor,
-    vocab: Vocab,
-    *,
-    decode: DecodeConfig = DecodeConfig(),
-    max_steps: int = 80,
-    paraphrase_cache: dict | None = None,
-) -> float:
-    """Mean greedy-rollout step reward across reports; the rl yardstick."""
-    paired = _paired_examples(examples, alignments)
-    if not paired:
-        raise ValueError("no usable reports to evaluate")
-    rewards = []
-    for example, gold in paired:
-        traj = rollout(
-            example.document,
-            gold,
-            extractor,
-            abstractor,
-            vocab,
-            mode="greedy",
-            decode=decode,
-            max_steps=max_steps,
-            paraphrase_cache=paraphrase_cache,
-        )
-        rewards.append(traj.mean_reward())
-    return float(np.mean(rewards))

@@ -12,6 +12,7 @@ from narrsum import autodiff as ad
 from narrsum.abstractor import (
     AbstractorModel,
     DecodeConfig,
+    _top,
     prepare_abstractor_pairs,
 )
 from narrsum.corpus import (
@@ -37,6 +38,7 @@ from percell import (
     percell_paraphrase_scored,
     percell_teacher_forced_loss,
 )
+from yardsticks import teacher_forced_accuracy
 
 
 def small_model(seed=0, vocab=20, e=8, h=6):
@@ -143,11 +145,37 @@ def test_loss_gradients_flow_to_all_params():
 # ---------------------------------------------------------------- decoding
 
 
+@st.composite
+def tied_rows(draw):
+    """A row with repeated values and -inf entries, and a width up to V + 2."""
+    tied = st.sampled_from([-np.inf, -2.5, -1.0, 0.0, 0.75, 3.0])
+    values = draw(st.lists(tied | st.floats(-5.0, 5.0), min_size=1, max_size=60))
+    return np.array(values), draw(st.integers(1, len(values) + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_rows())
+def test_top_is_a_stable_descending_sort_and_argmax_at_width_one(case):
+    row, width = case
+    assert np.array_equal(_top(row, width), np.argsort(-row, kind="stable")[:width])
+    assert np.array_equal(_top(row, 1), [np.argmax(row)])
+
+
+def tied_model(seed):
+    """Tokens 6 and 9 share their output row and bias, so their logits tie
+    exactly at every step; weights are scaled up so decoding is not flat."""
+    model = AbstractorModel(12, 4, 3, np.random.default_rng(seed))
+    for p in model.params.values():
+        p.data *= 4.0
+    for name in ("out_w", "out_b"):
+        model.params[name].data[9] = model.params[name].data[6]
+    return model
+
+
 def test_beam_one_no_penalty_matches_manual_greedy():
-    for seed in range(5):
-        model = small_model(seed=seed)
-        rng = np.random.default_rng(seed)
-        src = random_ids(rng, 4)
+    cases = [(small_model(seed=seed), random_ids(np.random.default_rng(seed), 4)) for seed in range(5)]
+    cases += [(tied_model(seed), random_ids(np.random.default_rng(seed), 4, 12)) for seed in range(40)]
+    for model, src in cases:
         cfg = DecodeConfig(beam_width=1, repetition_penalty=1.0, max_output_tokens=8)
         got = model.paraphrase(src, cfg)
 
@@ -158,8 +186,7 @@ def test_beam_one_no_penalty_matches_manual_greedy():
         for _ in range(8):
             logits, state = abstractor_step(model, keys, prev, state)
             masked = logits.data.copy()
-            masked[PAD_ID] = -np.inf
-            masked[START_ID] = -np.inf
+            masked[[PAD_ID, UNK_ID, START_ID]] = -np.inf
             token = int(np.argmax(masked))
             if token == END_ID:
                 break
@@ -315,7 +342,7 @@ def test_teacher_forced_accuracy_counts_argmax_hits():
         for logits, target in zip(percell_forced_logits(model, src, tgt), list(tgt) + [END_ID]):
             hits += int(np.argmax(logits.data) == target)
             total += 1
-    assert model.teacher_forced_accuracy(pairs) == hits / total
+    assert teacher_forced_accuracy(model, pairs) == hits / total
 
 
 # ---------------------------------------------------------------- training
@@ -346,7 +373,7 @@ def test_overfits_copy_task_and_beam_reproduces_input():
         batch_size=3,
         rng=np.random.default_rng(2),
     )
-    assert model.teacher_forced_accuracy(pairs) >= 0.99
+    assert teacher_forced_accuracy(model, pairs) >= 0.99
     hits = sum(model.paraphrase(src, DecodeConfig(2, 2.0, 10)) == src for src, _ in pairs)
     assert hits >= len(pairs) - 1
 
@@ -510,4 +537,16 @@ def test_checkpoint_missing_parameter_refused(tmp_path):
     del arrays["out_w"]
     ad.save_checkpoint(path, arrays, cfg, vocab)
     with pytest.raises(ValueError, match=r"missing \['out_w'\]"):
+        AbstractorModel.load(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_checkpoint_non_finite_parameter_refused(tmp_path, bad):
+    path = tmp_path / "abstractor.ckpt"
+    small_model(seed=4).save(path)
+    arrays, cfg, vocab = ad.load_checkpoint(path)
+    arrays["out_b"] = arrays["out_b"].copy()
+    arrays["out_b"][5] = bad
+    ad.save_checkpoint(path, arrays, cfg, vocab)
+    with pytest.raises(ValueError, match="non-finite values in 'out_b'"):
         AbstractorModel.load(path)

@@ -22,7 +22,7 @@ from narrsum.corpus import build_vocab, load_dataset
 from narrsum.extractor import ExtractorModel, example_loss, prepare_extractor_examples
 from narrsum.harness import cli, detokenize, evaluate_system, truncate_sentences
 from narrsum.oracle import build_oracle
-from narrsum.rl import A2CTrainer, Critic, Trajectory, TrajectoryStep, mean_greedy_reward, train_rl
+from narrsum.rl import A2CTrainer, Critic, Trajectory, TrajectoryStep, train_rl
 from narrsum.rouge import rouge_l_sentence, rouge_l_summary, rouge_n, rouge_su4
 from narrsum.synthgen import SynthSpec, generate
 from narrsum.training import fit
@@ -49,6 +49,7 @@ from percell import (
     tanh,
     vsum,
 )
+from yardsticks import mean_greedy_reward, teacher_forced_accuracy
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -121,7 +122,7 @@ def identity_abstractor(small_world):
             model.params, model.teacher_forced_loss, pairs, epochs=20, lr=0.01, batch_size=16,
             rng=np.random.default_rng([51, stage]),
         )
-        if model.teacher_forced_accuracy(pairs) >= 0.995 and copies_all():
+        if teacher_forced_accuracy(model, pairs) >= 0.995 and copies_all():
             break
     assert copies_all(), "identity abstractor failed to memorize the corpus"
     return model
@@ -615,7 +616,7 @@ def test_a5_abstractor_copy_task():
         fit(model.params, model.teacher_forced_loss, pairs, epochs=20, lr=0.01, batch_size=16,
             rng=np.random.default_rng([507, epochs_done]))
         epochs_done += 20
-        tf_accuracy = model.teacher_forced_accuracy(pairs)
+        tf_accuracy = teacher_forced_accuracy(model, pairs)
         if tf_accuracy >= 0.99:
             break
     verbatim = sum(model.paraphrase(src, PIPE_DECODE) == tgt for src, tgt in pairs)

@@ -23,9 +23,14 @@ from narrsum.corpus import (
     read_text,
     sentences_from_text,
     split_sentence_spans,
-    split_sentences,
     tokenize_words,
 )
+
+
+def split_sentences(text: str) -> list[str]:
+    """Sentence substrings of a raw document, in order."""
+    return [text[a:b] for a, b in split_sentence_spans(text)]
+
 
 # ---------------------------------------------------------------- splitting
 

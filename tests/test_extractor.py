@@ -8,19 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrsum import autodiff as ad
-from narrsum.corpus import DataError, Document, ReportExample, Sentence, SummarySet, Vocab, RESERVED_TOKENS
+from narrsum.corpus import DataError, Document, ReportExample, Sentence, SummarySet, Vocab, RESERVED_TOKENS, read_jsonl
 from narrsum.extractor import (
     DEFAULT_MAX_STEPS,
     Extraction,
     ExtractorModel,
     example_loss,
-    load_extractions,
     prepare_extractor_examples,
     save_extractions,
 )
 from narrsum.oracle import OracleAlignment
 from narrsum.training import fit
 from percell import add, const, cross_entropy, dot, percell_extractor_encode, percell_pointer_loss, pointer_step_scores
+
+
+def load_extractions(path) -> list[Extraction]:
+    return read_jsonl(path, Extraction.from_record)
 
 
 def small_model(seed=0, vocab=30, e=8, h=6):

@@ -615,6 +615,24 @@ def test_cli_summarize_refuses_garbage_extractor(pipeline, tmp_path, capsys):
     assert "not a checkpoint file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["appended", "truncated"])
+def test_cli_summarize_refuses_vocab_that_does_not_fit_the_embedding(pipeline, tmp_path, capsys, edit):
+    paths = {}
+    for name in ("extractor", "abstractor"):
+        arrays, cfg, vocab = ad.load_checkpoint(pipeline["out"] / f"{name}.ckpt")
+        size = len(vocab)
+        vocab = vocab + [f"extra{i}" for i in range(5)] if edit == "appended" else vocab[:-5]
+        paths[name] = tmp_path / f"{name}.ckpt"
+        ad.save_checkpoint(paths[name], arrays, cfg, vocab)
+    args = ["summarize", "--extractor", str(paths["extractor"]),
+            "--abstractor", str(paths["abstractor"]),
+            "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
+    assert cli(args) == 2
+    err = capsys.readouterr().err
+    assert str(paths["extractor"]) in err
+    assert f"embeds {len(vocab)} vocabulary tokens" in err and f"vocab_size {size}" in err
+
+
 @pytest.mark.parametrize(
     "case, message",
     [

@@ -20,7 +20,6 @@ from narrsum.rl import (
     Trajectory,
     TrajectoryStep,
     compute_reward,
-    mean_greedy_reward,
     rollout,
     suffix_returns,
     train_rl,
@@ -39,6 +38,7 @@ from percell import (
     sub,
     take_row,
 )
+from yardsticks import mean_greedy_reward
 
 
 def softmax(x):
