@@ -18,25 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .corpus import END_ID, PAD_ID, START_ID, UNK_ID, Vocab
 from .oracle import abstractor_pairs, aligned_reports
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class DecodeConfig:
-    beam_width: int = 2
-    repetition_penalty: float = 2.0
-    max_output_tokens: int = 60
-
-    def __post_init__(self):
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be at least 1")
-        if self.repetition_penalty < 1.0:
-            raise ValueError("repetition_penalty must be at least 1")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be at least 1")
 
 
 @dataclass
@@ -122,15 +108,15 @@ class AbstractorModel(ad.Checkpointed):
 
     # ------------------------------------------------------------ decoding
 
-    def paraphrase(self, src_ids: Sequence[int], decode: DecodeConfig = DecodeConfig()) -> list[int]:
+    def paraphrase(self, src_ids: Sequence[int], config: RunConfig) -> list[int]:
         """Best hypothesis under beam search with the repetition penalty."""
-        tokens, _, _ = self.paraphrase_scored(src_ids, decode)
+        tokens, _, _ = self.paraphrase_scored(src_ids, config)
         return tokens
 
-    def paraphrase_scored(
-        self, src_ids: Sequence[int], decode: DecodeConfig = DecodeConfig()
-    ) -> tuple[list[int], float, bool]:
-        """Tokens, penalized score, and finished flag of the best hypothesis.
+    def paraphrase_scored(self, src_ids: Sequence[int], config: RunConfig) -> tuple[list[int], float, bool]:
+        """Tokens, penalized score, and finished flag of the best hypothesis
+        under `config`'s `beam_width`, `repetition_penalty` and
+        `max_output_tokens`.
 
         Finished hypotheses (end marker emitted) are preferred; among the
         candidates the best penalized score wins, and the result never
@@ -140,8 +126,8 @@ class AbstractorModel(ad.Checkpointed):
         source = (keys.data, keys.data @ self.params["att_wk"].data)
         zeros = np.zeros(2 * self.hidden_dim)
         root = _Hypothesis([], frozenset(), 0.0, (init.data, zeros, zeros), False)
-        (greedy,) = self._search(source, root, 1, decode)
-        pool = self._search(source, root, decode.beam_width, decode) + [greedy]
+        (greedy,) = self._search(source, root, 1, config)
+        pool = self._search(source, root, config.beam_width, config) + [greedy]
         finished = [h for h in pool if h.finished]
         candidates = finished if finished else pool
         best = max(candidates, key=lambda h: h.score)
@@ -165,10 +151,10 @@ class AbstractorModel(ad.Checkpointed):
         logits = p["out_w"].data @ np.concatenate([h, context]) + p["out_b"].data
         return logits, (h, c, context)
 
-    def _adjusted_logp(self, logits: np.ndarray, hyp: _Hypothesis, decode: DecodeConfig) -> np.ndarray:
+    def _adjusted_logp(self, logits: np.ndarray, hyp: _Hypothesis, config: RunConfig) -> np.ndarray:
         logp = _log_softmax(logits)
         logp[[PAD_ID, UNK_ID, START_ID]] = -np.inf
-        penalty = np.log(decode.repetition_penalty)
+        penalty = np.log(config.repetition_penalty)
         if penalty > 0.0 and hyp.present:
             logp[list(hyp.present)] -= penalty
         return logp
@@ -180,19 +166,17 @@ class AbstractorModel(ad.Checkpointed):
             hyp.tokens + [token], hyp.present | {token}, hyp.score + score, state, False
         )
 
-    def _search(
-        self, source: tuple, root: _Hypothesis, width: int, decode: DecodeConfig
-    ) -> list[_Hypothesis]:
+    def _search(self, source: tuple, root: _Hypothesis, width: int, config: RunConfig) -> list[_Hypothesis]:
         """Beam search of `width` from `root`: the finished hypotheses, then
         those still active at the length cap. Width 1 is the greedy lane."""
         active = [root]
         finished: list[_Hypothesis] = []
-        for _ in range(decode.max_output_tokens):
+        for _ in range(config.max_output_tokens):
             extensions: list[_Hypothesis] = []
             for hyp in active:
                 prev = hyp.tokens[-1] if hyp.tokens else START_ID
                 logits, state = self._decode_step(source, prev, hyp.state)
-                adjusted = self._adjusted_logp(logits, hyp, decode)
+                adjusted = self._adjusted_logp(logits, hyp, config)
                 for token in _top(adjusted, width):
                     extensions.append(self._extend(hyp, int(token), float(adjusted[token]), state))
             extensions.sort(key=lambda h: h.score, reverse=True)

@@ -618,9 +618,7 @@ def zero_grads(params: Iterable[Value]) -> None:
 # ---------------------------------------------------------------- optimization
 
 
-def clip_global_norm(
-    grads: Sequence[np.ndarray], max_norm: float = 1.0, squares: Sequence[float] | None = None
-) -> float:
+def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float, squares: Sequence[float] | None = None) -> float:
     """Scale all grads in place so the joint L2 norm is at most max_norm.
 
     `squares`, when given, holds each grad's sum of squares already.
@@ -678,11 +676,12 @@ class Adam:
     def __init__(
         self,
         params: dict[str, Value],
-        lr: float = 0.001,
+        *,
+        lr: float,
+        clip_norm: float | None,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        clip_norm: float | None = 1.0,
     ):
         self.params = dict(params)
         self.lr = lr

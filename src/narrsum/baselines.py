@@ -12,14 +12,13 @@ from math import log
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import Document
 from .oracle import SourceIndex
 
-DAMPING = 0.85
-LEXRANK_THRESHOLD = 0.1
-PAGERANK_TOL = 1e-6
-PAGERANK_MAX_ITER = 100
-WORD_LIMIT = 1000
+# Elements per temporary of the blocked symmetry check: a block holds this
+# many weights' worth of rows, so validating a graph allocates no n x n array.
+_SYMMETRY_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class SentenceGraph:
             raise ValueError(f"sentence graph must be square, got {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("sentence graph weights must be finite")
-        if not np.allclose(w, w.T):
+        if not _is_symmetric(w):
             raise ValueError("sentence graph weights must be symmetric")
         if np.any(np.diag(w) != 0.0):
             raise ValueError("sentence graph must not contain self-edges")
@@ -43,6 +42,19 @@ class SentenceGraph:
 
     def __len__(self) -> int:
         return self.weights.shape[0]
+
+
+def _is_symmetric(w: np.ndarray) -> bool:
+    """`np.allclose(w, w.T)` for finite `w`: the same elementwise test
+    `|w - w.T| <= atol + rtol * |w.T|` with its default tolerances, one block
+    of rows at a time."""
+    n = w.shape[0]
+    rows = max(1, _SYMMETRY_BLOCK // max(n, 1))
+    for lo in range(0, n, rows):
+        upper, mirrored = w[lo : lo + rows], w[:, lo : lo + rows].T
+        if not (np.abs(upper - mirrored) <= 1e-8 + 1e-5 * np.abs(mirrored)).all():
+            return False
+    return True
 
 
 def _token_lists(doc: Document) -> list[list[str]]:
@@ -71,7 +83,7 @@ def textrank_graph(token_lists: list[list[str]]) -> SentenceGraph:
     return SentenceGraph(_divide_in_place(shared, np.add.outer(logs, logs)))
 
 
-def lexrank_graph(token_lists: list[list[str]], threshold: float = LEXRANK_THRESHOLD) -> SentenceGraph:
+def lexrank_graph(token_lists: list[list[str]], threshold: float) -> SentenceGraph:
     """Tf-idf cosine edges, kept only at or above the threshold.
 
     Document frequency is computed over this document's sentences.
@@ -89,12 +101,7 @@ def lexrank_graph(token_lists: list[list[str]], threshold: float = LEXRANK_THRES
 # ---------------------------------------------------------------- ranking
 
 
-def power_iteration(
-    graph: SentenceGraph,
-    damping: float = DAMPING,
-    tol: float = PAGERANK_TOL,
-    max_iter: int = PAGERANK_MAX_ITER,
-) -> np.ndarray:
+def power_iteration(graph: SentenceGraph, damping: float, tol: float, max_iter: int) -> np.ndarray:
     """Damped PageRank scores; rows without edges teleport uniformly."""
     n = len(graph)
     row_sums = graph.weights.sum(axis=1)
@@ -133,35 +140,22 @@ def select_by_score(scores: np.ndarray, lengths: list[int], word_limit: int) -> 
 # ---------------------------------------------------------------- methods
 
 
-def textrank(
-    doc: Document,
-    word_limit: int = WORD_LIMIT,
-    *,
-    damping: float = DAMPING,
-    tol: float = PAGERANK_TOL,
-    max_iter: int = PAGERANK_MAX_ITER,
-) -> list[int]:
+def _rank_and_fill(token_lists: list[list[str]], graph: SentenceGraph, config: RunConfig) -> list[int]:
+    scores = power_iteration(graph, config.damping, config.pagerank_tol, config.pagerank_max_iter)
+    return select_by_score(scores, [len(t) for t in token_lists], config.word_limit)
+
+
+def textrank(doc: Document, config: RunConfig) -> list[int]:
     token_lists = _token_lists(doc)
-    scores = power_iteration(textrank_graph(token_lists), damping, tol, max_iter)
-    return select_by_score(scores, [len(t) for t in token_lists], word_limit)
+    return _rank_and_fill(token_lists, textrank_graph(token_lists), config)
 
 
-def lexrank(
-    doc: Document,
-    word_limit: int = WORD_LIMIT,
-    *,
-    threshold: float = LEXRANK_THRESHOLD,
-    damping: float = DAMPING,
-    tol: float = PAGERANK_TOL,
-    max_iter: int = PAGERANK_MAX_ITER,
-) -> list[int]:
+def lexrank(doc: Document, config: RunConfig) -> list[int]:
     token_lists = _token_lists(doc)
-    scores = power_iteration(lexrank_graph(token_lists, threshold), damping, tol, max_iter)
-    return select_by_score(scores, [len(t) for t in token_lists], word_limit)
+    return _rank_and_fill(token_lists, lexrank_graph(token_lists, config.lexrank_threshold), config)
 
 
-def lead_n(doc: Document, word_limit: int = WORD_LIMIT) -> list[int]:
+def lead_n(doc: Document, config: RunConfig) -> list[int]:
     """The budget fill over equal scores, which takes sentences in document order."""
     lengths = [len(toks) for toks in _token_lists(doc)]
-    return select_by_score(np.zeros(len(lengths)), lengths, word_limit)
-
+    return select_by_score(np.zeros(len(lengths)), lengths, config.word_limit)

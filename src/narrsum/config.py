@@ -1,9 +1,15 @@
-"""Run configuration: pinned defaults, JSON loading, override precedence."""
+"""Run configuration: the one home of every pipeline setting's default and
+valid range, JSON loading, override precedence.
+
+No other module repeats a default: each function that needs a setting takes
+it, or the whole `RunConfig`, from its caller.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,19 +33,23 @@ _FIELD_TYPES = {
 
 def check_field_types(obj, error: type[Exception]) -> None:
     """Raise `error` for the first field of dataclass `obj` whose value is
-    not of the exact types its annotation admits.
+    not of the exact types its annotation admits, or is a NaN or infinite
+    number.
 
     A JSON `true` is a Python int and `2.0` compares like one, so the exact
-    types are checked before any range.
+    types are checked before any range; JSON `NaN` and `Infinity` parse as
+    floats and fail every comparison, so they are refused here too.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         types, described = _FIELD_TYPES[f.type]
         if type(value) not in types:
             raise error(f"{f.name} must be {described}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Every knob of the pipeline. Defaults are the published settings."""
 
@@ -101,18 +111,20 @@ class RunConfig:
             raise ConfigError(f"clip_norm must be null or greater than 0, got {self.clip_norm!r}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
-        if not 0 <= self.damping <= 1:
-            raise ConfigError(f"damping must be in [0, 1], got {self.damping!r}")
-        for name in ("seed", "checkpoint_every_batches"):
+        for name in ("seed", "checkpoint_every_batches", "entropy_coef", "pagerank_tol"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be at least 0, got {value!r}")
+        for name in ("damping", "lexrank_threshold"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
         if self.reference_aggregation not in ("max", "mean"):
             raise ConfigError(
                 f"reference_aggregation must be 'max' or 'mean', got {self.reference_aggregation!r}"
             )
         if self.repetition_penalty < 1.0:
-            raise ConfigError("repetition_penalty must be at least 1")
+            raise ConfigError(f"repetition_penalty must be at least 1, got {self.repetition_penalty!r}")
 
     @property
     def effective_rl_lr(self) -> float:

@@ -24,9 +24,6 @@ SPLITS = ("training", "validation", "testing")
 PAD_ID, UNK_ID, START_ID, END_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 
-MAX_SENTENCE_TOKENS = 60
-DEFAULT_VOCAB_SIZE = 20000
-
 # Words whose trailing period never ends a sentence. Matched case-sensitively
 # against the non-whitespace run ending at the candidate punctuation, after
 # stripping any leading brackets or quotes.
@@ -92,7 +89,7 @@ def split_sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def tokenize_words(sentence_text: str, max_tokens: int = MAX_SENTENCE_TOKENS) -> list[str]:
+def tokenize_words(sentence_text: str, max_tokens: int) -> list[str]:
     """Lowercased alphanumeric runs, truncated to the first max_tokens.
 
     Case folding (not plain lower()) keeps the output stable under case
@@ -101,7 +98,7 @@ def tokenize_words(sentence_text: str, max_tokens: int = MAX_SENTENCE_TOKENS) ->
     return _WORD.findall(sentence_text.casefold())[:max_tokens]
 
 
-def sentences_from_text(text: str, max_tokens: int = MAX_SENTENCE_TOKENS) -> list[Sentence]:
+def sentences_from_text(text: str, max_tokens: int) -> list[Sentence]:
     """Split and tokenize, dropping spans that contain no word characters."""
     out = []
     for start, end in split_sentence_spans(text):
@@ -136,7 +133,7 @@ class Vocab:
         return Vocab({t: i for i, t in enumerate(tokens)}, list(tokens))
 
 
-def build_vocab(documents: Sequence[Document], max_size: int = DEFAULT_VOCAB_SIZE) -> Vocab:
+def build_vocab(documents: Sequence[Document], max_size: int) -> Vocab:
     """Frequency-ranked vocabulary over document tokens, plus reserved ids.
 
     Ties in frequency go to the lexicographically smaller token.
@@ -231,7 +228,7 @@ def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[Repor
     return examples
 
 
-def load_dataset(root: str | Path, max_tokens: int = MAX_SENTENCE_TOKENS) -> LoadedDataset:
+def load_dataset(root: str | Path, max_tokens: int) -> LoadedDataset:
     """Check the standard layout under root; each split is parsed when first read."""
     root = Path(root)
     if not root.is_dir():

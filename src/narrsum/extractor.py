@@ -23,8 +23,6 @@ from .oracle import aligned_reports
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_STEPS = 80
-
 
 @dataclass
 class Extraction:
@@ -126,7 +124,7 @@ class ExtractorModel(ad.Checkpointed):
         keys: ad.Value | np.ndarray,
         n_sentences: int,
         choose: Callable[[np.ndarray, int], int],
-        max_steps: int = DEFAULT_MAX_STEPS,
+        max_steps: int,
     ) -> list[ad.PointerStep]:
         """Pointer steps until stop, exhaustion, or the step cap, in NumPy
         with no graph; `keys` is the document's `encode` output or its data.
@@ -148,7 +146,7 @@ class ExtractorModel(ad.Checkpointed):
         self,
         report_id: str,
         ids_lists: Sequence[Sequence[int]],
-        max_steps: int = DEFAULT_MAX_STEPS,
+        max_steps: int,
         mode: str = "greedy",
         rng: np.random.Generator | None = None,
         keys: ad.Value | np.ndarray | None = None,

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .abstractor import AbstractorModel, DecodeConfig, prepare_abstractor_pairs
+from .abstractor import AbstractorModel, prepare_abstractor_pairs
 from .baselines import lead_n, lexrank, textrank
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
@@ -64,7 +64,7 @@ REPORT_COMPONENTS = ("precision", "recall", "f1")
 # ---------------------------------------------------------------- text output
 
 
-def truncate_to_word_limit(tokens: Sequence[str], limit: int = 1000) -> list[str]:
+def truncate_to_word_limit(tokens: Sequence[str], limit: int) -> list[str]:
     """First min(len(tokens), limit) tokens."""
     if limit < 1:
         raise ValueError("word limit must be at least 1")
@@ -123,9 +123,8 @@ def summarize_document(
     extraction = extractor.extract(document.id, ids_lists, max_steps=config.max_extract_sentences, keys=keys)
     if not extraction.indices:
         extraction = Extraction(document.id, [extractor.fallback_index(keys)], [])
-    decode = DecodeConfig(config.beam_width, config.repetition_penalty, config.max_output_tokens)
     # An empty rewrite is dropped by `truncate_sentences`, as an empty baseline sentence is.
-    rewritten = [vocab.decode(abstractor.paraphrase(ids_lists[idx], decode)) for idx in extraction.indices]
+    rewritten = [vocab.decode(abstractor.paraphrase(ids_lists[idx], config)) for idx in extraction.indices]
     text = detokenize(truncate_sentences(rewritten, config.word_limit))
     return extraction, text
 
@@ -151,17 +150,17 @@ class EvaluationReport:
 def evaluate_system(
     predictions: dict[str, str],
     references: dict[str, SummarySet],
+    config: RunConfig,
     *,
     system: str = "system",
-    aggregation: str = "max",
-    max_sentence_tokens: int = 60,
 ) -> SystemEvaluation:
     """Score one system's summary texts against reference summary sets.
 
-    Each document is scored against its best reference (or the mean,
-    per the aggregation), and each report cell is the arithmetic mean
-    over scored documents. Predictions without references are excluded
-    and reported.
+    Each prediction is split into sentences of at most
+    `config.max_sentence_tokens` tokens and scored against its best
+    reference (or the mean, per `config.reference_aggregation`), and each
+    report cell is the arithmetic mean over scored documents. Predictions
+    without references are excluded and reported.
     """
     missing = sorted(
         rid for rid in predictions if rid not in references or not references[rid].summaries
@@ -171,11 +170,11 @@ def evaluate_system(
     scored_ids = sorted(rid for rid in predictions if rid not in set(missing))
     per_document: dict[str, dict[str, RougeScore]] = {}
     for rid in scored_ids:
-        candidate = [list(s.tokens) for s in sentences_from_text(predictions[rid], max_sentence_tokens)]
+        candidate = [list(s.tokens) for s in sentences_from_text(predictions[rid], config.max_sentence_tokens)]
         reference_sets = references[rid].sentence_lists()
         per_document[rid] = {}
         for label, variant in REPORT_VARIANTS:
-            score, _ = best_against_references(candidate, reference_sets, variant, aggregation)
+            score, _ = best_against_references(candidate, reference_sets, variant, config.reference_aggregation)
             per_document[rid][label] = score
     cells = {}
     for label, _ in REPORT_VARIANTS:
@@ -466,12 +465,8 @@ def cmd_train(ns, config: RunConfig, out_dir: Path) -> int:
         model.params,
         stage.loss(model),
         items,
+        config,
         epochs=epochs,
-        lr=config.lr,
-        lr_decay=config.lr_decay,
-        clip_norm=config.clip_norm,
-        batch_size=config.batch_size,
-        checkpoint_every=config.checkpoint_every_batches,
         rng=_rng(config, stage.streams[1]),
         validation=validation,
         periodic_save=lambda: model.save(out_dir / f"{stage.name}_periodic.ckpt", vocab.to_list()),
@@ -538,14 +533,9 @@ def cmd_summarize(ns, config: RunConfig, out_dir: Path) -> int:
 
 # `--method` name -> the baseline's sentence indices for (document, config).
 BASELINES: dict[str, Callable[[Document, RunConfig], list[int]]] = {
-    "textrank": lambda doc, c: textrank(
-        doc, c.word_limit, damping=c.damping, tol=c.pagerank_tol, max_iter=c.pagerank_max_iter
-    ),
-    "lexrank": lambda doc, c: lexrank(
-        doc, c.word_limit, threshold=c.lexrank_threshold,
-        damping=c.damping, tol=c.pagerank_tol, max_iter=c.pagerank_max_iter,
-    ),
-    "lead": lambda doc, c: lead_n(doc, c.word_limit),
+    "textrank": textrank,
+    "lexrank": lexrank,
+    "lead": lead_n,
 }
 
 
@@ -568,15 +558,7 @@ def cmd_evaluate(ns, config: RunConfig, out_dir: Path) -> int:
         if not pred_dir.is_dir():
             raise DataError(f"prediction directory not found: {pred_dir}")
         predictions = {path.stem: read_text(path) for path in sorted(pred_dir.glob("*.txt"))}
-        systems.append(
-            evaluate_system(
-                predictions,
-                references,
-                system=pred_dir.name,
-                aggregation=config.reference_aggregation,
-                max_sentence_tokens=config.max_sentence_tokens,
-            )
-        )
+        systems.append(evaluate_system(predictions, references, config, system=pred_dir.name))
     report = EvaluationReport(ns.split, config.reference_aggregation, systems)
     write_report(report, out_dir)
     print((out_dir / "report.txt").read_text(encoding="utf-8"), end="")

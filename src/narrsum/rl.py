@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .abstractor import AbstractorModel, DecodeConfig
+from .abstractor import AbstractorModel
 from .config import RunConfig
 from .corpus import DataError, Document, ReportExample, Vocab
 from .extractor import ExtractorModel, doc_to_ids, pointer_chooser
@@ -153,20 +153,19 @@ def rollout(
     extractor: ExtractorModel,
     abstractor,
     vocab: Vocab,
+    config: RunConfig,
     *,
     mode: str,
     rng: np.random.Generator | None = None,
-    decode: DecodeConfig = DecodeConfig(),
-    max_steps: int = 80,
     paraphrase_cache: dict | None = None,
     keys: np.ndarray | None = None,
 ) -> Trajectory:
-    """One episode: point, paraphrase, reward each step against gold.
+    """One episode: point, paraphrase under `config`, reward each step against gold.
 
     The episode ends when the policy picks stop, when gold sentences are
-    exhausted, or at max_steps, whichever comes first. `keys` may hold the
-    report's encoding under the extractor's current weights; the rollout
-    builds no graph either way.
+    exhausted, or after `config.max_extract_sentences` steps, whichever
+    comes first. `keys` may hold the report's encoding under the
+    extractor's current weights; the rollout builds no graph either way.
     """
     choose = pointer_chooser(mode, rng)
     if not gold_sentences:
@@ -176,7 +175,7 @@ def rollout(
     if keys is None:
         keys = extractor.encode(ids_lists).data
     n = len(ids_lists)
-    horizon = min(len(gold_sentences), max_steps)
+    horizon = min(len(gold_sentences), config.max_extract_sentences)
     decode_steps = extractor.decode(keys, n, choose, max_steps=horizon)
 
     generated: list[list[str]] = []
@@ -191,7 +190,7 @@ def rollout(
             if paraphrase_cache is not None and cache_key in paraphrase_cache:
                 out_ids = paraphrase_cache[cache_key]
             else:
-                out_ids = abstractor.paraphrase(ids_lists[step.action], decode)
+                out_ids = abstractor.paraphrase(ids_lists[step.action], config)
                 if paraphrase_cache is not None:
                     paraphrase_cache[cache_key] = out_ids
             rewrite = vocab.decode(out_ids)
@@ -230,14 +229,14 @@ class A2CTrainer:
         critic: Critic,
         *,
         policy_lr: float,
-        critic_lr: float | None = None,
-        clip_norm: float = 1.0,
-        entropy_coef: float = 0.0,
-        normalize_advantage: bool = False,
+        critic_lr: float,
+        clip_norm: float | None,
+        entropy_coef: float,
+        normalize_advantage: bool,
     ):
         self.critic = critic
         self.policy_opt = ad.Adam(policy_params, lr=policy_lr, clip_norm=clip_norm)
-        self.critic_opt = ad.Adam(critic.params, lr=critic_lr if critic_lr is not None else policy_lr, clip_norm=clip_norm)
+        self.critic_opt = ad.Adam(critic.params, lr=critic_lr, clip_norm=clip_norm)
         self.entropy_coef = entropy_coef
         self.normalize_advantage = normalize_advantage
 
@@ -333,7 +332,6 @@ def train_rl(
     config: RunConfig,
     *,
     rng: np.random.Generator,
-    episodes: int | None = None,
     csv_path: str | Path | None = None,
 ) -> list[RewardRow]:
     """Alternate sampled rollouts with A2C updates over cycled reports.
@@ -345,8 +343,6 @@ def train_rl(
     paired = _paired_examples(examples, alignments)
     if not paired:
         raise DataError("no usable reports for rl training")
-    episodes = config.rl_episodes if episodes is None else episodes
-    decode = DecodeConfig(config.beam_width, config.repetition_penalty, config.max_output_tokens)
     trainer = A2CTrainer(
         extractor.params,
         critic,
@@ -364,16 +360,13 @@ def train_rl(
     )
 
     def play(example: ReportExample, gold: list[list[str]], **mode) -> Trajectory:
-        return rollout(
-            example.document, gold, extractor, abstractor, vocab, decode=decode,
-            max_steps=config.max_extract_sentences, paraphrase_cache=cache, **mode,
-        )
+        return rollout(example.document, gold, extractor, abstractor, vocab, config, paraphrase_cache=cache, **mode)
 
     rows: list[RewardRow] = []
     wave: list[Trajectory] = []
     wave_pairs: list[tuple[list[int], list[int]]] = []
     last = UpdateStats(0.0, 0.0, 0.0, 0.0)
-    for episode in range(episodes):
+    for episode in range(config.rl_episodes):
         example, gold = paired[episode % len(paired)]
         traj = play(example, gold, mode="sample", rng=rng)
         wave.append(traj)

@@ -205,7 +205,7 @@ def best_against_references(
     candidate_sentences: SentenceSeq,
     reference_sets: Sequence[SentenceSeq],
     variant: MetricVariant,
-    aggregation: str = "max",
+    aggregation: str,
 ) -> tuple[RougeScore, int]:
     """Aggregate a candidate's score over several reference summaries.
 

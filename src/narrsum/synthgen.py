@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, check_field_types
+from .config import ConfigError, RunConfig, check_field_types
 from .corpus import Document, Sentence, SummarySet
 from .oracle import OracleAlignment, SourceIndex, pick_reference, save_alignments, select_reference
 from .rouge import rouge_l_sentence
@@ -50,8 +50,9 @@ class SynthSpec:
             raise ValueError("summary_sentences cannot exceed sentences_per_report")
         if self.vocabulary_size < 10:
             raise ValueError("vocabulary_size must be at least 10")
-        if not 1 <= self.min_sentence_tokens <= self.max_sentence_tokens <= 60:
-            raise ValueError("sentence token bounds must satisfy 1 <= min <= max <= 60")
+        cap = RunConfig().max_sentence_tokens  # so that loading with the default cap cuts no planted sentence
+        if not 1 <= self.min_sentence_tokens <= self.max_sentence_tokens <= cap:
+            raise ValueError(f"sentence token bounds must satisfy 1 <= min <= max <= {cap}")
         if self.n_reports < 1 or self.summaries_per_report < 1:
             raise ValueError("need at least one report and one summary per report")
 

@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 
 
 @dataclass
@@ -29,7 +30,7 @@ class HalveOnPlateau:
     """Multiply the optimizer lr by decay when a full epoch brings no
     improvement in the watched loss."""
 
-    def __init__(self, optimizer: ad.Adam, decay: float = 0.5):
+    def __init__(self, optimizer: ad.Adam, decay: float):
         self.optimizer = optimizer
         self.decay = decay
         self.best = math.inf
@@ -60,31 +61,30 @@ def fit(
     params: dict[str, ad.Value],
     loss: Callable[..., ad.Value],
     items: Sequence[tuple],
+    config: RunConfig,
     *,
     epochs: int,
-    lr: float = 0.001,
-    lr_decay: float = 0.5,
-    clip_norm: float | None = 1.0,
-    batch_size: int = 16,
-    checkpoint_every: int = 16,
     rng: np.random.Generator,
     validation: Sequence[tuple] = (),
     periodic_save: Callable[[], None] | None = None,
     frozen_params: Sequence[str] = (),
 ) -> TrainLog:
-    """Adam on the mean `loss(*item)` of mini-batches of `items`.
+    """Adam on the mean `loss(*item)` of mini-batches of `items`, with
+    `config`'s `lr`, `lr_decay`, `clip_norm`, `batch_size` and
+    `checkpoint_every_batches`.
 
     Each epoch visits `items` in an order shuffled by `rng`. The learning
-    rate is halved on a plateau of the mean validation loss, or of the
-    epoch's training loss when there is no validation data.
-    `periodic_save` runs after every `checkpoint_every` batches (never
-    when 0). Parameters named in `frozen_params` are not updated.
+    rate is multiplied by `lr_decay` on a plateau of the mean validation
+    loss, or of the epoch's training loss when there is no validation data.
+    `periodic_save` runs after every `checkpoint_every_batches` batches
+    (never when 0). Parameters named in `frozen_params` are not updated.
     """
     if not items:
         raise ValueError("no training items")
     trainable = {k: v for k, v in params.items() if k not in frozen_params}
-    optimizer = ad.Adam(trainable, lr=lr, clip_norm=clip_norm)
-    schedule = HalveOnPlateau(optimizer, lr_decay)
+    optimizer = ad.Adam(trainable, lr=config.lr, clip_norm=config.clip_norm)
+    schedule = HalveOnPlateau(optimizer, config.lr_decay)
+    batch_size, checkpoint_every = config.batch_size, config.checkpoint_every_batches
     train_log = TrainLog()
 
     for _ in range(epochs):

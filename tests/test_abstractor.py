@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from narrsum import autodiff as ad
 from narrsum.abstractor import (
     AbstractorModel,
-    DecodeConfig,
     _top,
     prepare_abstractor_pairs,
 )
+from narrsum.config import RunConfig
 from narrsum.corpus import (
     END_ID,
     PAD_ID,
@@ -45,6 +45,12 @@ def small_model(seed=0, vocab=20, e=8, h=6):
     return AbstractorModel(vocab, e, h, np.random.default_rng(seed))
 
 
+def decoding(beam_width, repetition_penalty, max_output_tokens):
+    return RunConfig(
+        beam_width=beam_width, repetition_penalty=repetition_penalty, max_output_tokens=max_output_tokens
+    )
+
+
 def random_ids(rng, length, vocab=20):
     return [int(rng.integers(4, vocab)) for _ in range(length)]
 
@@ -70,26 +76,6 @@ def reference_score(model, src_ids, tokens, finished, decode):
     return score
 
 
-# ---------------------------------------------------------------- config
-
-
-def test_decode_config_validation():
-    DecodeConfig(1, 1.0, 1)
-    with pytest.raises(ValueError):
-        DecodeConfig(beam_width=0)
-    with pytest.raises(ValueError):
-        DecodeConfig(repetition_penalty=0.9)
-    with pytest.raises(ValueError):
-        DecodeConfig(max_output_tokens=0)
-
-
-def test_decode_config_defaults():
-    cfg = DecodeConfig()
-    assert cfg.beam_width == 2
-    assert cfg.repetition_penalty == 2.0
-    assert cfg.max_output_tokens == 60
-
-
 # ---------------------------------------------------------------- encoding
 
 
@@ -105,7 +91,7 @@ def test_empty_input_rejected():
     with pytest.raises(ValueError):
         model.encode([])
     with pytest.raises(ValueError):
-        model.paraphrase([])
+        model.paraphrase([], RunConfig())
 
 
 # ---------------------------------------------------------------- loss
@@ -176,7 +162,7 @@ def test_beam_one_no_penalty_matches_manual_greedy():
     cases = [(small_model(seed=seed), random_ids(np.random.default_rng(seed), 4)) for seed in range(5)]
     cases += [(tied_model(seed), random_ids(np.random.default_rng(seed), 4, 12)) for seed in range(40)]
     for model, src in cases:
-        cfg = DecodeConfig(beam_width=1, repetition_penalty=1.0, max_output_tokens=8)
+        cfg = decoding(1, 1.0, 8)
         got = model.paraphrase(src, cfg)
 
         keys, init = model.encode(src)
@@ -201,10 +187,10 @@ def test_beam_never_scores_below_greedy():
         rng = np.random.default_rng(seed)
         src = random_ids(rng, 5)
         for penalty in (1.0, 2.0):
-            greedy_cfg = DecodeConfig(1, penalty, 10)
+            greedy_cfg = decoding(1, penalty, 10)
             _, greedy_score, _ = model.paraphrase_scored(src, greedy_cfg)
             for width in (2, 3):
-                cfg = DecodeConfig(width, penalty, 10)
+                cfg = decoding(width, penalty, 10)
                 _, score, _ = model.paraphrase_scored(src, cfg)
                 assert score >= greedy_score - 1e-12
 
@@ -214,7 +200,7 @@ def test_reported_score_matches_replay():
         model = small_model(seed=seed)
         rng = np.random.default_rng(seed + 7)
         src = random_ids(rng, 4)
-        cfg = DecodeConfig(2, 2.0, 8)
+        cfg = decoding(2, 2.0, 8)
         tokens, score, finished = model.paraphrase_scored(src, cfg)
         assert score == pytest.approx(reference_score(model, src, tokens, finished, cfg), abs=1e-9)
 
@@ -224,7 +210,7 @@ def test_outputs_never_contain_reserved_control_tokens():
         model = small_model(seed=seed)
         rng = np.random.default_rng(seed)
         src = random_ids(rng, 4)
-        out = model.paraphrase(src, DecodeConfig(2, 2.0, 12))
+        out = model.paraphrase(src, decoding(2, 2.0, 12))
         assert PAD_ID not in out
         assert START_ID not in out
         assert END_ID not in out
@@ -235,7 +221,7 @@ def test_unk_never_emitted_even_with_the_largest_logit():
     model.params["out_b"].data[UNK_ID] = 50.0
     model.params["out_b"].data[END_ID] = -50.0
     for width in (1, 2):
-        tokens = model.paraphrase([4, 5, 6], DecodeConfig(width, 2.0, 8))
+        tokens = model.paraphrase([4, 5, 6], decoding(width, 2.0, 8))
         assert len(tokens) == 8 and UNK_ID not in tokens
 
 
@@ -243,7 +229,7 @@ def test_forced_end_yields_empty_output():
     model = small_model()
     model.params["out_b"].data[:] = 0.0
     model.params["out_b"].data[END_ID] = 50.0
-    tokens, _, finished = model.paraphrase_scored([4, 5, 6], DecodeConfig(2, 2.0, 10))
+    tokens, _, finished = model.paraphrase_scored([4, 5, 6], decoding(2, 2.0, 10))
     assert tokens == []
     assert finished
 
@@ -251,7 +237,7 @@ def test_forced_end_yields_empty_output():
 def test_suppressed_end_hits_length_cap():
     model = small_model()
     model.params["out_b"].data[END_ID] = -50.0
-    tokens, _, finished = model.paraphrase_scored([4, 5, 6], DecodeConfig(2, 2.0, 7))
+    tokens, _, finished = model.paraphrase_scored([4, 5, 6], decoding(2, 2.0, 7))
     assert len(tokens) == 7
     assert not finished
 
@@ -262,8 +248,8 @@ def test_penalty_reduces_immediate_repeats():
         model = small_model(seed=seed, vocab=12)
         rng = np.random.default_rng(seed)
         src = random_ids(rng, 4, 12)
-        out1 = model.paraphrase(src, DecodeConfig(1, 1.0, 20))
-        out2 = model.paraphrase(src, DecodeConfig(1, 2.0, 20))
+        out1 = model.paraphrase(src, decoding(1, 1.0, 20))
+        out2 = model.paraphrase(src, decoding(1, 2.0, 20))
         plain += sum(a == b for a, b in zip(out1, out1[1:]))
         penalized += sum(a == b for a, b in zip(out2, out2[1:]))
     assert plain > 0  # random models loop without the penalty
@@ -278,7 +264,7 @@ def test_adjusted_logp_penalizes_only_present_tokens():
     logits, _ = abstractor_step(model, keys, START_ID, abstractor_initial_state(init))
     logits = logits.data
     hyp = _Hypothesis([6, 8], frozenset({6, 8}), 0.0, None, False)
-    cfg = DecodeConfig(2, 2.0, 5)
+    cfg = decoding(2, 2.0, 5)
     base = model._adjusted_logp(logits, _Hypothesis([], frozenset(), 0.0, None, False), cfg)
     adjusted = model._adjusted_logp(logits, hyp, cfg)
     assert adjusted[PAD_ID] == adjusted[UNK_ID] == adjusted[START_ID] == -np.inf
@@ -330,7 +316,7 @@ def test_decoding_matches_per_step_graph_exactly():
         src = random_ids(rng, int(rng.integers(1, 8)), vocab)
         for width in (1, 2, 3):
             for penalty in (1.0, 2.0):
-                cfg = DecodeConfig(width, penalty, 12)
+                cfg = decoding(width, penalty, 12)
                 assert model.paraphrase_scored(src, cfg) == percell_paraphrase_scored(model, src, cfg)
 
 
@@ -368,13 +354,12 @@ def test_overfits_copy_task_and_beam_reproduces_input():
     fit(
         model.params, model.teacher_forced_loss,
         pairs,
+        RunConfig(lr=0.01, batch_size=3),
         epochs=60,
-        lr=0.01,
-        batch_size=3,
         rng=np.random.default_rng(2),
     )
     assert teacher_forced_accuracy(model, pairs) >= 0.99
-    hits = sum(model.paraphrase(src, DecodeConfig(2, 2.0, 10)) == src for src, _ in pairs)
+    hits = sum(model.paraphrase(src, decoding(2, 2.0, 10)) == src for src, _ in pairs)
     assert hits >= len(pairs) - 1
 
 
@@ -384,8 +369,8 @@ def test_training_loss_decreases():
     pairs = copy_task_pairs(rng, 4, vocab)
     model = AbstractorModel(vocab, 12, 10, np.random.default_rng(0))
     train_log = fit(
-        model.params, model.teacher_forced_loss, pairs,
-        epochs=40, lr=0.01, batch_size=2, rng=np.random.default_rng(4)
+        model.params, model.teacher_forced_loss, pairs, RunConfig(lr=0.01, batch_size=2),
+        epochs=40, rng=np.random.default_rng(4)
     )
     assert train_log.epoch_losses[-1] < 0.25 * train_log.epoch_losses[0]
 
@@ -396,8 +381,8 @@ def test_training_is_deterministic():
         pairs = copy_task_pairs(rng, 3, 10)
         model = AbstractorModel(10, 8, 6, np.random.default_rng(1))
         train_log = fit(
-            model.params, model.teacher_forced_loss, pairs,
-            epochs=4, lr=0.01, batch_size=2, rng=np.random.default_rng(6)
+            model.params, model.teacher_forced_loss, pairs, RunConfig(lr=0.01, batch_size=2),
+            epochs=4, rng=np.random.default_rng(6)
         )
         return train_log.epoch_losses, {k: v.data.copy() for k, v in model.params.items()}
 
@@ -416,9 +401,8 @@ def test_periodic_saves_counted():
     train_log = fit(
         model.params, model.teacher_forced_loss,
         pairs,
+        RunConfig(batch_size=2, checkpoint_every_batches=2),
         epochs=2,
-        batch_size=2,
-        checkpoint_every=2,
         rng=np.random.default_rng(8),
         periodic_save=lambda: calls.append(1),
     )
@@ -430,7 +414,7 @@ def test_periodic_saves_counted():
 def test_empty_pair_list_rejected():
     model = small_model()
     with pytest.raises(ValueError):
-        fit(model.params, model.teacher_forced_loss, [], epochs=1, rng=np.random.default_rng(0))
+        fit(model.params, model.teacher_forced_loss, [], RunConfig(), epochs=1, rng=np.random.default_rng(0))
 
 
 def test_validation_pairs_watched_for_plateau():
@@ -440,9 +424,8 @@ def test_validation_pairs_watched_for_plateau():
     train_log = fit(
         model.params, model.teacher_forced_loss,
         pairs,
+        RunConfig(lr=0.01, batch_size=2),
         epochs=3,
-        lr=0.01,
-        batch_size=2,
         rng=np.random.default_rng(10),
         validation=pairs[:1],
     )
@@ -458,9 +441,8 @@ def test_frozen_params_stay_fixed():
     fit(
         model.params, model.teacher_forced_loss,
         pairs,
+        RunConfig(lr=0.01, batch_size=2),
         epochs=2,
-        lr=0.01,
-        batch_size=2,
         rng=np.random.default_rng(12),
         frozen_params=("embed",),
     )
@@ -519,7 +501,7 @@ def test_checkpoint_round_trip(tmp_path):
     for name, p in model.params.items():
         assert np.array_equal(p.data, loaded.params[name].data)
     src = [4, 5, 6]
-    assert model.paraphrase(src) == loaded.paraphrase(src)
+    assert model.paraphrase(src, RunConfig()) == loaded.paraphrase(src, RunConfig())
 
 
 def test_checkpoint_kind_guard(tmp_path):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from narrsum import autodiff as ad
-from narrsum.abstractor import AbstractorModel, DecodeConfig
+from narrsum.abstractor import AbstractorModel
 from narrsum.baselines import lead_n, lexrank_graph, power_iteration, textrank_graph
 from narrsum.config import RunConfig
 from narrsum.corpus import build_vocab, load_dataset
@@ -75,7 +75,7 @@ SMALL_SPEC = SynthSpec(
     n_testing_reports=1,
 )
 
-PIPE_DECODE = DecodeConfig(beam_width=2, repetition_penalty=2.0, max_output_tokens=16)
+PIPE_DECODE = RunConfig(beam_width=2, repetition_penalty=2.0, max_output_tokens=16)
 
 
 def exact_step_accuracy(model: ExtractorModel, data) -> float:
@@ -96,7 +96,7 @@ def small_world(tmp_path_factory):
     """A verbatim (noise-free) synthetic corpus with known alignments."""
     root = tmp_path_factory.mktemp("accept_world")
     truth = generate(SMALL_SPEC, root)["training"]
-    dataset = load_dataset(root)
+    dataset = load_dataset(root, 60)
     vocab = build_vocab([ex.document for ex in dataset.training], 2000)
     data = prepare_extractor_examples(dataset.training, truth, vocab)
     return {"dataset": dataset, "truth": truth, "vocab": vocab, "data": data}
@@ -119,7 +119,7 @@ def identity_abstractor(small_world):
 
     for stage in range(20):
         fit(
-            model.params, model.teacher_forced_loss, pairs, epochs=20, lr=0.01, batch_size=16,
+            model.params, model.teacher_forced_loss, pairs, RunConfig(lr=0.01, batch_size=16), epochs=20,
             rng=np.random.default_rng([51, stage]),
         )
         if teacher_forced_accuracy(model, pairs) >= 0.995 and copies_all():
@@ -134,7 +134,7 @@ def trained_extractor(small_world):
     model = ExtractorModel(small_world["vocab"].size, 32, 32, np.random.default_rng(52))
     for stage in range(20):
         fit(
-            model.params, example_loss(model), small_world["data"], epochs=10, lr=0.01, batch_size=3,
+            model.params, example_loss(model), small_world["data"], RunConfig(lr=0.01, batch_size=3), epochs=10,
             rng=np.random.default_rng([53, stage]),
         )
         if exact_step_accuracy(model, small_world["data"]) >= 0.95:
@@ -572,7 +572,7 @@ def test_a4_oracle_and_extractor_closure(tmp_path):
         vocabulary_size=40, n_validation_reports=1, n_testing_reports=1,
     )
     truth = generate(spec, tmp_path)["training"]
-    dataset = load_dataset(tmp_path)
+    dataset = load_dataset(tmp_path, 60)
     oracle = build_oracle(dataset.training)
 
     def same(a, b):
@@ -589,7 +589,7 @@ def test_a4_oracle_and_extractor_closure(tmp_path):
     epochs_done = 0
     accuracy = 0.0
     while epochs_done < 200:
-        fit(model.params, example_loss(model), data, epochs=10, lr=0.01, batch_size=8,
+        fit(model.params, example_loss(model), data, RunConfig(lr=0.01, batch_size=8), epochs=10,
             rng=np.random.default_rng([405, epochs_done]))
         epochs_done += 10
         accuracy = exact_step_accuracy(model, data)
@@ -613,7 +613,7 @@ def test_a5_abstractor_copy_task():
     epochs_done = 0
     tf_accuracy = 0.0
     while epochs_done < 300:
-        fit(model.params, model.teacher_forced_loss, pairs, epochs=20, lr=0.01, batch_size=16,
+        fit(model.params, model.teacher_forced_loss, pairs, RunConfig(lr=0.01, batch_size=16), epochs=20,
             rng=np.random.default_rng([507, epochs_done]))
         epochs_done += 20
         tf_accuracy = teacher_forced_accuracy(model, pairs)
@@ -641,7 +641,8 @@ def test_a6_rl_improvement(small_world, identity_abstractor):
 
     # (a) 2-arm bandit: the rewarded arm should dominate.
     theta = ad.param(np.zeros(2))
-    trainer = A2CTrainer({"theta": theta}, Critic(1, np.random.default_rng(0)), policy_lr=0.05)
+    trainer = A2CTrainer({"theta": theta}, Critic(1, np.random.default_rng(0)), policy_lr=0.05, critic_lr=0.05,
+                         clip_norm=1.0, entropy_coef=0.0, normalize_advantage=False)
     rng = np.random.default_rng(606)
     for _ in range(500):
         arm = int(rng.choice(2, p=_softmax(theta.data)))
@@ -672,8 +673,8 @@ def test_a6_rl_improvement(small_world, identity_abstractor):
         acc = exact_step_accuracy(extractor, data)
         snapshots.append((acc, {k: v.data.copy() for k, v in extractor.params.items()}))
 
-    fit(extractor.params, example_loss(extractor), data, epochs=40, lr=0.005, batch_size=3,
-        checkpoint_every=1, rng=np.random.default_rng(609),
+    fit(extractor.params, example_loss(extractor), data,
+        RunConfig(lr=0.005, batch_size=3, checkpoint_every_batches=1), epochs=40, rng=np.random.default_rng(609),
         periodic_save=snap)
     half_acc, half_params = min(snapshots, key=lambda s: abs(s[0] - 0.5))
     assert 0.25 <= half_acc <= 0.75, f"no snapshot near 50% accuracy: {half_acc:.2f}"
@@ -681,15 +682,15 @@ def test_a6_rl_improvement(small_world, identity_abstractor):
         extractor.params[name].data[...] = arr
 
     cache = {}
-    pre = mean_greedy_reward(examples, truth, extractor, identity_abstractor, vocab,
-                             decode=PIPE_DECODE, paraphrase_cache=cache)
+    pre = mean_greedy_reward(examples, truth, extractor, identity_abstractor, vocab, PIPE_DECODE,
+                             paraphrase_cache=cache)
     config = RunConfig(seed=610, hidden_dim=24, rl_lr=0.01, rl_episodes=1000,
                        rl_updates_every=4, max_output_tokens=16)
     critic = Critic(24, np.random.default_rng(611))
     train_rl(examples, truth, extractor, identity_abstractor, critic, vocab, config,
              rng=np.random.default_rng(612))
-    post = mean_greedy_reward(examples, truth, extractor, identity_abstractor, vocab,
-                              decode=PIPE_DECODE, paraphrase_cache=cache)
+    post = mean_greedy_reward(examples, truth, extractor, identity_abstractor, vocab, PIPE_DECODE,
+                              paraphrase_cache=cache)
 
     took = time.monotonic() - t0
     ok = good_arm_prob > 0.95 and estimator_err < 0.02 and post > pre and post - pre >= 0.05
@@ -718,7 +719,7 @@ def test_a7_pipeline_identity_bound(small_world, identity_abstractor):
             by_id[alignment.report_id], alignment.extract_targets, identity_abstractor, vocab
         )
     references = {ex.document.id: ex.summary_set for ex in small_world["dataset"].training}
-    result = evaluate_system(predictions, references, system="identity")
+    result = evaluate_system(predictions, references, RunConfig(), system="identity")
     f1s = {label: result.cells[label].f1 for label, _ in
            (("rouge-l", 0), ("rouge-1", 0), ("rouge-2", 0), ("rouge-su4", 0))}
     word_counts = [len(text.split()) for text in predictions.values()]
@@ -755,7 +756,7 @@ def test_a8_baseline_sanity(small_world, identity_abstractor, trained_extractor)
     hub_ok = True
     eig_gap = 0.0
     for graph in (textrank_graph(token_lists), lexrank_graph(token_lists, 0.1)):
-        scores = power_iteration(graph)
+        scores = power_iteration(graph, 0.85, 1e-6, 100)
         dense = _dense_stationary(graph)
         hub_ok = hub_ok and int(np.argmax(scores)) == 2 and int(np.argmax(dense)) == 2
         eig_gap = max(eig_gap, float(np.max(np.abs(scores - dense))))
@@ -767,15 +768,15 @@ def test_a8_baseline_sanity(small_world, identity_abstractor, trained_extractor)
     pipeline_preds, lead_preds = {}, {}
     for ex in examples:
         rid = ex.document.id
-        extraction = trained_extractor.extract(rid, by_id[rid])
+        extraction = trained_extractor.extract(rid, by_id[rid], 80)
         pipeline_preds[rid] = _pipeline_text(by_id[rid], extraction.indices,
                                              identity_abstractor, vocab)
-        chosen = lead_n(ex.document, 1000)
+        chosen = lead_n(ex.document, RunConfig(word_limit=1000))
         sentences = [list(ex.document.sentences[i].tokens) for i in chosen]
         lead_preds[rid] = detokenize(truncate_sentences(sentences, 1000))
     references = {ex.document.id: ex.summary_set for ex in examples}
-    pipe_f1 = evaluate_system(pipeline_preds, references, system="pipeline").cells["rouge-l"].f1
-    lead_f1 = evaluate_system(lead_preds, references, system="lead").cells["rouge-l"].f1
+    pipe_f1 = evaluate_system(pipeline_preds, references, RunConfig(), system="pipeline").cells["rouge-l"].f1
+    lead_f1 = evaluate_system(lead_preds, references, RunConfig(), system="lead").cells["rouge-l"].f1
 
     took = time.monotonic() - t0
     ok = hub_ok and eig_gap < 1e-5 and pipe_f1 - lead_f1 >= 0.05

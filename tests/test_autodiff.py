@@ -432,7 +432,7 @@ def test_adam_minimizes_quadratic():
 
 def test_adam_rejects_non_finite_grads():
     x = ad.param(1.0)
-    opt = ad.Adam({"x": x})
+    opt = ad.Adam({"x": x}, lr=0.001, clip_norm=1.0)
     x.grad = np.asarray(np.nan)
     with pytest.raises(ad.NonFiniteGradError):
         opt.step()

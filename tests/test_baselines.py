@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from narrsum.baselines import (
     SentenceGraph,
+    _is_symmetric,
     lead_n,
     lexrank,
     lexrank_graph,
@@ -19,7 +20,15 @@ from narrsum.baselines import (
     textrank,
     textrank_graph,
 )
+from narrsum.config import RunConfig
 from narrsum.corpus import Document, Sentence
+
+CONFIG = RunConfig()
+
+
+def pagerank(graph: SentenceGraph) -> np.ndarray:
+    """`power_iteration` with the published damping, tolerance and iteration cap."""
+    return power_iteration(graph, CONFIG.damping, CONFIG.pagerank_tol, CONFIG.pagerank_max_iter)
 
 
 def mk_doc(token_lists, doc_id="d"):
@@ -156,7 +165,7 @@ def test_textrank_counts_shared_types_not_occurrences():
 
 def test_lexrank_cosine_frozen():
     # idf: a = ln(3/2), others = ln 3. cos(s0, s1) carried only by "a".
-    g = lexrank_graph([["a", "b"], ["a", "c"], ["d", "e"]])
+    g = lexrank_graph([["a", "b"], ["a", "c"], ["d", "e"]], CONFIG.lexrank_threshold)
     ia, ib = math.log(3 / 2), math.log(3)
     expected = ia * ia / (ia * ia + ib * ib)
     assert g.weights[0, 1] == pytest.approx(expected)
@@ -213,7 +222,7 @@ def test_textrank_blocks_match_dense_product(token_lists):
     graph = textrank_graph(token_lists)
     want = dense_textrank_weights(token_lists)
     assert np.array_equal(graph.weights, want)
-    assert np.array_equal(power_iteration(graph), dense_power_iteration(want))
+    assert np.array_equal(pagerank(graph), dense_power_iteration(want))
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,13 +242,50 @@ def test_graph_memory_stays_within_four_square_arrays(builder):
     rng = np.random.default_rng(7)
     n = 400
     token_lists = [[f"t{int(k)}" for k in rng.integers(6000, size=int(rng.integers(1, 31)))] for _ in range(n)]
+    threshold = (CONFIG.lexrank_threshold,) if builder is lexrank_graph else ()
     tracemalloc.start()
     try:
-        builder(token_lists)
+        builder(token_lists, *threshold)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 4 * n * n * 8
+
+
+def test_graph_validation_peaks_below_one_square_array():
+    # The symmetry check runs one block of rows at a time; a whole-matrix
+    # `np.allclose(w, w.T)` peaked at about 2.2 n x n arrays here.
+    rng = np.random.default_rng(8)
+    n = 400
+    token_lists = [[f"t{int(k)}" for k in rng.integers(300, size=int(rng.integers(1, 31)))] for _ in range(n)]
+    weights = textrank_graph(token_lists).weights
+    tracemalloc.start()
+    try:
+        SentenceGraph(weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@st.composite
+def near_symmetric(draw):
+    """A symmetric matrix of 1-200 rows with a few entries moved by about the
+    tolerance of `np.allclose` (atol 1e-8 plus rtol 1e-5 of the mirror)."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    w = rng.uniform(0.0, draw(st.sampled_from([1e-9, 1.0, 1e6])), size=(n, n))
+    w = w + w.T
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j = rng.integers(n, size=2)
+        w[i, j] += (1e-8 + 1e-5 * abs(w[j, i])) * draw(st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5]))
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_symmetric())
+def test_blocked_symmetry_check_matches_allclose(w):
+    assert _is_symmetric(w) == np.allclose(w, w.T)
 
 
 def test_graph_validation():
@@ -276,7 +322,7 @@ def hub_doc():
 def test_hub_ranked_first_textrank():
     doc = hub_doc()
     graph = textrank_graph([list(s.tokens) for s in doc.sentences])
-    scores = power_iteration(graph)
+    scores = pagerank(graph)
     assert int(np.argmax(scores)) == 2
     assert np.allclose(scores, dense_pagerank(graph), atol=1e-5)
 
@@ -284,14 +330,14 @@ def test_hub_ranked_first_textrank():
 def test_hub_ranked_first_lexrank():
     doc = hub_doc()
     graph = lexrank_graph([list(s.tokens) for s in doc.sentences], threshold=0.01)
-    scores = power_iteration(graph)
+    scores = pagerank(graph)
     assert int(np.argmax(scores)) == 2
     assert np.allclose(scores, dense_pagerank(graph), atol=1e-5)
 
 
 def test_disconnected_graph_uniform_scores():
     graph = textrank_graph([["a", "b"], ["c", "d"], ["e", "f"]])
-    scores = power_iteration(graph)
+    scores = pagerank(graph)
     assert np.allclose(scores, 1.0 / 3.0, atol=1e-12)
 
 
@@ -309,15 +355,15 @@ def test_power_iteration_matches_dense_solve(data):
             raw[i, :] = 0.0
             raw[:, i] = 0.0
     graph = SentenceGraph(raw)
-    scores = power_iteration(graph)
+    scores = pagerank(graph)
     assert np.all(scores >= 0.0)
     assert abs(scores.sum() - 1.0) <= 1e-9
     assert np.allclose(scores, dense_pagerank(graph), atol=1e-5)
 
 
 def test_identical_sentences_equal_scores():
-    graph = lexrank_graph([["a", "b"], ["a", "b"], ["a", "b"]])
-    scores = power_iteration(graph)
+    graph = lexrank_graph([["a", "b"], ["a", "b"], ["a", "b"]], CONFIG.lexrank_threshold)
+    scores = pagerank(graph)
     assert np.allclose(scores, scores[0])
 
 
@@ -354,27 +400,27 @@ def test_select_top_alone_over_budget_still_returned():
 
 def test_single_sentence_doc():
     doc = mk_doc([["only", "sentence", "here"]])
-    assert textrank(doc) == [0]
-    assert lexrank(doc) == [0]
-    assert lead_n(doc) == [0]
+    assert textrank(doc, CONFIG) == [0]
+    assert lexrank(doc, CONFIG) == [0]
+    assert lead_n(doc, CONFIG) == [0]
 
 
 def test_empty_doc_rejected():
     doc = mk_doc([])
     for method in (textrank, lexrank, lead_n):
         with pytest.raises(ValueError, match="no sentences"):
-            method(doc)
+            method(doc, CONFIG)
 
 
 def test_lead_arithmetic():
     doc = mk_doc([["w"] * 10, ["w"] * 10, ["w"] * 10])
-    assert lead_n(doc, word_limit=25) == [0, 1]
-    assert lead_n(doc, word_limit=100) == [0, 1, 2]
+    assert lead_n(doc, RunConfig(word_limit=25)) == [0, 1]
+    assert lead_n(doc, RunConfig(word_limit=100)) == [0, 1, 2]
 
 
 def test_lead_first_sentence_over_limit():
     doc = mk_doc([["w"] * 30, ["w"] * 2])
-    assert lead_n(doc, word_limit=5) == [0]
+    assert lead_n(doc, RunConfig(word_limit=5)) == [0]
 
 
 def loop_lead_n(doc, word_limit):
@@ -395,16 +441,16 @@ def loop_lead_n(doc, word_limit):
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=30), st.integers(1, 200))
 def test_lead_n_matches_its_own_loop(lengths, word_limit):
     doc = mk_doc([["w"] * n for n in lengths])
-    assert lead_n(doc, word_limit) == loop_lead_n(doc, word_limit)
+    assert lead_n(doc, RunConfig(word_limit=word_limit)) == loop_lead_n(doc, word_limit)
 
 
 def test_methods_output_document_order():
     doc = hub_doc()
-    picked = textrank(doc, word_limit=7)  # hub (4 tokens) + one 3-token sentence
+    picked = textrank(doc, RunConfig(word_limit=7))  # hub (4 tokens) + one 3-token sentence
     assert picked == sorted(picked)
     assert 2 in picked
 
 
 def test_disconnected_selection_prefers_leading_ties():
     doc = mk_doc([["a", "b"], ["c", "d"], ["e", "f"]])
-    assert textrank(doc, word_limit=4) == [0, 1]
+    assert textrank(doc, RunConfig(word_limit=4)) == [0, 1]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from narrsum.config import RunConfig
 from narrsum.corpus import (
-    DEFAULT_VOCAB_SIZE,
     END_ID,
     PAD_ID,
     RESERVED_TOKENS,
@@ -25,6 +25,11 @@ from narrsum.corpus import (
     split_sentence_spans,
     tokenize_words,
 )
+
+
+# The published token cap and vocabulary size.
+CONFIG = RunConfig()
+MAX_TOKENS = CONFIG.max_sentence_tokens
 
 
 def split_sentences(text: str) -> list[str]:
@@ -86,13 +91,13 @@ def test_spans_preserve_non_whitespace(text):
 
 
 def test_tokenize_frozen():
-    assert tokenize_words("Profit rose 4.5%!") == ["profit", "rose", "4", "5"]
-    assert tokenize_words("") == []
+    assert tokenize_words("Profit rose 4.5%!", MAX_TOKENS) == ["profit", "rose", "4", "5"]
+    assert tokenize_words("", MAX_TOKENS) == []
 
 
 def test_tokenize_truncates_to_limit():
     sentence = " ".join(f"w{i}" for i in range(100))
-    tokens = tokenize_words(sentence)
+    tokens = tokenize_words(sentence, MAX_TOKENS)
     assert len(tokens) == 60
     assert tokens == [f"w{i}" for i in range(60)]
 
@@ -100,19 +105,19 @@ def test_tokenize_truncates_to_limit():
 @settings(max_examples=200)
 @given(st.text(max_size=60))
 def test_tokenize_case_invariant(text):
-    assert tokenize_words(text) == tokenize_words(text.upper())
+    assert tokenize_words(text, MAX_TOKENS) == tokenize_words(text.upper(), MAX_TOKENS)
 
 
 @settings(max_examples=200)
 @given(st.text(max_size=60))
 def test_tokenize_shape(text):
-    for tok in tokenize_words(text):
+    for tok in tokenize_words(text, MAX_TOKENS):
         assert tok and tok == tok.lower()
         assert all(c.isalnum() for c in tok)
 
 
 def test_sentences_from_text_drops_wordless_spans():
-    sents = sentences_from_text("Profit rose. ?!. Costs fell.")
+    sents = sentences_from_text("Profit rose. ?!. Costs fell.", MAX_TOKENS)
     assert [list(s.tokens) for s in sents] == [["profit", "rose"], ["costs", "fell"]]
     for s in sents:
         assert s.char_span[0] < s.char_span[1]
@@ -127,7 +132,7 @@ def _doc(doc_id, token_lists):
 
 
 def test_build_vocab_reserved_and_small():
-    vocab = build_vocab([_doc("r1", [["gamma", "alpha"], ["beta", "alpha"]])])
+    vocab = build_vocab([_doc("r1", [["gamma", "alpha"], ["beta", "alpha"]])], CONFIG.vocab_size)
     assert vocab.size == 7
     assert vocab.id_to_token[:4] == list(RESERVED_TOKENS)
     assert (PAD_ID, UNK_ID, START_ID, END_ID) == (0, 1, 2, 3)
@@ -136,19 +141,19 @@ def test_build_vocab_reserved_and_small():
 
 
 def test_build_vocab_caps_size():
-    tokens = [f"t{i:05d}" for i in range(DEFAULT_VOCAB_SIZE + 5000)]
+    tokens = [f"t{i:05d}" for i in range(CONFIG.vocab_size + 5000)]
     docs = [_doc("big", [tokens[i : i + 50] for i in range(0, len(tokens), 50)])]
-    vocab = build_vocab(docs)
-    assert vocab.size == DEFAULT_VOCAB_SIZE + 4
+    vocab = build_vocab(docs, CONFIG.vocab_size)
+    assert vocab.size == CONFIG.vocab_size + 4
 
 
 def test_build_vocab_empty_errors():
     with pytest.raises(DataError):
-        build_vocab([])
+        build_vocab([], CONFIG.vocab_size)
 
 
 def test_vocab_lookup_and_round_trip():
-    vocab = build_vocab([_doc("r1", [["profit", "rose"]])])
+    vocab = build_vocab([_doc("r1", [["profit", "rose"]])], CONFIG.vocab_size)
     assert vocab.encode(["profit"])[0] >= 4
     assert vocab.encode(["absent"]) == [UNK_ID]
     ids = vocab.encode(["profit", "absent", "rose"])
@@ -158,7 +163,7 @@ def test_vocab_lookup_and_round_trip():
 
 
 def test_vocab_bijection():
-    vocab = build_vocab([_doc("r1", [["a", "b", "c", "a"]])])
+    vocab = build_vocab([_doc("r1", [["a", "b", "c", "a"]])], CONFIG.vocab_size)
     for tok, idx in vocab.token_to_id.items():
         assert vocab.id_to_token[idx] == tok
 
@@ -200,7 +205,7 @@ def miniature(root):
 
 def test_load_dataset_miniature(tmp_path):
     miniature(tmp_path)
-    data = load_dataset(tmp_path)
+    data = load_dataset(tmp_path, MAX_TOKENS)
     assert [ex.document.id for ex in data.training] == ["r1", "r2"]
     assert [len(ex.summary_set.summaries) for ex in data.training] == [2, 1]
     assert data.manifest() == {
@@ -220,16 +225,16 @@ def test_load_dataset_missing_split(tmp_path):
     (tmp_path / "validation" / "annual_reports" / "v1.txt").unlink()
     (tmp_path / "validation" / "annual_reports").rmdir()
     with pytest.raises(DataError):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, MAX_TOKENS)
     with pytest.raises(DataError):
-        load_dataset(tmp_path / "nowhere")
+        load_dataset(tmp_path / "nowhere", MAX_TOKENS)
 
 
 def test_load_dataset_training_without_summaries_excluded(tmp_path, caplog):
     miniature(tmp_path)
     (tmp_path / "training" / "annual_reports" / "r3.txt").write_text("Orphan report.", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
-        data = load_dataset(tmp_path)
+        data = load_dataset(tmp_path, MAX_TOKENS)
     assert [ex.document.id for ex in data.training] == ["r1", "r2"]
     assert any("r3" in record.message for record in caplog.records)
 
@@ -238,7 +243,7 @@ def test_load_dataset_empty_report_excluded(tmp_path, caplog):
     miniature(tmp_path)
     (tmp_path / "testing" / "annual_reports" / "t2.txt").write_text("???", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
-        data = load_dataset(tmp_path)
+        data = load_dataset(tmp_path, MAX_TOKENS)
     assert [ex.document.id for ex in data.testing] == ["t1"]
 
 
@@ -254,7 +259,7 @@ def test_load_dataset_summary_numeric_order(tmp_path):
             "testing": ([("t1", "Three four.")], []),
         },
     )
-    data = load_dataset(tmp_path)
+    data = load_dataset(tmp_path, MAX_TOKENS)
     assert [sid for sid, _ in data.training[0].summary_set.summaries] == ["1", "2", "10"]
     # report_id is everything before the last underscore.
     assert data.training[0].summary_set.report_id == "rep_a"
@@ -262,7 +267,7 @@ def test_load_dataset_summary_numeric_order(tmp_path):
 
 def test_load_dataset_parses_a_split_once_when_first_read(tmp_path):
     miniature(tmp_path)
-    data = load_dataset(tmp_path)
+    data = load_dataset(tmp_path, MAX_TOKENS)
     # A split nobody reads is never parsed, so its bad file goes unnoticed.
     (tmp_path / "testing" / "annual_reports" / "t1.txt").write_bytes(b"Debt \xff shrank.")
     first = data.training
@@ -281,7 +286,7 @@ def test_load_dataset_checks_every_split_layout_before_reading(tmp_path, split, 
     miniature(tmp_path)
     shutil.rmtree(tmp_path / split / subdir)
     with pytest.raises(DataError, match=subdir):
-        load_dataset(tmp_path)
+        load_dataset(tmp_path, MAX_TOKENS)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +302,7 @@ def test_load_dataset_checks_every_split_layout_before_reading(tmp_path, split, 
 def test_unreadable_corpus_file_is_data_error_naming_it(tmp_path, name, make):
     miniature(tmp_path)
     make(tmp_path / "training" / name)
-    data = load_dataset(tmp_path)
+    data = load_dataset(tmp_path, MAX_TOKENS)
     with pytest.raises(DataError, match=name.split("/")[1]):
         data.training
 

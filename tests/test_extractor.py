@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrsum import autodiff as ad
+from narrsum.config import RunConfig
 from narrsum.corpus import DataError, Document, ReportExample, Sentence, SummarySet, Vocab, RESERVED_TOKENS, read_jsonl
 from narrsum.extractor import (
-    DEFAULT_MAX_STEPS,
     Extraction,
     ExtractorModel,
     example_loss,
@@ -24,6 +24,10 @@ from percell import add, const, cross_entropy, dot, percell_extractor_encode, pe
 
 def load_extractions(path) -> list[Extraction]:
     return read_jsonl(path, Extraction.from_record)
+
+
+# The published step cap, longer than every document here but the step-cap test's.
+MAX_STEPS = RunConfig().max_extract_sentences
 
 
 def small_model(seed=0, vocab=30, e=8, h=6):
@@ -87,7 +91,7 @@ def test_sentence_order_changes_representations():
 
 def test_extract_single_sentence_doc():
     model = small_model(seed=1)
-    ex = model.extract("r", [[4, 5, 6]])
+    ex = model.extract("r", [[4, 5, 6]], MAX_STEPS)
     assert set(ex.indices) <= {0}
     assert len(ex.indices) <= 1
 
@@ -98,7 +102,7 @@ def test_extract_no_duplicates_over_random_models():
         model = small_model(seed=seed, vocab=20, e=5, h=4)
         doc = random_doc(rng, int(rng.integers(1, 7)), vocab=20)
         mode = "greedy" if seed % 2 == 0 else "sample"
-        ex = model.extract("r", doc, mode=mode, rng=rng)
+        ex = model.extract("r", doc, MAX_STEPS, mode=mode, rng=rng)
         assert len(ex.indices) == len(set(ex.indices))
         assert all(0 <= i < len(doc) for i in ex.indices)
         assert all(np.isfinite(p) and p <= 0.0 for p in ex.step_log_probs)
@@ -109,16 +113,16 @@ def test_extract_respects_step_cap():
     model = small_model(seed=2, vocab=12, e=4, h=3)
     rng = np.random.default_rng(0)
     doc = random_doc(rng, 200, vocab=12, max_len=3)
-    ex = model.extract("r", doc, max_steps=DEFAULT_MAX_STEPS)
+    ex = model.extract("r", doc, MAX_STEPS)
     assert len(ex.indices) <= 80
 
 
 def test_extract_modes_validate():
     model = small_model()
     with pytest.raises(ValueError):
-        model.extract("r", [[4]], mode="beam")
+        model.extract("r", [[4]], MAX_STEPS, mode="beam")
     with pytest.raises(ValueError):
-        model.extract("r", [[4]], mode="sample")  # rng required
+        model.extract("r", [[4]], MAX_STEPS, mode="sample")  # rng required
 
 
 def test_fallback_index_is_real_sentence():
@@ -216,10 +220,10 @@ def test_decode_probabilities_equal_the_fused_forward_pass():
 def test_decode_builds_no_graph_and_checks_the_sentence_count():
     model = small_model()
     keys = model.encode([[4, 5], [6]]).data
-    steps = model.decode(keys, 2, lambda probs, _t: int(np.argmax(probs)))
+    steps = model.decode(keys, 2, lambda probs, _t: int(np.argmax(probs)), MAX_STEPS)
     assert all(isinstance(s.state, np.ndarray) and isinstance(s.probs, np.ndarray) for s in steps)
     with pytest.raises(ValueError, match="3 keys for 3 sentences"):
-        model.decode(keys, 3, lambda probs, _t: 0)
+        model.decode(keys, 3, lambda probs, _t: 0, MAX_STEPS)
 
 
 def test_pointer_decoder_rejects_an_action_outside_the_candidates():
@@ -248,10 +252,10 @@ def test_overfit_single_report():
     doc = [[4, 5, 6], [7, 8], [9, 10, 11], [12]]
     data = [("r", doc, [0])]
     fit(
-        model.params, example_loss(model), data, epochs=50, lr=0.01, batch_size=1, checkpoint_every=0,
-        rng=np.random.default_rng(0),
+        model.params, example_loss(model), data,
+        RunConfig(lr=0.01, batch_size=1, checkpoint_every_batches=0), epochs=50, rng=np.random.default_rng(0),
     )
-    ex = model.extract("r", doc)
+    ex = model.extract("r", doc, MAX_STEPS)
     assert ex.indices == [0]
 
 
@@ -261,8 +265,8 @@ def test_training_loss_drops_sharply():
     data = [(f"r{k}", doc, sorted(rng.choice(6, size=2, replace=False).tolist())) for k, doc in enumerate(docs)]
     model = small_model(seed=13, vocab=25, e=10, h=8)
     train_log = fit(
-        model.params, example_loss(model), data, epochs=60, lr=0.01, batch_size=3, checkpoint_every=0,
-        rng=np.random.default_rng(1),
+        model.params, example_loss(model), data,
+        RunConfig(lr=0.01, batch_size=3, checkpoint_every_batches=0), epochs=60, rng=np.random.default_rng(1),
     )
     assert train_log.epoch_losses[-1] <= 0.10 * train_log.epoch_losses[0]
 
@@ -274,8 +278,8 @@ def test_training_is_deterministic():
         data = [(f"r{k}", d, [k % 4]) for k, d in enumerate(docs)]
         model = small_model(seed=17, vocab=20, e=6, h=5)
         train_log = fit(
-            model.params, example_loss(model), data, epochs=3, lr=0.005, batch_size=2, checkpoint_every=0,
-            rng=np.random.default_rng(2),
+            model.params, example_loss(model), data,
+            RunConfig(lr=0.005, batch_size=2, checkpoint_every_batches=0), epochs=3, rng=np.random.default_rng(2),
         )
         return train_log.epoch_losses
 
@@ -289,8 +293,8 @@ def test_periodic_checkpoints_counted(tmp_path):
     model = small_model(seed=19, vocab=20, e=5, h=4)
     saves = []
     train_log = fit(
-        model.params, example_loss(model), data, epochs=1, batch_size=1, checkpoint_every=2,
-        rng=np.random.default_rng(3),
+        model.params, example_loss(model), data,
+        RunConfig(batch_size=1, checkpoint_every_batches=2), epochs=1, rng=np.random.default_rng(3),
         periodic_save=lambda: saves.append(model.save(tmp_path / "periodic.ckpt")),
     )
     assert train_log.periodic_saves == 2
@@ -305,8 +309,9 @@ def test_lr_halves_on_plateau():
     data = [("a", doc, [0]), ("b", doc, [1])]
     model = small_model(seed=23, vocab=20, e=5, h=4)
     train_log = fit(
-        model.params, example_loss(model), data, epochs=15, lr=0.05, batch_size=2, checkpoint_every=0,
-        rng=np.random.default_rng(4), validation=data,
+        model.params, example_loss(model), data,
+        RunConfig(lr=0.05, batch_size=2, checkpoint_every_batches=0), epochs=15, rng=np.random.default_rng(4),
+        validation=data,
     )
     assert train_log.lr_history[-1] < 0.05
 
@@ -314,7 +319,7 @@ def test_lr_halves_on_plateau():
 def test_halve_on_plateau_rule():
     from narrsum.training import HalveOnPlateau
 
-    opt = ad.Adam({"x": ad.param(0.0)}, lr=1.0)
+    opt = ad.Adam({"x": ad.param(0.0)}, lr=1.0, clip_norm=1.0)
     schedule = HalveOnPlateau(opt, 0.5)
     assert not schedule.epoch_end(2.0)
     assert not schedule.epoch_end(1.5)
@@ -327,7 +332,7 @@ def test_halve_on_plateau_rule():
 def test_train_requires_data():
     model = small_model()
     with pytest.raises(ValueError):
-        fit(model.params, example_loss(model), [], epochs=1, rng=np.random.default_rng(0))
+        fit(model.params, example_loss(model), [], RunConfig(), epochs=1, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- data prep
@@ -366,12 +371,12 @@ def test_prepare_examples_joins_and_skips(caplog):
 def test_checkpoint_round_trip(tmp_path):
     model = small_model(seed=29)
     doc = [[4, 5, 6], [7, 8]]
-    before = model.extract("r", doc)
+    before = model.extract("r", doc, MAX_STEPS)
     path = tmp_path / "extractor.ckpt"
     model.save(path, vocab=list(RESERVED_TOKENS))
     loaded, vocab = ExtractorModel.load(path)
     assert vocab == list(RESERVED_TOKENS)
-    after = loaded.extract("r", doc)
+    after = loaded.extract("r", doc, MAX_STEPS)
     assert before == after
     for name, p in model.params.items():
         assert np.array_equal(p.data, loaded.params[name].data)

@@ -1,7 +1,9 @@
 """Command-line round trips plus units for the text and report helpers."""
 
+import dataclasses
 import json
 import logging
+import math
 import shutil
 from pathlib import Path
 
@@ -38,6 +40,10 @@ from narrsum.harness import (
     truncate_to_word_limit,
     write_report,
 )
+
+# The published settings.
+CONFIG = RunConfig()
+MAX_TOKENS = CONFIG.max_sentence_tokens
 
 TINY_CONFIG = {
     "embedding_dim": 12,
@@ -82,8 +88,8 @@ def pipeline(tmp_path_factory):
 
 def test_truncate_to_word_limit_frozen():
     tokens = [f"t{i}" for i in range(1200)]
-    assert truncate_to_word_limit(tokens) == tokens[:1000]
-    assert truncate_to_word_limit(tokens[:999]) == tokens[:999]
+    assert truncate_to_word_limit(tokens, CONFIG.word_limit) == tokens[:1000]
+    assert truncate_to_word_limit(tokens[:999], CONFIG.word_limit) == tokens[:999]
     assert truncate_to_word_limit(["a", "b"], 2) == ["a", "b"]
     with pytest.raises(ValueError):
         truncate_to_word_limit(tokens, 0)
@@ -113,7 +119,7 @@ def test_detokenize_periods_and_capitals():
 def test_detokenize_round_trips_through_sentence_splitter():
     text = detokenize([["net", "profit", "rose"], ["debt", "fell", "sharply"]])
     assert text == "Net profit rose. Debt fell sharply."
-    back = sentences_from_text(text)
+    back = sentences_from_text(text, MAX_TOKENS)
     assert [list(s.tokens) for s in back] == [
         ["net", "profit", "rose"],
         ["debt", "fell", "sharply"],
@@ -124,12 +130,12 @@ def test_detokenize_round_trips_through_sentence_splitter():
 
 
 def _refs(rid: str, *texts: str) -> dict[str, SummarySet]:
-    return {rid: SummarySet(rid, [(str(i), sentences_from_text(t)) for i, t in enumerate(texts)])}
+    return {rid: SummarySet(rid, [(str(i), sentences_from_text(t, MAX_TOKENS)) for i, t in enumerate(texts)])}
 
 
 def test_evaluate_identical_prediction_scores_one():
     text = "Profit rose sharply this year. Operating costs fell."
-    result = evaluate_system({"r1": text}, _refs("r1", text))
+    result = evaluate_system({"r1": text}, _refs("r1", text), CONFIG)
     for label, _ in REPORT_VARIANTS:
         assert result.cells[label].f1 == pytest.approx(1.0)
         assert result.cells[label].precision == pytest.approx(1.0)
@@ -137,7 +143,7 @@ def test_evaluate_identical_prediction_scores_one():
 
 
 def test_evaluate_empty_prediction_scores_zero():
-    result = evaluate_system({"r1": ""}, _refs("r1", "Profit rose."))
+    result = evaluate_system({"r1": ""}, _refs("r1", "Profit rose."), CONFIG)
     for label, _ in REPORT_VARIANTS:
         assert result.cells[label] == RougeScore(0.0, 0.0, 0.0)
     assert "r1" in result.per_document
@@ -145,7 +151,7 @@ def test_evaluate_empty_prediction_scores_zero():
 
 def test_evaluate_missing_reference_excluded(caplog):
     with caplog.at_level(logging.WARNING):
-        result = evaluate_system({"ghost": "Profit rose."}, _refs("r1", "Profit rose."))
+        result = evaluate_system({"ghost": "Profit rose."}, _refs("r1", "Profit rose."), CONFIG)
     assert result.missing_references == ["ghost"]
     assert result.per_document == {}
     assert all(result.cells[label] == RougeScore(0.0, 0.0, 0.0) for label, _ in REPORT_VARIANTS)
@@ -154,31 +160,31 @@ def test_evaluate_missing_reference_excluded(caplog):
 
 def test_evaluate_reference_set_without_summaries_counts_missing():
     refs = {"r1": SummarySet("r1", [])}
-    result = evaluate_system({"r1": "Profit rose."}, refs)
+    result = evaluate_system({"r1": "Profit rose."}, refs, CONFIG)
     assert result.missing_references == ["r1"]
 
 
 def test_evaluate_cells_average_over_documents():
     refs = {**_refs("a", "alpha beta gamma."), **_refs("b", "delta epsilon zeta.")}
     preds = {"a": "Alpha beta gamma.", "b": "One two three."}
-    result = evaluate_system(preds, refs)
+    result = evaluate_system(preds, refs, CONFIG)
     assert result.cells["rouge-1"].f1 == pytest.approx(0.5)
     assert result.per_document["a"]["rouge-1"].f1 == pytest.approx(1.0)
     assert result.per_document["b"]["rouge-1"].f1 == pytest.approx(0.0)
 
 
 def test_evaluate_mean_aggregation_averages_references():
-    refs = {"r1": SummarySet("r1", [("1", sentences_from_text("alpha beta gamma.")),
-                                    ("2", sentences_from_text("delta epsilon zeta."))])}
-    best = evaluate_system({"r1": "Alpha beta gamma."}, refs, aggregation="max")
-    mean = evaluate_system({"r1": "Alpha beta gamma."}, refs, aggregation="mean")
+    refs = {"r1": SummarySet("r1", [("1", sentences_from_text("alpha beta gamma.", MAX_TOKENS)),
+                                    ("2", sentences_from_text("delta epsilon zeta.", MAX_TOKENS))])}
+    best = evaluate_system({"r1": "Alpha beta gamma."}, refs, RunConfig(reference_aggregation="max"))
+    mean = evaluate_system({"r1": "Alpha beta gamma."}, refs, RunConfig(reference_aggregation="mean"))
     assert best.cells["rouge-1"].f1 == pytest.approx(1.0)
     assert mean.cells["rouge-1"].f1 == pytest.approx(0.5)
 
 
 def test_report_rows_fixed_order():
     text = "Profit rose."
-    report = EvaluationReport("testing", "max", [evaluate_system({"r1": text}, _refs("r1", text))])
+    report = EvaluationReport("testing", "max", [evaluate_system({"r1": text}, _refs("r1", text), CONFIG)])
     labels = [label for label, _ in report_rows(report)]
     assert labels == [
         "precision(rouge-l)", "recall(rouge-l)", "f1(rouge-l)",
@@ -191,8 +197,8 @@ def test_report_rows_fixed_order():
 def test_write_report_files(tmp_path):
     text = "Profit rose sharply. Costs fell."
     systems = [
-        evaluate_system({"r1": text}, _refs("r1", text), system="mine"),
-        evaluate_system({"r1": "Unrelated words entirely."}, _refs("r1", text), system="noise"),
+        evaluate_system({"r1": text}, _refs("r1", text), CONFIG, system="mine"),
+        evaluate_system({"r1": "Unrelated words entirely."}, _refs("r1", text), CONFIG, system="noise"),
     ]
     write_report(EvaluationReport("testing", "max", systems), tmp_path)
     csv_lines = (tmp_path / "report.csv").read_text().splitlines()
@@ -297,8 +303,8 @@ def test_load_models_config_enforced_only_when_asked(tmp_path):
 
 
 def test_training_vocab_covers_summary_only_tokens():
-    doc = Document("r1", sentences_from_text("alpha beta gamma."), "")
-    summary = SummarySet("r1", [("1", sentences_from_text("alpha zulu."))])
+    doc = Document("r1", sentences_from_text("alpha beta gamma.", MAX_TOKENS), "")
+    summary = SummarySet("r1", [("1", sentences_from_text("alpha zulu.", MAX_TOKENS))])
     dataset_like = type("D", (), {"training": [ReportExample(doc, summary)]})()
     vocab = _training_vocab(dataset_like, RunConfig())
     assert "zulu" in vocab.to_list()
@@ -310,7 +316,7 @@ def test_training_vocab_covers_summary_only_tokens():
 
 
 def test_summarize_document_falls_back_when_pointer_stops_early(monkeypatch):
-    doc = Document("r1", sentences_from_text("Alpha beta gamma. Delta epsilon zeta."), "")
+    doc = Document("r1", sentences_from_text("Alpha beta gamma. Delta epsilon zeta.", MAX_TOKENS), "")
     vocab = _training_vocab(
         type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
     )
@@ -325,7 +331,7 @@ def test_summarize_document_falls_back_when_pointer_stops_early(monkeypatch):
 
 
 def test_summarize_document_fallback_reuses_the_extraction_encoding(monkeypatch):
-    doc = Document("r1", sentences_from_text("Alpha beta gamma. Delta epsilon zeta. Eta theta."), "")
+    doc = Document("r1", sentences_from_text("Alpha beta gamma. Delta epsilon zeta. Eta theta.", MAX_TOKENS), "")
     vocab = _training_vocab(
         type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
     )
@@ -336,7 +342,7 @@ def test_summarize_document_fallback_reuses_the_extraction_encoding(monkeypatch)
     # Project the stop sentinel onto 20 * sign(att_v) so its first-step score is the largest.
     p["stop_key"].data[:] = np.linalg.lstsq(p["att_wk"].data.T, 20.0 * np.sign(p["att_v"].data), rcond=None)[0]
     ids_lists = doc_to_ids(doc, vocab)
-    assert extractor.extract("r1", ids_lists).indices == []
+    assert extractor.extract("r1", ids_lists, CONFIG.max_extract_sentences).indices == []
     encoded = []
     encode = extractor.encode
     monkeypatch.setattr(extractor, "encode", lambda ids: encoded.append(ids) or encode(ids))
@@ -347,7 +353,7 @@ def test_summarize_document_fallback_reuses_the_extraction_encoding(monkeypatch)
 
 
 def test_summarize_document_respects_word_limit():
-    doc = Document("r1", sentences_from_text("Alpha beta gamma delta. Epsilon zeta eta theta."), "")
+    doc = Document("r1", sentences_from_text("Alpha beta gamma delta. Epsilon zeta eta theta.", MAX_TOKENS), "")
     vocab = _training_vocab(
         type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
     )
@@ -494,6 +500,15 @@ def test_cli_train_stages_reuse_validation_alignments(pipeline, tmp_path, monkey
     + [pytest.param(name, value, id=f"{name}={value!r}") for name, value in (
         ("lexrank_threshold", "x"), ("pagerank_tol", "x"), ("lr", True), ("clip_norm", True),
         ("entropy_coef", "abc"), ("rl_lr", False), ("data_root", 5), ("seed", -1),
+    )]
+    # JSON NaN and infinities in number fields, and the ranges of the penalty, the graph settings and the entropy bonus.
+    + [pytest.param(name, value, id=f"{name}={value!r}") for name, value in (
+        ("lr", math.inf), ("rl_lr", math.nan), ("clip_norm", math.inf), ("damping", math.nan),
+        ("repetition_penalty", math.nan), ("repetition_penalty", 0.9),
+        ("lexrank_threshold", math.nan), ("lexrank_threshold", math.inf), ("lexrank_threshold", -math.inf),
+        ("lexrank_threshold", -1), ("lexrank_threshold", 1.5),
+        ("pagerank_tol", math.nan), ("pagerank_tol", math.inf), ("pagerank_tol", -math.inf), ("pagerank_tol", -1),
+        ("entropy_coef", math.nan), ("entropy_coef", math.inf), ("entropy_coef", -math.inf), ("entropy_coef", -1),
     )],
 )
 def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field, value):
@@ -505,6 +520,20 @@ def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field, value
     assert cli(args) == 2
     assert f"{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_config_defaults_are_the_published_decoding_settings():
+    config = RunConfig()
+    assert config.beam_width == 2
+    assert config.repetition_penalty == 2.0
+    assert config.max_output_tokens == 60
+
+
+def test_run_config_is_frozen():
+    config = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.lr = 0.5
+    assert (config.replace(lr=0.5).lr, config.lr) == (0.5, 0.001)
 
 
 @pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])
@@ -779,5 +808,5 @@ def test_loaded_alignment_for_an_unknown_report_is_kept_for_the_stage(pipeline, 
     record = json.loads(lines[0])
     record.update(report_id="elsewhere", chosen_summary=7, targets=[999])
     (out / "alignments_training.jsonl").write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
-    alignments = harness._load_or_build_alignments(load_dataset(pipeline["data"]), "training", out)
+    alignments = harness._load_or_build_alignments(load_dataset(pipeline["data"], MAX_TOKENS), "training", out)
     assert [al.report_id for al in alignments][0] == "elsewhere"

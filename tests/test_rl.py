@@ -49,8 +49,12 @@ def softmax(x):
 class IdentityParaphraser:
     """Stands in for an identity-overfit seq2seq model."""
 
-    def paraphrase(self, ids, decode=None):
+    def paraphrase(self, ids, config):
         return list(ids)
+
+
+# The published settings: decoding, and a step cap above every toy report's length.
+CONFIG = RunConfig()
 
 
 def sent(*tokens):
@@ -81,10 +85,8 @@ def pointer_overfit(doc_ids, targets, seed=0, epochs=60):
     fit(
         model.params, example_loss(model),
         [("r1", doc_ids, targets)],
+        RunConfig(lr=0.01, batch_size=1, checkpoint_every_batches=0),
         epochs=epochs,
-        lr=0.01,
-        batch_size=1,
-        checkpoint_every=0,
         rng=np.random.default_rng(seed + 1),
     )
     return model
@@ -150,7 +152,7 @@ def test_optimal_policy_attains_perfect_rewards():
     vocab, doc, gold = toy_world()
     ids = doc_to_ids(doc, vocab)
     extractor = pointer_overfit(ids, [0, 2])
-    traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy")
+    traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="greedy")
     assert [s.action for s in traj.steps] == [0, 2]
     assert [s.reward for s in traj.steps] == [1.0, 1.0]
     assert traj.return_per_step == [2.0, 1.0]
@@ -159,8 +161,8 @@ def test_optimal_policy_attains_perfect_rewards():
 def test_greedy_rollout_deterministic():
     vocab, doc, gold = toy_world()
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(5))
-    a = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy")
-    b = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy")
+    a = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="greedy")
+    b = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="greedy")
     assert a.steps == b.steps
 
 
@@ -168,7 +170,7 @@ def test_stop_step_reward_is_marginal_summary_gain():
     vocab, doc, gold = toy_world()
     ids = doc_to_ids(doc, vocab)
     extractor = pointer_overfit(ids, [0])
-    traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy")
+    traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="greedy")
     assert [s.action for s in traj.steps] == [0, len(ids)]
     expected = rouge_l_summary([gold[0]], gold).f1  # earlier truncation is empty
     assert traj.steps[1].reward == pytest.approx(expected)
@@ -180,7 +182,7 @@ def test_sampled_rollouts_bounded_and_mask_safe():
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     for _ in range(100):
-        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="sample", rng=rng)
+        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="sample", rng=rng)
         picked = [s.action for s in traj.steps if s.action < len(doc.sentences)]
         assert len(picked) == len(set(picked))
         assert all(0.0 <= s.reward <= 1.0 for s in traj.steps)
@@ -190,11 +192,11 @@ def test_rollout_validation():
     vocab, doc, gold = toy_world()
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(9))
     with pytest.raises(ValueError, match="mode"):
-        rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="beam")
+        rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="beam")
     with pytest.raises(ValueError, match="rng"):
-        rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="sample")
+        rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="sample")
     with pytest.raises(ValueError, match="gold"):
-        rollout(doc, [], extractor, IdentityParaphraser(), vocab, mode="greedy")
+        rollout(doc, [], extractor, IdentityParaphraser(), vocab, CONFIG, mode="greedy")
 
 
 def test_paraphrase_cache_is_filled_and_reused():
@@ -205,15 +207,15 @@ def test_paraphrase_cache_is_filled_and_reused():
     class CountingParaphraser(IdentityParaphraser):
         calls = 0
 
-        def paraphrase(self, ids, decode=None):
+        def paraphrase(self, ids, config):
             CountingParaphraser.calls += 1
             return list(ids)
 
     cache = {}
     paraphraser = CountingParaphraser()
-    rollout(doc, gold, extractor, paraphraser, vocab, mode="greedy", paraphrase_cache=cache)
+    rollout(doc, gold, extractor, paraphraser, vocab, CONFIG, mode="greedy", paraphrase_cache=cache)
     first = CountingParaphraser.calls
-    rollout(doc, gold, extractor, paraphraser, vocab, mode="greedy", paraphrase_cache=cache)
+    rollout(doc, gold, extractor, paraphraser, vocab, CONFIG, mode="greedy", paraphrase_cache=cache)
     assert CountingParaphraser.calls == first
     assert set(cache) == {("r1", 0), ("r1", 2)}
 
@@ -224,13 +226,13 @@ def test_sampled_rollout_probabilities_equal_its_replay():
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(61))
     rng = np.random.default_rng(62)
     for _ in range(10):
-        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="sample", rng=rng)
+        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="sample", rng=rng)
         rows = traj.replay().data
         replayed = [float(np.log(softmax(row)[s.action])) for row, s in zip(rows, traj.steps)]
         assert len(rows) == len(traj.steps)
         assert np.array_equal(np.array([s.log_prob for s in traj.steps]), np.array(replayed))
-        greedy = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy")
-        reused = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="greedy", keys=traj.keys)
+        greedy = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="greedy")
+        reused = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="greedy", keys=traj.keys)
         assert reused.steps == greedy.steps
 
 
@@ -248,7 +250,7 @@ def test_rollout_keeps_no_encoder_graph(monkeypatch):
     monkeypatch.setattr(extractor, "encode", tracked)
     gc.disable()
     try:
-        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, mode="sample",
+        traj = rollout(doc, gold, extractor, IdentityParaphraser(), vocab, CONFIG, mode="sample",
                        rng=np.random.default_rng(64))
         assert len(refs) == 1 and refs[0]() is None
         rows = traj.replay()  # the update's replay encodes again, and its graph lives as long as the rows
@@ -282,7 +284,8 @@ def test_constant_reward_with_perfect_critic_freezes_policy():
     critic = Critic(1, np.random.default_rng(0))
     critic.params["w"].data[:] = 0.0
     critic.params["b"].data[...] = 0.7
-    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.05)
+    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.05, critic_lr=0.05, clip_norm=1.0,
+                         entropy_coef=0.0, normalize_advantage=False)
     before = theta.data.copy()
     stats = trainer.update([bandit_trajectory(theta, arm, 0.7) for arm in range(3)])
     assert stats.policy_grad_norm == 0.0
@@ -294,7 +297,8 @@ def test_constant_reward_with_perfect_critic_freezes_policy():
 def test_two_arm_bandit_learns_the_good_arm():
     theta = ad.param(np.zeros(2))
     critic = Critic(1, np.random.default_rng(0))
-    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.05)
+    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.05, critic_lr=0.05, clip_norm=1.0,
+                         entropy_coef=0.0, normalize_advantage=False)
     rng = np.random.default_rng(1)
     for _ in range(500):
         arm = int(rng.choice(2, p=softmax(theta.data)))
@@ -307,7 +311,8 @@ def test_critic_regression_drives_loss_to_zero():
     states = [rng.normal(size=4), rng.normal(size=4)]
     theta = ad.param(np.zeros(2))
     critic = Critic(2, np.random.default_rng(4))
-    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.0, critic_lr=0.05)
+    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.0, critic_lr=0.05, clip_norm=1.0,
+                         entropy_coef=0.0, normalize_advantage=False)
 
     def batch():
         return [
@@ -331,7 +336,8 @@ def test_critic_regression_drives_loss_to_zero():
 def test_nonfinite_advantage_discards_batch(caplog):
     theta = ad.param(np.zeros(2))
     critic = Critic(1, np.random.default_rng(0))
-    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.05)
+    trainer = A2CTrainer({"theta": theta}, critic, policy_lr=0.05, critic_lr=0.05, clip_norm=1.0,
+                         entropy_coef=0.0, normalize_advantage=False)
     bad = bandit_trajectory(theta, 0, float("inf"))
     with caplog.at_level(logging.WARNING):
         assert trainer.update([bad]) is None
@@ -346,7 +352,8 @@ def test_normalized_advantage_keeps_update_direction():
         critic.params["w"].data[:] = 0.0
         critic.params["b"].data[...] = 0.0
         trainer = A2CTrainer(
-            {"theta": theta}, critic, policy_lr=0.01, critic_lr=0.0, normalize_advantage=normalize
+            {"theta": theta}, critic, policy_lr=0.01, critic_lr=0.0, clip_norm=1.0, entropy_coef=0.0,
+            normalize_advantage=normalize,
         )
         steps = [TrajectoryStep(a, -1.0, r) for a, r in zip([0, 1, 2], [1.0, 0.0, 1.0])]
         traj = Trajectory(
@@ -410,9 +417,10 @@ def test_update_matches_one_graph_over_the_wave(entropy_coef):
     models = [ExtractorModel(14, 8, 6, np.random.default_rng(81)) for _ in range(2)]
     critics = [Critic(6, np.random.default_rng(82)) for _ in range(2)]
     rng = np.random.default_rng(83)
-    wave = [rollout(doc, gold, models[0], IdentityParaphraser(), vocab, mode="sample", rng=rng)
+    wave = [rollout(doc, gold, models[0], IdentityParaphraser(), vocab, CONFIG, mode="sample", rng=rng)
             for _ in range(3)]
-    trainer = A2CTrainer(models[0].params, critics[0], policy_lr=0.01, entropy_coef=entropy_coef)
+    trainer = A2CTrainer(models[0].params, critics[0], policy_lr=0.01, critic_lr=0.01, clip_norm=1.0,
+                         entropy_coef=entropy_coef, normalize_advantage=False)
     stats = trainer.update(wave)
 
     model, critic = models[1], critics[1]
@@ -427,14 +435,14 @@ def test_update_matches_one_graph_over_the_wave(entropy_coef):
         rows += pointer_step_scores(model, model.encode(ids_lists), traj_actions)
         actions += traj_actions
     ad.backward(percell_policy_loss(rows, actions, advantages, entropy_coef))
-    assert ad.Adam(model.params, lr=0.01).step() == stats.policy_grad_norm
+    assert ad.Adam(model.params, lr=0.01, clip_norm=1.0).step() == stats.policy_grad_norm
     squares = [mul(d, d) for d in (sub(const(np.asarray(g)), v) for g, v in zip(returns, values))]
     critic_loss = squares[0]
     for term in squares[1:]:
         critic_loss = add(critic_loss, term)
     ad.backward(critic_loss)
     assert float(critic_loss.data) == stats.critic_loss
-    assert ad.Adam(critic.params, lr=0.01).step() == stats.critic_grad_norm
+    assert ad.Adam(critic.params, lr=0.01, clip_norm=1.0).step() == stats.critic_grad_norm
     for name, p in models[0].params.items():
         assert np.array_equal(p.data, model.params[name].data), name
     for name, p in critics[0].params.items():
@@ -461,14 +469,14 @@ def test_zero_lr_run_is_flat_and_leaves_params_unchanged():
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(11))
     abstractor = small_abstractor()
     critic = Critic(6, np.random.default_rng(12))
-    config = RunConfig(hidden_dim=6, rl_lr=0.0, rl_updates_every=2, max_output_tokens=6)
+    config = RunConfig(hidden_dim=6, rl_lr=0.0, rl_updates_every=2, max_output_tokens=6, rl_episodes=9)
     before = {
         "extractor": {k: v.data.copy() for k, v in extractor.params.items()},
         "critic": {k: v.data.copy() for k, v in critic.params.items()},
     }
     rows = train_rl(
         [example], [alignment], extractor, abstractor, critic, vocab, config,
-        rng=np.random.default_rng(13), episodes=9,
+        rng=np.random.default_rng(13),
     )
     assert len({row.mean_reward for row in rows}) == 1
     for k, arr in before["extractor"].items():
@@ -482,10 +490,10 @@ def test_identical_seeds_give_identical_curves():
         vocab, example, alignment = rl_world()
         extractor = ExtractorModel(14, 8, 6, np.random.default_rng(21))
         critic = Critic(6, np.random.default_rng(22))
-        config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6)
+        config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=8)
         return train_rl(
             [example], [alignment], extractor, small_abstractor(seed=23), critic, vocab, config,
-            rng=np.random.default_rng(24), episodes=8,
+            rng=np.random.default_rng(24),
         )
 
     assert run() == run()
@@ -495,11 +503,11 @@ def test_reward_curve_csv(tmp_path):
     vocab, example, alignment = rl_world()
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(31))
     critic = Critic(6, np.random.default_rng(32))
-    config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6)
+    config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=5)
     path = tmp_path / "rl_rewards.csv"
     rows = train_rl(
         [example], [alignment], extractor, small_abstractor(), critic, vocab, config,
-        rng=np.random.default_rng(33), episodes=5, csv_path=path,
+        rng=np.random.default_rng(33), csv_path=path,
     )
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "episode,mean_reward,mean_advantage,critic_loss"
@@ -519,10 +527,10 @@ def test_policy_improves_on_tiny_task():
     alignment = OracleAlignment("r1", 0, [(0, 0, 1.0)], [0])
     extractor = ExtractorModel(14, 8, 4, np.random.default_rng(41))
     critic = Critic(4, np.random.default_rng(42))
-    config = RunConfig(hidden_dim=4, rl_lr=0.02, rl_updates_every=2, max_output_tokens=6)
+    config = RunConfig(hidden_dim=4, rl_lr=0.02, rl_updates_every=2, max_output_tokens=6, rl_episodes=120)
     rows = train_rl(
         [example], [alignment], extractor, IdentityParaphraser(), critic, vocab, config,
-        rng=np.random.default_rng(43), episodes=120,
+        rng=np.random.default_rng(43),
     )
     early = np.mean([r.mean_reward for r in rows[:20]])
     late = np.mean([r.mean_reward for r in rows[-20:]])
@@ -538,13 +546,13 @@ def test_abstractor_frozen_by_default_and_tunable_by_flag():
         abstractor = small_abstractor(seed=52)
         critic = Critic(6, np.random.default_rng(53))
         config = RunConfig(
-            hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6,
+            hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=4,
             rl_finetune_abstractor=finetune,
         )
         before = {k: v.data.copy() for k, v in abstractor.params.items()}
         train_rl(
             [example], [alignment], extractor, abstractor, critic, vocab, config,
-            rng=np.random.default_rng(54), episodes=4,
+            rng=np.random.default_rng(54),
         )
         return any(not np.array_equal(abstractor.params[k].data, arr) for k, arr in before.items())
 
@@ -556,5 +564,5 @@ def test_mean_greedy_reward_on_perfect_setup():
     vocab, example, alignment = rl_world()
     ids = doc_to_ids(example.document, vocab)
     extractor = pointer_overfit(ids, [0, 2])
-    value = mean_greedy_reward([example], [alignment], extractor, IdentityParaphraser(), vocab)
+    value = mean_greedy_reward([example], [alignment], extractor, IdentityParaphraser(), vocab, CONFIG)
     assert value == pytest.approx(1.0)

@@ -352,14 +352,14 @@ def test_bounds_all_variants(cands, refs):
 def test_best_against_references_single():
     cand = [["a", "b"]]
     ref = [["a", "b"]]
-    score, idx = best_against_references(cand, [ref], MetricVariant.R1)
+    score, idx = best_against_references(cand, [ref], MetricVariant.R1, "max")
     assert idx == 0 and score.f1 == 1.0
 
 
 def test_best_against_references_perfect_dominates():
     cand = [["u", "v", "w"]]
     refs = [[["u", "v", "w"]], [["zzz"]]]
-    score, idx = best_against_references(cand, refs, MetricVariant.RL_SUMMARY)
+    score, idx = best_against_references(cand, refs, MetricVariant.RL_SUMMARY, "max")
     assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
     assert idx == 0
 
@@ -368,7 +368,7 @@ def test_best_against_references_picks_max_f1():
     cand = [["a", "b", "c", "d"]]
     weak = [["a", "x", "y", "z"]]
     strong = [["a", "b", "c", "q"]]
-    score, idx = best_against_references(cand, [weak, strong], MetricVariant.R1)
+    score, idx = best_against_references(cand, [weak, strong], MetricVariant.R1, "max")
     direct = score_variant(MetricVariant.R1, cand, strong)
     assert idx == 1 and score.f1 == pytest.approx(direct.f1)
 
@@ -376,7 +376,7 @@ def test_best_against_references_picks_max_f1():
 def test_best_against_references_tie_prefers_lowest_index():
     cand = [["a", "b"]]
     refs = [[["a", "q"]], [["b", "q"]]]
-    _, idx = best_against_references(cand, refs, MetricVariant.R1)
+    _, idx = best_against_references(cand, refs, MetricVariant.R1, "max")
     assert idx == 0
 
 
@@ -390,6 +390,6 @@ def test_best_against_references_mean():
 
 def test_best_against_references_empty_errors():
     with pytest.raises(ValueError):
-        best_against_references([["a"]], [], MetricVariant.R1)
+        best_against_references([["a"]], [], MetricVariant.R1, "max")
     with pytest.raises(ValueError):
         best_against_references([["a"]], [[["a"]]], MetricVariant.R1, aggregation="median")

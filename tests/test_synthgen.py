@@ -123,7 +123,7 @@ def test_same_seed_byte_identical(tmp_path):
 def test_noise_free_oracle_recovery(tmp_path):
     spec = SynthSpec(seed=3, n_reports=6, sentences_per_report=10, summary_sentences=3, noise_rate=0.0)
     truth = generate(spec, tmp_path)
-    data = load_dataset(tmp_path)
+    data = load_dataset(tmp_path, 60)
     recovered = build_oracle(data.training)
     assert recovered == truth["training"]
     for alignment in truth["training"]:
@@ -136,7 +136,7 @@ def test_noisy_oracle_recovery_is_total(tmp_path):
         noise_rate=0.15, summaries_per_report=2,
     )
     truth = generate(spec, tmp_path)
-    data = load_dataset(tmp_path)
+    data = load_dataset(tmp_path, 60)
     recovered = build_oracle(data.training)
     assert recovered == truth["training"]
 
@@ -144,7 +144,7 @@ def test_noisy_oracle_recovery_is_total(tmp_path):
 def test_round_trip_token_sequences(tmp_path):
     spec = SynthSpec(seed=9, n_reports=3, sentences_per_report=6, summary_sentences=2)
     generate(spec, tmp_path)
-    data = load_dataset(tmp_path)
+    data = load_dataset(tmp_path, 60)
     assert len(data.training) == 3
     assert len(data.validation) == spec.n_validation_reports
     assert len(data.testing) == spec.n_testing_reports

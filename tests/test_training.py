@@ -45,8 +45,9 @@ def golden_fit(params, loss, items, validation, seed):
     every 2 batches, validation data and a frozen embedding."""
     saves = []
     train_log = fit(
-        params, loss, items, epochs=3, lr=0.05, lr_decay=0.5, clip_norm=1.0, batch_size=2,
-        checkpoint_every=2, rng=np.random.default_rng(seed), validation=validation,
+        params, loss, items,
+        RunConfig(lr=0.05, lr_decay=0.5, clip_norm=1.0, batch_size=2, checkpoint_every_batches=2),
+        epochs=3, rng=np.random.default_rng(seed), validation=validation,
         periodic_save=lambda: saves.append(1), frozen_params=("embed",),
     )
     assert len(saves) == train_log.periodic_saves
@@ -89,8 +90,8 @@ def test_rl_abstractor_fine_tune_golden_digest():
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(301))
     abstractor = AbstractorModel(14, 8, 6, np.random.default_rng(302))
     critic = Critic(6, np.random.default_rng(303))
-    config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6,
+    config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=4,
                        rl_finetune_abstractor=True)
     train_rl([example], [alignment], extractor, abstractor, critic, vocab, config,
-             rng=np.random.default_rng(304), episodes=4)
+             rng=np.random.default_rng(304))
     assert params_digest(abstractor.params) == "80c279a64e866ae9bfd5bd1781207019f409f5ea1b6403be9be37ff74a06391e"

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from narrsum.abstractor import DecodeConfig
+from narrsum.config import RunConfig
 from narrsum.corpus import END_ID, ReportExample, Vocab
 from narrsum.extractor import ExtractorModel
 from narrsum.oracle import OracleAlignment
@@ -29,9 +29,8 @@ def mean_greedy_reward(
     extractor: ExtractorModel,
     abstractor,
     vocab: Vocab,
+    config: RunConfig,
     *,
-    decode: DecodeConfig = DecodeConfig(),
-    max_steps: int = 80,
     paraphrase_cache: dict | None = None,
 ) -> float:
     """Mean greedy-rollout step reward across reports."""
@@ -46,9 +45,8 @@ def mean_greedy_reward(
             extractor,
             abstractor,
             vocab,
+            config,
             mode="greedy",
-            decode=decode,
-            max_steps=max_steps,
             paraphrase_cache=paraphrase_cache,
         )
         rewards.append(traj.mean_reward())
