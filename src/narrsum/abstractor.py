@@ -138,18 +138,17 @@ class AbstractorModel(ad.Checkpointed):
     def _decode_step(self, source: tuple, token_id: int, state: tuple) -> tuple[np.ndarray, tuple]:
         """One decoder step in plain NumPy from (h, c, context); returns the
         logits and the new state. `source` is the keys and their attention
-        projection. The recurrence and attention products are the ones
-        `attention_decoder` computes for a step, in the same order, so the
-        states match the teacher-forced forward pass bit for bit."""
+        projection. The step is `attention_step`, the one that
+        `attention_decoder` runs in training, so the states match the
+        teacher-forced forward pass bit for bit."""
         p = self.params
         keys, key_proj = source
-        h, c, context = state
-        z = p["dec_w"].data @ np.concatenate([p["embed"].data[token_id], context, h]) + p["dec_b"].data
-        c, _, h = ad.lstm_gates(z, c, np.empty_like(z))
-        _, _, weights = ad.attend(key_proj, h, p["att_wq"].data, p["att_v"].data)
-        context = weights @ keys
-        logits = p["out_w"].data @ np.concatenate([h, context]) + p["out_b"].data
-        return logits, (h, c, context)
+        state, *_ = ad.attention_step(
+            p["embed"].data[token_id], state, keys, key_proj,
+            p["dec_w"].data, p["dec_b"].data, p["att_wq"].data, p["att_v"].data,
+        )
+        logits = p["out_w"].data @ np.concatenate([state[0], state[2]]) + p["out_b"].data
+        return logits, state
 
     def _adjusted_logp(self, logits: np.ndarray, hyp: _Hypothesis, config: RunConfig) -> np.ndarray:
         logp = _log_softmax(logits)

@@ -372,6 +372,24 @@ def bilstm_batch(
     return states, finals
 
 
+def attention_step(
+    x: np.ndarray, state: tuple, keys: np.ndarray, key_proj: np.ndarray,
+    w: np.ndarray, b: np.ndarray, wq: np.ndarray, v: np.ndarray,
+):
+    """One step of `attention_decoder` in NumPy, with no graph, from the
+    state (h, c, context) on input `x`: the gate step on
+    `w @ [x; context; h] + b`, then attention from the new h over `keys`,
+    whose projection is `key_proj`. Returns the new state, then what
+    backpropagation reads: `[x; context; h]`, the gate activations, tanh of
+    the new cell, the attention's tanh and its weights."""
+    h, c, context = state
+    xh = np.concatenate([x, context, h])
+    acts = np.empty(w.shape[0])
+    c, tanh_c, h = lstm_gates(w @ xh + b, c, acts)
+    squash, _, weights = attend(key_proj, h, wq, v)
+    return (h, c, weights @ keys), xh, acts, tanh_c, squash, weights
+
+
 def attention_decoder(
     emb: Value, keys: Value, init: Value, w: Value, b: Value, wq: Value, wk: Value, v: Value
 ) -> Value:
@@ -380,11 +398,11 @@ def attention_decoder(
 
     `emb` (T, E) holds each step's input embedding and `keys` (S, K) the
     source states. The hidden state starts at `init` (H,); the cell and the
-    fed-back context start at zero. Step t runs `lstm_cell` (weights `w`
-    (4H, E + K + H), `b` (4H,)) on `[emb_t; context_{t-1}]` and `h_{t-1}`,
-    then attends with the new `h_t` over `keys`: scores
-    `tanh(keys @ wk + h_t @ wq) @ v`, context `softmax(scores) @ keys`.
-    Returns the (T, H + K) rows `[h_t; context_t]`.
+    fed-back context start at zero. Step t is `attention_step`: the gate
+    step in `lstm_cell`'s layout (weights `w` (4H, E + K + H), `b` (4H,)) on
+    `[emb_t; context_{t-1}; h_{t-1}]`, then attention with the new `h_t`
+    over `keys`: scores `tanh(keys @ wk + h_t @ wq) @ v`, context
+    `softmax(scores) @ keys`. Returns the (T, H + K) rows `[h_t; context_t]`.
     """
     _require(emb.data.ndim == 2 and keys.data.ndim == 2 and init.data.ndim == 1, "attention_decoder: ranks")
     steps, e_dim = emb.shape
@@ -398,21 +416,18 @@ def attention_decoder(
 
     key_proj = keys.data @ wk.data  # the same for every step
     xh = np.empty((steps, e_dim + k_dim + hidden))  # each step's [emb_t; context_{t-1}; h_{t-1}]
-    xh[:, :e_dim] = emb.data
     acts = np.empty((steps, 4 * hidden))
     cs = np.zeros((steps + 1, hidden))
     tanh_c = np.empty((steps, hidden))
     out = np.empty((steps, hidden + k_dim))
     squash = np.empty((steps,) + key_proj.shape)  # tanh of each step's attention pre-activation
     att = np.empty((steps, keys.shape[0]))
-    h, context = init.data, np.zeros(k_dim)
+    state = (init.data, cs[0], np.zeros(k_dim))
     for t in range(steps):
-        x = xh[t]
-        x[e_dim : e_dim + k_dim] = context
-        x[e_dim + k_dim :] = h
-        cs[t + 1], tanh_c[t], h = lstm_gates(w.data @ x + b.data, cs[t], acts[t])
-        squash[t], _, att[t] = attend(key_proj, h, wq.data, v.data)
-        context = att[t] @ keys.data
+        state, xh[t], acts[t], tanh_c[t], squash[t], att[t] = attention_step(
+            emb.data[t], state, keys.data, key_proj, w.data, b.data, wq.data, v.data
+        )
+        h, cs[t + 1], context = state
         out[t, :hidden] = h
         out[t, hidden:] = context
 

@@ -214,6 +214,7 @@ def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[Repor
         sentences = sentences_from_text(read_text(path), max_tokens)
         if not sentences:
             log.warning("excluding empty report %s from %s", path.stem, split_name)
+            by_report.pop(path.stem, None)
             continue
         doc = Document(path.stem, sentences, str(path))
         summaries = []

@@ -37,14 +37,6 @@ class Extraction:
             "log_probs": [float(p) for p in self.step_log_probs],
         }
 
-    @staticmethod
-    def from_record(record: dict) -> "Extraction":
-        return Extraction(
-            record["report_id"],
-            [int(i) for i in record["indices"]],
-            [float(p) for p in record["log_probs"]],
-        )
-
 
 def doc_to_ids(doc: Document, vocab: Vocab) -> list[list[int]]:
     return [vocab.encode(s.tokens) for s in doc.sentences]
@@ -121,19 +113,17 @@ class ExtractorModel(ad.Checkpointed):
 
     def decode(
         self,
-        keys: ad.Value | np.ndarray,
+        keys: np.ndarray,
         n_sentences: int,
         choose: Callable[[np.ndarray, int], int],
         max_steps: int,
     ) -> list[ad.PointerStep]:
         """Pointer steps until stop, exhaustion, or the step cap, in NumPy
-        with no graph; `keys` is the document's `encode` output or its data.
+        with no graph; `keys` is the data of the document's `encode` output.
 
         choose() sees the masked probability vector (stop at position
         n_sentences) and must return one unmasked index.
         """
-        if isinstance(keys, ad.Value):
-            keys = keys.data
         if keys.shape[0] != n_sentences + 1:
             raise ValueError(f"{keys.shape[0]} keys for {n_sentences} sentences and stop")
         p = self.params
@@ -142,32 +132,18 @@ class ExtractorModel(ad.Checkpointed):
             choose, max_steps,
         )
 
-    def extract(
-        self,
-        report_id: str,
-        ids_lists: Sequence[Sequence[int]],
-        max_steps: int,
-        mode: str = "greedy",
-        rng: np.random.Generator | None = None,
-        keys: ad.Value | np.ndarray | None = None,
-    ) -> Extraction:
-        """Point at sentences of `ids_lists`; `keys` may hold their encoding already."""
-        choose = pointer_chooser(mode, rng)
-        if keys is None:
-            keys = self.encode(ids_lists).data
-        steps = self.decode(keys, len(ids_lists), choose, max_steps)
+    def extract(self, report_id: str, ids_lists: Sequence[Sequence[int]], max_steps: int) -> Extraction:
+        """Greedy pointing at sentences of `ids_lists`, from one encoding and
+        one scan of up to `max_steps` (at least 1) steps. A pointer that
+        stops at once falls back to that step's most probable real sentence,
+        with no log-probs, so every report gets a non-empty extraction."""
         stop = len(ids_lists)
+        steps = self.decode(self.encode(ids_lists).data, stop, pointer_chooser("greedy", None), max_steps)
+        if steps[0].action == stop:
+            return Extraction(report_id, [int(np.argmax(steps[0].probs[:-1]))], [])
         indices = [s.action for s in steps if s.action != stop]
         log_probs = [float(np.log(s.probs[s.action])) for s in steps]
         return Extraction(report_id, indices, log_probs)
-
-    def fallback_index(self, keys: ad.Value | np.ndarray) -> int:
-        """Highest first-step attention among real sentences, given the
-        document's `encode` keys; used when the pointer stops before
-        choosing anything."""
-        n_sentences = keys.shape[0] - 1
-        steps = self.decode(keys, n_sentences, lambda probs, _t: int(np.argmax(probs[:-1])), max_steps=1)
-        return steps[0].action
 
     # ------------------------------------------------------------ training
 

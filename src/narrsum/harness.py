@@ -113,16 +113,9 @@ def summarize_document(
     vocab: Vocab,
     config: RunConfig,
 ) -> tuple[Extraction, str]:
-    """Extract, paraphrase each pick in pointer order, emit capped text.
-
-    A pointer that stops immediately falls back to its highest-attention
-    sentence so every report gets a non-empty extraction.
-    """
+    """Extract, paraphrase each pick in pointer order, emit capped text."""
     ids_lists = doc_to_ids(document, vocab)
-    keys = extractor.encode(ids_lists).data
-    extraction = extractor.extract(document.id, ids_lists, max_steps=config.max_extract_sentences, keys=keys)
-    if not extraction.indices:
-        extraction = Extraction(document.id, [extractor.fallback_index(keys)], [])
+    extraction = extractor.extract(document.id, ids_lists, max_steps=config.max_extract_sentences)
     # An empty rewrite is dropped by `truncate_sentences`, as an empty baseline sentence is.
     rewritten = [vocab.decode(abstractor.paraphrase(ids_lists[idx], config)) for idx in extraction.indices]
     text = detokenize(truncate_sentences(rewritten, config.word_limit))
@@ -338,7 +331,8 @@ def _load_or_build_alignments(dataset: LoadedDataset, split: str, out_dir: Path)
 
 
 def _alignment_range_problem(al: OracleAlignment, example: ReportExample) -> str | None:
-    """The first index of `al` outside its report or summaries, described, or None."""
+    """The first index of `al` outside its report or summaries, or the first
+    repeated extraction target, described; or None."""
     n_summaries = len(example.summary_set.summaries)
     if not 0 <= al.chosen_summary < n_summaries:
         return f"chosen_summary {al.chosen_summary} of {n_summaries} summaries"
@@ -349,9 +343,11 @@ def _alignment_range_problem(al: OracleAlignment, example: ReportExample) -> str
             return f"gold sentence {t} of {n_gold}"
         if not 0 <= j < n_report:
             return f"report sentence {j} of {n_report}"
-    for i in al.extract_targets:
+    for k, i in enumerate(al.extract_targets):
         if not 0 <= i < n_report:
             return f"target {i} of {n_report} report sentences"
+        if i in al.extract_targets[:k]:
+            return f"target {i} repeated"
     return None
 
 

@@ -320,6 +320,31 @@ def test_decoding_matches_per_step_graph_exactly():
                 assert model.paraphrase_scored(src, cfg) == percell_paraphrase_scored(model, src, cfg)
 
 
+@pytest.mark.parametrize("gain", [1.0, 4.0])  # 4.0 saturates most gates and attention units
+def test_decode_step_states_equal_the_teacher_forced_rows(gain):
+    for seed in range(25):
+        rng = np.random.default_rng(seed + 70)
+        vocab = int(rng.integers(8, 16))
+        model = AbstractorModel(vocab, int(rng.integers(2, 7)), int(rng.integers(2, 6)), rng)
+        for p in model.params.values():
+            p.data *= gain
+        p = model.params
+        src = random_ids(rng, int(rng.integers(1, 8)), vocab)
+        inputs = [START_ID] + random_ids(rng, int(rng.integers(0, 8)), vocab)
+        keys, init = model.encode(src)
+        rows = ad.attention_decoder(
+            ad.embedding_lookup(p["embed"], inputs), keys, init,
+            p["dec_w"], p["dec_b"], p["att_wq"], p["att_wk"], p["att_v"],
+        ).data
+        source = (keys.data, keys.data @ p["att_wk"].data)
+        zeros = np.zeros(2 * model.hidden_dim)
+        state = (init.data, zeros, zeros)
+        for token, row in zip(inputs, rows):
+            _, state = model._decode_step(source, token, state)
+            h, _, context = state
+            assert np.array_equal(np.concatenate([h, context]), row)
+
+
 def test_teacher_forced_accuracy_counts_argmax_hits():
     model = small_model(seed=3)
     pairs = [([4, 5, 6], [7, 8]), ([9], [])]

@@ -83,7 +83,7 @@ def exact_step_accuracy(model: ExtractorModel, data) -> float:
     hits = total = 0
     for _rid, ids_lists, targets in data:
         want = list(targets) + [len(ids_lists)]
-        keys = model.encode(ids_lists)
+        keys = model.encode(ids_lists).data
         steps = model.decode(keys, len(ids_lists), lambda p, _t: int(np.argmax(p)), max_steps=len(want))
         got = [s.action for s in steps]
         hits += sum(int(g == w) for g, w in zip(got, want))

@@ -240,11 +240,16 @@ def test_load_dataset_training_without_summaries_excluded(tmp_path, caplog):
 
 
 def test_load_dataset_empty_report_excluded(tmp_path, caplog):
+    """An empty report is skipped with one warning; its summaries are not
+    then reported as summaries of an unknown report."""
     miniature(tmp_path)
     (tmp_path / "testing" / "annual_reports" / "t2.txt").write_text("???", encoding="utf-8")
+    (tmp_path / "testing" / "gold_summaries" / "t2_1.txt").write_text("Debt shrank.", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         data = load_dataset(tmp_path, MAX_TOKENS)
-    assert [ex.document.id for ex in data.testing] == ["t1"]
+        assert [ex.document.id for ex in data.testing] == ["t1"]
+    assert [r.message for r in caplog.records if "t2" in r.message] == ["excluding empty report t2 from testing"]
+    assert not any("unknown" in r.message for r in caplog.records)
 
 
 def test_load_dataset_summary_numeric_order(tmp_path):

@@ -3,8 +3,10 @@
 A top-level function or class of `src/narrsum`, or a method that is not a
 dunder, must be named somewhere in `src/` or `perfbench/` beyond its own
 definition: as a name, an attribute, an import, or inside a string that is
-not a docstring (`perfbench/spans.py` names what it wraps by string). A
-symbol that only the tests use belongs in the tests.
+not a docstring (`perfbench/spans.py` names what it wraps by string). The
+names are bare, so a name that k definitions share must be named at least
+k times: one caller of `a.f` does not keep an unused `b.f` alive. A symbol
+that only the tests use belongs in the tests.
 """
 
 import ast
@@ -61,10 +63,11 @@ def test_every_package_symbol_is_used_outside_the_tests():
     for directory in (ROOT / "src", ROOT / "perfbench"):
         for path in sorted(directory.rglob("*.py")):
             mentions.update(_mentions(ast.parse(path.read_text(encoding="utf-8"))))
-    dead = [
-        f"{path.name}: {qualified}"
+    definitions = [
+        (path.name, qualified, qualified.rsplit(".", 1)[-1])
         for path in sorted(PACKAGE.glob("*.py"))
         for qualified in _definitions(ast.parse(path.read_text(encoding="utf-8")))
-        if mentions[qualified.rsplit(".", 1)[-1]] == 0
     ]
+    defined = Counter(name for _, _, name in definitions)
+    dead = [f"{file}: {qualified}" for file, qualified, name in definitions if mentions[name] < defined[name]]
     assert dead == [], f"defined but never used in src/ or perfbench/: {dead}"

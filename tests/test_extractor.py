@@ -14,6 +14,7 @@ from narrsum.extractor import (
     Extraction,
     ExtractorModel,
     example_loss,
+    pointer_chooser,
     prepare_extractor_examples,
     save_extractions,
 )
@@ -22,8 +23,24 @@ from narrsum.training import fit
 from percell import add, const, cross_entropy, dot, percell_extractor_encode, percell_pointer_loss, pointer_step_scores
 
 
+def extraction_from_record(record: dict) -> Extraction:
+    return Extraction(
+        record["report_id"],
+        [int(i) for i in record["indices"]],
+        [float(p) for p in record["log_probs"]],
+    )
+
+
 def load_extractions(path) -> list[Extraction]:
-    return read_jsonl(path, Extraction.from_record)
+    return read_jsonl(path, extraction_from_record)
+
+
+def stop_first(model: ExtractorModel) -> ExtractorModel:
+    """`model` with the stop sentinel projected onto 20 * sign(att_v), so
+    its first-step score is the largest and the pointer stops at once."""
+    p = model.params
+    p["stop_key"].data[:] = np.linalg.lstsq(p["att_wk"].data.T, 20.0 * np.sign(p["att_v"].data), rcond=None)[0]
+    return model
 
 
 # The published step cap, longer than every document here but the step-cap test's.
@@ -101,12 +118,20 @@ def test_extract_no_duplicates_over_random_models():
         rng = np.random.default_rng(1000 + seed)
         model = small_model(seed=seed, vocab=20, e=5, h=4)
         doc = random_doc(rng, int(rng.integers(1, 7)), vocab=20)
-        mode = "greedy" if seed % 2 == 0 else "sample"
-        ex = model.extract("r", doc, MAX_STEPS, mode=mode, rng=rng)
-        assert len(ex.indices) == len(set(ex.indices))
-        assert all(0 <= i < len(doc) for i in ex.indices)
-        assert all(np.isfinite(p) and p <= 0.0 for p in ex.step_log_probs)
-        assert len(ex.step_log_probs) in (len(ex.indices), len(ex.indices) + 1)
+        if seed % 2 == 0:
+            ex = model.extract("r", doc, MAX_STEPS)
+            indices, log_probs = ex.indices, ex.step_log_probs
+        else:
+            steps = model.decode(model.encode(doc).data, len(doc), pointer_chooser("sample", rng), MAX_STEPS)
+            indices = [s.action for s in steps if s.action != len(doc)]
+            log_probs = [float(np.log(s.probs[s.action])) for s in steps]
+        assert len(indices) == len(set(indices))
+        assert all(0 <= i < len(doc) for i in indices)
+        assert all(np.isfinite(p) and p <= 0.0 for p in log_probs)
+        if log_probs:
+            assert len(log_probs) in (len(indices), len(indices) + 1)
+        else:  # the fallback of a greedy pointer that stops at once
+            assert len(indices) == 1
 
 
 def test_extract_respects_step_cap():
@@ -117,19 +142,21 @@ def test_extract_respects_step_cap():
     assert len(ex.indices) <= 80
 
 
-def test_extract_modes_validate():
-    model = small_model()
+def test_pointer_chooser_modes_validate():
     with pytest.raises(ValueError):
-        model.extract("r", [[4]], MAX_STEPS, mode="beam")
+        pointer_chooser("beam", np.random.default_rng(0))
     with pytest.raises(ValueError):
-        model.extract("r", [[4]], MAX_STEPS, mode="sample")  # rng required
+        pointer_chooser("sample", None)  # rng required
 
 
-def test_fallback_index_is_real_sentence():
-    model = small_model(seed=5)
+def test_extract_fallback_is_a_real_sentence():
+    model = stop_first(small_model(seed=5))
     doc = [[4, 5], [6], [7, 8]]
-    idx = model.fallback_index(model.encode(doc))
-    assert 0 <= idx < len(doc)
+    (first,) = model.decode(model.encode(doc).data, len(doc), pointer_chooser("greedy", None), 1)
+    assert first.action == len(doc)
+    ex = model.extract("r", doc, MAX_STEPS)
+    assert ex.step_log_probs == []
+    assert len(ex.indices) == 1 and 0 <= ex.indices[0] < len(doc)
 
 
 # ---------------------------------------------------------------- the fused pointer
@@ -207,7 +234,7 @@ def test_decode_probabilities_equal_the_fused_forward_pass():
     rng = np.random.default_rng(23)
     model = small_model(seed=23)
     ids_lists = random_doc(rng, 9)
-    keys = model.encode(ids_lists)
+    keys = model.encode(ids_lists).data
     draws = np.random.default_rng(24)
     steps = model.decode(keys, 9, lambda probs, _t: int(draws.choice(len(probs), p=probs)), max_steps=12)
     rows = model.forced_scores(ids_lists, [s.action for s in steps]).data

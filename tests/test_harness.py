@@ -22,7 +22,7 @@ from narrsum.corpus import (
     load_dataset,
     sentences_from_text,
 )
-from narrsum.extractor import Extraction, ExtractorModel, doc_to_ids
+from narrsum.extractor import ExtractorModel, doc_to_ids, pointer_chooser
 from narrsum.rouge import RougeScore
 from narrsum.harness import (
     REPORT_VARIANTS,
@@ -315,41 +315,51 @@ def test_training_vocab_covers_summary_only_tokens():
 # ---------------------------------------------------------------- summarize unit
 
 
-def test_summarize_document_falls_back_when_pointer_stops_early(monkeypatch):
-    doc = Document("r1", sentences_from_text("Alpha beta gamma. Delta epsilon zeta.", MAX_TOKENS), "")
+def _stop_first_pipeline(text: str, seed: int):
+    """A document and untrained models whose pointer picks stop at its first step."""
+    doc = Document("r1", sentences_from_text(text, MAX_TOKENS), "")
     vocab = _training_vocab(
         type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
     )
-    rng = np.random.default_rng(3)
-    extractor = ExtractorModel(vocab.size, 6, 4, rng)
-    abstractor = AbstractorModel(vocab.size, 6, 4, rng)
-    monkeypatch.setattr(extractor, "extract", lambda *a, **k: Extraction("r1", [], []))
-    config = RunConfig(embedding_dim=6, hidden_dim=4, max_output_tokens=5)
-    extraction, text = summarize_document(doc, extractor, abstractor, vocab, config)
-    assert len(extraction.indices) == 1
-    assert 0 <= extraction.indices[0] < len(doc.sentences)
-
-
-def test_summarize_document_fallback_reuses_the_extraction_encoding(monkeypatch):
-    doc = Document("r1", sentences_from_text("Alpha beta gamma. Delta epsilon zeta. Eta theta.", MAX_TOKENS), "")
-    vocab = _training_vocab(
-        type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
-    )
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     extractor = ExtractorModel(vocab.size, 6, 4, rng)
     abstractor = AbstractorModel(vocab.size, 6, 4, rng)
     p = extractor.params
     # Project the stop sentinel onto 20 * sign(att_v) so its first-step score is the largest.
     p["stop_key"].data[:] = np.linalg.lstsq(p["att_wk"].data.T, 20.0 * np.sign(p["att_v"].data), rcond=None)[0]
+    return doc, vocab, extractor, abstractor
+
+
+def _first_step(extractor, ids_lists):
+    """The first greedy pointer step, from a fresh encoding and decode."""
+    keys = extractor.encode(ids_lists).data
+    (step,) = extractor.decode(keys, len(ids_lists), pointer_chooser("greedy", None), 1)
+    return step
+
+
+def test_summarize_document_falls_back_when_pointer_stops_early():
+    doc, vocab, extractor, abstractor = _stop_first_pipeline("Alpha beta gamma. Delta epsilon zeta.", 3)
+    first = _first_step(extractor, doc_to_ids(doc, vocab))
+    assert first.action == len(doc.sentences)
+    config = RunConfig(embedding_dim=6, hidden_dim=4, max_output_tokens=5)
+    extraction, text = summarize_document(doc, extractor, abstractor, vocab, config)
+    assert len(extraction.indices) == 1
+    assert 0 <= extraction.indices[0] < len(doc.sentences)
+    assert extraction.indices == [int(np.argmax(first.probs[:-1]))]
+
+
+def test_summarize_document_fallback_reuses_the_extraction_encoding(monkeypatch):
+    doc, vocab, extractor, abstractor = _stop_first_pipeline("Alpha beta gamma. Delta epsilon zeta. Eta theta.", 5)
     ids_lists = doc_to_ids(doc, vocab)
-    assert extractor.extract("r1", ids_lists, CONFIG.max_extract_sentences).indices == []
+    first = _first_step(extractor, ids_lists)
+    assert first.action == len(ids_lists)
     encoded = []
     encode = extractor.encode
     monkeypatch.setattr(extractor, "encode", lambda ids: encoded.append(ids) or encode(ids))
     config = RunConfig(embedding_dim=6, hidden_dim=4, max_output_tokens=5)
     extraction, _ = summarize_document(doc, extractor, abstractor, vocab, config)
     assert len(encoded) == 1
-    assert extraction.indices == [extractor.fallback_index(encode(ids_lists))]
+    assert extraction.indices == [int(np.argmax(first.probs[:-1]))]
 
 
 def test_summarize_document_respects_word_limit():
@@ -773,11 +783,13 @@ def test_cli_testing_split_stages_never_read_training(pipeline, tmp_path):
         ("target", TINY_SPEC["sentences_per_report"]),
         ("target", 999),
         ("target", -1),
+        ("repeat", None),  # a target listed twice would be a masked pick, scored -1e9 in the loss
     ],
 )
 @pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])
 def test_cli_training_with_out_of_range_alignment_is_data_error(pipeline, tmp_path, capsys, stage, field, value):
-    """An alignment index outside its report or summaries is exit 2 naming file and report."""
+    """An alignment index outside its report or summaries, or a repeated
+    target, is exit 2 naming file and report, and the stage writes nothing."""
     out = tmp_path / "out"
     out.mkdir()
     lines = (pipeline["out"] / "alignments_training.jsonl").read_text().splitlines()
@@ -788,17 +800,22 @@ def test_cli_training_with_out_of_range_alignment_is_data_error(pipeline, tmp_pa
         record["pairs"][0][0] = value
     elif field == "report":
         record["pairs"][0][1] = value
+    elif field == "repeat":
+        value = record["targets"][0]
+        record["targets"].append(value)
     else:
         record["targets"][-1] = value
     lines[1] = json.dumps(record)
     (out / "alignments_training.jsonl").write_text("\n".join(lines) + "\n")
     for name in ("extractor.ckpt", "abstractor.ckpt"):
         shutil.copy(pipeline["out"] / name, out / name)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
     args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
     assert cli(args) == 2
     err = capsys.readouterr().err
     assert "alignments_training.jsonl" in err and f"report {record['report_id']}" in err
-    assert str(value) in err
+    assert (f"target {value} repeated" if field == "repeat" else str(value)) in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_loaded_alignment_for_an_unknown_report_is_kept_for_the_stage(pipeline, tmp_path):
