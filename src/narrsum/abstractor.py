@@ -190,11 +190,11 @@ class AbstractorModel(ad.Checkpointed):
 # ---------------------------------------------------------------- training data
 
 
-def prepare_abstractor_pairs(examples, alignments, vocab: Vocab):
+def prepare_abstractor_pairs(reports, alignments, vocab: Vocab):
     """Oracle (report sentence, summary sentence) id pairs for training."""
     prepared = []
-    for ex, alignment in aligned_reports(examples, alignments):
-        for src_tokens, tgt_tokens in abstractor_pairs(alignment, ex.document, ex.summary_set):
+    for report, alignment in aligned_reports(reports, alignments):
+        for src_tokens, tgt_tokens in abstractor_pairs(alignment, report):
             if not tgt_tokens:
                 log.warning("report %s: pair with empty target skipped", alignment.report_id)
                 continue

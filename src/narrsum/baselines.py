@@ -57,10 +57,10 @@ def _is_symmetric(w: np.ndarray) -> bool:
     return True
 
 
-def _token_lists(doc: Document) -> list[list[str]]:
+def _token_lists(doc: Document) -> list[tuple[str, ...]]:
     if not doc.sentences:
         raise ValueError(f"document {doc.id!r} has no sentences")
-    return [list(s.tokens) for s in doc.sentences]
+    return doc.sentences
 
 
 # ---------------------------------------------------------------- graphs

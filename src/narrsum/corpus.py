@@ -37,32 +37,15 @@ class DataError(Exception):
     """Raised for unusable dataset layouts or files."""
 
 
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple[str, ...]
-    char_span: tuple[int, int]
-
-
 @dataclass
 class Document:
+    """One report: its sentences, each the tuple of its tokens, and its gold
+    summaries, each a list of such sentences, in the order of their file
+    suffixes."""
+
     id: str
-    sentences: list[Sentence]
-    source_path: str
-
-
-@dataclass
-class SummarySet:
-    report_id: str
-    summaries: list[tuple[str, list[Sentence]]]
-
-    def sentence_lists(self) -> list[list[list[str]]]:
-        return [[list(s.tokens) for s in sents] for _, sents in self.summaries]
-
-
-@dataclass
-class ReportExample:
-    document: Document
-    summary_set: SummarySet
+    sentences: list[tuple[str, ...]]
+    summaries: list[list[tuple[str, ...]]]
 
 
 def split_sentence_spans(text: str) -> list[tuple[int, int]]:
@@ -98,13 +81,13 @@ def tokenize_words(sentence_text: str, max_tokens: int) -> list[str]:
     return _WORD.findall(sentence_text.casefold())[:max_tokens]
 
 
-def sentences_from_text(text: str, max_tokens: int) -> list[Sentence]:
+def sentences_from_text(text: str, max_tokens: int) -> list[tuple[str, ...]]:
     """Split and tokenize, dropping spans that contain no word characters."""
     out = []
     for start, end in split_sentence_spans(text):
         tokens = tokenize_words(text[start:end], max_tokens)
         if tokens:
-            out.append(Sentence(tuple(tokens), (start, end)))
+            out.append(tuple(tokens))
     return out
 
 
@@ -133,17 +116,16 @@ class Vocab:
         return Vocab({t: i for i, t in enumerate(tokens)}, list(tokens))
 
 
-def build_vocab(documents: Sequence[Document], max_size: int) -> Vocab:
-    """Frequency-ranked vocabulary over document tokens, plus reserved ids.
+def build_vocab(sentences: Sequence[Sequence[str]], max_size: int) -> Vocab:
+    """Frequency-ranked vocabulary over the sentences' tokens, plus reserved ids.
 
     Ties in frequency go to the lexicographically smaller token.
     """
-    if not documents:
-        raise DataError("cannot build a vocabulary from zero documents")
+    if not sentences:
+        raise DataError("cannot build a vocabulary from zero sentences")
     counts: Counter = Counter()
-    for doc in documents:
-        for sent in doc.sentences:
-            counts.update(sent.tokens)
+    for sent in sentences:
+        counts.update(sent)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
     id_to_token = list(RESERVED_TOKENS) + [tok for tok, _ in ranked]
     return Vocab({t: i for i, t in enumerate(id_to_token)}, id_to_token)
@@ -159,9 +141,9 @@ class LoadedDataset:
     def __init__(self, split_dirs: dict[str, Path], max_tokens: int):
         self._split_dirs = split_dirs
         self._max_tokens = max_tokens
-        self._parsed: dict[str, list[ReportExample]] = {}
+        self._parsed: dict[str, list[Document]] = {}
 
-    def split(self, name: str) -> list[ReportExample]:
+    def split(self, name: str) -> list[Document]:
         if name not in SPLITS:
             raise DataError(f"unknown split: {name!r}")
         if name not in self._parsed:
@@ -169,25 +151,22 @@ class LoadedDataset:
         return self._parsed[name]
 
     @property
-    def training(self) -> list[ReportExample]:
+    def training(self) -> list[Document]:
         return self.split("training")
 
     @property
-    def validation(self) -> list[ReportExample]:
+    def validation(self) -> list[Document]:
         return self.split("validation")
 
     @property
-    def testing(self) -> list[ReportExample]:
+    def testing(self) -> list[Document]:
         return self.split("testing")
 
     def manifest(self) -> dict[str, dict[str, int]]:
         out = {}
         for name in SPLITS:
-            examples = self.split(name)
-            out[name] = {
-                "reports": len(examples),
-                "summaries": sum(len(ex.summary_set.summaries) for ex in examples),
-            }
+            reports = self.split(name)
+            out[name] = {"reports": len(reports), "summaries": sum(len(doc.summaries) for doc in reports)}
         return out
 
 
@@ -198,7 +177,7 @@ def _summary_sort_key(name: str):
         return (1, name)
 
 
-def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[ReportExample]:
+def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[Document]:
     by_report: dict[str, list[tuple[str, Path]]] = {}
     for path in sorted((split_dir / "gold_summaries").glob("*.txt")):
         stem = path.stem
@@ -208,7 +187,7 @@ def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[Repor
         report_id, _, summary_id = stem.rpartition("_")
         by_report.setdefault(report_id, []).append((summary_id, path))
 
-    examples = []
+    reports = []
     report_paths = sorted((split_dir / "annual_reports").glob("*.txt"), key=lambda p: p.stem)
     for path in report_paths:
         sentences = sentences_from_text(read_text(path), max_tokens)
@@ -216,17 +195,15 @@ def _load_split(split_dir: Path, split_name: str, max_tokens: int) -> list[Repor
             log.warning("excluding empty report %s from %s", path.stem, split_name)
             by_report.pop(path.stem, None)
             continue
-        doc = Document(path.stem, sentences, str(path))
-        summaries = []
-        for summary_id, spath in sorted(by_report.pop(path.stem, []), key=lambda kv: _summary_sort_key(kv[0])):
-            summaries.append((summary_id, sentences_from_text(read_text(spath), max_tokens)))
+        summary_paths = sorted(by_report.pop(path.stem, []), key=lambda kv: _summary_sort_key(kv[0]))
+        summaries = [sentences_from_text(read_text(spath), max_tokens) for _, spath in summary_paths]
         if not summaries and split_name == "training":
             log.warning("excluding training report %s: no gold summaries", path.stem)
             continue
-        examples.append(ReportExample(doc, SummarySet(path.stem, summaries)))
+        reports.append(Document(path.stem, sentences, summaries))
     for orphan in sorted(by_report):
         log.warning("gold summaries for unknown report %s in %s", orphan, split_name)
-    return examples
+    return reports
 
 
 def load_dataset(root: str | Path, max_tokens: int) -> LoadedDataset:

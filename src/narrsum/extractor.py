@@ -39,7 +39,7 @@ class Extraction:
 
 
 def doc_to_ids(doc: Document, vocab: Vocab) -> list[list[int]]:
-    return [vocab.encode(s.tokens) for s in doc.sentences]
+    return [vocab.encode(s) for s in doc.sentences]
 
 
 def pointer_chooser(mode: str, rng: np.random.Generator | None) -> Callable[[np.ndarray, int], int]:
@@ -166,14 +166,14 @@ class ExtractorModel(ad.Checkpointed):
 # ---------------------------------------------------------------- training data
 
 
-def prepare_extractor_examples(examples, alignments, vocab: Vocab):
+def prepare_extractor_examples(reports, alignments, vocab: Vocab):
     """(id, sentence ids, targets) per aligned report with extraction targets."""
     prepared = []
-    for ex, alignment in aligned_reports(examples, alignments):
+    for report, alignment in aligned_reports(reports, alignments):
         if not alignment.extract_targets:
             log.warning("report %s skipped: empty extraction targets", alignment.report_id)
             continue
-        prepared.append((alignment.report_id, doc_to_ids(ex.document, vocab), list(alignment.extract_targets)))
+        prepared.append((alignment.report_id, doc_to_ids(report, vocab), list(alignment.extract_targets)))
     return prepared
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .abstractor import AbstractorModel, prepare_abstractor_pairs
+from .autodiff import NonFiniteGradError
 from .baselines import lead_n, lexrank, textrank
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
@@ -27,8 +28,6 @@ from .corpus import (
     DataError,
     Document,
     LoadedDataset,
-    ReportExample,
-    SummarySet,
     Vocab,
     build_vocab,
     load_dataset,
@@ -142,12 +141,12 @@ class EvaluationReport:
 
 def evaluate_system(
     predictions: dict[str, str],
-    references: dict[str, SummarySet],
+    references: dict[str, list[list[tuple[str, ...]]]],
     config: RunConfig,
     *,
     system: str = "system",
 ) -> SystemEvaluation:
-    """Score one system's summary texts against reference summary sets.
+    """Score one system's summary texts against each report's gold summaries.
 
     Each prediction is split into sentences of at most
     `config.max_sentence_tokens` tokens and scored against its best
@@ -156,18 +155,17 @@ def evaluate_system(
     without references are excluded and reported.
     """
     missing = sorted(
-        rid for rid in predictions if rid not in references or not references[rid].summaries
+        rid for rid in predictions if rid not in references or not references[rid]
     )
     if missing:
         log.warning("%s: %d predictions without references excluded", system, len(missing))
     scored_ids = sorted(rid for rid in predictions if rid not in set(missing))
     per_document: dict[str, dict[str, RougeScore]] = {}
     for rid in scored_ids:
-        candidate = [list(s.tokens) for s in sentences_from_text(predictions[rid], config.max_sentence_tokens)]
-        reference_sets = references[rid].sentence_lists()
+        candidate = sentences_from_text(predictions[rid], config.max_sentence_tokens)
         per_document[rid] = {}
         for label, variant in REPORT_VARIANTS:
-            score, _ = best_against_references(candidate, reference_sets, variant, config.reference_aggregation)
+            score, _ = best_against_references(candidate, references[rid], variant, config.reference_aggregation)
             per_document[rid][label] = score
     cells = {}
     for label, _ in REPORT_VARIANTS:
@@ -292,17 +290,26 @@ def _require_data_root(config: RunConfig) -> Path:
     return Path(config.data_root)
 
 
+def _require_creatable_dir(flag: str, path: Path) -> None:
+    """Refuse `path` when it, or the nearest of its ancestors that exists, is not a directory."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                where = path if existing == path else f"{path} is below {existing}, which"
+                raise UsageError(f"{flag} {where} exists and is not a directory")
+            return
+
+
 def _load_corpus(config: RunConfig) -> LoadedDataset:
     return load_dataset(_require_data_root(config), config.max_sentence_tokens)
 
 
 def _training_vocab(dataset: LoadedDataset, config: RunConfig) -> Vocab:
     """Vocabulary over training reports and their gold summaries."""
-    docs = [ex.document for ex in dataset.training]
-    for ex in dataset.training:
-        for summary_id, sentences in ex.summary_set.summaries:
-            docs.append(Document(f"{ex.document.id}#{summary_id}", list(sentences), ""))
-    return build_vocab(docs, config.vocab_size)
+    reports = dataset.training
+    sentences = [s for report in reports for s in report.sentences]
+    sentences += [s for report in reports for summary in report.summaries for s in summary]
+    return build_vocab(sentences, config.vocab_size)
 
 
 def _load_or_build_alignments(dataset: LoadedDataset, split: str, out_dir: Path) -> list[OracleAlignment]:
@@ -312,32 +319,32 @@ def _load_or_build_alignments(dataset: LoadedDataset, split: str, out_dir: Path)
     outside its report or summaries, is a `DataError`; one for a report not
     in the split is left to the stage, which warns and skips it.
     """
-    examples = dataset.split(split)
+    reports = dataset.split(split)
     path = out_dir / f"alignments_{split}.jsonl"
     if not path.exists():
-        return build_oracle(examples)
+        return build_oracle(reports)
     alignments = load_alignments(path)
-    by_id = {ex.document.id: ex for ex in examples}
+    by_id = {report.id: report for report in reports}
     seen: set[str] = set()
     for al in alignments:
         if al.report_id in seen:
             raise DataError(f"{path}: more than one alignment of report {al.report_id}")
         seen.add(al.report_id)
-        ex = by_id.get(al.report_id)
-        problem = _alignment_range_problem(al, ex) if ex is not None else None
+        report = by_id.get(al.report_id)
+        problem = _alignment_range_problem(al, report) if report is not None else None
         if problem:
             raise DataError(f"{path}: alignment of report {al.report_id} does not fit it: {problem}")
     return alignments
 
 
-def _alignment_range_problem(al: OracleAlignment, example: ReportExample) -> str | None:
+def _alignment_range_problem(al: OracleAlignment, report: Document) -> str | None:
     """The first index of `al` outside its report or summaries, or the first
     repeated extraction target, described; or None."""
-    n_summaries = len(example.summary_set.summaries)
+    n_summaries = len(report.summaries)
     if not 0 <= al.chosen_summary < n_summaries:
         return f"chosen_summary {al.chosen_summary} of {n_summaries} summaries"
-    n_gold = len(example.summary_set.summaries[al.chosen_summary][1])
-    n_report = len(example.document.sentences)
+    n_gold = len(report.summaries[al.chosen_summary])
+    n_report = len(report.sentences)
     for t, j, _ in al.per_sentence:
         if not 0 <= t < n_gold:
             return f"gold sentence {t} of {n_gold}"
@@ -412,9 +419,9 @@ def cmd_ingest(ns, config: RunConfig, out_dir: Path) -> int:
 def cmd_oracle(ns, config: RunConfig, out_dir: Path) -> int:
     dataset = _load_corpus(config)
     # Parse every split first, so a bad file is refused before any alignment file is written.
-    examples = {split: dataset.split(split) for split in SPLITS}
+    reports = {split: dataset.split(split) for split in SPLITS}
     for split in SPLITS:
-        alignments = build_oracle(examples[split])
+        alignments = build_oracle(reports[split])
         save_alignments(alignments, out_dir / f"alignments_{split}.jsonl")
         print(f"{split}: {len(alignments)} alignments")
     return 0
@@ -426,7 +433,7 @@ class TrainStage:
 
     name: str  # printed, and the stem of the stage's checkpoint names
     model: type
-    prepare: Callable  # (examples, alignments, vocab) -> training items
+    prepare: Callable  # (reports, alignments, vocab) -> training items
     loss: Callable  # model -> `fit`'s loss over one item
     epochs: str  # the RunConfig field holding the epoch count
     streams: tuple[int, int]  # RNG streams of the initial weights and of the batch order
@@ -500,14 +507,14 @@ def cmd_train_rl(ns, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _write_summaries(examples, summarize: Callable, target_dir: Path, label: str) -> int:
-    """`summarize(document)` -> (extraction, text) written as `<id>.txt` per
+def _write_summaries(reports, summarize: Callable, target_dir: Path, label: str) -> int:
+    """`summarize(report)` -> (extraction, text) written as `<id>.txt` per
     report and `extractions.jsonl` under `target_dir`, in report-id order."""
     target_dir.mkdir(parents=True, exist_ok=True)
     extractions = []
-    for example in sorted(examples, key=lambda ex: ex.document.id):
-        extraction, text = summarize(example.document)
-        (target_dir / f"{example.document.id}.txt").write_text(text + "\n", encoding="utf-8")
+    for report in sorted(reports, key=lambda r: r.id):
+        extraction, text = summarize(report)
+        (target_dir / f"{report.id}.txt").write_text(text + "\n", encoding="utf-8")
         extractions.append(extraction)
     save_extractions(extractions, target_dir / "extractions.jsonl")
     print(f"{label}: {len(extractions)} reports -> {target_dir}")
@@ -515,14 +522,14 @@ def _write_summaries(examples, summarize: Callable, target_dir: Path, label: str
 
 
 def cmd_summarize(ns, config: RunConfig, out_dir: Path) -> int:
-    examples = _load_corpus(config).split(ns.split)
+    reports = _load_corpus(config).split(ns.split)
     extractor_path = Path(getattr(ns, "extractor", out_dir / "extractor.ckpt"))
     abstractor_path = Path(getattr(ns, "abstractor", out_dir / "abstractor.ckpt"))
     extractor, abstractor, vocab = _load_models(
         extractor_path, abstractor_path, config, hasattr(ns, "config")
     )
     return _write_summaries(
-        examples, lambda doc: summarize_document(doc, extractor, abstractor, vocab, config),
+        reports, lambda doc: summarize_document(doc, extractor, abstractor, vocab, config),
         out_dir / "summaries", "summarize",
     )
 
@@ -538,17 +545,21 @@ BASELINES: dict[str, Callable[[Document, RunConfig], list[int]]] = {
 def cmd_baseline(ns, config: RunConfig, out_dir: Path) -> int:
     def summarize(doc: Document) -> tuple[Extraction, str]:
         indices = BASELINES[ns.method](doc, config)
-        sentences = [list(doc.sentences[i].tokens) for i in indices]
+        sentences = [doc.sentences[i] for i in indices]
         return Extraction(doc.id, indices, []), detokenize(truncate_sentences(sentences, config.word_limit))
 
-    examples = _load_corpus(config).split(ns.split)
-    return _write_summaries(examples, summarize, out_dir / f"baseline_{ns.method}", f"baseline {ns.method}")
+    reports = _load_corpus(config).split(ns.split)
+    return _write_summaries(reports, summarize, out_dir / f"baseline_{ns.method}", f"baseline {ns.method}")
 
 
 def cmd_evaluate(ns, config: RunConfig, out_dir: Path) -> int:
-    dataset = _load_corpus(config)
-    references = {ex.document.id: ex.summary_set for ex in dataset.split(ns.split)}
     pred_dirs = [Path(p) for p in getattr(ns, "pred", [out_dir / "summaries"])]
+    for k, pred_dir in enumerate(pred_dirs):
+        for earlier in pred_dirs[:k]:
+            if earlier.name == pred_dir.name:  # the name heads the system's report column
+                raise UsageError(f"--pred {earlier} and {pred_dir} share the name {pred_dir.name!r}")
+    dataset = _load_corpus(config)
+    references = {report.id: report.summaries for report in dataset.split(ns.split)}
     systems = []
     for pred_dir in pred_dirs:
         if not pred_dir.is_dir():
@@ -563,6 +574,7 @@ def cmd_evaluate(ns, config: RunConfig, out_dir: Path) -> int:
 
 def cmd_synthgen(ns, config: RunConfig, out_dir: Path) -> int:
     root = _require_data_root(config)
+    _require_creatable_dir("--data-root", root)
     try:
         spec = SynthSpec.from_json(getattr(ns, "spec")) if hasattr(ns, "spec") else SynthSpec()
         if hasattr(ns, "seed"):
@@ -605,8 +617,8 @@ def cli(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         out_dir = Path(getattr(ns, "out", "out"))
-        if ns.command != "synthgen" and out_dir.exists() and not out_dir.is_dir():
-            raise UsageError(f"--out {out_dir} exists and is not a directory")
+        if ns.command != "synthgen":
+            _require_creatable_dir("--out", out_dir)
         config = _resolve_config(ns)
         return HANDLERS[ns.command](ns, config, out_dir)
     except UsageError as exc:
@@ -615,6 +627,9 @@ def cli(argv: Sequence[str] | None = None) -> int:
         return 1
     except (DataError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteGradError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, ReportExample, Sentence, SummarySet, read_jsonl, write_jsonl
+from .corpus import Document, read_jsonl, write_jsonl
 from .rouge import lcs_length, rouge_l_summary
 
 log = logging.getLogger(__name__)
@@ -133,7 +133,7 @@ class SourceIndex:
 
 
 def align_summary(
-    report: Document, summary: Sequence[Sentence], index: SourceIndex | None = None
+    report: Document, summary: Sequence[Sequence[str]], index: SourceIndex | None = None
 ) -> list[tuple[int, int, float]]:
     """Best report sentence per summary sentence by LCS recall.
 
@@ -144,12 +144,12 @@ def align_summary(
     if not report.sentences:
         raise ValueError(f"report {report.id} has no sentences")
     if index is None:
-        index = SourceIndex([s.tokens for s in report.sentences])
+        index = SourceIndex(report.sentences)
     rows = []
     for t, target in enumerate(summary):
-        best_idx, matches = index.best_source(target.tokens)
+        best_idx, matches = index.best_source(target)
         # Every candidate shares the denominator, so the most matches is the best recall.
-        recall = matches / len(target.tokens) if target.tokens else 0.0
+        recall = matches / len(target) if target else 0.0
         rows.append((t, best_idx, recall))
     return rows
 
@@ -179,53 +179,49 @@ def pick_reference(
     return OracleAlignment(report_id, j, rows[j], targets[j])
 
 
-def select_reference(report: Document, summary_set: SummarySet) -> OracleAlignment:
+def select_reference(report: Document) -> OracleAlignment:
     """Pick the reference summary best reconstructed by its own alignment."""
-    if not summary_set.summaries:
+    if not report.summaries:
         raise ValueError(f"report {report.id} has no summaries to align")
-    index = SourceIndex([s.tokens for s in report.sentences])
-    summaries = [[s.tokens for s in sentences] for _, sentences in summary_set.summaries]
-    rows = [align_summary(report, sentences, index) for _, sentences in summary_set.summaries]
-    return pick_reference(report.id, index.sentences, summaries, rows)
+    index = SourceIndex(report.sentences)
+    rows = [align_summary(report, summary, index) for summary in report.summaries]
+    return pick_reference(report.id, report.sentences, report.summaries, rows)
 
 
-def build_oracle(examples: Sequence[ReportExample]) -> list[OracleAlignment]:
+def build_oracle(reports: Sequence[Document]) -> list[OracleAlignment]:
     """One alignment per report, in report-id order; summary-less reports skipped."""
     alignments = []
-    for ex in sorted(examples, key=lambda e: e.document.id):
-        if not ex.summary_set.summaries:
-            log.warning("skipping report %s: no gold summaries to align", ex.document.id)
+    for report in sorted(reports, key=lambda r: r.id):
+        if not report.summaries:
+            log.warning("skipping report %s: no gold summaries to align", report.id)
             continue
-        alignments.append(select_reference(ex.document, ex.summary_set))
+        alignments.append(select_reference(report))
     return alignments
 
 
 def aligned_reports(
-    examples: Sequence[ReportExample], alignments: Sequence[OracleAlignment]
-) -> list[tuple[ReportExample, OracleAlignment]]:
-    """Each report paired with its alignment, in the order of `examples`.
+    reports: Sequence[Document], alignments: Sequence[OracleAlignment]
+) -> list[tuple[Document, OracleAlignment]]:
+    """Each report paired with its alignment, in the order of `reports`.
 
-    An alignment of a report not in `examples`, and a report without an
+    An alignment of a report not in `reports`, and a report without an
     alignment, are each warned about and left out.
     """
-    by_id = {ex.document.id: ex for ex in examples}
+    by_id = {report.id: report for report in reports}
     found = {al.report_id: al for al in alignments}
     for report_id in sorted(found.keys() - by_id.keys()):
         log.warning("alignment for unknown report %s ignored", report_id)
     for report_id in sorted(by_id.keys() - found.keys()):
         log.warning("report %s has no alignment; skipped", report_id)
-    return [(ex, found[report_id]) for report_id, ex in by_id.items() if report_id in found]
+    return [(report, found[report_id]) for report_id, report in by_id.items() if report_id in found]
 
 
 def abstractor_pairs(
-    alignment: OracleAlignment, report: Document, summary_set: SummarySet
-) -> list[tuple[list[str], list[str]]]:
+    alignment: OracleAlignment, report: Document
+) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """(report sentence, gold summary sentence) pairs, duplicates included."""
-    _, chosen = summary_set.summaries[alignment.chosen_summary]
-    pairs = []
-    for t, j, _ in alignment.per_sentence:
-        pairs.append((list(report.sentences[j].tokens), list(chosen[t].tokens)))
-    return pairs
+    chosen = report.summaries[alignment.chosen_summary]
+    return [(report.sentences[j], chosen[t]) for t, j, _ in alignment.per_sentence]
 
 
 def save_alignments(alignments: Sequence[OracleAlignment], path: str | Path) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .abstractor import AbstractorModel
 from .config import RunConfig
-from .corpus import DataError, Document, ReportExample, Vocab
+from .corpus import DataError, Document, Vocab
 from .extractor import ExtractorModel, doc_to_ids, pointer_chooser
 from .oracle import OracleAlignment, aligned_reports
 from .rouge import rouge_l_sentence, rouge_l_summary
@@ -309,21 +309,20 @@ def write_reward_curve(rows: Sequence[RewardRow], path: str | Path) -> None:
 
 
 def _paired_examples(
-    examples: Sequence[ReportExample], alignments: Sequence[OracleAlignment]
-) -> list[tuple[ReportExample, list[list[str]]]]:
+    reports: Sequence[Document], alignments: Sequence[OracleAlignment]
+) -> list[tuple[Document, list[tuple[str, ...]]]]:
     paired = []
-    for ex, al in aligned_reports(examples, alignments):
-        _, chosen = ex.summary_set.summaries[al.chosen_summary]
-        gold = [list(s.tokens) for s in chosen if s.tokens]
+    for report, al in aligned_reports(reports, alignments):
+        gold = report.summaries[al.chosen_summary]
         if not gold:
-            log.warning("report %s has an empty gold summary; skipped for rl", ex.document.id)
+            log.warning("report %s has an empty gold summary; skipped for rl", report.id)
             continue
-        paired.append((ex, gold))
+        paired.append((report, gold))
     return paired
 
 
 def train_rl(
-    examples: Sequence[ReportExample],
+    reports: Sequence[Document],
     alignments: Sequence[OracleAlignment],
     extractor: ExtractorModel,
     abstractor: AbstractorModel,
@@ -340,7 +339,7 @@ def train_rl(
     rollout on that episode's report (a deterministic function of the
     current parameters), plus the statistics of the latest update.
     """
-    paired = _paired_examples(examples, alignments)
+    paired = _paired_examples(reports, alignments)
     if not paired:
         raise DataError("no usable reports for rl training")
     trainer = A2CTrainer(
@@ -359,20 +358,20 @@ def train_rl(
         else None
     )
 
-    def play(example: ReportExample, gold: list[list[str]], **mode) -> Trajectory:
-        return rollout(example.document, gold, extractor, abstractor, vocab, config, paraphrase_cache=cache, **mode)
+    def play(report: Document, gold: list[tuple[str, ...]], **mode) -> Trajectory:
+        return rollout(report, gold, extractor, abstractor, vocab, config, paraphrase_cache=cache, **mode)
 
     rows: list[RewardRow] = []
     wave: list[Trajectory] = []
     wave_pairs: list[tuple[list[int], list[int]]] = []
     last = UpdateStats(0.0, 0.0, 0.0, 0.0)
     for episode in range(config.rl_episodes):
-        example, gold = paired[episode % len(paired)]
-        traj = play(example, gold, mode="sample", rng=rng)
+        report, gold = paired[episode % len(paired)]
+        traj = play(report, gold, mode="sample", rng=rng)
         wave.append(traj)
         keys = traj.keys  # the greedy probe's encoding too, unless an update changes the weights first
         if abstractor_opt is not None:
-            ids_lists = doc_to_ids(example.document, vocab)
+            ids_lists = doc_to_ids(report, vocab)
             for t, step in enumerate(traj.steps):
                 if step.action < len(ids_lists):
                     wave_pairs.append((ids_lists[step.action], vocab.encode(gold[t])))
@@ -386,7 +385,7 @@ def train_rl(
             wave = []
             wave_pairs = []
             keys = None
-        greedy = play(example, gold, mode="greedy", keys=keys)
+        greedy = play(report, gold, mode="greedy", keys=keys)
         rows.append(RewardRow(episode, greedy.mean_reward(), last.mean_advantage, last.critic_loss))
     if csv_path is not None:
         write_reward_curve(rows, csv_path)

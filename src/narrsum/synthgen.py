@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, check_field_types
-from .corpus import Document, Sentence, SummarySet
+from .corpus import Document
 from .oracle import OracleAlignment, SourceIndex, pick_reference, save_alignments, select_reference
 from .rouge import rouge_l_sentence
 
@@ -88,11 +88,11 @@ class _Uncontained:
     """
 
     def __init__(self) -> None:
-        self.sentences: list[list[str]] = []
+        self.sentences: list[tuple[str, ...]] = []
         self._n_types: list[int] = []
         self._postings: dict[str, list[int]] = {}
 
-    def offer(self, cand: list[str]) -> bool:
+    def offer(self, cand: tuple[str, ...]) -> bool:
         """Keep `cand` unless it contains or is contained in a kept sentence."""
         types = set(cand)
         shared: dict[int, int] = {}
@@ -112,17 +112,17 @@ class _Uncontained:
         return True
 
 
-def _sentence_line(tokens: list[str]) -> str:
+def _sentence_line(tokens: tuple[str, ...]) -> str:
     text = " ".join(tokens) + "."
     return text[0].upper() + text[1:]
 
 
-def _draw_sentence(rng, vocab, spec) -> list[str]:
+def _draw_sentence(rng, vocab, spec) -> tuple[str, ...]:
     length = int(rng.integers(spec.min_sentence_tokens, spec.max_sentence_tokens + 1))
-    return [vocab[int(rng.integers(len(vocab)))] for _ in range(length)]
+    return tuple([vocab[int(rng.integers(len(vocab)))] for _ in range(length)])
 
 
-def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> list[str]:
+def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> tuple[str, ...]:
     source = index.sentences[source_idx]
     for _ in range(50):
         cand = [
@@ -130,9 +130,9 @@ def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> list[st
             for tok in source
         ]
         if index.best_source(cand)[0] == source_idx:
-            return cand
+            return tuple(cand)
     # Verbatim copy: optimal because no report sentence contains another.
-    return list(source)
+    return source
 
 
 def _make_report(rng, vocab, spec):
@@ -164,15 +164,6 @@ def _make_report(rng, vocab, spec):
     return sentences, summaries, truth_rows
 
 
-def _as_example(report_id, sentences, summaries):
-    doc = Document(report_id, [Sentence(tuple(s), (0, 1)) for s in sentences], "<memory>")
-    sset = SummarySet(
-        report_id,
-        [(str(j + 1), [Sentence(tuple(s), (0, 1)) for s in sents]) for j, sents in enumerate(summaries)],
-    )
-    return doc, sset
-
-
 def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignment]]:
     """Write the corpus tree under root; returns truth alignments per split.
 
@@ -197,8 +188,7 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
                 rng = np.random.default_rng([spec.seed, split_idx, ridx, attempt])
                 sentences, summaries, truth_rows = _make_report(rng, vocab, spec)
                 alignment = pick_reference(report_id, sentences, summaries, truth_rows)
-                doc, sset = _as_example(report_id, sentences, summaries)
-                if select_reference(doc, sset) == alignment:
+                if select_reference(Document(report_id, sentences, summaries)) == alignment:
                     break
             else:
                 raise ConfigError(f"synthesis spec cannot be met: no argmax-consistent report {report_id}")

@@ -22,9 +22,6 @@ from narrsum.corpus import (
     START_ID,
     UNK_ID,
     Document,
-    ReportExample,
-    Sentence,
-    SummarySet,
     Vocab,
 )
 from narrsum.extractor import ExtractorModel
@@ -477,22 +474,15 @@ def test_frozen_params_stay_fixed():
 # ---------------------------------------------------------------- data prep
 
 
-def sent(*tokens):
-    return Sentence(tokens=tuple(tokens), char_span=(0, 0))
-
-
 def test_prepare_abstractor_pairs():
     vocab = Vocab.from_list(list(RESERVED_TOKENS) + ["profit", "rose", "fell", "sharply"])
-    doc = Document(
+    report = Document(
         id="r1",
-        sentences=(sent("profit", "rose"), sent("profit", "fell", "sharply")),
-        source_path=None,
+        sentences=[("profit", "rose"), ("profit", "fell", "sharply")],
+        summaries=[[("profit", "rose", "sharply")]],
     )
-    summaries = SummarySet("r1", [("1", (sent("profit", "rose", "sharply"),))])
     alignment = OracleAlignment("r1", 0, [(0, 1, 0.5)], [1])
-    pairs = prepare_abstractor_pairs(
-        [ReportExample(doc, summaries)], [alignment], vocab
-    )
+    pairs = prepare_abstractor_pairs([report], [alignment], vocab)
     assert pairs == [
         (vocab.encode(["profit", "fell", "sharply"]), vocab.encode(["profit", "rose", "sharply"]))
     ]
@@ -500,15 +490,13 @@ def test_prepare_abstractor_pairs():
 
 def test_prepare_skips_unknown_report_and_empty_target(caplog):
     vocab = Vocab.from_list(list(RESERVED_TOKENS) + ["a", "b"])
-    doc = Document(id="r1", sentences=(sent("a", "b"),), source_path=None)
-    summaries = SummarySet("r1", [("1", (sent(),))])
-    examples = [ReportExample(doc, summaries)]
+    reports = [Document(id="r1", sentences=[("a", "b")], summaries=[[()]])]
     alignments = [
         OracleAlignment("ghost", 0, [(0, 0, 1.0)], [0]),
         OracleAlignment("r1", 0, [(0, 0, 0.0)], [0]),
     ]
     with caplog.at_level(logging.WARNING):
-        pairs = prepare_abstractor_pairs(examples, alignments, vocab)
+        pairs = prepare_abstractor_pairs(reports, alignments, vocab)
     assert pairs == []
     assert "unknown report" in caplog.text
     assert "empty target" in caplog.text

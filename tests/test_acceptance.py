@@ -97,7 +97,7 @@ def small_world(tmp_path_factory):
     root = tmp_path_factory.mktemp("accept_world")
     truth = generate(SMALL_SPEC, root)["training"]
     dataset = load_dataset(root, 60)
-    vocab = build_vocab([ex.document for ex in dataset.training], 2000)
+    vocab = build_vocab([s for report in dataset.training for s in report.sentences], 2000)
     data = prepare_extractor_examples(dataset.training, truth, vocab)
     return {"dataset": dataset, "truth": truth, "vocab": vocab, "data": data}
 
@@ -583,7 +583,7 @@ def test_a4_oracle_and_extractor_closure(tmp_path):
     recovered = sum(same(o, t) for o, t in zip(oracle, truth))
     oracle_ok = len(oracle) == len(truth) == 20 and recovered == 20
 
-    vocab = build_vocab([ex.document for ex in dataset.training], 2000)
+    vocab = build_vocab([s for report in dataset.training for s in report.sentences], 2000)
     data = prepare_extractor_examples(dataset.training, oracle, vocab)
     model = ExtractorModel(vocab.size, 32, 32, np.random.default_rng(404))
     epochs_done = 0
@@ -718,7 +718,7 @@ def test_a7_pipeline_identity_bound(small_world, identity_abstractor):
         predictions[alignment.report_id] = _pipeline_text(
             by_id[alignment.report_id], alignment.extract_targets, identity_abstractor, vocab
         )
-    references = {ex.document.id: ex.summary_set for ex in small_world["dataset"].training}
+    references = {report.id: report.summaries for report in small_world["dataset"].training}
     result = evaluate_system(predictions, references, RunConfig(), system="identity")
     f1s = {label: result.cells[label].f1 for label, _ in
            (("rouge-l", 0), ("rouge-1", 0), ("rouge-2", 0), ("rouge-su4", 0))}
@@ -763,18 +763,18 @@ def test_a8_baseline_sanity(small_world, identity_abstractor, trained_extractor)
 
     # Trained pipeline vs leading-sentences baseline on the same corpus.
     vocab = small_world["vocab"]
-    examples = small_world["dataset"].training
+    reports = small_world["dataset"].training
     by_id = {rid: ids_lists for rid, ids_lists, _ in small_world["data"]}
     pipeline_preds, lead_preds = {}, {}
-    for ex in examples:
-        rid = ex.document.id
+    for report in reports:
+        rid = report.id
         extraction = trained_extractor.extract(rid, by_id[rid], 80)
         pipeline_preds[rid] = _pipeline_text(by_id[rid], extraction.indices,
                                              identity_abstractor, vocab)
-        chosen = lead_n(ex.document, RunConfig(word_limit=1000))
-        sentences = [list(ex.document.sentences[i].tokens) for i in chosen]
+        chosen = lead_n(report, RunConfig(word_limit=1000))
+        sentences = [report.sentences[i] for i in chosen]
         lead_preds[rid] = detokenize(truncate_sentences(sentences, 1000))
-    references = {ex.document.id: ex.summary_set for ex in examples}
+    references = {report.id: report.summaries for report in reports}
     pipe_f1 = evaluate_system(pipeline_preds, references, RunConfig(), system="pipeline").cells["rouge-l"].f1
     lead_f1 = evaluate_system(lead_preds, references, RunConfig(), system="lead").cells["rouge-l"].f1
 

@@ -21,7 +21,7 @@ from narrsum.baselines import (
     textrank_graph,
 )
 from narrsum.config import RunConfig
-from narrsum.corpus import Document, Sentence
+from narrsum.corpus import Document
 
 CONFIG = RunConfig()
 
@@ -32,8 +32,7 @@ def pagerank(graph: SentenceGraph) -> np.ndarray:
 
 
 def mk_doc(token_lists, doc_id="d"):
-    sentences = tuple(Sentence(tokens=tuple(toks), char_span=(0, 0)) for toks in token_lists)
-    return Document(id=doc_id, sentences=sentences, source_path=None)
+    return Document(id=doc_id, sentences=[tuple(toks) for toks in token_lists], summaries=[])
 
 
 def dense_pagerank(graph: SentenceGraph, damping=0.85) -> np.ndarray:
@@ -321,7 +320,7 @@ def hub_doc():
 
 def test_hub_ranked_first_textrank():
     doc = hub_doc()
-    graph = textrank_graph([list(s.tokens) for s in doc.sentences])
+    graph = textrank_graph(doc.sentences)
     scores = pagerank(graph)
     assert int(np.argmax(scores)) == 2
     assert np.allclose(scores, dense_pagerank(graph), atol=1e-5)
@@ -329,7 +328,7 @@ def test_hub_ranked_first_textrank():
 
 def test_hub_ranked_first_lexrank():
     doc = hub_doc()
-    graph = lexrank_graph([list(s.tokens) for s in doc.sentences], threshold=0.01)
+    graph = lexrank_graph(doc.sentences, threshold=0.01)
     scores = pagerank(graph)
     assert int(np.argmax(scores)) == 2
     assert np.allclose(scores, dense_pagerank(graph), atol=1e-5)
@@ -428,12 +427,12 @@ def loop_lead_n(doc, word_limit):
     chosen = []
     used = 0
     for i, sentence in enumerate(doc.sentences):
-        if used + len(sentence.tokens) > word_limit:
+        if used + len(sentence) > word_limit:
             if not chosen:
                 chosen = [0]
             break
         chosen.append(i)
-        used += len(sentence.tokens)
+        used += len(sentence)
     return chosen
 
 

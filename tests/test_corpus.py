@@ -15,8 +15,6 @@ from narrsum.corpus import (
     START_ID,
     UNK_ID,
     DataError,
-    Document,
-    Sentence,
     Vocab,
     build_vocab,
     load_dataset,
@@ -118,21 +116,14 @@ def test_tokenize_shape(text):
 
 def test_sentences_from_text_drops_wordless_spans():
     sents = sentences_from_text("Profit rose. ?!. Costs fell.", MAX_TOKENS)
-    assert [list(s.tokens) for s in sents] == [["profit", "rose"], ["costs", "fell"]]
-    for s in sents:
-        assert s.char_span[0] < s.char_span[1]
+    assert sents == [("profit", "rose"), ("costs", "fell")]
 
 
 # ---------------------------------------------------------------- vocabulary
 
 
-def _doc(doc_id, token_lists):
-    sents = [Sentence(tuple(toks), (0, 1)) for toks in token_lists]
-    return Document(doc_id, sents, f"{doc_id}.txt")
-
-
 def test_build_vocab_reserved_and_small():
-    vocab = build_vocab([_doc("r1", [["gamma", "alpha"], ["beta", "alpha"]])], CONFIG.vocab_size)
+    vocab = build_vocab([("gamma", "alpha"), ("beta", "alpha")], CONFIG.vocab_size)
     assert vocab.size == 7
     assert vocab.id_to_token[:4] == list(RESERVED_TOKENS)
     assert (PAD_ID, UNK_ID, START_ID, END_ID) == (0, 1, 2, 3)
@@ -142,8 +133,8 @@ def test_build_vocab_reserved_and_small():
 
 def test_build_vocab_caps_size():
     tokens = [f"t{i:05d}" for i in range(CONFIG.vocab_size + 5000)]
-    docs = [_doc("big", [tokens[i : i + 50] for i in range(0, len(tokens), 50)])]
-    vocab = build_vocab(docs, CONFIG.vocab_size)
+    sentences = [tuple(tokens[i : i + 50]) for i in range(0, len(tokens), 50)]
+    vocab = build_vocab(sentences, CONFIG.vocab_size)
     assert vocab.size == CONFIG.vocab_size + 4
 
 
@@ -153,7 +144,7 @@ def test_build_vocab_empty_errors():
 
 
 def test_vocab_lookup_and_round_trip():
-    vocab = build_vocab([_doc("r1", [["profit", "rose"]])], CONFIG.vocab_size)
+    vocab = build_vocab([("profit", "rose")], CONFIG.vocab_size)
     assert vocab.encode(["profit"])[0] >= 4
     assert vocab.encode(["absent"]) == [UNK_ID]
     ids = vocab.encode(["profit", "absent", "rose"])
@@ -163,7 +154,7 @@ def test_vocab_lookup_and_round_trip():
 
 
 def test_vocab_bijection():
-    vocab = build_vocab([_doc("r1", [["a", "b", "c", "a"]])], CONFIG.vocab_size)
+    vocab = build_vocab([("a", "b", "c", "a")], CONFIG.vocab_size)
     for tok, idx in vocab.token_to_id.items():
         assert vocab.id_to_token[idx] == tok
 
@@ -206,18 +197,18 @@ def miniature(root):
 def test_load_dataset_miniature(tmp_path):
     miniature(tmp_path)
     data = load_dataset(tmp_path, MAX_TOKENS)
-    assert [ex.document.id for ex in data.training] == ["r1", "r2"]
-    assert [len(ex.summary_set.summaries) for ex in data.training] == [2, 1]
+    assert [report.id for report in data.training] == ["r1", "r2"]
+    assert [len(report.summaries) for report in data.training] == [2, 1]
     assert data.manifest() == {
         "training": {"reports": 2, "summaries": 3},
         "validation": {"reports": 1, "summaries": 1},
         "testing": {"reports": 1, "summaries": 0},
     }
     r1 = data.training[0]
-    assert [list(s.tokens) for s in r1.document.sentences] == [["profit", "rose"], ["costs", "fell"]]
-    assert [sid for sid, _ in r1.summary_set.summaries] == ["1", "2"]
+    assert r1.sentences == [("profit", "rose"), ("costs", "fell")]
+    assert r1.summaries == [[("profit", "rose")], [("costs", "fell")]]  # r1_1, then r1_2
     # Test split keeps reference-free reports.
-    assert data.testing[0].summary_set.summaries == []
+    assert data.testing[0].summaries == []
 
 
 def test_load_dataset_missing_split(tmp_path):
@@ -235,7 +226,7 @@ def test_load_dataset_training_without_summaries_excluded(tmp_path, caplog):
     (tmp_path / "training" / "annual_reports" / "r3.txt").write_text("Orphan report.", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         data = load_dataset(tmp_path, MAX_TOKENS)
-    assert [ex.document.id for ex in data.training] == ["r1", "r2"]
+    assert [report.id for report in data.training] == ["r1", "r2"]
     assert any("r3" in record.message for record in caplog.records)
 
 
@@ -247,7 +238,7 @@ def test_load_dataset_empty_report_excluded(tmp_path, caplog):
     (tmp_path / "testing" / "gold_summaries" / "t2_1.txt").write_text("Debt shrank.", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         data = load_dataset(tmp_path, MAX_TOKENS)
-        assert [ex.document.id for ex in data.testing] == ["t1"]
+        assert [report.id for report in data.testing] == ["t1"]
     assert [r.message for r in caplog.records if "t2" in r.message] == ["excluding empty report t2 from testing"]
     assert not any("unknown" in r.message for r in caplog.records)
 
@@ -265,9 +256,10 @@ def test_load_dataset_summary_numeric_order(tmp_path):
         },
     )
     data = load_dataset(tmp_path, MAX_TOKENS)
-    assert [sid for sid, _ in data.training[0].summary_set.summaries] == ["1", "2", "10"]
-    # report_id is everything before the last underscore.
-    assert data.training[0].summary_set.report_id == "rep_a"
+    # Summaries follow their numeric suffixes 1, 2, 10, and the report id is
+    # everything before the last underscore.
+    assert data.training[0].id == "rep_a"
+    assert data.training[0].summaries == [[("gamma",)], [("beta",)], [("alpha",)]]
 
 
 def test_load_dataset_parses_a_split_once_when_first_read(tmp_path):
@@ -279,8 +271,8 @@ def test_load_dataset_parses_a_split_once_when_first_read(tmp_path):
     for path in (tmp_path / "training" / "annual_reports").iterdir():
         path.unlink()
     assert data.split("training") is first and data.training is first
-    assert [ex.document.id for ex in first] == ["r1", "r2"]
-    assert [ex.document.id for ex in data.validation] == ["v1"]
+    assert [report.id for report in first] == ["r1", "r2"]
+    assert [report.id for report in data.validation] == ["v1"]
     with pytest.raises(DataError, match="t1.txt"):
         data.testing
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from narrsum import autodiff as ad
 from narrsum.config import RunConfig
-from narrsum.corpus import DataError, Document, ReportExample, Sentence, SummarySet, Vocab, RESERVED_TOKENS, read_jsonl
+from narrsum.corpus import DataError, Document, Vocab, RESERVED_TOKENS, read_jsonl
 from narrsum.extractor import (
     Extraction,
     ExtractorModel,
@@ -370,13 +370,8 @@ def _vocab():
 
 
 def test_prepare_examples_joins_and_skips(caplog):
-    sents = [Sentence(("alpha", "beta"), (0, 1)), Sentence(("gamma",), (0, 1))]
-    doc1 = Document("r1", sents, "r1.txt")
-    doc2 = Document("r2", sents[:1], "r2.txt")
-    examples = [
-        ReportExample(doc1, SummarySet("r1", [])),
-        ReportExample(doc2, SummarySet("r2", [])),
-    ]
+    sents = [("alpha", "beta"), ("gamma",)]
+    examples = [Document("r1", sents, []), Document("r2", sents[:1], [])]
     alignments = [
         OracleAlignment("r1", 0, [(0, 1, 1.0)], [1]),
         OracleAlignment("r2", 0, [], []),

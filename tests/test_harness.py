@@ -17,8 +17,6 @@ from narrsum.config import ConfigError, RunConfig, load_config
 from narrsum.corpus import (
     DataError,
     Document,
-    ReportExample,
-    SummarySet,
     load_dataset,
     sentences_from_text,
 )
@@ -120,17 +118,14 @@ def test_detokenize_round_trips_through_sentence_splitter():
     text = detokenize([["net", "profit", "rose"], ["debt", "fell", "sharply"]])
     assert text == "Net profit rose. Debt fell sharply."
     back = sentences_from_text(text, MAX_TOKENS)
-    assert [list(s.tokens) for s in back] == [
-        ["net", "profit", "rose"],
-        ["debt", "fell", "sharply"],
-    ]
+    assert back == [("net", "profit", "rose"), ("debt", "fell", "sharply")]
 
 
 # ---------------------------------------------------------------- evaluation
 
 
-def _refs(rid: str, *texts: str) -> dict[str, SummarySet]:
-    return {rid: SummarySet(rid, [(str(i), sentences_from_text(t, MAX_TOKENS)) for i, t in enumerate(texts)])}
+def _refs(rid: str, *texts: str) -> dict[str, list[list[tuple[str, ...]]]]:
+    return {rid: [sentences_from_text(t, MAX_TOKENS) for t in texts]}
 
 
 def test_evaluate_identical_prediction_scores_one():
@@ -159,7 +154,7 @@ def test_evaluate_missing_reference_excluded(caplog):
 
 
 def test_evaluate_reference_set_without_summaries_counts_missing():
-    refs = {"r1": SummarySet("r1", [])}
+    refs = {"r1": []}
     result = evaluate_system({"r1": "Profit rose."}, refs, CONFIG)
     assert result.missing_references == ["r1"]
 
@@ -174,8 +169,7 @@ def test_evaluate_cells_average_over_documents():
 
 
 def test_evaluate_mean_aggregation_averages_references():
-    refs = {"r1": SummarySet("r1", [("1", sentences_from_text("alpha beta gamma.", MAX_TOKENS)),
-                                    ("2", sentences_from_text("delta epsilon zeta.", MAX_TOKENS))])}
+    refs = _refs("r1", "alpha beta gamma.", "delta epsilon zeta.")
     best = evaluate_system({"r1": "Alpha beta gamma."}, refs, RunConfig(reference_aggregation="max"))
     mean = evaluate_system({"r1": "Alpha beta gamma."}, refs, RunConfig(reference_aggregation="mean"))
     assert best.cells["rouge-1"].f1 == pytest.approx(1.0)
@@ -303,9 +297,9 @@ def test_load_models_config_enforced_only_when_asked(tmp_path):
 
 
 def test_training_vocab_covers_summary_only_tokens():
-    doc = Document("r1", sentences_from_text("alpha beta gamma.", MAX_TOKENS), "")
-    summary = SummarySet("r1", [("1", sentences_from_text("alpha zulu.", MAX_TOKENS))])
-    dataset_like = type("D", (), {"training": [ReportExample(doc, summary)]})()
+    summary = sentences_from_text("alpha zulu.", MAX_TOKENS)
+    doc = Document("r1", sentences_from_text("alpha beta gamma.", MAX_TOKENS), [summary])
+    dataset_like = type("D", (), {"training": [doc]})()
     vocab = _training_vocab(dataset_like, RunConfig())
     assert "zulu" in vocab.to_list()
     again = _training_vocab(dataset_like, RunConfig())
@@ -317,10 +311,8 @@ def test_training_vocab_covers_summary_only_tokens():
 
 def _stop_first_pipeline(text: str, seed: int):
     """A document and untrained models whose pointer picks stop at its first step."""
-    doc = Document("r1", sentences_from_text(text, MAX_TOKENS), "")
-    vocab = _training_vocab(
-        type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
-    )
+    doc = Document("r1", sentences_from_text(text, MAX_TOKENS), [])
+    vocab = _training_vocab(type("D", (), {"training": [doc]})(), RunConfig())
     rng = np.random.default_rng(seed)
     extractor = ExtractorModel(vocab.size, 6, 4, rng)
     abstractor = AbstractorModel(vocab.size, 6, 4, rng)
@@ -363,10 +355,8 @@ def test_summarize_document_fallback_reuses_the_extraction_encoding(monkeypatch)
 
 
 def test_summarize_document_respects_word_limit():
-    doc = Document("r1", sentences_from_text("Alpha beta gamma delta. Epsilon zeta eta theta.", MAX_TOKENS), "")
-    vocab = _training_vocab(
-        type("D", (), {"training": [ReportExample(doc, SummarySet("r1", []))]})(), RunConfig()
-    )
+    doc = Document("r1", sentences_from_text("Alpha beta gamma delta. Epsilon zeta eta theta.", MAX_TOKENS), [])
+    vocab = _training_vocab(type("D", (), {"training": [doc]})(), RunConfig())
     rng = np.random.default_rng(4)
     extractor = ExtractorModel(vocab.size, 6, 4, rng)
     abstractor = AbstractorModel(vocab.size, 6, 4, rng)
@@ -620,6 +610,69 @@ def test_cli_out_that_is_a_file_is_usage_error(pipeline, tmp_path, capsys, comma
     assert cli(args) == 1
     assert f"--out {out} exists and is not a directory" in capsys.readouterr().err
     assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("command, flag, below", [
+    (["ingest"], "--out", True),
+    (["oracle"], "--out", True),
+    (["baseline", "--method", "lead"], "--out", True),
+    (["synthgen"], "--data-root", False),
+    (["synthgen"], "--data-root", True),
+])
+def test_cli_output_under_a_file_is_usage_error(pipeline, tmp_path, capsys, command, flag, below):
+    """An --out, or synthgen's data root, that is or lies below an existing
+    file is exit 1 naming both, and nothing is written."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep me\n")
+    target = blocker / "sub" if below else blocker
+    paths = {"--config": str(pipeline["cfg"]), "--data-root": str(pipeline["data"]), "--out": str(tmp_path / "out")}
+    paths[flag] = str(target)
+    assert cli([*command, *(arg for pair in paths.items() for arg in pair)]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} {target}" in err and f"{blocker}" in err and "exists and is not a directory" in err
+    assert blocker.read_text() == "keep me\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_cli_evaluate_refuses_pred_dirs_sharing_a_name(pipeline, tmp_path, capsys):
+    """Two --pred directories of one name would head two report columns alike:
+    exit 1 naming both, and no report is written."""
+    first, second = tmp_path / "a" / "summaries", tmp_path / "b" / "summaries"
+    for pred in (first, second):
+        shutil.copytree(pipeline["out"] / "summaries", pred)
+    out = tmp_path / "out"
+    args = ["evaluate", "--pred", str(first), str(second), *pipeline["base"][:4], "--out", str(out)]
+    assert cli(args) == 1
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err
+    assert not out.exists()
+
+
+def test_cli_rl_with_fewer_episodes_than_one_update_is_config_error(pipeline, tmp_path, capsys):
+    """rl_updates_every above rl_episodes would run no update and save the
+    pretrained pointer as extractor_rl.ckpt: exit 2 before any output."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("extractor.ckpt", "abstractor.ckpt"):
+        shutil.copy(pipeline["out"] / name, out / name)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "rl_episodes": 3, "rl_updates_every": 4}))
+    assert cli(["train-rl", "--config", str(cfg), "--data-root", str(pipeline["data"]), "--out", str(out)]) == 2
+    assert "rl_updates_every (4) cannot exceed rl_episodes (3)" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["abstractor.ckpt", "extractor.ckpt"]
+
+
+def test_cli_diverging_training_is_reported_not_raised(pipeline, tmp_path, capsys):
+    """A finite but huge learning rate makes a gradient non-finite: exit 2
+    with the divergence named, and no final checkpoint."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "lr": 1e250}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli(["train-abstractor", "--config", str(cfg), "--data-root", str(pipeline["data"]), "--out", str(out)])
+    assert code == 2
+    assert "error: training diverged: non-finite gradient in parameter" in capsys.readouterr().err
+    assert not (out / "abstractor.ckpt").exists()
 
 
 def test_cli_summarize_split_flag(pipeline, tmp_path):

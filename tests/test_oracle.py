@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from narrsum import oracle
 from narrsum.abstractor import prepare_abstractor_pairs
-from narrsum.corpus import RESERVED_TOKENS, DataError, Document, Sentence, SummarySet, Vocab
+from narrsum.corpus import RESERVED_TOKENS, DataError, Document, Vocab
 from narrsum.extractor import prepare_extractor_examples
 from narrsum.oracle import (
     OracleAlignment,
@@ -24,16 +24,12 @@ from narrsum.oracle import (
     save_alignments,
     select_reference,
 )
-from narrsum.corpus import ReportExample
 from narrsum.rouge import lcs_length, rouge_l_sentence, rouge_l_summary
 
 
-def make_sentences(token_lists):
-    return [Sentence(tuple(toks), (0, 1)) for toks in token_lists]
-
-
-def make_doc(doc_id, token_lists):
-    return Document(doc_id, make_sentences(token_lists), f"{doc_id}.txt")
+def make_doc(doc_id, token_lists, summaries=()):
+    """A report of `token_lists`, with gold summaries each given as token lists."""
+    return Document(doc_id, [tuple(toks) for toks in token_lists], [[tuple(toks) for toks in s] for s in summaries])
 
 
 def scan_align_summary(report, summary):
@@ -43,7 +39,7 @@ def scan_align_summary(report, summary):
         best_idx = 0
         best_recall = -1.0
         for i, source in enumerate(report.sentences):
-            recall = rouge_l_sentence(source.tokens, target.tokens).recall
+            recall = rouge_l_sentence(source, target).recall
             if recall > best_recall:
                 best_idx, best_recall = i, recall
         rows.append((t, best_idx, best_recall))
@@ -55,21 +51,18 @@ def scan_align_summary(report, summary):
 
 def test_align_verbatim_copies():
     doc = make_doc("r", [["profit", "rose"], ["costs", "fell"], ["cash", "grew"]])
-    summary = make_sentences([["profit", "rose"], ["costs", "fell"]])
-    rows = align_summary(doc, summary)
+    rows = align_summary(doc, [("profit", "rose"), ("costs", "fell")])
     assert rows == [(0, 0, 1.0), (1, 1, 1.0)]
 
 
 def test_align_tie_prefers_lowest_index():
     doc = make_doc("r", [["profit", "up"], ["profit", "up", "again"]])
-    summary = make_sentences([["profit", "up"]])
-    assert align_summary(doc, summary) == [(0, 0, 1.0)]
+    assert align_summary(doc, [("profit", "up")]) == [(0, 0, 1.0)]
 
 
 def test_align_zero_overlap_falls_to_index_zero():
     doc = make_doc("r", [["alpha"], ["beta"]])
-    summary = make_sentences([["zeta", "eta"]])
-    assert align_summary(doc, summary) == [(0, 0, 0.0)]
+    assert align_summary(doc, [("zeta", "eta")]) == [(0, 0, 0.0)]
 
 
 token_lists = st.lists(
@@ -81,8 +74,7 @@ token_lists = st.lists(
 @given(token_lists, token_lists)
 def test_align_dominance(report_sents, summary_sents):
     doc = make_doc("r", report_sents)
-    summary = make_sentences(summary_sents)
-    for t, j, recall in align_summary(doc, summary):
+    for t, j, recall in align_summary(doc, [tuple(s) for s in summary_sents]):
         target = summary_sents[t]
         assert recall == pytest.approx(lcs_length(report_sents[j], target) / len(target))
         for other in report_sents:
@@ -104,7 +96,7 @@ ragged_targets = st.lists(st.lists(st.sampled_from("abcdxy"), max_size=8), max_s
 @example([["a", "b"], ["c"]], [["x", "y"], ["d"], []])
 def test_pruned_align_matches_full_scan(report_sents, summary_sents):
     doc = make_doc("r", report_sents)
-    summary = make_sentences(summary_sents)
+    summary = [tuple(s) for s in summary_sents]
     assert align_summary(doc, summary) == scan_align_summary(doc, summary)
     index = SourceIndex(report_sents)
     for target in summary_sents:
@@ -121,7 +113,7 @@ def test_pruned_align_skips_sentences_that_cannot_win(monkeypatch):
 
     monkeypatch.setattr(oracle, "lcs_length", counting_lcs)
     doc = make_doc("r", [["profit", "rose"], ["costs", "fell"], ["profit", "fell"], ["cash", "grew"]])
-    assert align_summary(doc, make_sentences([["profit", "rose"]])) == [(0, 0, 1.0)]
+    assert align_summary(doc, [("profit", "rose")]) == [(0, 0, 1.0)]
     assert calls == [("profit", "rose")]
 
 
@@ -129,19 +121,17 @@ def test_pruned_align_skips_sentences_that_cannot_win(monkeypatch):
 
 
 def test_select_single_summary():
-    doc = make_doc("r", [["a", "b"], ["c", "d"]])
-    sset = SummarySet("r", [("1", make_sentences([["a", "b"]]))])
-    alignment = select_reference(doc, sset)
+    doc = make_doc("r", [["a", "b"], ["c", "d"]], [[["a", "b"]]])
+    alignment = select_reference(doc)
     assert alignment.chosen_summary == 0
     assert alignment.extract_targets == [0]
 
 
 def test_select_prefers_reconstructable_summary():
-    doc = make_doc("r", [["profit", "rose", "sharply"], ["costs", "fell", "hard"]])
-    disjoint = make_sentences([["zebra", "quark"]])
-    verbatim = make_sentences([["profit", "rose", "sharply"]])
-    sset = SummarySet("r", [("1", disjoint), ("2", verbatim)])
-    alignment = select_reference(doc, sset)
+    disjoint = [["zebra", "quark"]]
+    verbatim = [["profit", "rose", "sharply"]]
+    doc = make_doc("r", [["profit", "rose", "sharply"], ["costs", "fell", "hard"]], [disjoint, verbatim])
+    alignment = select_reference(doc)
     assert alignment.chosen_summary == 1
     assert alignment.per_sentence == [(0, 0, 1.0)]
 
@@ -150,43 +140,36 @@ def test_select_matches_exhaustive_recomputation():
     rng = np.random.default_rng(7)
     vocab = [f"w{i}" for i in range(12)]
     report_sents = [[vocab[rng.integers(0, 12)] for _ in range(6)] for _ in range(10)]
-    doc = make_doc("r", report_sents)
-    summaries = []
-    for j in range(3):
-        sents = [[vocab[rng.integers(0, 12)] for _ in range(5)] for _ in range(3)]
-        summaries.append((str(j + 1), make_sentences(sents)))
-    sset = SummarySet("r", summaries)
-    alignment = select_reference(doc, sset)
+    summaries = [[[vocab[rng.integers(0, 12)] for _ in range(5)] for _ in range(3)] for _ in range(3)]
+    doc = make_doc("r", report_sents, summaries)
+    alignment = select_reference(doc)
 
     recalls = []
-    for _, sentences in summaries:
+    for sentences in summaries:
         rows = align_summary(doc, sentences)
         targets = []
         for _, jt, _ in rows:
             if jt not in targets:
                 targets.append(jt)
         extracted = [report_sents[i] for i in targets]
-        reference = [list(s.tokens) for s in sentences]
-        recalls.append(rouge_l_summary(extracted, reference).recall)
+        recalls.append(rouge_l_summary(extracted, sentences).recall)
     expected = max(range(3), key=lambda j: (recalls[j], -j))
     assert alignment.chosen_summary == expected
 
 
 def test_select_tie_prefers_lowest_summary():
-    doc = make_doc("r", [["a", "b"]])
-    same = [("1", make_sentences([["a", "b"]])), ("2", make_sentences([["a", "b"]]))]
-    assert select_reference(doc, SummarySet("r", same)).chosen_summary == 0
+    doc = make_doc("r", [["a", "b"]], [[["a", "b"]], [["a", "b"]]])
+    assert select_reference(doc).chosen_summary == 0
 
 
 # ---------------------------------------------------------------- build + persist
 
 
 def _examples():
-    doc1 = make_doc("r1", [["profit", "rose"], ["costs", "fell"]])
-    set1 = SummarySet("r1", [("1", make_sentences([["profit", "rose"], ["costs", "fell"]]))])
-    doc2 = make_doc("r2", [["cash", "grew"], ["debt", "shrank"]])
-    set2 = SummarySet("r2", [("1", make_sentences([["debt", "shrank"]]))])
-    return [ReportExample(doc1, set1), ReportExample(doc2, set2)]
+    return [
+        make_doc("r1", [["profit", "rose"], ["costs", "fell"]], [[["profit", "rose"], ["costs", "fell"]]]),
+        make_doc("r2", [["cash", "grew"], ["debt", "shrank"]], [[["debt", "shrank"]]]),
+    ]
 
 
 def test_build_oracle_round_trip(tmp_path):
@@ -207,7 +190,7 @@ def test_build_oracle_round_trip(tmp_path):
 
 def test_build_oracle_skips_summaryless(caplog):
     examples = _examples()
-    examples.append(ReportExample(make_doc("r3", [["lонely"]]), SummarySet("r3", [])))
+    examples.append(make_doc("r3", [["lонely"]]))
     with caplog.at_level(logging.WARNING):
         alignments = build_oracle(examples)
     assert [a.report_id for a in alignments] == ["r1", "r2"]
@@ -215,44 +198,34 @@ def test_build_oracle_skips_summaryless(caplog):
 
 
 def test_targets_dedup_keeps_first_occurrence():
-    doc = make_doc("r", [["alpha", "beta"], ["gamma", "delta"]])
-    summary = make_sentences([["gamma"], ["alpha"], ["gamma", "delta"]])
-    sset = SummarySet("r", [("1", summary)])
-    alignment = select_reference(doc, sset)
+    doc = make_doc("r", [["alpha", "beta"], ["gamma", "delta"]], [[["gamma"], ["alpha"], ["gamma", "delta"]]])
+    alignment = select_reference(doc)
     assert [j for _, j, _ in alignment.per_sentence] == [1, 0, 1]
     assert alignment.extract_targets == [1, 0]
     assert len(alignment.extract_targets) <= len(alignment.per_sentence)
 
 
 def test_abstractor_pairs_duplicates_included():
-    doc = make_doc("r", [["alpha", "beta"], ["gamma", "delta"]])
-    summary = make_sentences([["gamma"], ["alpha"], ["gamma", "delta"]])
-    sset = SummarySet("r", [("1", summary)])
-    alignment = select_reference(doc, sset)
-    pairs = abstractor_pairs(alignment, doc, sset)
+    doc = make_doc("r", [["alpha", "beta"], ["gamma", "delta"]], [[["gamma"], ["alpha"], ["gamma", "delta"]]])
+    alignment = select_reference(doc)
+    pairs = abstractor_pairs(alignment, doc)
     assert pairs == [
-        (["gamma", "delta"], ["gamma"]),
-        (["alpha", "beta"], ["alpha"]),
-        (["gamma", "delta"], ["gamma", "delta"]),
+        (("gamma", "delta"), ("gamma",)),
+        (("alpha", "beta"), ("alpha",)),
+        (("gamma", "delta"), ("gamma", "delta")),
     ]
 
 
 def _three_reports():
     """Reports r1..r3, each with its own tokens and one gold summary copying its second sentence."""
-    return [
-        ReportExample(
-            make_doc(rid, [[f"{rid}a"], [f"{rid}b"]]),
-            SummarySet(rid, [("1", make_sentences([[f"{rid}b"]]))]),
-        )
-        for rid in ("r1", "r2", "r3")
-    ]
+    return [make_doc(rid, [[f"{rid}a"], [f"{rid}b"]], [[[f"{rid}b"]]]) for rid in ("r1", "r2", "r3")]
 
 
 def test_aligned_reports_follow_report_order_not_record_order():
     examples = _three_reports()
     alignments = [OracleAlignment(rid, 0, [(0, 1, 1.0)], [1]) for rid in ("r3", "r1", "r2")]
     joined = aligned_reports(examples, alignments)
-    assert [(ex.document.id, al.report_id) for ex, al in joined] == [("r1", "r1"), ("r2", "r2"), ("r3", "r3")]
+    assert [(report.id, al.report_id) for report, al in joined] == [("r1", "r1"), ("r2", "r2"), ("r3", "r3")]
     vocab = Vocab.from_list(list(RESERVED_TOKENS) + [f"{rid}{x}" for rid in ("r1", "r2", "r3") for x in "ab"])
     assert [rid for rid, _, _ in prepare_extractor_examples(examples, alignments, vocab)] == ["r1", "r2", "r3"]
     pairs = prepare_abstractor_pairs(examples, alignments, vocab)
@@ -263,7 +236,7 @@ def test_aligned_reports_warn_for_unknown_and_unaligned_reports(caplog):
     alignments = [OracleAlignment("ghost", 0, [(0, 0, 1.0)], [0]), OracleAlignment("r2", 0, [(0, 1, 1.0)], [1])]
     with caplog.at_level(logging.WARNING, logger="narrsum.oracle"):
         joined = aligned_reports(_three_reports(), alignments)
-    assert [ex.document.id for ex, _ in joined] == ["r2"]
+    assert [report.id for report, _ in joined] == ["r2"]
     messages = [rec.getMessage() for rec in caplog.records]
     assert messages == [
         "alignment for unknown report ghost ignored",

@@ -10,7 +10,7 @@ import pytest
 from narrsum import autodiff as ad
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import RunConfig
-from narrsum.corpus import RESERVED_TOKENS, Document, ReportExample, Sentence, SummarySet, Vocab
+from narrsum.corpus import RESERVED_TOKENS, Document, Vocab
 from narrsum.extractor import ExtractorModel, doc_to_ids, example_loss
 from narrsum.oracle import OracleAlignment
 from narrsum.rl import (
@@ -57,10 +57,6 @@ class IdentityParaphraser:
 CONFIG = RunConfig()
 
 
-def sent(*tokens):
-    return Sentence(tokens=tuple(tokens), char_span=(0, 0))
-
-
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa"]
 
 
@@ -68,15 +64,10 @@ def toy_world():
     vocab = Vocab.from_list(list(RESERVED_TOKENS) + WORDS)
     doc = Document(
         id="r1",
-        sentences=(
-            sent("alpha", "beta", "gamma"),
-            sent("delta", "epsilon"),
-            sent("zeta", "eta", "theta"),
-            sent("iota", "kappa"),
-        ),
-        source_path=None,
+        sentences=[("alpha", "beta", "gamma"), ("delta", "epsilon"), ("zeta", "eta", "theta"), ("iota", "kappa")],
+        summaries=[],
     )
-    gold = [list(doc.sentences[0].tokens), list(doc.sentences[2].tokens)]
+    gold = [doc.sentences[0], doc.sentences[2]]
     return vocab, doc, gold
 
 
@@ -178,7 +169,7 @@ def test_stop_step_reward_is_marginal_summary_gain():
 
 def test_sampled_rollouts_bounded_and_mask_safe():
     vocab, doc, _ = toy_world()
-    gold = [list(s.tokens) for s in doc.sentences]  # horizon covers everything
+    gold = list(doc.sentences)  # horizon covers everything
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     for _ in range(100):
@@ -222,7 +213,7 @@ def test_paraphrase_cache_is_filled_and_reused():
 
 def test_sampled_rollout_probabilities_equal_its_replay():
     vocab, doc, _ = toy_world()
-    gold = [list(s.tokens) for s in doc.sentences]
+    gold = list(doc.sentences)
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(61))
     rng = np.random.default_rng(62)
     for _ in range(10):
@@ -413,7 +404,7 @@ def test_update_matches_one_graph_over_the_wave(entropy_coef):
     """Replaying each trajectory on its own, last first, leaves the same
     weights as one graph of per-step nodes over the whole wave."""
     vocab, doc, _ = toy_world()
-    gold = [list(s.tokens) for s in doc.sentences]
+    gold = list(doc.sentences)
     models = [ExtractorModel(14, 8, 6, np.random.default_rng(81)) for _ in range(2)]
     critics = [Critic(6, np.random.default_rng(82)) for _ in range(2)]
     rng = np.random.default_rng(83)
@@ -454,10 +445,9 @@ def test_update_matches_one_graph_over_the_wave(entropy_coef):
 
 def rl_world():
     vocab, doc, gold = toy_world()
-    summaries = SummarySet("r1", [("1", (sent(*gold[0]), sent(*gold[1])))])
-    example = ReportExample(doc, summaries)
+    report = Document(doc.id, doc.sentences, [gold])
     alignment = OracleAlignment("r1", 0, [(0, 0, 1.0), (1, 2, 1.0)], [0, 2])
-    return vocab, example, alignment
+    return vocab, report, alignment
 
 
 def small_abstractor(vocab_size=14, seed=0):
@@ -465,7 +455,7 @@ def small_abstractor(vocab_size=14, seed=0):
 
 
 def test_zero_lr_run_is_flat_and_leaves_params_unchanged():
-    vocab, example, alignment = rl_world()
+    vocab, report, alignment = rl_world()
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(11))
     abstractor = small_abstractor()
     critic = Critic(6, np.random.default_rng(12))
@@ -475,7 +465,7 @@ def test_zero_lr_run_is_flat_and_leaves_params_unchanged():
         "critic": {k: v.data.copy() for k, v in critic.params.items()},
     }
     rows = train_rl(
-        [example], [alignment], extractor, abstractor, critic, vocab, config,
+        [report], [alignment], extractor, abstractor, critic, vocab, config,
         rng=np.random.default_rng(13),
     )
     assert len({row.mean_reward for row in rows}) == 1
@@ -487,12 +477,12 @@ def test_zero_lr_run_is_flat_and_leaves_params_unchanged():
 
 def test_identical_seeds_give_identical_curves():
     def run():
-        vocab, example, alignment = rl_world()
+        vocab, report, alignment = rl_world()
         extractor = ExtractorModel(14, 8, 6, np.random.default_rng(21))
         critic = Critic(6, np.random.default_rng(22))
         config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=8)
         return train_rl(
-            [example], [alignment], extractor, small_abstractor(seed=23), critic, vocab, config,
+            [report], [alignment], extractor, small_abstractor(seed=23), critic, vocab, config,
             rng=np.random.default_rng(24),
         )
 
@@ -500,13 +490,13 @@ def test_identical_seeds_give_identical_curves():
 
 
 def test_reward_curve_csv(tmp_path):
-    vocab, example, alignment = rl_world()
+    vocab, report, alignment = rl_world()
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(31))
     critic = Critic(6, np.random.default_rng(32))
     config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=5)
     path = tmp_path / "rl_rewards.csv"
     rows = train_rl(
-        [example], [alignment], extractor, small_abstractor(), critic, vocab, config,
+        [report], [alignment], extractor, small_abstractor(), critic, vocab, config,
         rng=np.random.default_rng(33), csv_path=path,
     )
     lines = path.read_text(encoding="utf-8").strip().splitlines()
@@ -517,19 +507,17 @@ def test_reward_curve_csv(tmp_path):
 
 def test_policy_improves_on_tiny_task():
     vocab = Vocab.from_list(list(RESERVED_TOKENS) + WORDS)
-    doc = Document(
+    report = Document(
         id="r1",
-        sentences=(sent("alpha", "beta", "gamma"), sent("delta", "epsilon", "zeta")),
-        source_path=None,
+        sentences=[("alpha", "beta", "gamma"), ("delta", "epsilon", "zeta")],
+        summaries=[[("alpha", "beta", "gamma")]],
     )
-    summaries = SummarySet("r1", [("1", (sent("alpha", "beta", "gamma"),))])
-    example = ReportExample(doc, summaries)
     alignment = OracleAlignment("r1", 0, [(0, 0, 1.0)], [0])
     extractor = ExtractorModel(14, 8, 4, np.random.default_rng(41))
     critic = Critic(4, np.random.default_rng(42))
     config = RunConfig(hidden_dim=4, rl_lr=0.02, rl_updates_every=2, max_output_tokens=6, rl_episodes=120)
     rows = train_rl(
-        [example], [alignment], extractor, IdentityParaphraser(), critic, vocab, config,
+        [report], [alignment], extractor, IdentityParaphraser(), critic, vocab, config,
         rng=np.random.default_rng(43),
     )
     early = np.mean([r.mean_reward for r in rows[:20]])
@@ -539,7 +527,7 @@ def test_policy_improves_on_tiny_task():
 
 
 def test_abstractor_frozen_by_default_and_tunable_by_flag():
-    vocab, example, alignment = rl_world()
+    vocab, report, alignment = rl_world()
 
     def run(finetune):
         extractor = ExtractorModel(14, 8, 6, np.random.default_rng(51))
@@ -551,7 +539,7 @@ def test_abstractor_frozen_by_default_and_tunable_by_flag():
         )
         before = {k: v.data.copy() for k, v in abstractor.params.items()}
         train_rl(
-            [example], [alignment], extractor, abstractor, critic, vocab, config,
+            [report], [alignment], extractor, abstractor, critic, vocab, config,
             rng=np.random.default_rng(54),
         )
         return any(not np.array_equal(abstractor.params[k].data, arr) for k, arr in before.items())
@@ -561,8 +549,8 @@ def test_abstractor_frozen_by_default_and_tunable_by_flag():
 
 
 def test_mean_greedy_reward_on_perfect_setup():
-    vocab, example, alignment = rl_world()
-    ids = doc_to_ids(example.document, vocab)
+    vocab, report, alignment = rl_world()
+    ids = doc_to_ids(report, vocab)
     extractor = pointer_overfit(ids, [0, 2])
-    value = mean_greedy_reward([example], [alignment], extractor, IdentityParaphraser(), vocab, CONFIG)
+    value = mean_greedy_reward([report], [alignment], extractor, IdentityParaphraser(), vocab, CONFIG)
     assert value == pytest.approx(1.0)

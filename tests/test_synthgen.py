@@ -88,7 +88,7 @@ def test_cli_refused_spec_leaves_data_root_as_it_was(tmp_path):
 def test_refused_report_in_a_later_split_writes_nothing(tmp_path, monkeypatch):
     accept = synthgen.select_reference
     monkeypatch.setattr(
-        synthgen, "select_reference", lambda doc, sset: None if doc.id == "te0001" else accept(doc, sset)
+        synthgen, "select_reference", lambda report: None if report.id == "te0001" else accept(report)
     )
     with pytest.raises(ConfigError, match="te0001"):
         generate(SynthSpec(n_reports=2, n_validation_reports=1), tmp_path / "data")
@@ -96,7 +96,7 @@ def test_refused_report_in_a_later_split_writes_nothing(tmp_path, monkeypatch):
 
 
 def test_cli_report_without_argmax_consistent_draw_is_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(synthgen, "select_reference", lambda doc, sset: None)
+    monkeypatch.setattr(synthgen, "select_reference", lambda report: None)
     assert cli(["synthgen", "--data-root", str(tmp_path / "data")]) == 2
     assert "no argmax-consistent report tr0000" in capsys.readouterr().err
 
@@ -148,13 +148,13 @@ def test_round_trip_token_sequences(tmp_path):
     assert len(data.training) == 3
     assert len(data.validation) == spec.n_validation_reports
     assert len(data.testing) == spec.n_testing_reports
-    for ex in data.training:
-        assert len(ex.document.sentences) == 6
-        for sent in ex.document.sentences:
-            assert 5 <= len(sent.tokens) <= 9
-            assert all(tok.startswith("w") for tok in sent.tokens)
-        for _, sents in ex.summary_set.summaries:
-            assert len(sents) == 2
+    for report in data.training:
+        assert len(report.sentences) == 6
+        for sent in report.sentences:
+            assert 5 <= len(sent) <= 9
+            assert all(tok.startswith("w") for tok in sent)
+        for summary in report.summaries:
+            assert len(summary) == 2
 
 
 def test_truth_files_reload(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import RunConfig
-from narrsum.corpus import RESERVED_TOKENS, Document, ReportExample, Sentence, SummarySet, Vocab
+from narrsum.corpus import RESERVED_TOKENS, Document, Vocab
 from narrsum.extractor import ExtractorModel, example_loss
 from narrsum.oracle import OracleAlignment
 from narrsum.rl import Critic, train_rl
@@ -76,22 +76,17 @@ def test_fit_abstractor_golden_values():
     assert params_digest(model.params) == "16940798c3b132c9b5a7bfb55d6f9f32eff6c8bb25cec50f470d797d8e24b36f"
 
 
-def sent(*tokens):
-    return Sentence(tokens=tuple(tokens), char_span=(0, 0))
-
-
 def test_rl_abstractor_fine_tune_golden_digest():
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa"]
     vocab = Vocab.from_list(list(RESERVED_TOKENS) + words)
-    doc = Document("r1", (sent("alpha", "beta", "gamma"), sent("delta", "epsilon"),
-                          sent("zeta", "eta", "theta"), sent("iota", "kappa")), None)
-    example = ReportExample(doc, SummarySet("r1", [("1", (doc.sentences[0], doc.sentences[2]))]))
+    sentences = [("alpha", "beta", "gamma"), ("delta", "epsilon"), ("zeta", "eta", "theta"), ("iota", "kappa")]
+    report = Document("r1", sentences, [[sentences[0], sentences[2]]])
     alignment = OracleAlignment("r1", 0, [(0, 0, 1.0), (1, 2, 1.0)], [0, 2])
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(301))
     abstractor = AbstractorModel(14, 8, 6, np.random.default_rng(302))
     critic = Critic(6, np.random.default_rng(303))
     config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=4,
                        rl_finetune_abstractor=True)
-    train_rl([example], [alignment], extractor, abstractor, critic, vocab, config,
+    train_rl([report], [alignment], extractor, abstractor, critic, vocab, config,
              rng=np.random.default_rng(304))
     assert params_digest(abstractor.params) == "80c279a64e866ae9bfd5bd1781207019f409f5ea1b6403be9be37ff74a06391e"

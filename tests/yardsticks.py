@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from narrsum.config import RunConfig
-from narrsum.corpus import END_ID, ReportExample, Vocab
+from narrsum.corpus import END_ID, Document, Vocab
 from narrsum.extractor import ExtractorModel
 from narrsum.oracle import OracleAlignment
 from narrsum.rl import _paired_examples, rollout
@@ -24,7 +24,7 @@ def teacher_forced_accuracy(model, pairs: Sequence[tuple[list[int], list[int]]])
 
 
 def mean_greedy_reward(
-    examples: Sequence[ReportExample],
+    reports: Sequence[Document],
     alignments: Sequence[OracleAlignment],
     extractor: ExtractorModel,
     abstractor,
@@ -34,13 +34,13 @@ def mean_greedy_reward(
     paraphrase_cache: dict | None = None,
 ) -> float:
     """Mean greedy-rollout step reward across reports."""
-    paired = _paired_examples(examples, alignments)
+    paired = _paired_examples(reports, alignments)
     if not paired:
         raise ValueError("no usable reports to evaluate")
     rewards = []
-    for example, gold in paired:
+    for report, gold in paired:
         traj = rollout(
-            example.document,
+            report,
             gold,
             extractor,
             abstractor,
