@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Check that two source trees write the same outputs on a benchmark workload.
 
-    python3 scripts/diff_outputs.py PARENT CHANGE --workload demo --seed 1001
+    python3 scripts/diff_outputs.py PARENT CHANGE --workload demo --seed 1001 [1002 ...]
 
 PARENT and CHANGE are source checkouts (each with `src/narrsum`). For each
-tree, in a run directory of its own, this writes the workload's synthesis
-spec and config as `perfbench/run.py` would, runs `synthgen` and then every
-CLI stage of the workload (`perfbench/workloads.py`, imported from this
-checkout), each as a process of its own with that tree's sources. It then
-lists every file under the corpus root or `--out` whose bytes differ,
-checkpoints included, every file only one side wrote, and every stage whose
-exit status or stdout differs, with the run directory written as `<run>`.
-A stage that fails on both sides is listed too. Each stage's stderr is
-kept beside the corpus root as `<stage>.stderr`; pass `--workdir` to keep
-the runs for reading.
+seed and each tree, in a run directory of its own, this writes the
+workload's synthesis spec and config as `perfbench/run.py` would, runs
+`synthgen` and then every CLI stage of the workload
+(`perfbench/workloads.py`, imported from this checkout), each as a process
+of its own with that tree's sources. Under a heading per seed it then lists
+every file under the corpus root or `--out` whose bytes differ, checkpoints
+included, every file only one side wrote, and every stage whose exit status
+or stdout differs, with the run directory written as `<run>`. A stage that
+fails on both sides is listed too. Each stage's stderr is kept beside the
+corpus root as `<stage>.stderr`; pass `--workdir` to keep the runs for
+reading, as `<workdir>/seed<N>/{parent,change}`.
 
-Exit status: 0 when nothing differs, 1 on any difference, 2 on bad usage.
+Exit status: 0 when nothing differs at any seed, 1 on any difference, 2 on
+bad usage.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="source tree of the parent")
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     parser.add_argument("--workdir", type=Path, default=None,
                         help="keep the runs under this new directory (default: a temporary one, removed)")
     args = parser.parse_args(argv)
@@ -109,21 +111,27 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no narrsum sources under {tree}/src")
     if args.workdir is not None and args.workdir.exists():
         parser.error(f"--workdir {args.workdir} already exists")
+    if len(set(args.seed)) != len(args.seed):
+        parser.error(f"--seed repeats a seed: {args.seed}")
     wl = WORKLOADS[args.workload]
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="diff_outputs_"))
+    differing = 0
     try:
-        runs = [run_tree(tree.resolve(), wl, args.seed, workdir.resolve() / side)
-                for side, tree in (("parent", args.parent), ("change", args.change))]
+        for seed in args.seed:
+            runs = [run_tree(tree.resolve(), wl, seed, workdir.resolve() / f"seed{seed}" / side)
+                    for side, tree in (("parent", args.parent), ("change", args.change))]
+            lines = differences(*runs)
+            print(f"== {args.workload} seed {seed}")
+            for line in lines:
+                print(line)
+            stages, files = runs[0]
+            verdict = f"{len(lines)} differences" if lines else "no difference"
+            print(f"{args.workload} seed {seed}: {verdict} over {len(stages)} stages and {len(files)} files")
+            differing += bool(lines)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
-    lines = differences(*runs)
-    for line in lines:
-        print(line)
-    stages, files = runs[0]
-    verdict = f"{len(lines)} differences" if lines else "no difference"
-    print(f"{args.workload} seed {args.seed}: {verdict} over {len(stages)} stages and {len(files)} files")
-    return 1 if lines else 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

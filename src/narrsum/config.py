@@ -103,7 +103,7 @@ class RunConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value!r}")
-        if self.rl_updates_every > self.rl_episodes:  # `train_rl` would run no update
+        if self.rl_updates_every > self.rl_episodes:  # a wave that no run can fill
             raise ConfigError(
                 f"rl_updates_every ({self.rl_updates_every}) cannot exceed rl_episodes ({self.rl_episodes})"
             )

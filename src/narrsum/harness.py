@@ -554,18 +554,24 @@ def cmd_baseline(ns, config: RunConfig, out_dir: Path) -> int:
 
 def cmd_evaluate(ns, config: RunConfig, out_dir: Path) -> int:
     pred_dirs = [Path(p) for p in getattr(ns, "pred", [out_dir / "summaries"])]
-    for k, pred_dir in enumerate(pred_dirs):
-        for earlier in pred_dirs[:k]:
-            if earlier.name == pred_dir.name:  # the name heads the system's report column
-                raise UsageError(f"--pred {earlier} and {pred_dir} share the name {pred_dir.name!r}")
+    # A system is named after its resolved directory (`--pred .` after the
+    # working directory), and the name heads the system's report column.
+    names = [pred_dir.resolve().name for pred_dir in pred_dirs]
+    named: dict[str, Path] = {}
+    for pred_dir, name in zip(pred_dirs, names):
+        if not name:
+            raise UsageError(f"--pred {pred_dir} has no directory name to head its report column")
+        if name in named:
+            raise UsageError(f"--pred {named[name]} and {pred_dir} share the name {name!r}")
+        named[name] = pred_dir
     dataset = _load_corpus(config)
     references = {report.id: report.summaries for report in dataset.split(ns.split)}
     systems = []
-    for pred_dir in pred_dirs:
+    for pred_dir, name in zip(pred_dirs, names):
         if not pred_dir.is_dir():
             raise DataError(f"prediction directory not found: {pred_dir}")
         predictions = {path.stem: read_text(path) for path in sorted(pred_dir.glob("*.txt"))}
-        systems.append(evaluate_system(predictions, references, config, system=pred_dir.name))
+        systems.append(evaluate_system(predictions, references, config, system=name))
     report = EvaluationReport(ns.split, config.reference_aggregation, systems)
     write_report(report, out_dir)
     print((out_dir / "report.txt").read_text(encoding="utf-8"), end="")

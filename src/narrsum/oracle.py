@@ -22,6 +22,16 @@ from .rouge import lcs_length, rouge_l_summary
 
 log = logging.getLogger(__name__)
 
+# A type held by df of a report's n sentences takes `SourceIndex.gram`'s
+# pair path when _PAIR_DF_RATIO * df <= n, and the dense blocks otherwise.
+# The pair path costs a type about c_pair * df^2 and a dense block about
+# c_dense * n^2, so the two meet at n / df = sqrt(c_pair / c_dense). Timed per
+# type on one core (Xeon, OpenBLAS at 1 thread), with n types of one df in a
+# full block, the costs were equal at n / df of about 15-20 for n = 300, 23 for
+# n = 1000 and 26 for n = 3000 (c_pair 4-7 ns, c_dense 11-35 ps); 24 lies in
+# that range.
+_PAIR_DF_RATIO = 24
+
 
 @dataclass
 class OracleAlignment:
@@ -67,39 +77,100 @@ class SourceIndex:
         # One posting per (type, sentence) pair, sorted by type, then by sentence.
         keys, self._counts = np.unique(np.array(tokens, dtype=np.int64) * n + owners, return_counts=True)
         self._ids = keys % n
-        self._starts = np.searchsorted(keys // n, np.arange(len(self._types) + 1)).tolist()
-
-    @property
-    def df(self) -> np.ndarray:
-        """Per type, in order of first appearance, the number of sentences holding it."""
-        return np.diff(self._starts)
+        self._first = np.searchsorted(keys // n, np.arange(len(self._types) + 1))
+        self._starts = self._first.tolist()
+        # Per type, in order of first appearance, the number of sentences holding it.
+        self.df = np.diff(self._first)
 
     def gram(self, type_weights: np.ndarray, counted: bool = True) -> np.ndarray:
         """`m @ m.T` for the sentences x types matrix `m` whose entry for a
         sentence and a type it holds is that type's weight (types in `df`'s
         order), times the sentence's count of it when `counted`.
 
-        The postings of n consecutive types at a time are scattered into
-        one reused n x n buffer and multiplied once, and the products are
-        summed: no array is larger than n x n, whatever the vocabulary.
+        A type held by few sentences adds the product of its values for each
+        ordered pair of its sentences, and those pairs are summed by
+        `np.bincount`; the other types are multiplied as dense blocks (see
+        `_PAIR_DF_RATIO`). No array is larger than n x n, and at most four
+        n x n arrays are alive at once, whatever the vocabulary.
         """
-        n = len(self.sentences)
-        df = self.df
-        values = np.repeat(type_weights, df)
+        values = np.repeat(type_weights, self.df)
         if counted:
             values *= self._counts
-        width = max(n, 1)
-        gram = np.zeros((n, n))
+        rare = _PAIR_DF_RATIO * self.df <= len(self.sentences)
+        gram = self._pair_sums(values, np.flatnonzero(rare))
+        self._add_blocks(gram, values, np.flatnonzero(~rare))
+        return gram
+
+    def _postings(self, types: np.ndarray) -> np.ndarray:
+        """Where the postings of `types` (at least one) lie, type after type."""
+        df = self.df[types]
+        ends = np.cumsum(df)
+        return np.repeat(self._first[types] - ends + df, df) + np.arange(ends[-1])
+
+    def _pair_sums(self, values: np.ndarray, types: np.ndarray) -> np.ndarray:
+        """The gram of `types` alone: per type, the product of its values
+        over each ordered pair of the sentences holding it, summed.
+
+        A type held by one sentence adds only to that diagonal entry. The
+        others are taken by `df`: per group, one broadcast writes the pair
+        keys `a * n + b` and one their products into buffers of at most
+        n * n // 2 pairs, and each full buffer is summed by one `np.bincount`.
+        """
+        n = len(self.sentences)
+        types = types[np.argsort(self.df[types], kind="stable")]
+        df = self.df[types]
+        counts = np.bincount(df, minlength=2)
+        ends = np.cumsum(counts).tolist()  # the types of df d are types[ends[d - 1] : ends[d]]
+        single = self._first[types[: ends[1]]]
+        room = min(int(np.dot(df, df)) - len(single), n * n // 2)
+        keys, products = np.empty(room, dtype=np.int64), np.empty(room)
+        gram, used = None, 0
+        for d in (np.flatnonzero(counts[2:]) + 2).tolist():
+            # room >= d * d: it counts this group's pairs, and _PAIR_DF_RATIO * d <= n.
+            step, last = room // (d * d), ends[d]
+            for lo in range(ends[d - 1], last, step):
+                chunk = types[lo : min(lo + step, last)]
+                size = len(chunk) * d * d
+                if used + size > room:
+                    gram = _add_counts(gram, keys[:used], products[:used], n * n)
+                    used = 0
+                # d x len(chunk) postings: the types run along the inner axis,
+                # so that the broadcasts loop over long rows, not d-long ones.
+                self._write_pairs(self._first[chunk] + np.arange(d)[:, None], values, keys[used : used + size],
+                                  products[used : used + size])
+                used += size
+        gram = _add_counts(gram, keys[:used], products[:used], n * n).reshape(n, n)
+        gram.reshape(-1)[:: n + 1] += np.bincount(self._ids[single], np.square(values[single]), minlength=n)
+        return gram
+
+    def _write_pairs(self, posting: np.ndarray, values: np.ndarray, keys: np.ndarray, products: np.ndarray) -> None:
+        """For postings `posting[:, k]` of one type per column k, write each
+        ordered pair (a, b) of them as key `ids[a] * n + ids[b]` and product
+        `values[a] * values[b]`, in (a, b, k) order. A method of its own so
+        that its temporaries are freed before the next buffer is summed."""
+        ids, vals = self._ids[posting], values[posting]
+        shape = (len(posting), *posting.shape)
+        np.add((ids * len(self.sentences))[:, None], ids, out=keys.reshape(shape))
+        np.multiply(vals[:, None], vals, out=products.reshape(shape))
+
+    def _add_blocks(self, gram: np.ndarray, values: np.ndarray, types: np.ndarray) -> None:
+        """Add to `gram` the gram of `types`, up to n types at a time: each
+        block of their columns of `m` is scattered into one reused buffer,
+        only as wide as the block, and multiplied once."""
+        if not len(types):
+            return
+        n = len(gram)
+        width = min(n, len(types))
         block = np.zeros((n, width))
         product = np.empty((n, n))
-        for first in range(0, len(df), width):
-            used = min(width, len(df) - first)
-            lo, hi = self._starts[first], self._starts[first + used]
-            rows, cols = self._ids[lo:hi], np.repeat(np.arange(used), df[first : first + used])
-            block[rows, cols] = values[lo:hi]
-            gram += np.matmul(block[:, :used], block[:, :used].T, out=product)
+        for first in range(0, len(types), width):
+            chunk = types[first : first + width]
+            posting = self._postings(chunk)
+            rows, cols = self._ids[posting], np.repeat(np.arange(len(chunk)), self.df[chunk])
+            block[rows, cols] = values[posting]
+            used = block[:, : len(chunk)]
+            gram += np.matmul(used, used.T, out=product)
             block[rows, cols] = 0.0
-        return gram
 
     def overlap_bounds(self, target: Sequence[str]) -> np.ndarray:
         """Per sentence, the clipped unigram overlap with `target`: an upper bound on their LCS."""
@@ -130,6 +201,16 @@ class SourceIndex:
                 if matches > best:
                     best_idx, best = i, matches
         return best_idx, best
+
+
+def _add_counts(total: np.ndarray | None, keys: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """`np.bincount(keys, weights, minlength=length)`, added into `total` unless it is None."""
+    # Empty `weights` give int64 zeros.
+    counts = np.bincount(keys, weights, minlength=length).astype(np.float64, copy=False)
+    if total is None:
+        return counts
+    total += counts
+    return total
 
 
 def align_summary(

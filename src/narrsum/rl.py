@@ -333,7 +333,9 @@ def train_rl(
     rng: np.random.Generator,
     csv_path: str | Path | None = None,
 ) -> list[RewardRow]:
-    """Alternate sampled rollouts with A2C updates over cycled reports.
+    """Alternate sampled rollouts with A2C updates over cycled reports:
+    one update per `rl_updates_every` episodes, and one on the last wave
+    even when it is shorter.
 
     The curve records, per episode, the mean step reward of a greedy
     rollout on that episode's report (a deterministic function of the
@@ -375,7 +377,7 @@ def train_rl(
             for t, step in enumerate(traj.steps):
                 if step.action < len(ids_lists):
                     wave_pairs.append((ids_lists[step.action], vocab.encode(gold[t])))
-        if len(wave) >= config.rl_updates_every:
+        if len(wave) >= config.rl_updates_every or episode == config.rl_episodes - 1:
             stats = trainer.update(wave)
             if stats is not None:
                 last = stats

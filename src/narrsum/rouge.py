@@ -43,7 +43,7 @@ class MetricVariant(enum.Enum):
 
 
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(candidate: TokenSeq, reference: TokenSeq, n: int) -> RougeScore:
@@ -160,11 +160,10 @@ def rouge_l_summary(candidate_sentences: SentenceSeq, reference_sentences: Sente
 
 
 def _su4_units(tokens: TokenSeq) -> Counter:
-    units = Counter()
-    for i, tok in enumerate(tokens):
-        units[(tok,)] += 1
-        for j in range(i + 1, min(i + 5, len(tokens))):
-            units[(tok, tokens[j])] += 1
+    """Each unigram, and each ordered pair of tokens 1 to 4 positions apart."""
+    units = Counter(zip(tokens))
+    for gap in range(1, 5):
+        units.update(zip(tokens, tokens[gap:]))
     return units
 
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from narrsum.baselines import (
 )
 from narrsum.config import RunConfig
 from narrsum.corpus import Document
+from narrsum.oracle import _PAIR_DF_RATIO, SourceIndex
 
 CONFIG = RunConfig()
 
@@ -144,6 +146,28 @@ def dense_power_iteration(weights, damping=0.85, tol=1e-6, max_iter=100):
     return scores
 
 
+def blocked_gram(index: SourceIndex, type_weights, counted=True):
+    """Reference: `SourceIndex.gram` as one dense path, the postings of n
+    consecutive types at a time scattered into an n x n block and multiplied."""
+    n = len(index.sentences)
+    df = index.df
+    values = np.repeat(type_weights, df)
+    if counted:
+        values *= index._counts
+    width = max(n, 1)
+    gram = np.zeros((n, n))
+    block = np.zeros((n, width))
+    product = np.empty((n, n))
+    for first in range(0, len(df), width):
+        used = min(width, len(df) - first)
+        lo, hi = index._starts[first], index._starts[first + used]
+        rows, cols = index._ids[lo:hi], np.repeat(np.arange(used), df[first : first + used])
+        block[rows, cols] = values[lo:hi]
+        gram += np.matmul(block[:, :used], block[:, :used].T, out=product)
+        block[rows, cols] = 0.0
+    return gram
+
+
 # ---------------------------------------------------------------- graphs
 
 
@@ -233,6 +257,96 @@ def test_lexrank_blocks_match_dense_product(token_lists, threshold):
     _, cosines = pair_loop_lexrank_weights(token_lists, threshold)
     away = np.abs(cosines - threshold) > 1e-12
     assert np.array_equal((got != 0.0)[away], (want != 0.0)[away])
+
+
+@st.composite
+def two_path_documents(draw):
+    """1-150 sentences: a few types held by most sentences and a long tail,
+    some tokens repeated. `paths` "rare" builds only types that take the pair
+    path of `SourceIndex.gram`, and "dense" has fewer sentences than
+    `_PAIR_DF_RATIO`, so that every type takes the dense blocks."""
+    paths = draw(st.sampled_from(["mixed", "rare", "dense"]))
+    low, high = {"mixed": (1, 150), "rare": (_PAIR_DF_RATIO, 150), "dense": (1, _PAIR_DF_RATIO - 1)}[paths]
+    n = draw(st.integers(min_value=low, max_value=high))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    token_lists = [[] for _ in range(n)]
+    if paths == "rare":
+        for t in range(int(rng.integers(1, 40 * n))):
+            for i in rng.choice(n, size=int(rng.integers(1, n // _PAIR_DF_RATIO + 1)), replace=False).tolist():
+                token_lists[i] += [f"t{t}"] * int(rng.integers(1, 3))
+    else:
+        common = int(rng.integers(0, 5))
+        tail = int(rng.integers(1, 3000))
+        for toks in token_lists:
+            toks += [f"c{k}" for k in range(common) if rng.uniform() < 0.8]
+            toks += [f"t{int(k)}" for k in rng.integers(tail, size=int(rng.integers(0, 31)))]
+    for i, toks in enumerate(token_lists):
+        # Every sentence holds a token, and its first token twice.
+        toks.append(toks[0] if toks else f"only{i}")
+        rng.shuffle(toks)
+    return paths, token_lists
+
+
+def reference_graphs(token_lists, threshold):
+    """TextRank and LexRank weights built with `blocked_gram` as the gram."""
+    with mock.patch.object(SourceIndex, "gram", blocked_gram):
+        return textrank_graph(token_lists).weights, lexrank_graph(token_lists, threshold).weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_path_documents(), st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_gram_matches_blocked_reference(document, counted, seed):
+    paths, token_lists = document
+    n, index = len(token_lists), SourceIndex(token_lists)
+    rare = _PAIR_DF_RATIO * index.df <= n
+    assert {"rare": rare.all(), "dense": not rare.any(), "mixed": True}[paths]
+    ones = np.ones(len(index.df))
+    assert np.array_equal(index.gram(ones, counted), blocked_gram(index, ones, counted))
+    rng = np.random.default_rng(seed)
+    weights = np.where(rng.uniform(size=len(ones)) < 0.2, 0.0, rng.uniform(0.0, 3.0, size=len(ones)))
+    got, want = index.gram(weights, counted), blocked_gram(index, weights, counted)
+    assert got.shape == (n, n)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_path_documents(), st.sampled_from([0.0, 0.01, 0.1, 0.3]))
+def test_graphs_match_blocked_reference(document, threshold):
+    _, token_lists = document
+    textrank_want, lexrank_want = reference_graphs(token_lists, threshold)
+    textrank_got = textrank_graph(token_lists)
+    assert np.array_equal(textrank_got.weights, textrank_want)
+    assert np.array_equal(pagerank(textrank_got), pagerank(SentenceGraph(textrank_want)))
+    lexrank_got = lexrank_graph(token_lists, threshold).weights
+    assert np.allclose(lexrank_got, lexrank_want, rtol=0.0, atol=1e-12)
+    _, cosines = pair_loop_lexrank_weights(token_lists, threshold)
+    away = np.abs(cosines - threshold) > 1e-12
+    assert np.array_equal((lexrank_got != 0.0)[away], (lexrank_want != 0.0)[away])
+
+
+@pytest.mark.parametrize("counted", [False, True])
+def test_gram_pair_path_memory_stays_within_four_square_arrays(counted):
+    # 240 sentences of about 50 tokens, each type held by 10 of them: every
+    # type takes the pair path, and their 120 000 pairs fill its buffers of
+    # n * n // 2 pairs four times over.
+    rng = np.random.default_rng(9)
+    n = 240
+    token_lists = [[] for _ in range(n)]
+    for t in range(1200):
+        for i in rng.choice(n, size=n // _PAIR_DF_RATIO, replace=False).tolist():
+            token_lists[i].append(f"t{t}")
+    index = SourceIndex(token_lists)
+    assert (_PAIR_DF_RATIO * index.df <= n).all() and int(np.dot(index.df, index.df)) > 4 * (n * n // 2)
+    weights = np.ones(len(index.df))
+    tracemalloc.start()
+    try:
+        gram = index.gram(weights, counted)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8
+    assert np.array_equal(gram, blocked_gram(index, weights, counted))
 
 
 @pytest.mark.parametrize("builder", [textrank_graph, lexrank_graph])

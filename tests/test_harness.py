@@ -648,9 +648,31 @@ def test_cli_evaluate_refuses_pred_dirs_sharing_a_name(pipeline, tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_evaluate_names_a_system_after_its_resolved_directory(pipeline, tmp_path, monkeypatch):
+    """`--pred .` run inside a prediction directory names the system after
+    that directory, as `--pred <its path>` does."""
+    out = tmp_path / "out"
+    config = ["--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"].resolve())]
+    monkeypatch.chdir(pipeline["out"] / "summaries")
+    assert cli(["evaluate", "--pred", ".", *config, "--out", str(out)]) == 0
+    by_dot = (out / "report.csv").read_text()
+    assert by_dot.splitlines()[0] == "metric,summaries"
+    shutil.rmtree(out)
+    assert cli(["evaluate", "--pred", str(pipeline["out"] / "summaries"), *config, "--out", str(out)]) == 0
+    assert (out / "report.csv").read_text() == by_dot
+
+
+def test_cli_evaluate_refuses_a_pred_dir_without_a_name(pipeline, tmp_path, capsys):
+    """The root has no name to head a report column: exit 1, and nothing is written."""
+    out = tmp_path / "out"
+    assert cli(["evaluate", "--pred", "/", *pipeline["base"][:4], "--out", str(out)]) == 1
+    assert "--pred / has no directory name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rl_with_fewer_episodes_than_one_update_is_config_error(pipeline, tmp_path, capsys):
-    """rl_updates_every above rl_episodes would run no update and save the
-    pretrained pointer as extractor_rl.ckpt: exit 2 before any output."""
+    """rl_updates_every above rl_episodes is a wave no run can fill: exit 2
+    before any output."""
     out = tmp_path / "out"
     out.mkdir()
     for name in ("extractor.ckpt", "abstractor.ckpt"):

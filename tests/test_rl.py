@@ -489,6 +489,24 @@ def test_identical_seeds_give_identical_curves():
     assert run() == run()
 
 
+def test_last_partial_wave_is_trained_on():
+    """At two episodes per update, the fifth episode's rollout is an update
+    of its own: five episodes train the pointer further than four."""
+    def run(episodes):
+        vocab, report, alignment = rl_world()
+        extractor = ExtractorModel(14, 8, 6, np.random.default_rng(61))
+        critic = Critic(6, np.random.default_rng(62))
+        config = RunConfig(hidden_dim=6, rl_lr=0.01, rl_updates_every=2, max_output_tokens=6, rl_episodes=episodes)
+        train_rl(
+            [report], [alignment], extractor, small_abstractor(seed=63), critic, vocab, config,
+            rng=np.random.default_rng(64),
+        )
+        return {k: v.data.copy() for k, v in extractor.params.items()}
+
+    four, five = run(4), run(5)
+    assert any(not np.array_equal(five[k], four[k]) for k in four)
+
+
 def test_reward_curve_csv(tmp_path):
     vocab, report, alignment = rl_world()
     extractor = ExtractorModel(14, 8, 6, np.random.default_rng(31))

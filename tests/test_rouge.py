@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from narrsum.rouge import (
     MetricVariant,
     RougeScore,
+    _ngrams,
+    _su4_units,
     best_against_references,
     lcs_length,
     lcs_match_positions,
@@ -121,6 +123,21 @@ def oracle_su4_units(tokens):
     for i, j in itertools.combinations(range(len(tokens)), 2):
         if j - i <= 4:
             units[(tokens[i], tokens[j])] += 1
+    return units
+
+
+def loop_ngrams(tokens, n):
+    """Reference for `rouge._ngrams`: one slice per start position."""
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def loop_su4_units(tokens):
+    """Reference for `rouge._su4_units`: one `Counter` update per unit."""
+    units = Counter()
+    for i, tok in enumerate(tokens):
+        units[(tok,)] += 1
+        for j in range(i + 1, min(i + 5, len(tokens))):
+            units[(tok, tokens[j])] += 1
     return units
 
 
@@ -324,6 +341,26 @@ def test_rouge_su4_matches_enumeration(cand, ref):
     assert got.precision == pytest.approx(expected.precision)
     assert got.recall == pytest.approx(expected.recall)
     assert got.f1 == pytest.approx(expected.f1)
+
+
+short_tokens = st.one_of(
+    st.lists(st.sampled_from("ab"), max_size=4),
+    st.lists(st.sampled_from("abc"), max_size=16),
+    st.lists(st.sampled_from("abcdef"), max_size=40).map(tuple),
+)
+
+
+@settings(max_examples=400)
+@given(short_tokens, short_tokens, st.integers(1, 5))
+def test_unit_counts_match_their_loops(cand, ref, n):
+    assert _su4_units(cand) == loop_su4_units(cand)
+    assert _ngrams(cand, n) == loop_ngrams(cand, n)
+    cand_units, ref_units = loop_su4_units(cand), loop_su4_units(ref)
+    matches = sum((cand_units & ref_units).values())
+    assert rouge_su4(cand, ref) == RougeScore.from_counts(matches, sum(cand_units.values()), sum(ref_units.values()))
+    cand_grams, ref_grams = loop_ngrams(cand, n), loop_ngrams(ref, n)
+    matches = sum((cand_grams & ref_grams).values())
+    assert rouge_n(cand, ref, n) == RougeScore.from_counts(matches, sum(cand_grams.values()), sum(ref_grams.values()))
 
 
 # ---------------------------------------------------------------- shared properties
