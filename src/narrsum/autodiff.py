@@ -40,11 +40,12 @@ class Value:
     goes out of scope.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "spare", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents: tuple = (), backward: Callable[[np.ndarray], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.spare: np.ndarray | None = None  # a gradient array that `Adam.zero_grad` handed back
         self._parents = parents
         self._backward = backward
 
@@ -54,8 +55,18 @@ class Value:
 
     def accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape)
+            self.grad = self.grad_zeros()
         self.grad += g
+
+    def grad_zeros(self) -> np.ndarray:
+        """A zero array of the data's shape to start `grad` with: the spare,
+        zero-filled and taken, when there is one, else a new array."""
+        spare = self.spare
+        if spare is None:
+            return np.zeros(self.data.shape)
+        self.spare = None
+        spare.fill(0.0)
+        return spare
 
     def __repr__(self) -> str:
         return f"Value(shape={self.data.shape})"
@@ -157,7 +168,7 @@ def embedding_lookup(table: Value, ids: Sequence[int]) -> Value:
 
     def backward(g):
         if table.grad is None:
-            table.grad = np.zeros_like(table.data)
+            table.grad = table.grad_zeros()
         np.add.at(table.grad, idx, g)
 
     return Value(table.data[idx], (table,), backward)
@@ -196,10 +207,10 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
             ]
         )
         if w.grad is None:
-            w.grad = np.zeros_like(w.data)
+            w.grad = w.grad_zeros()
         w.grad[: 3 * hidden] += np.outer(dz, xh)
         if b.grad is None:
-            b.grad = np.zeros_like(b.data)
+            b.grad = b.grad_zeros()
         b.grad[: 3 * hidden] += dz
         dxh = w.data[: 3 * hidden].T @ dz
         x.accum(dxh[:in_dim])
@@ -211,10 +222,10 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
         c_next.accum(gh * o * (1.0 - t * t))
         dz_o = gh * t * o * (1.0 - o)
         if w.grad is None:
-            w.grad = np.zeros_like(w.data)
+            w.grad = w.grad_zeros()
         w.grad[3 * hidden :] += np.outer(dz_o, xh)
         if b.grad is None:
-            b.grad = np.zeros_like(b.data)
+            b.grad = b.grad_zeros()
         b.grad[3 * hidden :] += dz_o
         dxh = w.data[3 * hidden :].T @ dz_o
         x.accum(dxh[:in_dim])
@@ -224,32 +235,72 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
     return h_next, c_next
 
 
-def lstm_gates(z: np.ndarray, c_prev: np.ndarray, acts: np.ndarray):
+def lstm_gates(z: np.ndarray, c_prev: np.ndarray, acts: np.ndarray, out: tuple | None = None):
     """The LSTM gate step, in `lstm_cell`'s [i; f; g; o] layout, on
     pre-activations `z` (..., 4H) that already hold every matrix product and
-    the bias. Writes the gate activations into `acts` (shaped like `z`) and
-    returns the new cell, its tanh and the new hidden state."""
+    the bias. Writes the gate activations into `acts` (shaped like `z`), and
+    the new cell, its tanh and the new hidden state into `out` (three arrays
+    shaped like `c_prev`; new ones when it is not given), which it returns.
+
+    Each result is computed with the operations, in the order, of
+    `sigmoid(z)`, `c = f * c_prev + i * g` and `h = o * tanh(c)` written out,
+    only into the given arrays instead of temporaries, so it rounds the same.
+    """
     hidden = z.shape[-1] // 4
-    acts[...] = 1.0 / (1.0 + np.exp(-z))
-    acts[..., 2 * hidden : 3 * hidden] = np.tanh(z[..., 2 * hidden : 3 * hidden])
-    c = acts[..., hidden : 2 * hidden] * c_prev + acts[..., :hidden] * acts[..., 2 * hidden : 3 * hidden]
-    tanh_c = np.tanh(c)
-    return c, tanh_c, acts[..., 3 * hidden :] * tanh_c
+    c, tanh_c, h = (None, None, None) if out is None else out  # a NumPy `out=None` allocates
+    np.negative(z, out=acts)
+    np.exp(acts, out=acts)
+    acts += 1.0
+    np.divide(1.0, acts, out=acts)
+    i, f = acts[..., :hidden], acts[..., hidden : 2 * hidden]
+    g, o = acts[..., 2 * hidden : 3 * hidden], acts[..., 3 * hidden :]
+    np.tanh(z[..., 2 * hidden : 3 * hidden], out=g)
+    c = np.multiply(f, c_prev, out=c)
+    tanh_c = np.multiply(i, g, out=tanh_c)
+    c += tanh_c
+    np.tanh(c, out=tanh_c)
+    return c, tanh_c, np.multiply(o, tanh_c, out=h)
 
 
 def lstm_gates_grad(dh, dc, acts, tanh_c, c_prev, dz) -> np.ndarray:
     """Backward of `lstm_gates`: given the gradient `dh` of the new hidden
     state and the gradient `dc` that later steps pass to the new cell, writes
-    the pre-activations' gradient into `dz` and returns the previous cell's."""
+    the pre-activations' gradient into `dz`, overwrites `dc` with the previous
+    cell's gradient and returns it.
+
+    Every product keeps the operand order of the formula it computes, for
+    instance `(dh * o) * (1 - tanh_c²)`, so each rounds as written out. Each
+    gate's gradient is formed in a contiguous scratch array and then copied
+    into its block of `dz`: a batch's blocks are strided, and NumPy writes
+    strided memory more slowly than it copies into it once.
+    """
     hidden = dh.shape[-1]
     i, f = acts[..., :hidden], acts[..., hidden : 2 * hidden]
     g, o = acts[..., 2 * hidden : 3 * hidden], acts[..., 3 * hidden :]
-    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    dz[..., :hidden] = dc * g * i * (1.0 - i)
-    dz[..., hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
-    dz[..., 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
-    dz[..., 3 * hidden :] = dh * tanh_c * o * (1.0 - o)
-    return dc * f
+    product = np.multiply(dh, tanh_c)
+    product *= o
+    factor = np.subtract(1.0, o)
+    product *= factor
+    dz[..., 3 * hidden :] = product  # dh * tanh_c * o * (1 - o)
+    np.multiply(tanh_c, tanh_c, out=factor)
+    np.subtract(1.0, factor, out=factor)
+    np.multiply(dh, o, out=product)
+    product *= factor
+    dc += product  # dc + dh * o * (1 - tanh_c²)
+    np.multiply(dc, i, out=product)
+    np.multiply(g, g, out=factor)
+    product *= np.subtract(1.0, factor, out=factor)
+    dz[..., 2 * hidden : 3 * hidden] = product  # dc * i * (1 - g²)
+    np.multiply(dc, c_prev, out=product)
+    product *= f
+    product *= np.subtract(1.0, f, out=factor)
+    dz[..., hidden : 2 * hidden] = product  # dc * c_prev * f * (1 - f)
+    np.multiply(dc, g, out=product)
+    product *= i
+    product *= np.subtract(1.0, i, out=factor)
+    dz[..., :hidden] = product  # dc * g * i * (1 - i)
+    dc *= f
+    return dc
 
 
 def attend(key_proj: np.ndarray, query: np.ndarray, wq: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None):
@@ -264,49 +315,60 @@ def attend(key_proj: np.ndarray, query: np.ndarray, wq: np.ndarray, v: np.ndarra
     return squash, scores, e / e.sum()
 
 
-def _lstm_scan(xz: np.ndarray, wh: np.ndarray, mask: np.ndarray):
-    """One LSTM direction over time-major pre-activations `xz` (T, B, 4H),
-    which already hold the input projection and the bias.
+def _lstm_scan(xz: np.ndarray, wh_t: np.ndarray, mask: np.ndarray):
+    """Two LSTM directions stepped together, one time loop for both.
 
-    Rows whose `mask` (T, B, 1) is 0 at a step have their state zeroed
-    there, so padding never leaks into real positions. Returns the gate
-    activations (T, B, 4H), tanh of the raw cell (T, B, H), and the hidden
-    and cell states (T + 1, B, H) with the zero initial state at index 0.
+    `xz` (2, T, B, 4H) holds each direction's pre-activations, direction
+    major, with the input projection and the bias already in; `wh_t`
+    (2, H, 4H) holds each direction's recurrent weights, transposed. Step t
+    advances both directions with one batched product `hs[t] @ wh_t`. Rows
+    whose `mask` (T, 2, B, 1) is 0 at a step have their state zeroed there,
+    so padding never leaks into real positions.
+
+    Returns, time major so that each step reads and writes contiguous
+    memory, the gate activations (T, 2, B, 4H), tanh of the raw cell
+    (T, 2, B, H), and the hidden and cell states (T + 1, 2, B, H) with the
+    zero initial state at index 0. Each direction's values are, bit for
+    bit, those of a scan of that direction alone.
     """
-    steps, n, four_h = xz.shape
+    _, steps, n, four_h = xz.shape
     hidden = four_h // 4
-    ragged = (mask == 0.0).any(axis=(1, 2))
-    acts = np.empty_like(xz)
-    tanh_c = np.empty((steps, n, hidden))
-    hs = np.zeros((steps + 1, n, hidden))
-    cs = np.zeros((steps + 1, n, hidden))
-    wh_t = wh.T
+    ragged = (mask == 0.0).any(axis=(1, 2, 3))
+    acts = np.empty((steps, 2, n, four_h))
+    tanh_c = np.empty((steps, 2, n, hidden))
+    hs = np.zeros((steps + 1, 2, n, hidden))
+    cs = np.zeros((steps + 1, 2, n, hidden))
+    z = np.empty((2, n, four_h))
     for t in range(steps):
-        c, tanh_c[t], h = lstm_gates(xz[t] + hs[t] @ wh_t, cs[t], acts[t])
+        np.matmul(hs[t], wh_t, out=z)
+        z += xz[:, t]
+        lstm_gates(z, cs[t], acts[t], (cs[t + 1], tanh_c[t], hs[t + 1]))
         if ragged[t]:
-            c *= mask[t]
-            h *= mask[t]
-        cs[t + 1] = c
-        hs[t + 1] = h
+            cs[t + 1] *= mask[t]
+            hs[t + 1] *= mask[t]
     return acts, tanh_c, hs, cs
 
 
 def _lstm_scan_grad(dh_out: np.ndarray, wh: np.ndarray, mask: np.ndarray, acts, tanh_c, cs) -> np.ndarray:
-    """Backpropagation through time for `_lstm_scan`: the gradient with
-    respect to the pre-activations (T, B, 4H), given the gradient with
-    respect to the emitted hidden states `dh_out` (T, B, H)."""
-    steps, n, hidden = dh_out.shape
-    ragged = (mask == 0.0).any(axis=(1, 2))
-    dz = np.empty((steps, n, 4 * hidden))
-    dh = np.zeros((n, hidden))
-    dc = np.zeros((n, hidden))
+    """Backpropagation through time for `_lstm_scan`, both directions in one
+    loop: given the gradient with respect to the emitted hidden states
+    `dh_out` (T, 2, B, H) and the recurrent weights `wh` (2, 4H, H), returns
+    the gradient with respect to the pre-activations, direction major
+    (2, T, B, 4H), so that each direction's weight gradient is one product
+    over a contiguous block."""
+    steps, _, n, hidden = dh_out.shape
+    ragged = (mask == 0.0).any(axis=(1, 2, 3))
+    dz = np.empty((2, steps, n, 4 * hidden))
+    dh = np.zeros((2, n, hidden))
+    dc = np.zeros((2, n, hidden))
     for t in range(steps - 1, -1, -1):
-        dh = dh + dh_out[t]
+        dh += dh_out[t]
         if ragged[t]:
             dh *= mask[t]
             dc *= mask[t]
-        dc = lstm_gates_grad(dh, dc, acts[t], tanh_c[t], cs[t], dz[t])
-        dh = dz[t] @ wh
+        dz_t = dz[:, t]
+        lstm_gates_grad(dh, dc, acts[t], tanh_c[t], cs[t], dz_t)
+        np.matmul(dz_t, wh, out=dh)
     return dz
 
 
@@ -319,8 +381,10 @@ def bilstm_batch(
     Returns `states` (B, T, 2H), the forward and backward hidden state at
     each position side by side and zero at padding, and `finals` (B, 2H),
     each row's forward state at its last position beside its backward
-    state at position 0. Backpropagation through time is hand-written;
-    padded positions receive exactly zero gradient.
+    state at position 0. Each direction's input projection is one product
+    over all steps; the recurrences of both directions then run in one
+    `_lstm_scan`, forward and backward. Backpropagation through time is
+    hand-written; padded positions receive exactly zero gradient.
     """
     _require(x.data.ndim == 3, f"bilstm_batch: rank {x.data.ndim}")
     n, steps, dim = x.shape
@@ -332,27 +396,40 @@ def bilstm_batch(
         _require(b.shape == (4 * hidden,), f"bilstm_batch: bias {b.shape}")
 
     x_fwd = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # time-major (T, B, D)
-    mask_fwd = (np.arange(steps)[:, None] < lens[None, :]).astype(np.float64)[:, :, None]
     # The backward direction is the forward recurrence over time-reversed
     # rows, whose padding then comes first and keeps the state at zero.
-    directions = ((wf, bf, x_fwd, mask_fwd), (wb, bb, x_fwd[::-1], mask_fwd[::-1]))
-    scans = []
-    for w, b, xs, mask in directions:
-        xz = xs.reshape(-1, dim) @ w.data[:, :dim].T + b.data  # every step's input projection at once
-        scans.append(_lstm_scan(xz.reshape(steps, n, 4 * hidden), w.data[:, dim:], mask))
-    h_fwd = scans[0][2][1:]
-    h_bwd = scans[1][2][:0:-1]
+    directions = ((wf, bf, x_fwd), (wb, bb, x_fwd[::-1]))
+    mask = np.empty((steps, 2, n, 1))
+    mask_fwd = np.arange(steps)[:, None] < lens
+    mask[:, 0, :, 0] = mask_fwd
+    mask[:, 1, :, 0] = mask_fwd[::-1]
+    # Sliced from the whole weights, so that each direction's recurrent
+    # products see the strides of `w.data[:, dim:]`: on a contiguous copy,
+    # some small products round differently.
+    wh = np.empty((2,) + wf.shape)
+    wh[0], wh[1] = wf.data, wb.data
+    wh = wh[:, :, dim:]
+    xz = np.empty((2, steps, n, 4 * hidden))
+    for (w, b, xs), xz_d in zip(directions, xz):
+        xz_d = xz_d.reshape(-1, 4 * hidden)
+        np.matmul(xs.reshape(-1, dim), w.data[:, :dim].T, out=xz_d)  # every step's input projection at once
+        xz_d += b.data
+    acts, tanh_c, hs, cs = _lstm_scan(xz, wh.transpose(0, 2, 1), mask)
+    h_fwd = hs[1:, 0]
+    h_bwd = hs[:0:-1, 1]
 
     def backward_states(g):
         g = g.transpose(1, 0, 2)
+        dh_out = np.empty((steps, 2, n, hidden))
+        dh_out[:, 0] = g[:, :, :hidden]
+        dh_out[:, 1] = g[::-1, :, hidden:]
+        dz = _lstm_scan_grad(dh_out, wh, mask, acts, tanh_c, cs)
         dx = np.zeros((steps, n, dim))
-        for (w, b, xs, mask), (acts, tanh_c, hs, cs), dh, flip in zip(
-            directions, scans, (g[:, :, :hidden], g[::-1, :, hidden:]), (1, -1)
-        ):
-            dz = _lstm_scan_grad(dh, w.data[:, dim:], mask, acts, tanh_c, cs).reshape(-1, 4 * hidden)
-            w.accum(dz.T @ np.concatenate([xs, hs[:-1]], axis=2).reshape(-1, dim + hidden))
-            b.accum(dz.sum(axis=0))
-            dx += (dz @ w.data[:, :dim]).reshape(steps, n, dim)[::flip]
+        for (w, b, xs), dz_d, h_prev, flip in zip(directions, dz, hs[:-1].swapaxes(0, 1), (1, -1)):
+            dz_d = dz_d.reshape(-1, 4 * hidden)
+            w.accum(dz_d.T @ np.concatenate([xs, h_prev], axis=2).reshape(-1, dim + hidden))
+            b.accum(dz_d.sum(axis=0))
+            dx += (dz_d @ w.data[:, :dim]).reshape(steps, n, dim)[::flip]
         x.accum(dx.transpose(1, 0, 2))
 
     states = Value(
@@ -714,6 +791,15 @@ class Adam:
         }
 
     def zero_grad(self) -> None:
+        """Mark every parameter's gradient as not reached (`grad` None), as
+        `zero_grads` does, but keep each gradient array as the parameter's
+        spare: the first `accum` of the next step zero-fills it and takes it
+        back, so training steps allocate no gradient arrays. An array read
+        from `grad` before this call is overwritten by the next backward;
+        copy it to keep it."""
+        for p in self.params.values():
+            if p.grad is not None:
+                p.spare = p.grad
         zero_grads(self.params.values())
 
     def step(self) -> float:

@@ -103,10 +103,6 @@ class RunConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value!r}")
-        if self.rl_updates_every > self.rl_episodes:  # a wave that no run can fill
-            raise ConfigError(
-                f"rl_updates_every ({self.rl_updates_every}) cannot exceed rl_episodes ({self.rl_episodes})"
-            )
         if not self.lr > 0:
             raise ConfigError(f"lr must be greater than 0, got {self.lr!r}")
         if self.rl_lr is not None and not self.rl_lr >= 0:

@@ -5,6 +5,13 @@
 output position. `percell_extractor_encode` is the extractor's encoder built
 the same way, one word sequence at a time.
 
+`bilstm_batch_two_loops` is `autodiff.bilstm_batch` as it was before both
+directions shared one time loop: a separate scan per direction
+(`lstm_scan_one_direction` and `lstm_scan_grad_one_direction`) on the gate
+kernels `lstm_gates_allocating` and `lstm_gates_grad_allocating`, which
+return new arrays where `autodiff.lstm_gates` and `lstm_gates_grad` write in
+place. The fused code must equal it bit for bit.
+
 `abstractor_step` is the abstractor decoder step that `attention_decoder`,
 `linear` and `mean_cross_entropy` replaced in training and the graph-free
 `AbstractorModel._decode_step` replaced in decoding: one `take_row`,
@@ -82,6 +89,147 @@ def percell_extractor_encode(model, ids_lists: Sequence[Sequence[int]]) -> ad.Va
         sentence_vecs.append(ad.concat([f_last, b_first]))
     contextual, _, _ = bilstm_sequence(sentence_vecs, p["sent_f_w"], p["sent_f_b"], p["sent_b_w"], p["sent_b_b"], h)
     return stack_rows(contextual + [p["stop_key"]])
+
+
+# ---------------------------------------------------------------- two-loop BiLSTM
+
+
+def lstm_gates_allocating(z: np.ndarray, c_prev: np.ndarray, acts: np.ndarray):
+    """The LSTM gate step, in `ad.lstm_cell`'s [i; f; g; o] layout, on
+    pre-activations `z` (..., 4H) that already hold every matrix product and
+    the bias. Writes the gate activations into `acts` (shaped like `z`) and
+    returns the new cell, its tanh and the new hidden state."""
+    hidden = z.shape[-1] // 4
+    acts[...] = 1.0 / (1.0 + np.exp(-z))
+    acts[..., 2 * hidden : 3 * hidden] = np.tanh(z[..., 2 * hidden : 3 * hidden])
+    c = acts[..., hidden : 2 * hidden] * c_prev + acts[..., :hidden] * acts[..., 2 * hidden : 3 * hidden]
+    tanh_c = np.tanh(c)
+    return c, tanh_c, acts[..., 3 * hidden :] * tanh_c
+
+
+def lstm_gates_grad_allocating(dh, dc, acts, tanh_c, c_prev, dz) -> np.ndarray:
+    """Backward of `lstm_gates_allocating`: given the gradient `dh` of the new hidden
+    state and the gradient `dc` that later steps pass to the new cell, writes
+    the pre-activations' gradient into `dz` and returns the previous cell's."""
+    hidden = dh.shape[-1]
+    i, f = acts[..., :hidden], acts[..., hidden : 2 * hidden]
+    g, o = acts[..., 2 * hidden : 3 * hidden], acts[..., 3 * hidden :]
+    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    dz[..., :hidden] = dc * g * i * (1.0 - i)
+    dz[..., hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
+    dz[..., 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
+    dz[..., 3 * hidden :] = dh * tanh_c * o * (1.0 - o)
+    return dc * f
+
+
+def lstm_scan_one_direction(xz: np.ndarray, wh: np.ndarray, mask: np.ndarray):
+    """One LSTM direction over time-major pre-activations `xz` (T, B, 4H),
+    which already hold the input projection and the bias.
+
+    Rows whose `mask` (T, B, 1) is 0 at a step have their state zeroed
+    there, so padding never leaks into real positions. Returns the gate
+    activations (T, B, 4H), tanh of the raw cell (T, B, H), and the hidden
+    and cell states (T + 1, B, H) with the zero initial state at index 0.
+    """
+    steps, n, four_h = xz.shape
+    hidden = four_h // 4
+    ragged = (mask == 0.0).any(axis=(1, 2))
+    acts = np.empty_like(xz)
+    tanh_c = np.empty((steps, n, hidden))
+    hs = np.zeros((steps + 1, n, hidden))
+    cs = np.zeros((steps + 1, n, hidden))
+    wh_t = wh.T
+    for t in range(steps):
+        c, tanh_c[t], h = lstm_gates_allocating(xz[t] + hs[t] @ wh_t, cs[t], acts[t])
+        if ragged[t]:
+            c *= mask[t]
+            h *= mask[t]
+        cs[t + 1] = c
+        hs[t + 1] = h
+    return acts, tanh_c, hs, cs
+
+
+def lstm_scan_grad_one_direction(
+    dh_out: np.ndarray, wh: np.ndarray, mask: np.ndarray, acts, tanh_c, cs
+) -> np.ndarray:
+    """Backpropagation through time for `lstm_scan_one_direction`: the gradient with
+    respect to the pre-activations (T, B, 4H), given the gradient with
+    respect to the emitted hidden states `dh_out` (T, B, H)."""
+    steps, n, hidden = dh_out.shape
+    ragged = (mask == 0.0).any(axis=(1, 2))
+    dz = np.empty((steps, n, 4 * hidden))
+    dh = np.zeros((n, hidden))
+    dc = np.zeros((n, hidden))
+    for t in range(steps - 1, -1, -1):
+        dh = dh + dh_out[t]
+        if ragged[t]:
+            dh *= mask[t]
+            dc *= mask[t]
+        dc = lstm_gates_grad_allocating(dh, dc, acts[t], tanh_c[t], cs[t], dz[t])
+        dh = dz[t] @ wh
+    return dz
+
+
+def bilstm_batch_two_loops(
+    x: ad.Value, lengths: Sequence[int], wf: ad.Value, bf: ad.Value, wb: ad.Value, bb: ad.Value, hidden: int
+) -> tuple[ad.Value, ad.Value]:
+    """Both LSTM directions over a padded batch `x` (B, T, D) of sequences
+    with the given per-row lengths; weights use `ad.lstm_cell`'s layout.
+
+    Returns `states` (B, T, 2H), the forward and backward hidden state at
+    each position side by side and zero at padding, and `finals` (B, 2H),
+    each row's forward state at its last position beside its backward
+    state at position 0. Backpropagation through time is hand-written;
+    padded positions receive exactly zero gradient.
+    """
+    ad._require(x.data.ndim == 3, f"bilstm_batch: rank {x.data.ndim}")
+    n, steps, dim = x.shape
+    lens = np.asarray(lengths, dtype=np.int64)
+    ad._require(lens.shape == (n,), f"bilstm_batch: lengths {lens.shape} for {n} rows")
+    ad._require(n > 0 and lens.min() >= 1 and lens.max() <= steps, f"bilstm_batch: lengths outside 1..{steps}")
+    for w, b in ((wf, bf), (wb, bb)):
+        ad._require(w.shape == (4 * hidden, dim + hidden), f"bilstm_batch: weight {w.shape}")
+        ad._require(b.shape == (4 * hidden,), f"bilstm_batch: bias {b.shape}")
+
+    x_fwd = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # time-major (T, B, D)
+    mask_fwd = (np.arange(steps)[:, None] < lens[None, :]).astype(np.float64)[:, :, None]
+    # The backward direction is the forward recurrence over time-reversed
+    # rows, whose padding then comes first and keeps the state at zero.
+    directions = ((wf, bf, x_fwd, mask_fwd), (wb, bb, x_fwd[::-1], mask_fwd[::-1]))
+    scans = []
+    for w, b, xs, mask in directions:
+        xz = xs.reshape(-1, dim) @ w.data[:, :dim].T + b.data  # every step's input projection at once
+        scans.append(lstm_scan_one_direction(xz.reshape(steps, n, 4 * hidden), w.data[:, dim:], mask))
+    h_fwd = scans[0][2][1:]
+    h_bwd = scans[1][2][:0:-1]
+
+    def backward_states(g):
+        g = g.transpose(1, 0, 2)
+        dx = np.zeros((steps, n, dim))
+        for (w, b, xs, mask), (acts, tanh_c, hs, cs), dh, flip in zip(
+            directions, scans, (g[:, :, :hidden], g[::-1, :, hidden:]), (1, -1)
+        ):
+            dz = lstm_scan_grad_one_direction(dh, w.data[:, dim:], mask, acts, tanh_c, cs).reshape(-1, 4 * hidden)
+            w.accum(dz.T @ np.concatenate([xs, hs[:-1]], axis=2).reshape(-1, dim + hidden))
+            b.accum(dz.sum(axis=0))
+            dx += (dz @ w.data[:, :dim]).reshape(steps, n, dim)[::flip]
+        x.accum(dx.transpose(1, 0, 2))
+
+    states = ad.Value(
+        np.concatenate([h_fwd, h_bwd], axis=2).transpose(1, 0, 2), (x, wf, bf, wb, bb), backward_states
+    )
+    rows = np.arange(n)
+
+    def backward_finals(g):
+        if states.grad is None:
+            states.grad = np.zeros_like(states.data)
+        states.grad[rows, lens - 1, :hidden] += g[:, :hidden]
+        states.grad[:, 0, hidden:] += g[:, hidden:]
+
+    finals = ad.Value(
+        np.concatenate([h_fwd[lens - 1, rows], h_bwd[0]], axis=1), (states,), backward_finals
+    )
+    return states, finals
 
 
 # ---------------------------------------------------------------- primitives

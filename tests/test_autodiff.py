@@ -16,12 +16,15 @@ from percell import (
     add,
     add_row,
     bahdanau_attention,
+    bilstm_batch_two_loops,
     bilstm_sequence,
     const,
     cross_entropy,
     dot,
     grad_check,
     log_softmax_at,
+    lstm_gates_allocating,
+    lstm_gates_grad_allocating,
     matmul,
     mean,
     mul,
@@ -348,6 +351,71 @@ def test_bilstm_batch_matches_per_cell_reference(case):
         assert not batched[0][r, length:].any()
 
 
+def _bilstm_outputs(bilstm, x_data, lengths, weight_data, hidden, state_w, final_w):
+    """`states`, `finals` and the gradients of x, wf, bf, wb and bb under a
+    fixed weighting of both outputs."""
+    x = ad.param(x_data)
+    weights = [ad.param(a) for a in weight_data]
+    states, finals = bilstm(x, lengths, *weights, hidden)
+    ad.backward(add(weighted(states, state_w), weighted(finals, final_w)))
+    return [states.data, finals.data, x.grad] + [p.grad for p in weights]
+
+
+def _assert_bilstm_equals_two_loops(lengths, dim, hidden, seed, scale):
+    rng = rng_for(seed)
+    n, steps = len(lengths), max(lengths)
+    x_data = rng.normal(size=(n, steps, dim))
+    weight_data = []  # wf, bf, wb, bb
+    for _ in range(2):
+        weight_data += [rng.normal(size=(4 * hidden, dim + hidden)) * scale, rng.normal(size=4 * hidden)]
+    state_w = rng.normal(size=(n, steps, 2 * hidden))
+    final_w = rng.normal(size=(n, 2 * hidden))
+    args = (x_data, lengths, weight_data, hidden, state_w, final_w)
+    got = _bilstm_outputs(ad.bilstm_batch, *args)
+    want = _bilstm_outputs(bilstm_batch_two_loops, *args)
+    for name, a, b in zip(("states", "finals", "x", "wf", "bf", "wb", "bb"), got, want):
+        assert np.array_equal(a, b), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches())
+def test_bilstm_batch_equals_the_two_loop_scan_exactly(case):
+    lengths, dim, hidden, seed = case
+    _assert_bilstm_equals_two_loops(lengths, dim, hidden, seed, 0.5)
+
+
+def test_bilstm_batch_equals_the_two_loop_scan_exactly_at_paper_size():
+    """40 sentences of up to 22 words, E=300 and H=64."""
+    lengths = rng_for(40).integers(1, 23, size=40).tolist()
+    lengths[7] = 22
+    _assert_bilstm_equals_two_loops(lengths, 300, 64, 41, 0.1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_gate_kernels_equal_the_allocating_reference_exactly(hidden, rows, seed):
+    rng = rng_for(seed)
+    for lead in ((), (rows,), (2, rows)):
+        z = rng.normal(size=lead + (4 * hidden,)) * 3.0
+        c_prev = rng.normal(size=lead + (hidden,))
+        want_acts = np.empty_like(z)
+        want = lstm_gates_allocating(z, c_prev, want_acts)
+        for out in (None, tuple(np.empty_like(c_prev) for _ in range(3))):
+            acts = np.empty_like(z)
+            got = ad.lstm_gates(z, c_prev, acts, out)
+            assert np.array_equal(acts, want_acts)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            if out is not None:
+                assert all(a is b for a, b in zip(got, out))
+        dh, dc = rng.normal(size=c_prev.shape), rng.normal(size=c_prev.shape)
+        want_dz = np.empty_like(z)
+        want_dc = lstm_gates_grad_allocating(dh, dc, want_acts, want[1], c_prev, want_dz)
+        dz, dc_buffer = np.empty_like(z), dc.copy()
+        got_dc = ad.lstm_gates_grad(dh.copy(), dc_buffer, want_acts, want[1], c_prev, dz)
+        assert got_dc is dc_buffer
+        assert np.array_equal(got_dc, want_dc) and np.array_equal(dz, want_dz)
+
+
 @pytest.mark.parametrize("kind", ["extractor", "abstractor"])
 def test_graph_holds_no_reference_cycle(kind):
     rng = rng_for(12)
@@ -493,6 +561,40 @@ def test_adam_step_equals_the_written_out_formula_exactly(clip_norm):
         assert norm == want_norm
         for k, p in params.items():
             assert np.array_equal(p.data, data[k]), (t, k)
+
+
+def test_adam_reuses_gradient_arrays_and_leaves_unreached_parameters_alone():
+    a, b = ad.param(np.array([1.0, -2.0])), ad.param(np.array([0.5, 0.25]))
+    opt = ad.Adam({"a": a, "b": b}, lr=0.1, clip_norm=None)
+    opt.zero_grad()
+    ad.backward(add(dot(a, a), dot(a, b)))
+    opt.step()
+    grad_a = a.grad
+    b_data, b_m, b_v = b.data.copy(), opt._m["b"].copy(), opt._v["b"].copy()
+
+    opt.zero_grad()
+    assert a.grad is None and b.grad is None
+    ad.backward(dot(a, a))  # b is not reached
+    assert a.grad is grad_a
+    assert np.array_equal(a.grad, 2.0 * a.data)
+    assert b.grad is None
+    opt.step()
+    assert np.array_equal(b.data, b_data)
+    assert np.array_equal(opt._m["b"], b_m) and np.array_equal(opt._v["b"], b_v)
+
+
+def test_gradient_kept_after_zero_grads_is_not_overwritten():
+    x = ad.param(np.array([1.0, 2.0, 3.0]))
+    opt = ad.Adam({"x": x}, lr=0.1, clip_norm=None)
+    ad.backward(dot(x, x))
+    opt.zero_grad()  # x's gradient array becomes its spare
+    ad.backward(dot(x, x))
+    kept = x.grad
+    ad.zero_grads([x])
+    ad.backward(dot(x, const(np.array([7.0, 8.0, 9.0]))))
+    assert x.grad is not kept
+    assert np.array_equal(kept, [2.0, 4.0, 6.0])
+    assert np.array_equal(x.grad, [7.0, 8.0, 9.0])
 
 
 # ---------------------------------------------------------------- persistence

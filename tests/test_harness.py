@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from narrsum import autodiff as ad
-from narrsum import harness
+from narrsum import harness, rl
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import ConfigError, RunConfig, load_config
 from narrsum.corpus import (
@@ -670,18 +670,29 @@ def test_cli_evaluate_refuses_a_pred_dir_without_a_name(pipeline, tmp_path, caps
     assert not out.exists()
 
 
-def test_cli_rl_with_fewer_episodes_than_one_update_is_config_error(pipeline, tmp_path, capsys):
-    """rl_updates_every above rl_episodes is a wave no run can fill: exit 2
-    before any output."""
+def test_cli_rl_with_fewer_episodes_than_one_update_makes_one_update(pipeline, tmp_path, monkeypatch):
+    """A run shorter than one wave of rl_updates_every episodes updates once,
+    at its last episode, on all of its episodes."""
     out = tmp_path / "out"
     out.mkdir()
     for name in ("extractor.ckpt", "abstractor.ckpt"):
         shutil.copy(pipeline["out"] / name, out / name)
+    waves = []
+    update = rl.A2CTrainer.update
+
+    def counted(self, trajectories):
+        waves.append(len(trajectories))
+        return update(self, trajectories)
+
+    monkeypatch.setattr(rl.A2CTrainer, "update", counted)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({**TINY_CONFIG, "rl_episodes": 3, "rl_updates_every": 4}))
-    assert cli(["train-rl", "--config", str(cfg), "--data-root", str(pipeline["data"]), "--out", str(out)]) == 2
-    assert "rl_updates_every (4) cannot exceed rl_episodes (3)" in capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == ["abstractor.ckpt", "extractor.ckpt"]
+    assert cli(["train-rl", "--config", str(cfg), "--data-root", str(pipeline["data"]), "--out", str(out)]) == 0
+    assert waves == [3]
+    curve = (out / "rl_rewards.csv").read_text().splitlines()
+    assert len(curve) == 1 + 3
+    critic_losses = [row.split(",")[3] for row in curve[1:]]
+    assert critic_losses[:2] == ["0.000000", "0.000000"] and critic_losses[2] != "0.000000"
 
 
 def test_cli_diverging_training_is_reported_not_raised(pipeline, tmp_path, capsys):

@@ -1,15 +1,17 @@
 """The shared training loop: golden values recorded from the per-model loops it replaced.
 
-Every value below was produced by the separate extractor and abstractor
-training loops, and by the RL fine-tune's own gradient step, that `fit` and
-`accumulate_gradients` replaced. Equality is exact: the refactor kept the
-batch order, the arithmetic and the RNG draws.
+Every golden value below was produced by the separate extractor and
+abstractor training loops, and by the RL fine-tune's own gradient step, that
+`fit` and `accumulate_gradients` replaced. Equality is exact: the refactor
+kept the batch order, the arithmetic and the RNG draws. The last tests pin
+the gradient arrays that `Adam.zero_grad` hands back for reuse.
 """
 
 import hashlib
 
 import numpy as np
 
+from narrsum import autodiff as ad
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import RunConfig
 from narrsum.corpus import RESERVED_TOKENS, Document, Vocab
@@ -90,3 +92,33 @@ def test_rl_abstractor_fine_tune_golden_digest():
     train_rl([report], [alignment], extractor, abstractor, critic, vocab, config,
              rng=np.random.default_rng(304))
     assert params_digest(abstractor.params) == "80c279a64e866ae9bfd5bd1781207019f409f5ea1b6403be9be37ff74a06391e"
+
+
+def test_fit_keeps_each_gradient_array_across_steps():
+    data = extractor_examples(np.random.default_rng(110), 4)
+    model = ExtractorModel(20, 6, 5, np.random.default_rng(111))
+    seen = []
+    fit(model.params, example_loss(model), data, RunConfig(batch_size=2, checkpoint_every_batches=1),
+        epochs=1, rng=np.random.default_rng(112),
+        periodic_save=lambda: seen.append({k: p.grad for k, p in model.params.items()}))
+    assert len(seen) == 2
+    for name, grad in seen[0].items():
+        assert grad is not None and seen[1][name] is grad, name
+
+
+def test_fit_with_reused_gradient_arrays_equals_fresh_arrays(monkeypatch):
+    """Twenty steps, each on a new batch; `ad.zero_grads` hands out fresh arrays."""
+    def train(model):
+        data = extractor_examples(np.random.default_rng(120), 20)
+        grads = []
+        fit(model.params, example_loss(model), data, RunConfig(lr=0.05, batch_size=1, checkpoint_every_batches=1),
+            epochs=1, rng=np.random.default_rng(121), periodic_save=lambda: grads.append(model.params["dec_w"].grad))
+        assert len(grads) == 20
+        return model, len({id(g) for g in grads})
+
+    reused, reused_arrays = train(ExtractorModel(20, 6, 5, np.random.default_rng(122)))
+    monkeypatch.setattr(ad.Adam, "zero_grad", lambda self: ad.zero_grads(self.params.values()))
+    fresh, fresh_arrays = train(ExtractorModel(20, 6, 5, np.random.default_rng(122)))
+    assert (reused_arrays, fresh_arrays) == (1, 20)
+    for name, p in reused.params.items():
+        assert np.array_equal(p.data, fresh.params[name].data), name
