@@ -10,7 +10,8 @@ thread variable set to 1. A process builds each block from a fixed seed, runs
 it once to warm up, then `--repeats` times under `time.process_time`. Every
 repeat is one training step's work on that block: `Adam.zero_grad`, the
 forward pass, a `mean_cross_entropy` loss over its output and `backward`,
-except for the `Adam.step` block, which times only the update.
+except for the `Adam.step` block, which times only the update, and the
+`load` block, which times only the two loads.
 
 At `--size paper` (E=300, H=64) the blocks are:
 - `bilstm_batch`: 300 word sequences of up to 22 tokens, as the extractor's
@@ -20,7 +21,11 @@ At `--size paper` (E=300, H=64) the blocks are:
 - `pointer_decoder`: 20 pointer passes of 11 steps over 301 keys;
 - `Adam.step`: one update of the extractor's parameters with a 5000-word
   embedding (the 20000-word one would need about 300 MB for the data, the
-  gradient, both moments and the scratch buffers).
+  gradient, both moments and the scratch buffers);
+- `load`: `Checkpointed.load` of an extractor and an abstractor with a
+  15000-word vocabulary (checkpoints of 37.6 and 67.5 MiB), which the
+  process saves once, before timing, into a temporary directory. It calls
+  only the constructors, `save` and `load`, so it runs on older trees too.
 `--size tiny` runs the same blocks at toy shapes, to check the script.
 
 It prints each block's median CPU milliseconds over all repeats of all
@@ -36,6 +41,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -47,19 +53,24 @@ BLAS_THREAD_VARIABLES = (
 
 # Block shapes: word sequences and their steps, embedding and hidden sizes,
 # abstractor pairs and their tokens, pointer passes over `sentences` keys with
-# `picks` choices before stop, and the embedding's vocabulary in `Adam.step`.
+# `picks` choices before stop, the embedding's vocabulary in `Adam.step`, and
+# the vocabulary of the checkpoints that `load` reads.
 SIZES = {
     "paper": dict(rows=300, steps=22, e=300, h=64, pairs=50, tokens=20, passes=20, sentences=300,
-                  picks=10, vocab=5000),
-    "tiny": dict(rows=3, steps=4, e=5, h=3, pairs=2, tokens=3, passes=2, sentences=4, picks=2, vocab=12),
+                  picks=10, vocab=5000, load_vocab=15000),
+    "tiny": dict(rows=3, steps=4, e=5, h=3, pairs=2, tokens=3, passes=2, sentences=4, picks=2, vocab=12,
+                 load_vocab=12),
 }
 
 
-def blocks(size: dict):
-    """(name, setup) pairs; `setup()` returns a callable that runs the block once."""
+def blocks(size: dict, workdir: Path):
+    """(name, setup) pairs; `setup()` returns a callable that runs the block
+    once. Files that a block writes go under `workdir`."""
     import numpy as np
 
     from narrsum import autodiff as ad
+    from narrsum.abstractor import AbstractorModel
+    from narrsum.extractor import ExtractorModel
 
     rng = np.random.default_rng(0)
     e, h = size["e"], size["h"]
@@ -132,22 +143,36 @@ def blocks(size: dict):
             p.grad = rng.normal(size=p.data.shape)
         return opt.step
 
+    def load():
+        saved = []
+        for cls in (ExtractorModel, AbstractorModel):
+            path = workdir / f"{cls.KIND}.ckpt"
+            cls(size["load_vocab"], e, h, rng).save(path)
+            saved.append((cls, path))
+
+        def run():
+            for cls, path in saved:
+                cls.load(path)
+
+        return run
+
     return [("bilstm_batch", bilstm), ("attention_decoder", decoder), ("pointer_decoder", pointer),
-            ("Adam.step", adam)]
+            ("Adam.step", adam), ("load", load)]
 
 
 def child(size_name: str, repeats: int) -> None:
     """Time every block in this process; print {block: [ms, ...]} as JSON."""
     times = {}
-    for name, setup in blocks(SIZES[size_name]):
-        run = setup()
-        run()
-        laps = []
-        for _ in range(repeats):
-            start = time.process_time()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, setup in blocks(SIZES[size_name], Path(workdir)):
+            run = setup()
             run()
-            laps.append((time.process_time() - start) * 1000.0)
-        times[name] = laps
+            laps = []
+            for _ in range(repeats):
+                start = time.process_time()
+                run()
+                laps.append((time.process_time() - start) * 1000.0)
+            times[name] = laps
     print(json.dumps(times))
 
 

@@ -54,26 +54,26 @@ class AbstractorModel(ad.Checkpointed):
     KIND = "abstractor"
     SIZES = ("vocab_size", "embedding_dim", "hidden_dim")
 
-    def __init__(self, vocab_size: int, embedding_dim: int, hidden_dim: int, rng: np.random.Generator):
+    @staticmethod
+    def param_table(vocab_size: int, embedding_dim: int, hidden_dim: int) -> dict[str, tuple[tuple[int, ...], str]]:
         e, h = embedding_dim, hidden_dim
-        self.vocab_size = vocab_size
-        self.embedding_dim = e
-        self.hidden_dim = h
-        u = lambda shape: ad.param(ad.uniform_init(rng, shape))
-        self.params: dict[str, ad.Value] = {
-            "embed": u((vocab_size, e)),
-            "enc_f_w": u((4 * h, e + h)),
-            "enc_f_b": ad.param(ad.lstm_bias_init(h)),
-            "enc_b_w": u((4 * h, e + h)),
-            "enc_b_b": ad.param(ad.lstm_bias_init(h)),
-            "dec_w": u((4 * 2 * h, (e + 2 * h) + 2 * h)),
-            "dec_b": ad.param(ad.lstm_bias_init(2 * h)),
-            "att_wq": u((2 * h, h)),
-            "att_wk": u((2 * h, h)),
-            "att_v": u((h,)),
-            "out_w": u((vocab_size, 4 * h)),
-            "out_b": u((vocab_size,)),
+        return {
+            "embed": ((vocab_size, e), "uniform"),
+            "enc_f_w": ((4 * h, e + h), "uniform"),
+            "enc_f_b": ((4 * h,), "lstm_bias"),
+            "enc_b_w": ((4 * h, e + h), "uniform"),
+            "enc_b_b": ((4 * h,), "lstm_bias"),
+            "dec_w": ((4 * 2 * h, (e + 2 * h) + 2 * h), "uniform"),
+            "dec_b": ((4 * 2 * h,), "lstm_bias"),
+            "att_wq": ((2 * h, h), "uniform"),
+            "att_wk": ((2 * h, h), "uniform"),
+            "att_v": ((h,), "uniform"),
+            "out_w": ((vocab_size, 4 * h), "uniform"),
+            "out_b": ((vocab_size,), "uniform"),
         }
+
+    def __init__(self, vocab_size: int, embedding_dim: int, hidden_dim: int, rng: np.random.Generator):
+        self._fill((vocab_size, embedding_dim, hidden_dim), rng)
 
     # ------------------------------------------------------------ forward
 

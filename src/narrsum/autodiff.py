@@ -76,9 +76,9 @@ def param(data) -> Value:
     return Value(np.array(data, dtype=np.float64, copy=True))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ShapeError(message)
+def _require(cond: bool, message: str, *args) -> None:
+    if not cond:  # format the message only on failure
+        raise ShapeError(message.format(*args))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -96,7 +96,7 @@ def scale(a: Value, s: float) -> Value:
 def linear(x: Value, w: Value, b: Value) -> Value:
     """Affine map of every row: `x @ w.T + b` for x (N, D), w (K, D), b (K,)."""
     _require(x.data.ndim == 2 and w.data.ndim == 2 and b.data.ndim == 1, "linear: ranks")
-    _require(x.shape[1] == w.shape[1] and w.shape[0] == b.shape[0], f"linear: {x.shape} @ {w.shape}.T + {b.shape}")
+    _require(x.shape[1] == w.shape[1] and w.shape[0] == b.shape[0], "linear: {} @ {}.T + {}", x.shape, w.shape, b.shape)
 
     def backward(g):
         x.accum(g @ w.data)
@@ -107,7 +107,7 @@ def linear(x: Value, w: Value, b: Value) -> Value:
 
 
 def reshape(a: Value, shape: tuple[int, ...]) -> Value:
-    _require(int(np.prod(shape)) == a.data.size, f"reshape: {a.shape} -> {shape}")
+    _require(int(np.prod(shape)) == a.data.size, "reshape: {} -> {}", a.shape, shape)
 
     def backward(g):
         a.accum(g.reshape(a.data.shape))
@@ -119,7 +119,7 @@ def concat(parts: Sequence[Value]) -> Value:
     parts = tuple(parts)
     _require(len(parts) > 0, "concat: no operands")
     for p in parts:
-        _require(p.data.ndim == 1, f"concat: rank {p.data.ndim}")
+        _require(p.data.ndim == 1, "concat: rank {}", p.data.ndim)
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def backward(g):
@@ -139,11 +139,11 @@ def mean_cross_entropy(logits: Value, targets: Sequence[int]) -> Value:
     losses are summed in order, so the value matches a left-to-right chain
     of `add` nodes over per-row `cross_entropy` nodes, scaled by 1/N.
     """
-    _require(logits.data.ndim == 2, f"mean_cross_entropy: rank {logits.data.ndim}")
+    _require(logits.data.ndim == 2, "mean_cross_entropy: rank {}", logits.data.ndim)
     n, k = logits.shape
     idx = np.asarray(list(targets), dtype=np.int64)
-    _require(n > 0 and idx.shape == (n,), f"mean_cross_entropy: {len(idx)} targets for {n} rows")
-    _require(idx.min() >= 0 and idx.max() < k, f"mean_cross_entropy: target out of range for {logits.shape}")
+    _require(n > 0 and idx.shape == (n,), "mean_cross_entropy: {} targets for {} rows", len(idx), n)
+    _require(idx.min() >= 0 and idx.max() < k, "mean_cross_entropy: target out of range for {}", logits.shape)
     rows = np.arange(n)
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
@@ -160,7 +160,7 @@ def mean_cross_entropy(logits: Value, targets: Sequence[int]) -> Value:
 
 
 def embedding_lookup(table: Value, ids: Sequence[int]) -> Value:
-    _require(table.data.ndim == 2, f"embedding_lookup: rank {table.data.ndim}")
+    _require(table.data.ndim == 2, "embedding_lookup: rank {}", table.data.ndim)
     idx = np.asarray(list(ids), dtype=np.int64)
     _require(idx.ndim == 1, "embedding_lookup: ids must be flat")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
@@ -187,10 +187,10 @@ def lstm_cell(x: Value, h: Value, c: Value, w: Value, b: Value) -> tuple[Value, 
     """
     _require(x.data.ndim == 1 and h.data.ndim == 1 and c.data.ndim == 1, "lstm_cell: rank")
     hidden = h.shape[0]
-    _require(c.shape == (hidden,), f"lstm_cell: cell {c.shape} vs hidden {h.shape}")
+    _require(c.shape == (hidden,), "lstm_cell: cell {} vs hidden {}", c.shape, h.shape)
     in_dim = x.shape[0]
-    _require(w.shape == (4 * hidden, in_dim + hidden), f"lstm_cell: weight {w.shape}")
-    _require(b.shape == (4 * hidden,), f"lstm_cell: bias {b.shape}")
+    _require(w.shape == (4 * hidden, in_dim + hidden), "lstm_cell: weight {}", w.shape)
+    _require(b.shape == (4 * hidden,), "lstm_cell: bias {}", b.shape)
 
     xh = np.concatenate([x.data, h.data])
     acts = np.empty(4 * hidden)
@@ -386,14 +386,14 @@ def bilstm_batch(
     `_lstm_scan`, forward and backward. Backpropagation through time is
     hand-written; padded positions receive exactly zero gradient.
     """
-    _require(x.data.ndim == 3, f"bilstm_batch: rank {x.data.ndim}")
+    _require(x.data.ndim == 3, "bilstm_batch: rank {}", x.data.ndim)
     n, steps, dim = x.shape
     lens = np.asarray(lengths, dtype=np.int64)
-    _require(lens.shape == (n,), f"bilstm_batch: lengths {lens.shape} for {n} rows")
-    _require(n > 0 and lens.min() >= 1 and lens.max() <= steps, f"bilstm_batch: lengths outside 1..{steps}")
+    _require(lens.shape == (n,), "bilstm_batch: lengths {} for {} rows", lens.shape, n)
+    _require(n > 0 and lens.min() >= 1 and lens.max() <= steps, "bilstm_batch: lengths outside 1..{}", steps)
     for w, b in ((wf, bf), (wb, bb)):
-        _require(w.shape == (4 * hidden, dim + hidden), f"bilstm_batch: weight {w.shape}")
-        _require(b.shape == (4 * hidden,), f"bilstm_batch: bias {b.shape}")
+        _require(w.shape == (4 * hidden, dim + hidden), "bilstm_batch: weight {}", w.shape)
+        _require(b.shape == (4 * hidden,), "bilstm_batch: bias {}", b.shape)
 
     x_fwd = np.ascontiguousarray(x.data.transpose(1, 0, 2))  # time-major (T, B, D)
     # The backward direction is the forward recurrence over time-reversed
@@ -486,9 +486,9 @@ def attention_decoder(
     k_dim = keys.shape[1]
     hidden = init.shape[0]
     _require(steps > 0 and keys.shape[0] > 0, "attention_decoder: empty input or source")
-    _require(w.shape == (4 * hidden, e_dim + k_dim + hidden), f"attention_decoder: weight {w.shape}")
-    _require(b.shape == (4 * hidden,), f"attention_decoder: bias {b.shape}")
-    _require(wq.shape[0] == hidden and wk.shape[0] == k_dim, f"attention_decoder: {wq.shape} and {wk.shape}")
+    _require(w.shape == (4 * hidden, e_dim + k_dim + hidden), "attention_decoder: weight {}", w.shape)
+    _require(b.shape == (4 * hidden,), "attention_decoder: bias {}", b.shape)
+    _require(wq.shape[0] == hidden and wk.shape[0] == k_dim, "attention_decoder: {} and {}", wq.shape, wk.shape)
     _require(wq.shape[1] == wk.shape[1] == v.shape[0], "attention_decoder: attention inner dims disagree")
 
     key_proj = keys.data @ wk.data  # the same for every step
@@ -615,13 +615,13 @@ def pointer_decoder(keys: Value, actions: Sequence[int], w: Value, b: Value, wq:
     _require(keys.data.ndim == 2 and len(actions) > 0, "pointer_decoder: keys rank or no actions")
     n, k_dim = keys.shape[0] - 1, keys.shape[1]
     hidden = b.shape[0] // 4
-    _require(w.shape == (4 * hidden, k_dim + hidden), f"pointer_decoder: weight {w.shape}")
-    _require(wq.shape[0] == hidden and wk.shape[0] == k_dim, f"pointer_decoder: {wq.shape} and {wk.shape}")
+    _require(w.shape == (4 * hidden, k_dim + hidden), "pointer_decoder: weight {}", w.shape)
+    _require(wq.shape[0] == hidden and wk.shape[0] == k_dim, "pointer_decoder: {} and {}", wq.shape, wk.shape)
     _require(wq.shape[1] == wk.shape[1] == v.shape[0], "pointer_decoder: attention inner dims disagree")
 
     def forced(_probs, t):
         action = int(actions[t])
-        _require(0 <= action <= n, f"pointer_decoder: action {action} of {n + 1} candidates")
+        _require(0 <= action <= n, "pointer_decoder: action {} of {} candidates", action, n + 1)
         return action
 
     key_proj = keys.data @ wk.data
@@ -771,11 +771,13 @@ class Adam:
         *,
         lr: float,
         clip_norm: float | None,
+        frozen: Sequence[str] = (),
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        self.params = dict(params)
+        self._every = list(params.values())  # what `zero_grad` resets, frozen parameters included
+        self.params = {k: p for k, p in params.items() if k not in frozen}
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -796,11 +798,12 @@ class Adam:
         spare: the first `accum` of the next step zero-fills it and takes it
         back, so training steps allocate no gradient arrays. An array read
         from `grad` before this call is overwritten by the next backward;
-        copy it to keep it."""
-        for p in self.params.values():
+        copy it to keep it. A frozen parameter's gradient is reset the same
+        way, so it never sums over steps; `step` never updates it."""
+        for p in self._every:
             if p.grad is not None:
                 p.spare = p.grad
-        zero_grads(self.params.values())
+        zero_grads(self._every)
 
     def step(self) -> float:
         """Apply one update; returns the pre-clip gradient norm."""
@@ -912,59 +915,38 @@ def _check_header(header: dict, path: Path) -> None:
     )
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, list[str] | None]:
-    """Read back (arrays, config, vocab); raises ValueError on a malformed file."""
+def load_checkpoint(path: str | Path, expected: Callable[[dict], dict] | None = None) -> tuple[dict, dict, list | None]:
+    """Read back (arrays, config, vocab); raises ValueError on a malformed file. `expected`, if
+    given, maps the config to the shapes the file must hold, in the order to return them; they
+    are checked before any array is read, each straight into its own buffer."""
     path = Path(path)
     with path.open("rb") as fh:
-        header_line = fh.readline()
         try:
-            header = json.loads(header_line.decode("utf-8"))
+            header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"not a checkpoint file: {path}") from exc
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format in {path}")
         _check_header(header, path)
-        blob = fh.read()
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name in header["names"]:
-        shape = tuple(header["shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError(f"checkpoint {path} truncated at parameter {name!r}")
-        arrays[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise ValueError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
-    return arrays, header["config"], header["vocab"]
-
-
-def config_sizes(config: dict, names: Sequence[str], path: str | Path) -> list[int]:
-    """The named model sizes of a checkpoint config; each must be an integer of at least 1."""
-    sizes = [config.get(name) for name in names]
-    for name, value in zip(names, sizes):
-        if type(value) is not int or value < 1:
-            raise ValueError(f"checkpoint {path}: config {name!r} must be an integer of at least 1, got {value!r}")
-    return sizes
-
-
-def restore_params(params: dict[str, Value], arrays: dict[str, np.ndarray], path: str | Path) -> None:
-    """Copy checkpoint arrays into a model's parameters; names and shapes must
-    match exactly, and every value must be finite."""
-    missing = sorted(set(params) - set(arrays))
-    unexpected = sorted(set(arrays) - set(params))
-    if missing or unexpected:
-        raise ValueError(
-            f"checkpoint {path} does not match the model: missing {missing}, unexpected {unexpected}"
-        )
-    for name, arr in arrays.items():
-        if params[name].data.shape != arr.shape:
-            raise ValueError(f"shape mismatch for {name!r} in checkpoint {path}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite values in {name!r} in checkpoint {path}")
-        params[name].data[...] = arr
+        shapes = {name: tuple(header["shapes"][name]) for name in header["names"]}
+        wanted = shapes if expected is None else expected(header["config"])
+        missing, unexpected = sorted(set(wanted) - set(shapes)), sorted(set(shapes) - set(wanted))
+        if missing or unexpected:
+            raise ValueError(f"checkpoint {path} does not match the model: missing {missing}, unexpected {unexpected}")
+        for name, shape in wanted.items():
+            if shapes[name] != shape:
+                raise ValueError(f"shape mismatch for {name!r} in checkpoint {path}")
+        available, offset, arrays = os.fstat(fh.fileno()).st_size - fh.tell(), 0, {}
+        for name, shape in shapes.items():
+            offset += 8 * math.prod(shape)
+            if offset > available:  # refused before anything the file does not hold is allocated
+                raise ValueError(f"checkpoint {path} truncated at parameter {name!r}")
+            arrays[name] = np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"non-finite values in {name!r} in checkpoint {path}")
+        if offset != available:
+            raise ValueError(f"checkpoint {path} has {available - offset} trailing bytes")
+    return {name: arrays[name] for name in wanted}, header["config"], header["vocab"]
 
 
 class Checkpointed:
@@ -972,11 +954,26 @@ class Checkpointed:
 
     `KIND` names the model in its checkpoints. `SIZES` names the size
     attributes that the constructor takes first, in order, before an rng.
+    `param_table(*sizes)` gives each parameter's shape and initializer
+    ("uniform", "lstm_bias" or "zeros") in `.params` order, allocating nothing.
     """
 
     KIND: str
     SIZES: tuple[str, ...]
     params: dict[str, Value]
+    param_table: Callable[..., dict[str, tuple[tuple[int, ...], str]]]
+
+    def _fill(self, sizes: Sequence[int], weights: np.random.Generator | dict[str, np.ndarray]) -> None:
+        """Set the sizes and every parameter in table order: drawn from
+        `weights` when it is an rng, else its array, taken without a copy."""
+        vars(self).update(zip(self.SIZES, sizes))
+        table = self.param_table(*sizes)
+        if isinstance(weights, dict):
+            self.params = {name: Value(weights[name]) for name in table}
+            return
+        bias = lambda shape: lstm_bias_init(shape[0] // 4)
+        draw = {"uniform": lambda shape: uniform_init(weights, shape), "lstm_bias": bias, "zeros": np.zeros}
+        self.params = {name: param(draw[init](shape)) for name, (shape, init) in table.items()}
 
     def arch(self) -> dict:
         return {"kind": self.KIND, **{name: getattr(self, name) for name in self.SIZES}}
@@ -985,13 +982,20 @@ class Checkpointed:
         save_checkpoint(path, self.params, self.arch(), vocab)
 
     @classmethod
+    def _shapes(cls, config: dict, path: str | Path) -> dict[str, tuple[int, ...]]:
+        """The table's shapes for a checkpoint's config, refusing another kind or a size that is not an int >= 1."""
+        if config.get("kind") != cls.KIND:
+            raise ValueError(f"checkpoint at {path} is not {'an' if cls.KIND[0] in 'aeiou' else 'a'} {cls.KIND}")
+        sizes = [config.get(name) for name in cls.SIZES]
+        for name, value in zip(cls.SIZES, sizes):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"checkpoint {path}: config {name!r} must be an integer of at least 1, got {value!r}")
+        return {name: shape for name, (shape, _) in cls.param_table(*sizes).items()}
+
+    @classmethod
     def load(cls, path: str | Path) -> tuple["Checkpointed", list[str] | None]:
-        """Read back (model, vocab); raises ValueError for a checkpoint of
-        another kind, a malformed one, or one that does not fit the model."""
-        arrays, cfg, vocab = load_checkpoint(path)
-        if cfg.get("kind") != cls.KIND:
-            article = "an" if cls.KIND[0] in "aeiou" else "a"
-            raise ValueError(f"checkpoint at {path} is not {article} {cls.KIND}")
-        model = cls(*config_sizes(cfg, cls.SIZES, path), np.random.default_rng(0))
-        restore_params(model.params, arrays, path)
+        """Read back (model, vocab); raises ValueError for a malformed checkpoint or one of another model."""
+        arrays, config, vocab = load_checkpoint(path, lambda config: cls._shapes(config, path))
+        model = cls.__new__(cls)  # no constructor, so no random draws
+        model._fill([config[name] for name in cls.SIZES], arrays)
         return model, vocab

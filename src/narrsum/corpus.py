@@ -158,10 +158,6 @@ class LoadedDataset:
     def validation(self) -> list[Document]:
         return self.split("validation")
 
-    @property
-    def testing(self) -> list[Document]:
-        return self.split("testing")
-
     def manifest(self) -> dict[str, dict[str, int]]:
         out = {}
         for name in SPLITS:

@@ -60,29 +60,29 @@ class ExtractorModel(ad.Checkpointed):
     KIND = "extractor"
     SIZES = ("vocab_size", "embedding_dim", "hidden_dim")
 
-    def __init__(self, vocab_size: int, embedding_dim: int, hidden_dim: int, rng: np.random.Generator):
+    @staticmethod
+    def param_table(vocab_size: int, embedding_dim: int, hidden_dim: int) -> dict[str, tuple[tuple[int, ...], str]]:
         e, h = embedding_dim, hidden_dim
-        self.vocab_size = vocab_size
-        self.embedding_dim = e
-        self.hidden_dim = h
-        u = lambda shape: ad.param(ad.uniform_init(rng, shape))
-        self.params: dict[str, ad.Value] = {
-            "embed": u((vocab_size, e)),
-            "word_f_w": u((4 * h, e + h)),
-            "word_f_b": ad.param(ad.lstm_bias_init(h)),
-            "word_b_w": u((4 * h, e + h)),
-            "word_b_b": ad.param(ad.lstm_bias_init(h)),
-            "sent_f_w": u((4 * h, 2 * h + h)),
-            "sent_f_b": ad.param(ad.lstm_bias_init(h)),
-            "sent_b_w": u((4 * h, 2 * h + h)),
-            "sent_b_b": ad.param(ad.lstm_bias_init(h)),
-            "dec_w": u((4 * 2 * h, 2 * h + 2 * h)),
-            "dec_b": ad.param(ad.lstm_bias_init(2 * h)),
-            "att_wq": u((2 * h, h)),
-            "att_wk": u((2 * h, h)),
-            "att_v": u((h,)),
-            "stop_key": u((2 * h,)),
+        return {
+            "embed": ((vocab_size, e), "uniform"),
+            "word_f_w": ((4 * h, e + h), "uniform"),
+            "word_f_b": ((4 * h,), "lstm_bias"),
+            "word_b_w": ((4 * h, e + h), "uniform"),
+            "word_b_b": ((4 * h,), "lstm_bias"),
+            "sent_f_w": ((4 * h, 2 * h + h), "uniform"),
+            "sent_f_b": ((4 * h,), "lstm_bias"),
+            "sent_b_w": ((4 * h, 2 * h + h), "uniform"),
+            "sent_b_b": ((4 * h,), "lstm_bias"),
+            "dec_w": ((4 * 2 * h, 2 * h + 2 * h), "uniform"),
+            "dec_b": ((4 * 2 * h,), "lstm_bias"),
+            "att_wq": ((2 * h, h), "uniform"),
+            "att_wk": ((2 * h, h), "uniform"),
+            "att_v": ((h,), "uniform"),
+            "stop_key": ((2 * h,), "uniform"),
         }
+
+    def __init__(self, vocab_size: int, embedding_dim: int, hidden_dim: int, rng: np.random.Generator):
+        self._fill((vocab_size, embedding_dim, hidden_dim), rng)
 
     # ------------------------------------------------------------ encoding
 

@@ -84,12 +84,12 @@ class Critic(ad.Checkpointed):
     KIND = "critic"
     SIZES = ("hidden_dim",)
 
+    @staticmethod
+    def param_table(hidden_dim: int) -> dict[str, tuple[tuple[int, ...], str]]:
+        return {"w": ((2 * hidden_dim,), "uniform"), "b": ((), "zeros")}
+
     def __init__(self, hidden_dim: int, rng: np.random.Generator):
-        self.hidden_dim = hidden_dim
-        self.params: dict[str, ad.Value] = {
-            "w": ad.param(ad.uniform_init(rng, (2 * hidden_dim,))),
-            "b": ad.param(np.zeros(())),
-        }
+        self._fill((hidden_dim,), rng)
 
     def value(self, state: np.ndarray) -> float:
         return float(self.params["w"].data @ state + self.params["b"].data)

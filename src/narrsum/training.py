@@ -81,8 +81,7 @@ def fit(
     """
     if not items:
         raise ValueError("no training items")
-    trainable = {k: v for k, v in params.items() if k not in frozen_params}
-    optimizer = ad.Adam(trainable, lr=config.lr, clip_norm=config.clip_norm)
+    optimizer = ad.Adam(params, lr=config.lr, clip_norm=config.clip_norm, frozen=frozen_params)
     schedule = HalveOnPlateau(optimizer, config.lr_decay)
     batch_size, checkpoint_every = config.batch_size, config.checkpoint_every_batches
     train_log = TrainLog()

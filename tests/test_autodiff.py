@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from narrsum import autodiff as ad
 from narrsum.abstractor import AbstractorModel
 from narrsum.extractor import ExtractorModel
+from narrsum.rl import Critic
 from percell import (
     add,
     add_row,
@@ -689,6 +691,91 @@ def test_config_hash_is_stable_and_order_free():
     h2 = ad.config_hash({"b": [2, 3], "a": 1})
     assert h1 == h2
     assert h1 != ad.config_hash({"a": 2, "b": [2, 3]})
+
+
+CHECKPOINTED = [(ExtractorModel, (30, 8, 6)), (AbstractorModel, (30, 8, 6)), (Critic, (6,))]
+
+
+def traced_peak(run):
+    """The `tracemalloc` peak, in bytes, while `run()` runs (or raises)."""
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def write_inflated_sizes(source, target, **sizes):
+    """`source` with the header's config sizes replaced and its hash recomputed; shapes and data kept."""
+    line, blob = source.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["config"].update(sizes)
+    header["config_hash"] = ad.config_hash(header["config"])
+    target.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+
+@pytest.mark.parametrize("cls, sizes", CHECKPOINTED)
+def test_model_load_keeps_the_constructors_parameter_order(tmp_path, cls, sizes):
+    model = cls(*sizes, np.random.default_rng(40))
+    model.save(tmp_path / "model.ckpt")
+    loaded, _ = cls.load(tmp_path / "model.ckpt")
+    assert list(loaded.params) == list(model.params) == list(cls.param_table(*sizes))
+    assert loaded.arch() == model.arch()
+    for name, p in model.params.items():
+        assert p.data.shape == cls.param_table(*sizes)[name][0]
+        assert np.array_equal(loaded.params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("cls, sizes", CHECKPOINTED)
+def test_model_load_draws_no_random_numbers(tmp_path, monkeypatch, cls, sizes):
+    cls(*sizes, np.random.default_rng(41)).save(tmp_path / "model.ckpt")
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("load drew random numbers")
+
+    monkeypatch.setattr(ad, "uniform_init", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded, _ = cls.load(tmp_path / "model.ckpt")
+    assert len(loaded.params) == len(cls.param_table(*sizes))
+
+
+def test_model_load_refuses_inflated_sizes_before_allocating(tmp_path):
+    """At 256 hidden units the extractor's parameters would take about 48 MiB."""
+    path = tmp_path / "inflated.ckpt"
+    ExtractorModel(30, 8, 6, np.random.default_rng(42)).save(tmp_path / "model.ckpt")
+    write_inflated_sizes(tmp_path / "model.ckpt", path, hidden_dim=256)
+
+    def load():
+        with pytest.raises(ValueError, match="shape mismatch for 'word_f_w'"):
+            ExtractorModel.load(path)
+
+    assert traced_peak(load) < 2**20
+
+
+@pytest.mark.parametrize("cls", [ExtractorModel, AbstractorModel])
+def test_model_load_peak_is_at_most_the_file_and_one_parameter(tmp_path, cls):
+    path = tmp_path / "model.ckpt"
+    model = cls(3000, 40, 8, np.random.default_rng(43))
+    model.save(path)
+    largest = max(p.data.nbytes for p in model.params.values())
+    assert traced_peak(lambda: cls.load(path)) <= path.stat().st_size + largest
+
+
+def test_checkpoint_truncated_with_inflated_shapes_refused_before_reading(tmp_path):
+    """Shapes that claim far more than the file holds are refused without allocating them."""
+    path = tmp_path / "model.ckpt"
+    ad.save_checkpoint(path, {"w": ad.param(np.ones(3))}, {"d": 1})
+    line, blob = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(line), "shapes": {"w": [2**12, 2**12]}}  # 128 MiB
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+    def load():
+        with pytest.raises(ValueError, match="truncated at parameter 'w'"):
+            ad.load_checkpoint(path)
+
+    assert traced_peak(load) < 2**20
 
 
 # ---------------------------------------------------------------- determinism

@@ -208,7 +208,7 @@ def test_load_dataset_miniature(tmp_path):
     assert r1.sentences == [("profit", "rose"), ("costs", "fell")]
     assert r1.summaries == [[("profit", "rose")], [("costs", "fell")]]  # r1_1, then r1_2
     # Test split keeps reference-free reports.
-    assert data.testing[0].summaries == []
+    assert data.split("testing")[0].summaries == []
 
 
 def test_load_dataset_missing_split(tmp_path):
@@ -238,7 +238,7 @@ def test_load_dataset_empty_report_excluded(tmp_path, caplog):
     (tmp_path / "testing" / "gold_summaries" / "t2_1.txt").write_text("Debt shrank.", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         data = load_dataset(tmp_path, MAX_TOKENS)
-        assert [report.id for report in data.testing] == ["t1"]
+        assert [report.id for report in data.split("testing")] == ["t1"]
     assert [r.message for r in caplog.records if "t2" in r.message] == ["excluding empty report t2 from testing"]
     assert not any("unknown" in r.message for r in caplog.records)
 
@@ -274,7 +274,7 @@ def test_load_dataset_parses_a_split_once_when_first_read(tmp_path):
     assert [report.id for report in first] == ["r1", "r2"]
     assert [report.id for report in data.validation] == ["v1"]
     with pytest.raises(DataError, match="t1.txt"):
-        data.testing
+        data.split("testing")
 
 
 @pytest.mark.parametrize("split", ["training", "testing"])

@@ -785,6 +785,21 @@ def test_cli_summarize_refuses_incomplete_checkpoint_header(pipeline, tmp_path, 
     assert message in capsys.readouterr().err
 
 
+def test_cli_summarize_refuses_checkpoint_with_inflated_sizes(pipeline, tmp_path, capsys):
+    """A header claiming 256 hidden units, with its hash recomputed, is refused on its shapes."""
+    ckpt = tmp_path / "extractor.ckpt"
+    line, blob = (pipeline["out"] / "extractor.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["config"]["hidden_dim"] = 256
+    header["config_hash"] = ad.config_hash(header["config"])
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    args = ["summarize", "--extractor", str(ckpt),
+            "--abstractor", str(pipeline["out"] / "abstractor.ckpt"),
+            "--data-root", str(pipeline["data"]), "--out", str(tmp_path / "out")]
+    assert cli(args) == 2
+    assert f"shape mismatch for 'word_f_w' in checkpoint {ckpt}" in capsys.readouterr().err
+
+
 def _copy_corpus(pipeline, tmp_path) -> Path:
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)

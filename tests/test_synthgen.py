@@ -147,7 +147,7 @@ def test_round_trip_token_sequences(tmp_path):
     data = load_dataset(tmp_path, 60)
     assert len(data.training) == 3
     assert len(data.validation) == spec.n_validation_reports
-    assert len(data.testing) == spec.n_testing_reports
+    assert len(data.split("testing")) == spec.n_testing_reports
     for report in data.training:
         assert len(report.sentences) == 6
         for sent in report.sentences:

@@ -122,3 +122,21 @@ def test_fit_with_reused_gradient_arrays_equals_fresh_arrays(monkeypatch):
     assert (reused_arrays, fresh_arrays) == (1, 20)
     for name, p in reused.params.items():
         assert np.array_equal(p.data, fresh.params[name].data), name
+
+
+def test_fit_resets_a_frozen_parameters_gradient_every_step():
+    """The loss depends on the frozen table alone, so every step's gradient
+    is the same; it must not sum over steps, and its array is reused."""
+    table = ad.param(np.random.default_rng(130).normal(size=(5, 4)))
+    params = {"embed": table, "w": ad.param(np.ones(3))}
+    initial = table.data.copy()
+    seen = []
+    fit(params, lambda ids: ad.mean_cross_entropy(ad.embedding_lookup(table, ids), [0, 3]), [([1, 2],)] * 4,
+        RunConfig(batch_size=1, checkpoint_every_batches=1), epochs=1, rng=np.random.default_rng(131),
+        periodic_save=lambda: seen.append((table.grad, table.grad.copy())), frozen_params=("embed",))
+    assert len(seen) == 4
+    for grad, values in seen:
+        assert grad is seen[0][0]
+        assert np.array_equal(values, seen[0][1])
+    assert np.abs(seen[0][1]).sum() > 0.0
+    assert np.array_equal(table.data, initial)
