@@ -10,8 +10,8 @@ thread variable set to 1. A process builds each block from a fixed seed, runs
 it once to warm up, then `--repeats` times under `time.process_time`. Every
 repeat is one training step's work on that block: `Adam.zero_grad`, the
 forward pass, a `mean_cross_entropy` loss over its output and `backward`,
-except for the `Adam.step` block, which times only the update, and the
-`load` block, which times only the two loads.
+except for the `Adam.step` block, which times only the update, the `load`
+block, which times only the two loads, and the `synthgen` block.
 
 At `--size paper` (E=300, H=64) the blocks are:
 - `bilstm_batch`: 300 word sequences of up to 22 tokens, as the extractor's
@@ -25,7 +25,12 @@ At `--size paper` (E=300, H=64) the blocks are:
 - `load`: `Checkpointed.load` of an extractor and an abstractor with a
   15000-word vocabulary (checkpoints of 37.6 and 67.5 MiB), which the
   process saves once, before timing, into a temporary directory. It calls
-  only the constructors, `save` and `load`, so it runs on older trees too.
+  only the constructors, `save` and `load`, so it runs on older trees too;
+- `synthgen`: `generate` of the `report_extractive` workload's corpus at
+  seed 1001 (one training and one testing report of 300 sentences), then of
+  one report of 3000 sentences (15-30 tokens each, vocabulary 20000, noise
+  0.1, 40 gold sentences) at seed 7, into the temporary directory. It uses
+  only `SynthSpec` and `generate`, so it runs on older trees too.
 `--size tiny` runs the same blocks at toy shapes, to check the script.
 
 It prints each block's median CPU milliseconds over all repeats of all
@@ -53,13 +58,21 @@ BLAS_THREAD_VARIABLES = (
 
 # Block shapes: word sequences and their steps, embedding and hidden sizes,
 # abstractor pairs and their tokens, pointer passes over `sentences` keys with
-# `picks` choices before stop, the embedding's vocabulary in `Adam.step`, and
-# the vocabulary of the checkpoints that `load` reads.
+# `picks` choices before stop, the embedding's vocabulary in `Adam.step`, the
+# vocabulary of the checkpoints that `load` reads, and the `SynthSpec` fields
+# of the corpora that `synthgen` writes.
+REPORT_EXTRACTIVE_SPEC = dict(seed=1001, n_reports=1, sentences_per_report=300, summary_sentences=10,
+                              vocabulary_size=2000, n_validation_reports=0, n_testing_reports=1,
+                              min_sentence_tokens=22, max_sentence_tokens=22)
+LONG_REPORT_SPEC = dict(seed=7, n_reports=1, sentences_per_report=3000, summary_sentences=40,
+                        vocabulary_size=20000, noise_rate=0.1, n_validation_reports=0, n_testing_reports=0,
+                        min_sentence_tokens=15, max_sentence_tokens=30)
 SIZES = {
     "paper": dict(rows=300, steps=22, e=300, h=64, pairs=50, tokens=20, passes=20, sentences=300,
-                  picks=10, vocab=5000, load_vocab=15000),
+                  picks=10, vocab=5000, load_vocab=15000, synth=[REPORT_EXTRACTIVE_SPEC, LONG_REPORT_SPEC]),
     "tiny": dict(rows=3, steps=4, e=5, h=3, pairs=2, tokens=3, passes=2, sentences=4, picks=2, vocab=12,
-                 load_vocab=12),
+                 load_vocab=12, synth=[dict(seed=1, n_reports=2, sentences_per_report=6, summary_sentences=2,
+                                            noise_rate=0.1)]),
 }
 
 
@@ -71,6 +84,7 @@ def blocks(size: dict, workdir: Path):
     from narrsum import autodiff as ad
     from narrsum.abstractor import AbstractorModel
     from narrsum.extractor import ExtractorModel
+    from narrsum.synthgen import SynthSpec, generate
 
     rng = np.random.default_rng(0)
     e, h = size["e"], size["h"]
@@ -156,8 +170,17 @@ def blocks(size: dict, workdir: Path):
 
         return run
 
+    def synthgen():
+        specs = [SynthSpec(**fields) for fields in size["synth"]]
+
+        def run():
+            for k, spec in enumerate(specs):
+                generate(spec, workdir / f"corpus{k}")
+
+        return run
+
     return [("bilstm_batch", bilstm), ("attention_decoder", decoder), ("pointer_decoder", pointer),
-            ("Adam.step", adam), ("load", load)]
+            ("Adam.step", adam), ("load", load), ("synthgen", synthgen)]
 
 
 def child(size_name: str, repeats: int) -> None:

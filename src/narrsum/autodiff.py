@@ -883,7 +883,7 @@ def save_checkpoint(
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
             fh.write(b"\n")
             for name in names:
-                fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

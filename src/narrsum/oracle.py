@@ -260,11 +260,15 @@ def pick_reference(
     return OracleAlignment(report_id, j, rows[j], targets[j])
 
 
-def select_reference(report: Document) -> OracleAlignment:
-    """Pick the reference summary best reconstructed by its own alignment."""
+def select_reference(report: Document, index: SourceIndex | None = None) -> OracleAlignment:
+    """Pick the reference summary best reconstructed by its own alignment.
+
+    `index`, when given, must be built from this report's sentences.
+    """
     if not report.summaries:
         raise ValueError(f"report {report.id} has no summaries to align")
-    index = SourceIndex(report.sentences)
+    if index is None:
+        index = SourceIndex(report.sentences)
     rows = [align_summary(report, summary, index) for summary in report.summaries]
     return pick_reference(report.id, report.sentences, report.summaries, rows)
 

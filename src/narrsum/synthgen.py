@@ -81,34 +81,32 @@ class _Uncontained:
     """Non-empty sentences offered one by one, keeping those that neither
     contain nor are contained in (as a subsequence) one kept before.
 
-    Containment needs one sentence's token types inside the other's. A
-    postings map from each type to the kept sentences holding it counts
-    the types a candidate shares with each of them, and only a sentence
-    sharing all of its own types or all of the candidate's is compared.
+    A kept sentence containing the candidate holds every type of it, so it
+    is among the holders of the candidate's least-held type. A kept sentence
+    the candidate contains starts with one of the candidate's types, so each
+    kept sentence is also filed under its first token. Only those two lists
+    are compared.
     """
 
     def __init__(self) -> None:
         self.sentences: list[tuple[str, ...]] = []
-        self._n_types: list[int] = []
-        self._postings: dict[str, list[int]] = {}
+        self._holders: dict[str, list[int]] = {}
+        self._by_first: dict[str, list[int]] = {}
 
     def offer(self, cand: tuple[str, ...]) -> bool:
         """Keep `cand` unless it contains or is contained in a kept sentence."""
         types = set(cand)
-        shared: dict[int, int] = {}
+        least = min([self._holders.get(tok, ()) for tok in types], key=len)
+        if any(_is_subsequence(cand, self.sentences[i]) for i in least):
+            return False
         for tok in types:
-            for i in self._postings.get(tok, ()):
-                shared[i] = shared.get(i, 0) + 1
-        for i, count in shared.items():
-            kept = self.sentences[i]
-            if (count == len(types) and _is_subsequence(cand, kept)) or (
-                count == self._n_types[i] and _is_subsequence(kept, cand)
-            ):
-                return False
+            for i in self._by_first.get(tok, ()):
+                if _is_subsequence(self.sentences[i], cand):
+                    return False
         for tok in types:
-            self._postings.setdefault(tok, []).append(len(self.sentences))
+            self._holders.setdefault(tok, []).append(len(self.sentences))
+        self._by_first.setdefault(cand[0], []).append(len(self.sentences))
         self.sentences.append(cand)
-        self._n_types.append(len(types))
         return True
 
 
@@ -119,7 +117,8 @@ def _sentence_line(tokens: tuple[str, ...]) -> str:
 
 def _draw_sentence(rng, vocab, spec) -> tuple[str, ...]:
     length = int(rng.integers(spec.min_sentence_tokens, spec.max_sentence_tokens + 1))
-    return tuple([vocab[int(rng.integers(len(vocab)))] for _ in range(length)])
+    # One call for all tokens draws the same values as one call per token.
+    return tuple([vocab[i] for i in rng.integers(len(vocab), size=length).tolist()])
 
 
 def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> tuple[str, ...]:
@@ -135,8 +134,9 @@ def _perturbed_copy(rng, vocab, spec, index: SourceIndex, source_idx) -> tuple[s
     return source
 
 
-def _make_report(rng, vocab, spec):
-    """Report sentences with no mutual containment, plus its summaries."""
+def _make_report(rng, vocab, spec, report_id):
+    """Report sentences with no mutual containment, its summaries and their
+    planted alignment, or None when `select_reference` would pick another."""
     kept = _Uncontained()
     rejected = 0
     while len(kept.sentences) < spec.sentences_per_report:
@@ -161,7 +161,10 @@ def _make_report(rng, vocab, spec):
             rows.append((t, src, rouge_l_sentence(sentences[src], copy).recall))
         summaries.append(sents)
         truth_rows.append(rows)
-    return sentences, summaries, truth_rows
+    alignment = pick_reference(report_id, sentences, summaries, truth_rows)
+    if select_reference(Document(report_id, sentences, summaries), index) != alignment:
+        return None
+    return sentences, summaries, alignment
 
 
 def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignment]]:
@@ -186,12 +189,12 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
             report_id = f"{_SPLIT_PREFIX[split]}{ridx:04d}"
             for attempt in range(20):
                 rng = np.random.default_rng([spec.seed, split_idx, ridx, attempt])
-                sentences, summaries, truth_rows = _make_report(rng, vocab, spec)
-                alignment = pick_reference(report_id, sentences, summaries, truth_rows)
-                if select_reference(Document(report_id, sentences, summaries)) == alignment:
+                report = _make_report(rng, vocab, spec, report_id)
+                if report is not None:
                     break
             else:
                 raise ConfigError(f"synthesis spec cannot be met: no argmax-consistent report {report_id}")
+            sentences, summaries, alignment = report
             drawn[split].append((report_id, sentences, summaries))
             truth[split].append(alignment)
     for split, reports in drawn.items():

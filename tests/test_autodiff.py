@@ -763,6 +763,14 @@ def test_model_load_peak_is_at_most_the_file_and_one_parameter(tmp_path, cls):
     assert traced_peak(lambda: cls.load(path)) <= path.stat().st_size + largest
 
 
+@pytest.mark.parametrize("cls", [ExtractorModel, AbstractorModel])
+def test_model_save_peaks_well_below_its_largest_parameter(tmp_path, cls):
+    """`save` writes each parameter's own buffer to the file, copying none of them."""
+    model = cls(3000, 40, 8, np.random.default_rng(44))
+    largest = max(p.data.nbytes for p in model.params.values())
+    assert traced_peak(lambda: model.save(tmp_path / "model.ckpt")) < largest / 4
+
+
 def test_checkpoint_truncated_with_inflated_shapes_refused_before_reading(tmp_path):
     """Shapes that claim far more than the file holds are refused without allocating them."""
     path = tmp_path / "model.ckpt"
