@@ -11,7 +11,8 @@ it once to warm up, then `--repeats` times under `time.process_time`. Every
 repeat is one training step's work on that block: `Adam.zero_grad`, the
 forward pass, a `mean_cross_entropy` loss over its output and `backward`,
 except for the `Adam.step` block, which times only the update, the `load`
-block, which times only the two loads, and the `synthgen` block.
+block, which times only the two loads, and the `synthgen` and `frontend`
+blocks.
 
 At `--size paper` (E=300, H=64) the blocks are:
 - `bilstm_batch`: 300 word sequences of up to 22 tokens, as the extractor's
@@ -30,7 +31,13 @@ At `--size paper` (E=300, H=64) the blocks are:
   seed 1001 (one training and one testing report of 300 sentences), then of
   one report of 3000 sentences (15-30 tokens each, vocabulary 20000, noise
   0.1, 40 gold sentences) at seed 7, into the temporary directory. It uses
-  only `SynthSpec` and `generate`, so it runs on older trees too.
+  only `SynthSpec` and `generate`, so it runs on older trees too;
+- `frontend`: the fixed cost of one CLI stage, as `sentences_from_text` of
+  the first testing report that `synthgen` wrote (the `report_extractive`
+  one, 300 sentences) at 60 tokens per sentence, then one `cli` call that
+  parses a full `baseline` argv and exits 2 at a `--data-root` that does not
+  exist, with stderr captured and `--out` in the temporary directory. It
+  uses only `sentences_from_text` and `cli`, so it runs on older trees too.
 `--size tiny` runs the same blocks at toy shapes, to check the script.
 
 It prints each block's median CPU milliseconds over all repeats of all
@@ -41,6 +48,8 @@ process ran, 1 when one failed, 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import statistics
@@ -83,7 +92,9 @@ def blocks(size: dict, workdir: Path):
 
     from narrsum import autodiff as ad
     from narrsum.abstractor import AbstractorModel
+    from narrsum.corpus import sentences_from_text
     from narrsum.extractor import ExtractorModel
+    from narrsum.harness import cli
     from narrsum.synthgen import SynthSpec, generate
 
     rng = np.random.default_rng(0)
@@ -179,8 +190,23 @@ def blocks(size: dict, workdir: Path):
 
         return run
 
+    def frontend():
+        text = sorted((workdir / "corpus0" / "testing" / "annual_reports").glob("*.txt"))[0].read_text()
+        argv = ["baseline", "--method", "lexrank", "--split", "testing", "--seed", "1",
+                "--data-root", str(workdir / "absent"), "--out", str(workdir / "out")]
+
+        def run():
+            sentences_from_text(text, 60)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli(argv)
+            if code != 2:
+                raise RuntimeError(f"the frontend block's cli call exited {code}, not 2")
+
+        return run
+
+    # `frontend` reads a report that `synthgen` writes, so it comes after it.
     return [("bilstm_batch", bilstm), ("attention_decoder", decoder), ("pointer_decoder", pointer),
-            ("Adam.step", adam), ("load", load), ("synthgen", synthgen)]
+            ("Adam.step", adam), ("load", load), ("synthgen", synthgen), ("frontend", frontend)]
 
 
 def child(size_name: str, repeats: int) -> None:

@@ -28,9 +28,13 @@ RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 # against the non-whitespace run ending at the candidate punctuation, after
 # stripping any leading brackets or quotes.
 ABBREVIATIONS = frozenset({"Mr.", "Mrs.", "Dr.", "St.", "No.", "Fig.", "e.g.", "i.e.", "etc."})
+_ABBREVIATION_ENDS = tuple(ABBREVIATIONS)
 
 _BOUNDARY = re.compile(r"[.!?]\s+(?=[A-Z0-9])")
 _WORD = re.compile(r"[A-Za-z0-9]+")
+# Casefolds ASCII text and makes every character outside [a-z0-9] a space, so
+# that `str.split()` of the result gives `_WORD`'s casefolded runs.
+_ASCII_WORD_TABLE = str.maketrans({chr(c): chr(c).lower() if chr(c).isalnum() else " " for c in range(128)})
 
 
 class DataError(Exception):
@@ -53,12 +57,14 @@ def split_sentence_spans(text: str) -> list[tuple[int, int]]:
     cuts = [0]
     for match in _BOUNDARY.finditer(text):
         punct = match.start()
-        word_start = punct
-        while word_start > 0 and not text[word_start - 1].isspace():
-            word_start -= 1
-        word = text[word_start : punct + 1].lstrip("\"'([{“‘")
-        if word in ABBREVIATIONS:
-            continue
+        # A stop-listed word would end `text[: punct + 1]`, so only a candidate
+        # ending with one walks back to the start of its word.
+        if text.endswith(_ABBREVIATION_ENDS, 0, punct + 1):
+            word_start = punct
+            while word_start > 0 and not text[word_start - 1].isspace():
+                word_start -= 1
+            if text[word_start : punct + 1].lstrip("\"'([{“‘") in ABBREVIATIONS:
+                continue
         cuts.append(punct + 1)
     cuts.append(len(text))
     spans = []
@@ -76,19 +82,24 @@ def tokenize_words(sentence_text: str, max_tokens: int) -> list[str]:
     """Lowercased alphanumeric runs, truncated to the first max_tokens.
 
     Case folding (not plain lower()) keeps the output stable under case
-    changes such as the German eszett.
+    changes such as the German eszett. On ASCII text casefold() equals
+    lower(), which maps exactly A-Z to a-z and keeps every position, so
+    `sentences_from_text` tokenizes ASCII text through one translation
+    table and `str.split` instead.
     """
     return _WORD.findall(sentence_text.casefold())[:max_tokens]
 
 
 def sentences_from_text(text: str, max_tokens: int) -> list[tuple[str, ...]]:
     """Split and tokenize, dropping spans that contain no word characters."""
-    out = []
-    for start, end in split_sentence_spans(text):
-        tokens = tokenize_words(text[start:end], max_tokens)
-        if tokens:
-            out.append(tuple(tokens))
-    return out
+    spans = split_sentence_spans(text)
+    if text.isascii():
+        # Same tokens as `tokenize_words` per span, from one pass over the whole text.
+        words = text.translate(_ASCII_WORD_TABLE)
+        sentences = (words[start:end].split()[:max_tokens] for start, end in spans)
+    else:
+        sentences = (tokenize_words(text[start:end], max_tokens) for start, end in spans)
+    return [tuple(tokens) for tokens in sentences if tokens]
 
 
 @dataclass

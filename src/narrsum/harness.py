@@ -9,13 +9,14 @@ fixed seed: rerunning a subcommand rewrites byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,12 +224,22 @@ def write_report(report: EvaluationReport, out_dir: Path) -> None:
 
 
 class UsageError(Exception):
-    """Command-line misuse; mapped to exit status 1."""
+    """Command-line misuse; mapped to exit status 1.
+
+    `usage` is the usage of the parser that refused the arguments, when a
+    parser did; otherwise `cli` prints the usage of the command it runs.
+    """
+
+    def __init__(self, message: str, usage: str | None = None):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # set by `build_parser` on the top-level parser
+
     def error(self, message):  # keep argparse from exiting with status 2
-        raise UsageError(message)
+        raise UsageError(message, self.format_usage())
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
@@ -237,41 +248,6 @@ def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-root", dest="data_root", default=argparse.SUPPRESS,
                         help="corpus root directory")
     parser.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default ./out)")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="narrsum", description=__doc__.splitlines()[0])
-    _add_global_flags(parser)
-    sub = parser.add_subparsers(dest="command")
-
-    def command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _add_global_flags(p)
-        return p
-
-    command("ingest", "load the corpus and write manifest.json")
-    command("oracle", "write proxy alignment files per split")
-    command("train-extractor", "teacher-forced pointer training")
-    command("train-abstractor", "teacher-forced paraphraser training")
-    command("train-rl", "actor-critic fine-tuning of the pointer")
-
-    p = command("summarize", "write one summary file per report")
-    p.add_argument("--split", default="testing", choices=SPLITS)
-    p.add_argument("--extractor", default=argparse.SUPPRESS, help="extractor checkpoint path")
-    p.add_argument("--abstractor", default=argparse.SUPPRESS, help="abstractor checkpoint path")
-
-    p = command("baseline", "run an unsupervised baseline over a split")
-    p.add_argument("--method", required=True, choices=list(BASELINES))
-    p.add_argument("--split", default="testing", choices=SPLITS)
-
-    p = command("evaluate", "score prediction directories against references")
-    p.add_argument("--pred", nargs="+", default=argparse.SUPPRESS,
-                   help="prediction directories (default: <out>/summaries)")
-    p.add_argument("--split", default="testing", choices=SPLITS)
-
-    p = command("synthgen", "generate the deterministic synthetic corpus")
-    p.add_argument("--spec", default=argparse.SUPPRESS, help="synthesis spec JSON")
-    return parser
 
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
@@ -593,44 +569,119 @@ def cmd_synthgen(ns, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-HANDLERS = {
-    "ingest": cmd_ingest,
-    "oracle": cmd_oracle,
-    "train-extractor": cmd_train,
-    "train-abstractor": cmd_train,
-    "train-rl": cmd_train_rl,
-    "summarize": cmd_summarize,
-    "baseline": cmd_baseline,
-    "evaluate": cmd_evaluate,
-    "synthgen": cmd_synthgen,
+class Command(NamedTuple):
+    help: str
+    handler: Callable[..., int]  # (namespace, config, out_dir) -> exit status
+    arguments: tuple = ()  # (flags, `add_argument` keywords) pairs, after the global flags
+
+
+COMMANDS = {
+    "ingest": Command("load the corpus and write manifest.json", cmd_ingest),
+    "oracle": Command("write proxy alignment files per split", cmd_oracle),
+    "train-extractor": Command("teacher-forced pointer training", cmd_train),
+    "train-abstractor": Command("teacher-forced paraphraser training", cmd_train),
+    "train-rl": Command("actor-critic fine-tuning of the pointer", cmd_train_rl),
+    "summarize": Command("write one summary file per report", cmd_summarize, (
+        (("--split",), dict(default="testing", choices=SPLITS)),
+        (("--extractor",), dict(default=argparse.SUPPRESS, help="extractor checkpoint path")),
+        (("--abstractor",), dict(default=argparse.SUPPRESS, help="abstractor checkpoint path")),
+    )),
+    "baseline": Command("run an unsupervised baseline over a split", cmd_baseline, (
+        (("--method",), dict(required=True, choices=list(BASELINES))),
+        (("--split",), dict(default="testing", choices=SPLITS)),
+    )),
+    "evaluate": Command("score prediction directories against references", cmd_evaluate, (
+        (("--pred",), dict(nargs="+", default=argparse.SUPPRESS,
+                           help="prediction directories (default: <out>/summaries)")),
+        (("--split",), dict(default="testing", choices=SPLITS)),
+    )),
+    "synthgen": Command("generate the deterministic synthetic corpus", cmd_synthgen, (
+        (("--spec",), dict(default=argparse.SUPPRESS, help="synthesis spec JSON")),
+    )),
 }
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser with every command registered by name and help text,
+    so the top-level usage and help are always whole. Only `command`, or
+    every command when it is None, gets its arguments and its `-h`; any
+    other command refuses every argument. The parser's `commands` maps each
+    command name to that command's parser."""
+    parser = _Parser(prog="narrsum", description=__doc__.splitlines()[0])
+    _add_global_flags(parser)
+    sub = parser.add_subparsers(dest="command")
+    for name, spec in COMMANDS.items():
+        built = command in (None, name)
+        p = sub.add_parser(name, help=spec.help, add_help=built)
+        if built:
+            _add_global_flags(p)
+            for flags, options in spec.arguments:
+                p.add_argument(*flags, **options)
+    parser.commands = sub.choices
+    return parser
+
+
+def _named_command(argv: Sequence[str]) -> str | None:
+    """The command that `argv` names, found by skipping every option before
+    it together with the option's value (`-h`, `--help` and `--flag=value`
+    have none); None when the first other word is not a command, or comes
+    after `--` or not at all."""
+    words = iter(argv)
+    for word in words:
+        if word == "--":
+            return None
+        if word.startswith("-"):
+            if word not in ("-h", "--help") and "=" not in word:
+                next(words, None)
+            continue
+        return word if word in COMMANDS else None
+    return None
+
+
+def _parse(argv: Sequence[str]) -> tuple[_Parser, argparse.Namespace]:
+    """The parser for `argv` and its namespace.
+
+    Parsing with only the named command's arguments gives the full parser's
+    result whenever it succeeds on that command: the top-level parser is the
+    same, and so is the parser of the command it runs. Otherwise (no command
+    found, a refusal, or another command run) the full parser parses again.
+    """
+    command = _named_command(argv)
+    if command is not None:
+        parser = build_parser(command)
+        with contextlib.suppress(UsageError):
+            ns = parser.parse_args(argv)
+            if ns.command == command:
+                return parser, ns
+    parser = build_parser()
+    return parser, parser.parse_args(argv)
+
+
+def _print_usage_error(usage: str, message: object) -> int:
+    print(usage, file=sys.stderr, end="")
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def cli(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; 0 = success, 1 = usage error, 2 = data error."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        parser, ns = _parse(argv)
     except UsageError as exc:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _print_usage_error(exc.usage, exc)
     except SystemExit as exc:  # --help paths
         return int(exc.code or 0)
     if not getattr(ns, "command", None):
-        print(parser.format_usage(), file=sys.stderr, end="")
-        print("error: a subcommand is required", file=sys.stderr)
-        return 1
+        return _print_usage_error(parser.format_usage(), "a subcommand is required")
     try:
         out_dir = Path(getattr(ns, "out", "out"))
         if ns.command != "synthgen":
             _require_creatable_dir("--out", out_dir)
         config = _resolve_config(ns)
-        return HANDLERS[ns.command](ns, config, out_dir)
+        return COMMANDS[ns.command].handler(ns, config, out_dir)
     except UsageError as exc:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _print_usage_error(exc.usage or parser.commands[ns.command].format_usage(), exc)
     except (DataError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -641,7 +692,7 @@ def cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    sys.exit(cli(sys.argv[1:]))
+    sys.exit(cli())
 
 
 if __name__ == "__main__":

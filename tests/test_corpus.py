@@ -1,6 +1,7 @@
 """Ingestion tests: splitting, tokenizing, vocabulary, dataset layout."""
 
 import logging
+import re
 import shutil
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from narrsum.config import RunConfig
 from narrsum.corpus import (
+    ABBREVIATIONS,
     END_ID,
     PAD_ID,
     RESERVED_TOKENS,
@@ -117,6 +119,43 @@ def test_tokenize_shape(text):
 def test_sentences_from_text_drops_wordless_spans():
     sents = sentences_from_text("Profit rose. ?!. Costs fell.", MAX_TOKENS)
     assert sents == [("profit", "rose"), ("costs", "fell")]
+
+
+_BOUNDARY = re.compile(r"[.!?]\s+(?=[A-Z0-9])")
+_WORD = re.compile(r"[A-Za-z0-9]+")
+
+
+def reference_sentences(text: str, max_tokens: int) -> list[tuple[str, ...]]:
+    """Sentence splitting and tokenizing of every text the regex way: each
+    candidate boundary walks back to its word, and each span is casefolded
+    and searched for word runs."""
+    cuts = [0]
+    for match in _BOUNDARY.finditer(text):
+        punct = word_start = match.start()
+        while word_start > 0 and not text[word_start - 1].isspace():
+            word_start -= 1
+        if text[word_start : punct + 1].lstrip("\"'([{“‘") not in ABBREVIATIONS:
+            cuts.append(punct + 1)
+    cuts.append(len(text))
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        tokens = _WORD.findall(text[lo:hi].casefold())[:max_tokens]
+        if tokens:
+            out.append(tuple(tokens))
+    return out
+
+
+_ASCII_PIECES = [*"aAbBzZ09 .!?\"'()[]{}", "Mr.", "e.g.", "Fig.", *"\t\n\x0b\x0c\x1c\x1d\x1e\x1f\x00\x7f"]
+_PIECES = _ASCII_PIECES + [*"ßKﬁİ“‘"]
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(*(st.lists(st.sampled_from(pieces), max_size=40).map("".join) for pieces in (_ASCII_PIECES, _PIECES))),
+    st.sampled_from([1, 3, 100]),
+)
+def test_sentences_from_text_equals_the_regex_reference(text, max_tokens):
+    assert sentences_from_text(text, max_tokens) == reference_sentences(text, max_tokens)
 
 
 # ---------------------------------------------------------------- vocabulary

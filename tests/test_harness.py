@@ -244,6 +244,76 @@ def test_flag_overrides_beat_config_file(tmp_path):
     assert _resolve_config(parser.parse_args(["ingest"])) == RunConfig()
 
 
+# ---------------------------------------------------------------- argument parsing
+
+# No case names a data root, so every command that parses stops at its
+# missing `--data-root` (or its missing `--config` file) before reading data.
+PARSE_CASES = [
+    [], ["-h"], ["--help"], ["--"], ["--", "ingest"], ["frobnicate"], ["--seed", "3"], ["-", "ingest"],
+    ["ingest"], ["--seed", "3", "ingest", "--out", "o"], ["ingest", "--seed", "3", "--out=o"],
+    ["--seed=4", "train-abstractor"], ["--out=o", "baseline", "--method", "lead"],
+    ["--conf", "absent.json", "ingest"], ["ingest", "--conf", "absent.json"], ["--se", "2", "oracle", "--o", "x"],
+    ["--out", "oracle", "train-rl"], ["--out", "train-rl", "oracle"], ["ingest", "oracle"],
+    ["baseline", "--split", "testing"], ["baseline", "--method", "zzz"], ["baseline", "--method", "lead", "-h"],
+    ["-h", "baseline"], ["baseline", "-h", "--method", "zzz"], ["summarize", "--split", "validation", "--help"],
+    ["--bogus", "ingest", "oracle"], ["--bogus", "ingest", "oracle", "-h"], ["--seed", "x", "ingest"],
+    ["evaluate", "--pred", "a", "b", "--split", "validation"], ["train-extractor", "--", "x"],
+    ["summarize", "--extractor", "e", "--abstractor", "a", "--split", "training"],
+    ["synthgen", "--spec", "s.json", "--seed", "7"], ["train-rl", "--out", "o", "--config"],
+]
+
+
+def _cli_outcome(argv, monkeypatch, capsys, full_parser):
+    """(exit code, namespaces handed to `_resolve_config`, stdout, stderr) of
+    `cli(argv)`, with only the full parser when `full_parser`."""
+    namespaces = []
+    resolve = harness._resolve_config
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_resolve_config", lambda ns: namespaces.append(vars(ns)) or resolve(ns))
+        if full_parser:
+            patch.setattr(harness, "_named_command", lambda argv: None)
+        code = cli(argv)
+    out, err = capsys.readouterr()
+    return code, namespaces, out, err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_cli_parse_of_the_named_command_equals_the_full_parse(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _cli_outcome(argv, monkeypatch, capsys, False) == _cli_outcome(argv, monkeypatch, capsys, True)
+
+
+@pytest.mark.parametrize("argv", [["baseline"], ["summarize"], ["ingest", "--seed", "3"], ["baseline", "-h"]],
+                         ids=" ".join)
+def test_cli_parse_is_the_full_parse_whichever_command_the_scan_names(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    full = _cli_outcome(argv, monkeypatch, capsys, True)
+    for guess in harness.COMMANDS:
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_named_command", lambda argv: guess)
+            assert _cli_outcome(argv, monkeypatch, capsys, False) == full, guess
+
+
+@pytest.mark.parametrize("argv, command", [
+    ([], None), (["--out", "oracle", "train-rl"], "train-rl"), (["--out=x", "oracle"], "oracle"),
+    (["-h", "ingest"], "ingest"), (["--help", "--seed", "1", "evaluate"], "evaluate"),
+    (["--", "ingest"], None), (["frobnicate", "ingest"], None), (["--seed", "ingest"], None),
+])
+def test_named_command_skips_options_and_their_values(argv, command):
+    assert harness._named_command(argv) == command
+
+
+def test_cli_usage_error_prints_the_usage_of_the_failing_command(capsys):
+    assert cli(["baseline", "--split", "testing"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: narrsum baseline")
+    assert err.endswith("error: the following arguments are required: --method\n")
+    assert cli(["ingest"]) == 1  # refused by the command, not by its parser
+    assert capsys.readouterr().err.startswith("usage: narrsum ingest")
+    assert cli([]) == 1
+    assert capsys.readouterr().err.startswith("usage: narrsum [-h]")
+
+
 # ---------------------------------------------------------------- model plumbing
 
 
