@@ -9,7 +9,6 @@ fixed seed: rerunning a subcommand rewrites byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import logging
@@ -236,7 +235,7 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, "_Parser"]  # set by `build_parser` on the top-level parser
+    commands: dict[str, "_CommandParser"]  # set by `build_parser` on the top-level parser
 
     def error(self, message):  # keep argparse from exiting with status 2
         raise UsageError(message, self.format_usage())
@@ -601,60 +600,49 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The CLI parser with every command registered by name and help text,
-    so the top-level usage and help are always whole. Only `command`, or
-    every command when it is None, gets its arguments and its `-h`; any
-    other command refuses every argument. The parser's `commands` maps each
-    command name to that command's parser."""
+class _CommandParser(_Parser):
+    """One command's parser. It adds `-h`, the global flags and the command's
+    own arguments the first time it parses or formats, so a call builds only
+    the arguments of the command it runs: argparse hands the words after a
+    command name only to that command's parser."""
+
+    def __init__(self, spec: Command, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.spec = spec
+        self.built = False
+
+    def _build(self) -> None:
+        if not self.built:
+            self.built = True
+            self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                              help="show this help message and exit")
+            _add_global_flags(self)
+            for flags, options in self.spec.arguments:
+                self.add_argument(*flags, **options)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._build()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._build()
+        return super().format_usage()
+
+    def format_help(self):
+        self._build()
+        return super().format_help()
+
+
+def build_parser() -> _Parser:
+    """The CLI parser. Its `commands` maps each command name to that
+    command's parser."""
     parser = _Parser(prog="narrsum", description=__doc__.splitlines()[0])
     _add_global_flags(parser)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
     for name, spec in COMMANDS.items():
-        built = command in (None, name)
-        p = sub.add_parser(name, help=spec.help, add_help=built)
-        if built:
-            _add_global_flags(p)
-            for flags, options in spec.arguments:
-                p.add_argument(*flags, **options)
+        sub.add_parser(name, help=spec.help, spec=spec)
     parser.commands = sub.choices
     return parser
-
-
-def _named_command(argv: Sequence[str]) -> str | None:
-    """The command that `argv` names, found by skipping every option before
-    it together with the option's value (`-h`, `--help` and `--flag=value`
-    have none); None when the first other word is not a command, or comes
-    after `--` or not at all."""
-    words = iter(argv)
-    for word in words:
-        if word == "--":
-            return None
-        if word.startswith("-"):
-            if word not in ("-h", "--help") and "=" not in word:
-                next(words, None)
-            continue
-        return word if word in COMMANDS else None
-    return None
-
-
-def _parse(argv: Sequence[str]) -> tuple[_Parser, argparse.Namespace]:
-    """The parser for `argv` and its namespace.
-
-    Parsing with only the named command's arguments gives the full parser's
-    result whenever it succeeds on that command: the top-level parser is the
-    same, and so is the parser of the command it runs. Otherwise (no command
-    found, a refusal, or another command run) the full parser parses again.
-    """
-    command = _named_command(argv)
-    if command is not None:
-        parser = build_parser(command)
-        with contextlib.suppress(UsageError):
-            ns = parser.parse_args(argv)
-            if ns.command == command:
-                return parser, ns
-    parser = build_parser()
-    return parser, parser.parse_args(argv)
 
 
 def _print_usage_error(usage: str, message: object) -> int:
@@ -665,14 +653,17 @@ def _print_usage_error(usage: str, message: object) -> int:
 
 def cli(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; 0 = success, 1 = usage error, 2 = data error."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        parser, ns = _parse(argv)
+        ns, extras = parser.parse_known_args(argv)
+        if extras:  # refused by the parser of the command they were given to
+            refuser = parser.commands[ns.command] if ns.command else parser
+            refuser.error(f"unrecognized arguments: {' '.join(extras)}")
     except UsageError as exc:
         return _print_usage_error(exc.usage, exc)
     except SystemExit as exc:  # --help paths
         return int(exc.code or 0)
-    if not getattr(ns, "command", None):
+    if not ns.command:
         return _print_usage_error(parser.format_usage(), "a subcommand is required")
     try:
         out_dir = Path(getattr(ns, "out", "out"))

@@ -260,47 +260,45 @@ PARSE_CASES = [
     ["evaluate", "--pred", "a", "b", "--split", "validation"], ["train-extractor", "--", "x"],
     ["summarize", "--extractor", "e", "--abstractor", "a", "--split", "training"],
     ["synthgen", "--spec", "s.json", "--seed", "7"], ["train-rl", "--out", "o", "--config"],
+    ["ingest", "--bogus"], ["--bogus"], ["--bogus", "ingest"], ["baseline", "--method", "lead", "extra"],
 ]
+
+
+def _full_parser():
+    """The CLI parser with every command's arguments built before it parses."""
+    parser = build_parser()
+    for command in parser.commands.values():
+        command.format_usage()
+    return parser
 
 
 def _cli_outcome(argv, monkeypatch, capsys, full_parser):
     """(exit code, namespaces handed to `_resolve_config`, stdout, stderr) of
-    `cli(argv)`, with only the full parser when `full_parser`."""
+    `cli(argv)`, with every command's arguments built first when `full_parser`."""
     namespaces = []
     resolve = harness._resolve_config
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_resolve_config", lambda ns: namespaces.append(vars(ns)) or resolve(ns))
         if full_parser:
-            patch.setattr(harness, "_named_command", lambda argv: None)
+            patch.setattr(harness, "build_parser", _full_parser)
         code = cli(argv)
     out, err = capsys.readouterr()
     return code, namespaces, out, err
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_cli_parse_of_the_named_command_equals_the_full_parse(argv, tmp_path, monkeypatch, capsys):
+def test_cli_parse_with_lazy_command_parsers_equals_the_full_parse(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert _cli_outcome(argv, monkeypatch, capsys, False) == _cli_outcome(argv, monkeypatch, capsys, True)
 
 
-@pytest.mark.parametrize("argv", [["baseline"], ["summarize"], ["ingest", "--seed", "3"], ["baseline", "-h"]],
-                         ids=" ".join)
-def test_cli_parse_is_the_full_parse_whichever_command_the_scan_names(argv, tmp_path, monkeypatch, capsys):
+def test_cli_builds_only_the_parser_of_the_command_it_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    full = _cli_outcome(argv, monkeypatch, capsys, True)
-    for guess in harness.COMMANDS:
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "_named_command", lambda argv: guess)
-            assert _cli_outcome(argv, monkeypatch, capsys, False) == full, guess
-
-
-@pytest.mark.parametrize("argv, command", [
-    ([], None), (["--out", "oracle", "train-rl"], "train-rl"), (["--out=x", "oracle"], "oracle"),
-    (["-h", "ingest"], "ingest"), (["--help", "--seed", "1", "evaluate"], "evaluate"),
-    (["--", "ingest"], None), (["frobnicate", "ingest"], None), (["--seed", "ingest"], None),
-])
-def test_named_command_skips_options_and_their_values(argv, command):
-    assert harness._named_command(argv) == command
+    built = []
+    build = harness._CommandParser._build
+    monkeypatch.setattr(harness._CommandParser, "_build", lambda self: built.append(self.prog) or build(self))
+    assert cli(["--out", "oracle", "baseline", "--method", "lead"]) == 1  # no --data-root
+    assert set(built) == {"narrsum baseline"}
 
 
 def test_cli_usage_error_prints_the_usage_of_the_failing_command(capsys):
@@ -310,6 +308,10 @@ def test_cli_usage_error_prints_the_usage_of_the_failing_command(capsys):
     assert err.endswith("error: the following arguments are required: --method\n")
     assert cli(["ingest"]) == 1  # refused by the command, not by its parser
     assert capsys.readouterr().err.startswith("usage: narrsum ingest")
+    assert cli(["ingest", "--bogus"]) == 1  # left over by the command's parser
+    err = capsys.readouterr().err
+    assert err.startswith("usage: narrsum ingest")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
     assert cli([]) == 1
     assert capsys.readouterr().err.startswith("usage: narrsum [-h]")
 
