@@ -771,13 +771,11 @@ class Adam:
         *,
         lr: float,
         clip_norm: float | None,
-        frozen: Sequence[str] = (),
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        self._every = list(params.values())  # what `zero_grad` resets, frozen parameters included
-        self.params = {k: p for k, p in params.items() if k not in frozen}
+        self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -798,12 +796,11 @@ class Adam:
         spare: the first `accum` of the next step zero-fills it and takes it
         back, so training steps allocate no gradient arrays. An array read
         from `grad` before this call is overwritten by the next backward;
-        copy it to keep it. A frozen parameter's gradient is reset the same
-        way, so it never sums over steps; `step` never updates it."""
-        for p in self._every:
+        copy it to keep it."""
+        for p in self.params.values():
             if p.grad is not None:
                 p.spare = p.grad
-        zero_grads(self._every)
+        zero_grads(self.params.values())
 
     def step(self) -> float:
         """Apply one update; returns the pre-clip gradient norm."""

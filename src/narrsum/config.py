@@ -23,7 +23,6 @@ class ConfigError(Exception):
 # The exact types each config annotation admits, and how a refusal names them.
 _FIELD_TYPES = {
     "int": ((int,), "an integer"),
-    "bool": ((bool,), "true or false"),
     "float": ((int, float), "a number"),
     "float | None": ((int, float, type(None)), "a number or null"),
     "str": ((str,), "a string"),
@@ -73,15 +72,11 @@ class RunConfig:
     extractor_epochs: int = 10
     abstractor_epochs: int = 10
     max_output_tokens: int = 60
-    freeze_embeddings: bool = False
 
     # Reinforcement phase.
     rl_episodes: int = 500
     rl_lr: float | None = None  # None: reuse lr
     rl_updates_every: int = 4  # trajectories per update batch
-    entropy_coef: float = 0.0
-    normalize_advantage: bool = False
-    rl_finetune_abstractor: bool = False
 
     # Evaluation.
     reference_aggregation: str = "max"  # or "mean"
@@ -111,7 +106,7 @@ class RunConfig:
             raise ConfigError(f"clip_norm must be null or greater than 0, got {self.clip_norm!r}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay!r}")
-        for name in ("seed", "checkpoint_every_batches", "entropy_coef", "pagerank_tol"):
+        for name in ("seed", "checkpoint_every_batches", "pagerank_tol"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be at least 0, got {value!r}")

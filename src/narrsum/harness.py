@@ -159,7 +159,8 @@ def evaluate_system(
     )
     if missing:
         log.warning("%s: %d predictions without references excluded", system, len(missing))
-    scored_ids = sorted(rid for rid in predictions if rid not in set(missing))
+    excluded = set(missing)
+    scored_ids = sorted(rid for rid in predictions if rid not in excluded)
     per_document: dict[str, dict[str, RougeScore]] = {}
     for rid in scored_ids:
         candidate = sentences_from_text(predictions[rid], config.max_sentence_tokens)
@@ -448,7 +449,6 @@ def cmd_train(ns, config: RunConfig, out_dir: Path) -> int:
         rng=_rng(config, stage.streams[1]),
         validation=validation,
         periodic_save=lambda: model.save(out_dir / f"{stage.name}_periodic.ckpt", vocab.to_list()),
-        frozen_params=("embed",) if config.freeze_embeddings else (),
     )
     model.save(out_dir / f"{stage.name}.ckpt", vocab.to_list())
     print(f"{stage.name}: {epochs} epochs, final loss {train_log.epoch_losses[-1]:.4f}")
@@ -475,8 +475,6 @@ def cmd_train_rl(ns, config: RunConfig, out_dir: Path) -> int:
     )
     extractor.save(out_dir / "extractor_rl.ckpt", vocab.to_list())
     critic.save(out_dir / "critic.ckpt")
-    if config.rl_finetune_abstractor:
-        abstractor.save(out_dir / "abstractor_rl.ckpt", vocab.to_list())
     final = rows[-1].mean_reward if rows else float("nan")
     print(f"rl: {len(rows)} episodes, final mean greedy reward {final:.4f}")
     return 0

@@ -26,7 +26,6 @@ from .corpus import DataError, Document, Vocab
 from .extractor import ExtractorModel, doc_to_ids, pointer_chooser
 from .oracle import OracleAlignment, aligned_reports
 from .rouge import rouge_l_sentence, rouge_l_summary
-from .training import accumulate_gradients
 
 log = logging.getLogger(__name__)
 
@@ -109,42 +108,28 @@ class Critic(ad.Checkpointed):
         return ad.Value(np.cumsum(diff * diff)[-1], (w, b), backward)
 
 
-def policy_loss(rows: ad.Value, actions: Sequence[int], advantages: np.ndarray, entropy_coef: float) -> ad.Value:
+def policy_loss(rows: ad.Value, actions: Sequence[int], advantages: np.ndarray) -> ad.Value:
     """The actor's loss over one trajectory's score rows (T, K), as one node:
-    the sum over steps of -advantage * log softmax(row)[action], minus
-    `entropy_coef` times the summed entropies of the rows' softmaxes.
+    the sum over steps of -advantage * log softmax(row)[action].
 
-    Each row's gradient is computed as separate log-softmax and entropy
-    nodes, scaled by those coefficients, would compute it."""
+    Each row's gradient is computed as a separate log-softmax node, scaled
+    by its advantage, would compute it."""
     steps = np.arange(len(actions))
     shifted = rows.data - rows.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1)[:, None]
-    log_probs = shifted - np.log(total)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1)[:, None])
     p = np.exp(log_probs)
-    probs = e / total
-    entropy = -np.array([pe @ lp for pe, lp in zip(probs, log_probs)])
     advantages = np.asarray(advantages, dtype=np.float64)
 
     def backward(g):
         coef = g * -advantages
         delta = -p * coef[:, None]
         delta[steps, actions] += coef
-        if entropy_coef:
-            delta = (g * -entropy_coef) * (-probs * (log_probs + entropy[:, None])) + delta
         rows.accum(delta)
 
-    value = -(advantages @ log_probs[steps, actions]) - entropy_coef * entropy.sum()
-    return ad.Value(value, (rows,), backward)
+    return ad.Value(-(advantages @ log_probs[steps, actions]), (rows,), backward)
 
 
 # ---------------------------------------------------------------- rollout
-
-
-def _summary_f1(candidate_sentences: list[list[str]], gold_sentences: Sequence[Sequence[str]]) -> float:
-    if not candidate_sentences:
-        return 0.0
-    return rouge_l_summary(candidate_sentences, gold_sentences).f1
 
 
 def rollout(
@@ -182,8 +167,8 @@ def rollout(
     steps: list[TrajectoryStep] = []
     for t, step in enumerate(decode_steps):
         if step.action == n:  # stop
-            full = _summary_f1(generated, gold_sentences)
-            earlier = _summary_f1(generated[:-1], gold_sentences)
+            full = rouge_l_summary(generated, gold_sentences).f1
+            earlier = rouge_l_summary(generated[:-1], gold_sentences).f1
             reward = min(1.0, max(0.0, full - earlier))
         else:
             cache_key = (document.id, step.action)
@@ -231,14 +216,10 @@ class A2CTrainer:
         policy_lr: float,
         critic_lr: float,
         clip_norm: float | None,
-        entropy_coef: float,
-        normalize_advantage: bool,
     ):
         self.critic = critic
         self.policy_opt = ad.Adam(policy_params, lr=policy_lr, clip_norm=clip_norm)
         self.critic_opt = ad.Adam(critic.params, lr=critic_lr, clip_norm=clip_norm)
-        self.entropy_coef = entropy_coef
-        self.normalize_advantage = normalize_advantage
 
     def update(self, trajectories: Sequence[Trajectory]) -> UpdateStats | None:
         """One A2C step over a batch; returns None when it is discarded.
@@ -258,8 +239,6 @@ class A2CTrainer:
         if not np.isfinite(advantages).all():
             log.warning("discarding a2c batch: non-finite advantage")
             return None
-        if self.normalize_advantage:
-            advantages = advantages / (advantages.std() + 1e-8)
 
         self.policy_opt.zero_grad()
         self.critic_opt.zero_grad()
@@ -269,7 +248,7 @@ class A2CTrainer:
             start = end - len(traj.steps)
             if traj.steps:
                 actions = [s.action for s in traj.steps]
-                ad.backward(policy_loss(traj.replay(), actions, advantages[start:end], self.entropy_coef))
+                ad.backward(policy_loss(traj.replay(), actions, advantages[start:end]))
             end = start
         policy_norm = self.policy_opt.step()
 
@@ -350,42 +329,25 @@ def train_rl(
         policy_lr=config.effective_rl_lr,
         critic_lr=config.effective_rl_lr,
         clip_norm=config.clip_norm,
-        entropy_coef=config.entropy_coef,
-        normalize_advantage=config.normalize_advantage,
     )
-    cache: dict | None = None if config.rl_finetune_abstractor else {}
-    abstractor_opt = (
-        ad.Adam(abstractor.params, lr=config.effective_rl_lr, clip_norm=config.clip_norm)
-        if config.rl_finetune_abstractor
-        else None
-    )
+    cache: dict = {}
 
     def play(report: Document, gold: list[tuple[str, ...]], **mode) -> Trajectory:
         return rollout(report, gold, extractor, abstractor, vocab, config, paraphrase_cache=cache, **mode)
 
     rows: list[RewardRow] = []
     wave: list[Trajectory] = []
-    wave_pairs: list[tuple[list[int], list[int]]] = []
     last = UpdateStats(0.0, 0.0, 0.0, 0.0)
     for episode in range(config.rl_episodes):
         report, gold = paired[episode % len(paired)]
         traj = play(report, gold, mode="sample", rng=rng)
         wave.append(traj)
         keys = traj.keys  # the greedy probe's encoding too, unless an update changes the weights first
-        if abstractor_opt is not None:
-            ids_lists = doc_to_ids(report, vocab)
-            for t, step in enumerate(traj.steps):
-                if step.action < len(ids_lists):
-                    wave_pairs.append((ids_lists[step.action], vocab.encode(gold[t])))
         if len(wave) >= config.rl_updates_every or episode == config.rl_episodes - 1:
             stats = trainer.update(wave)
             if stats is not None:
                 last = stats
-            if abstractor_opt is not None and wave_pairs:
-                accumulate_gradients(abstractor_opt, abstractor.teacher_forced_loss, wave_pairs)
-                abstractor_opt.step()
             wave = []
-            wave_pairs = []
             keys = None
         greedy = play(report, gold, mode="greedy", keys=keys)
         rows.append(RewardRow(episode, greedy.mean_reward(), last.mean_advantage, last.critic_loss))

@@ -37,7 +37,6 @@ class RougeScore:
 class MetricVariant(enum.Enum):
     R1 = "rouge-1"
     R2 = "rouge-2"
-    RL_SENTENCE = "rouge-l-sentence"
     RL_SUMMARY = "rouge-l-summary"
     RSU4 = "rouge-su4"
 
@@ -193,8 +192,6 @@ def score_variant(variant: MetricVariant, candidate_sentences: SentenceSeq, refe
         return rouge_n(cand_tokens, ref_tokens, 1)
     if variant is MetricVariant.R2:
         return rouge_n(cand_tokens, ref_tokens, 2)
-    if variant is MetricVariant.RL_SENTENCE:
-        return rouge_l_sentence(cand_tokens, ref_tokens)
     if variant is MetricVariant.RSU4:
         return rouge_su4(cand_tokens, ref_tokens)
     raise ValueError(f"unknown metric variant: {variant!r}")

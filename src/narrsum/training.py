@@ -67,7 +67,6 @@ def fit(
     rng: np.random.Generator,
     validation: Sequence[tuple] = (),
     periodic_save: Callable[[], None] | None = None,
-    frozen_params: Sequence[str] = (),
 ) -> TrainLog:
     """Adam on the mean `loss(*item)` of mini-batches of `items`, with
     `config`'s `lr`, `lr_decay`, `clip_norm`, `batch_size` and
@@ -77,11 +76,11 @@ def fit(
     rate is multiplied by `lr_decay` on a plateau of the mean validation
     loss, or of the epoch's training loss when there is no validation data.
     `periodic_save` runs after every `checkpoint_every_batches` batches
-    (never when 0). Parameters named in `frozen_params` are not updated.
+    (never when 0).
     """
     if not items:
         raise ValueError("no training items")
-    optimizer = ad.Adam(params, lr=config.lr, clip_norm=config.clip_norm, frozen=frozen_params)
+    optimizer = ad.Adam(params, lr=config.lr, clip_norm=config.clip_norm)
     schedule = HalveOnPlateau(optimizer, config.lr_decay)
     batch_size, checkpoint_every = config.batch_size, config.checkpoint_every_batches
     train_log = TrainLog()

@@ -23,8 +23,8 @@ replaced in training and `autodiff.pointer_scan` in decoding: one
 `lstm_cell`, `matmul`, `add_row`, `tanh`, `matmul` and mask `add` per step,
 then `take_row` of the chosen key. `percell_pointer_loss` is the extractor's
 teacher-forced loss on it, one `cross_entropy` node per step, and
-`percell_policy_loss` the actor's loss over it, one `log_softmax_at` and
-`softmax_entropy` node per step.
+`percell_policy_loss` the actor's loss over it, one `log_softmax_at` node
+per step.
 
 The generic graph ops below (`const` to `cross_entropy`, and `sigmoid`,
 `softmax`, `vsum`, `mean` and `bahdanau_attention`) have no caller left in
@@ -563,14 +563,10 @@ def percell_pointer_loss(model, ids_lists: Sequence[Sequence[int]], targets: Seq
     return ad.scale(total, 1.0 / len(rows))
 
 
-def percell_policy_loss(
-    rows: Sequence[ad.Value], actions: Sequence[int], advantages: Sequence[float], entropy_coef: float
-) -> ad.Value:
+def percell_policy_loss(rows: Sequence[ad.Value], actions: Sequence[int], advantages: Sequence[float]) -> ad.Value:
     """`rl.policy_loss` over per-step score nodes: one scaled `log_softmax_at`
-    node per step, then one scaled `softmax_entropy` node per step."""
+    node per step."""
     terms = [ad.scale(log_softmax_at(row, a), -float(adv)) for row, a, adv in zip(rows, actions, advantages)]
-    if entropy_coef:
-        terms += [ad.scale(softmax_entropy(row), -entropy_coef) for row in rows]
     total = terms[0]
     for term in terms[1:]:
         total = add(total, term)

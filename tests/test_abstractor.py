@@ -455,22 +455,6 @@ def test_validation_pairs_watched_for_plateau():
     assert all(np.isfinite(v) for v in train_log.validation_losses)
 
 
-def test_frozen_params_stay_fixed():
-    rng = np.random.default_rng(11)
-    pairs = copy_task_pairs(rng, 3, 10)
-    model = AbstractorModel(10, 8, 6, np.random.default_rng(1))
-    before = model.params["embed"].data.copy()
-    fit(
-        model.params, model.teacher_forced_loss,
-        pairs,
-        RunConfig(lr=0.01, batch_size=2),
-        epochs=2,
-        rng=np.random.default_rng(12),
-        frozen_params=("embed",),
-    )
-    assert np.array_equal(model.params["embed"].data, before)
-
-
 # ---------------------------------------------------------------- data prep
 
 

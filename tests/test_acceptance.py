@@ -642,7 +642,7 @@ def test_a6_rl_improvement(small_world, identity_abstractor):
     # (a) 2-arm bandit: the rewarded arm should dominate.
     theta = ad.param(np.zeros(2))
     trainer = A2CTrainer({"theta": theta}, Critic(1, np.random.default_rng(0)), policy_lr=0.05, critic_lr=0.05,
-                         clip_norm=1.0, entropy_coef=0.0, normalize_advantage=False)
+                         clip_norm=1.0)
     rng = np.random.default_rng(606)
     for _ in range(500):
         arm = int(rng.choice(2, p=_softmax(theta.data)))

@@ -211,11 +211,17 @@ def test_write_report_files(tmp_path):
 # ---------------------------------------------------------------- config plumbing
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
+def test_load_config_rejects_unknown_keys(tmp_path, capsys):
+    """Among them the switches of an RL fine-tune of the abstractor, an
+    entropy bonus, advantage normalisation and frozen embeddings."""
     path = tmp_path / "c.json"
-    path.write_text('{"nonsense_key": 3}')
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for key, value in (("nonsense_key", 3), ("freeze_embeddings", False), ("rl_finetune_abstractor", False),
+                       ("entropy_coef", 0.0), ("normalize_advantage", False)):
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match="unknown config fields"):
+            load_config(path)
+        assert cli(["train-rl", "--config", str(path), "--data-root", str(tmp_path), "--out", str(tmp_path)]) == 2
+        assert "unknown config fields" in capsys.readouterr().err
 
 
 def test_load_config_rejects_broken_json_and_non_objects(tmp_path):
@@ -562,25 +568,23 @@ def test_cli_train_stages_reuse_validation_alignments(pipeline, tmp_path, monkey
         ("rl_lr", -0.001), ("lr_decay", 0.0), ("lr_decay", 1.5), ("damping", -0.1), ("damping", 1.1),
         ("checkpoint_every_batches", -1), ("rl_episodes", -3),
     )]
-    # Wrong types: a bool, float or string for an integer, anything but a bool for a flag.
+    # Wrong types: a bool, float or string for an integer.
     + [pytest.param(name, value, id=f"{name}={value!r}") for name, value in (
         ("batch_size", True), ("checkpoint_every_batches", False), ("hidden_dim", 2.5), ("beam_width", 1.5),
-        ("extractor_epochs", 2.0), ("seed", "3"), ("rl_finetune_abstractor", "false"),
-        ("freeze_embeddings", 1), ("normalize_advantage", None),
+        ("extractor_epochs", 2.0), ("seed", "3"),
     )]
     # A bool or string for a number, anything but a string for the data root, a negative seed.
     + [pytest.param(name, value, id=f"{name}={value!r}") for name, value in (
         ("lexrank_threshold", "x"), ("pagerank_tol", "x"), ("lr", True), ("clip_norm", True),
-        ("entropy_coef", "abc"), ("rl_lr", False), ("data_root", 5), ("seed", -1),
+        ("rl_lr", False), ("data_root", 5), ("seed", -1),
     )]
-    # JSON NaN and infinities in number fields, and the ranges of the penalty, the graph settings and the entropy bonus.
+    # JSON NaN and infinities in number fields, and the ranges of the penalty and the graph settings.
     + [pytest.param(name, value, id=f"{name}={value!r}") for name, value in (
         ("lr", math.inf), ("rl_lr", math.nan), ("clip_norm", math.inf), ("damping", math.nan),
         ("repetition_penalty", math.nan), ("repetition_penalty", 0.9),
         ("lexrank_threshold", math.nan), ("lexrank_threshold", math.inf), ("lexrank_threshold", -math.inf),
         ("lexrank_threshold", -1), ("lexrank_threshold", 1.5),
         ("pagerank_tol", math.nan), ("pagerank_tol", math.inf), ("pagerank_tol", -math.inf), ("pagerank_tol", -1),
-        ("entropy_coef", math.nan), ("entropy_coef", math.inf), ("entropy_coef", -math.inf), ("entropy_coef", -1),
     )],
 )
 def test_cli_rejects_non_positive_sizes(pipeline, tmp_path, capsys, field, value):

@@ -4,16 +4,19 @@
 method parameter in `src/narrsum` that carries a setting, whether named
 after a `RunConfig` field or by one of the local names in `ALIASES`, takes
 its value from the caller and has no default of its own: a second default
-would keep its old value when the config's changes.
+would keep its old value when the config's changes. The README's
+Configuration section names every field, and its table names nothing else.
 """
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 from narrsum.config import RunConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "narrsum"
+README = Path(__file__).resolve().parents[1] / "README.md"
 FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 # Parameter names that carry a setting under another name -> that setting.
@@ -73,3 +76,14 @@ def test_no_parameter_carrying_a_setting_has_a_default():
         for hit in _setting_defaults(path.read_text(encoding="utf-8"))
     ]
     assert found == [], f"settings with a second default outside config.py: {found}"
+
+
+def test_readme_configuration_names_exactly_the_fields():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Configuration\n"):]
+    section = section[: section.index("\n## ")]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    unknown = set(re.findall(r"`([a-z_]+)`", table)) - FIELDS
+    assert unknown == set(), f"README configuration table names no RunConfig field: {sorted(unknown)}"
+    unnamed = {name for name in FIELDS if f"`{name}`" not in section}
+    assert unnamed == set(), f"RunConfig fields the README configuration section does not name: {sorted(unnamed)}"
