@@ -78,6 +78,19 @@ def split_sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
+def sentence_line(tokens: Sequence[str]) -> str:
+    """A non-empty sentence written out: space-joined, closed with a period
+    unless it already ends with one, first letter capitalized.
+
+    The period and the capital let `split_sentence_spans` find the sentence
+    boundary again when the text is read back; tokenizing case-folds.
+    """
+    text = " ".join(tokens)
+    if not text.endswith("."):
+        text += "."
+    return text[0].upper() + text[1:]
+
+
 def tokenize_words(sentence_text: str, max_tokens: int) -> list[str]:
     """Lowercased alphanumeric runs, truncated to the first max_tokens.
 

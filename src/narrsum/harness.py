@@ -32,6 +32,7 @@ from .corpus import (
     build_vocab,
     load_dataset,
     read_text,
+    sentence_line,
     sentences_from_text,
 )
 from .extractor import (
@@ -44,19 +45,13 @@ from .extractor import (
 )
 from .oracle import OracleAlignment, build_oracle, load_alignments, save_alignments
 from .rl import Critic, train_rl
-from .rouge import MetricVariant, RougeScore, best_against_references
+from .rouge import REPORT_METRICS, RougeScore, best_against_references
 from .synthgen import SynthSpec, generate
 from .training import fit
 
 log = logging.getLogger(__name__)
 
-# Report rows, outermost first: variant blocks, each precision/recall/F1.
-REPORT_VARIANTS: list[tuple[str, MetricVariant]] = [
-    ("rouge-l", MetricVariant.RL_SUMMARY),
-    ("rouge-1", MetricVariant.R1),
-    ("rouge-2", MetricVariant.R2),
-    ("rouge-su4", MetricVariant.RSU4),
-]
+# Report rows, outermost first: `REPORT_METRICS` blocks, each precision/recall/F1.
 REPORT_COMPONENTS = ("precision", "recall", "f1")
 
 
@@ -85,21 +80,8 @@ def truncate_sentences(sentence_tokens: Sequence[Sequence[str]], limit: int) -> 
 
 
 def detokenize(sentence_tokens: Sequence[Sequence[str]]) -> str:
-    """Space-join each sentence, close it with a period, capitalize.
-
-    Capitalizing the first word lets the sentence splitter recover the
-    same boundaries when the written summary is read back for scoring;
-    scoring itself case-folds, so scores are unaffected.
-    """
-    parts = []
-    for tokens in sentence_tokens:
-        if not tokens:
-            continue
-        text = " ".join(tokens)
-        if not text.endswith("."):
-            text += "."
-        parts.append(text[0].upper() + text[1:])
-    return " ".join(parts)
+    """The non-empty sentences as `sentence_line`s, joined by spaces."""
+    return " ".join(sentence_line(tokens) for tokens in sentence_tokens if tokens)
 
 
 # ---------------------------------------------------------------- summarize
@@ -127,7 +109,7 @@ def summarize_document(
 @dataclass
 class SystemEvaluation:
     system: str
-    cells: dict[str, RougeScore]  # variant label -> mean over documents
+    cells: dict[str, RougeScore]  # metric label -> mean over documents
     per_document: dict[str, dict[str, RougeScore]]
     missing_references: list[str]
 
@@ -165,11 +147,12 @@ def evaluate_system(
     for rid in scored_ids:
         candidate = sentences_from_text(predictions[rid], config.max_sentence_tokens)
         per_document[rid] = {}
-        for label, variant in REPORT_VARIANTS:
-            score, _ = best_against_references(candidate, references[rid], variant, config.reference_aggregation)
-            per_document[rid][label] = score
+        for label, scorer in REPORT_METRICS.items():
+            per_document[rid][label] = best_against_references(
+                candidate, references[rid], scorer, config.reference_aggregation
+            )
     cells = {}
-    for label, _ in REPORT_VARIANTS:
+    for label in REPORT_METRICS:
         means = []
         for component in REPORT_COMPONENTS:
             values = [getattr(per_document[rid][label], component) for rid in scored_ids]
@@ -181,7 +164,7 @@ def evaluate_system(
 def report_rows(report: EvaluationReport) -> list[tuple[str, list[float]]]:
     """The twelve metric rows, one column per system."""
     rows = []
-    for label, _ in REPORT_VARIANTS:
+    for label in REPORT_METRICS:
         for component in REPORT_COMPONENTS:
             values = [getattr(s.cells[label], component) for s in report.systems]
             rows.append((f"{component}({label})", values))
@@ -212,7 +195,7 @@ def write_report(report: EvaluationReport, out_dir: Path) -> None:
     doc_lines = ["system,report_id,metric,precision,recall,f1"]
     for s in report.systems:
         for rid in sorted(s.per_document):
-            for label, _ in REPORT_VARIANTS:
+            for label in REPORT_METRICS:
                 score = s.per_document[rid][label]
                 doc_lines.append(
                     f"{s.system},{rid},{label},{score.precision:.6f},{score.recall:.6f},{score.f1:.6f}"

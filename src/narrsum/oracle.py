@@ -10,6 +10,7 @@ alignments, which every training stage reads its data through.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,12 +51,22 @@ class OracleAlignment:
 
     @staticmethod
     def from_record(record: dict) -> "OracleAlignment":
+        """The alignment a record holds; a field of the wrong JSON type is a `ValueError`."""
+        pairs = [_typed(pair, list) for pair in _typed(record["pairs"], list)]
         return OracleAlignment(
-            report_id=record["report_id"],
-            chosen_summary=int(record["chosen_summary"]),
-            per_sentence=[(int(t), int(j), float(r)) for t, j, r in record["pairs"]],
-            extract_targets=[int(i) for i in record["targets"]],
+            report_id=_typed(record["report_id"], str),
+            chosen_summary=_typed(record["chosen_summary"], int),
+            # Unpacking refuses a pair that is not 3 items.
+            per_sentence=[(_typed(t, int), _typed(j, int), float(_typed(r, int, float))) for t, j, r in pairs],
+            extract_targets=[_typed(i, int) for i in _typed(record["targets"], list)],
         )
+
+
+def _typed(value, *types: type):
+    """`value` if its exact type is one of `types` (a JSON `true` is no int) and it is not a NaN or infinity."""
+    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+        raise ValueError(f"expected {' or '.join(t.__name__ for t in types)} and no NaN or infinity, got {value!r}")
+    return value
 
 
 class SourceIndex:

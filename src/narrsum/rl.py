@@ -52,7 +52,6 @@ class Trajectory:
     critic reads, and `keys` the report encoding the pointer decoded over.
     """
 
-    report_id: str
     steps: list[TrajectoryStep]
     return_per_step: list[float]
     states: list[np.ndarray]
@@ -184,7 +183,7 @@ def rollout(
         steps.append(TrajectoryStep(step.action, float(np.log(step.probs[step.action])), reward))
     actions = [s.action for s in steps]
     return Trajectory(
-        document.id, steps, suffix_returns([s.reward for s in steps]), [s.state for s in decode_steps],
+        steps, suffix_returns([s.reward for s in steps]), [s.state for s in decode_steps],
         partial(extractor.forced_scores, ids_lists, actions), keys,
     )
 

@@ -8,10 +8,9 @@ responsible for any normalization before scoring.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 TokenSeq = Sequence[str]
 SentenceSeq = Sequence[Sequence[str]]
@@ -32,13 +31,6 @@ class RougeScore:
         else:
             f1 = 0.0
         return RougeScore(precision, recall, f1)
-
-
-class MetricVariant(enum.Enum):
-    R1 = "rouge-1"
-    R2 = "rouge-2"
-    RL_SUMMARY = "rouge-l-summary"
-    RSU4 = "rouge-su4"
 
 
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
@@ -178,54 +170,40 @@ def _flatten(sentences: SentenceSeq) -> list[str]:
     return [tok for sent in sentences for tok in sent]
 
 
-def score_variant(variant: MetricVariant, candidate_sentences: SentenceSeq, reference_sentences: SentenceSeq) -> RougeScore:
-    """Score a candidate summary against one reference under a variant.
-
-    Both sides are sentence-segmented; variants defined on flat token
-    streams see the concatenation in sentence order.
-    """
-    if variant is MetricVariant.RL_SUMMARY:
-        return rouge_l_summary(candidate_sentences, reference_sentences)
-    cand_tokens = _flatten(candidate_sentences)
-    ref_tokens = _flatten(reference_sentences)
-    if variant is MetricVariant.R1:
-        return rouge_n(cand_tokens, ref_tokens, 1)
-    if variant is MetricVariant.R2:
-        return rouge_n(cand_tokens, ref_tokens, 2)
-    if variant is MetricVariant.RSU4:
-        return rouge_su4(cand_tokens, ref_tokens)
-    raise ValueError(f"unknown metric variant: {variant!r}")
+# The report's metrics, in report order: each scores a sentence-segmented
+# candidate against one sentence-segmented reference, the flat-token ones
+# on both sides' concatenation in sentence order. Each entry calls its
+# scorer through the module's name for it at call time, so a function
+# rebound on the module (as a tracer does) is the one that runs.
+REPORT_METRICS: dict[str, Callable[[SentenceSeq, SentenceSeq], RougeScore]] = {
+    "rouge-l": lambda cand, ref: rouge_l_summary(cand, ref),
+    "rouge-1": lambda cand, ref: rouge_n(_flatten(cand), _flatten(ref), 1),
+    "rouge-2": lambda cand, ref: rouge_n(_flatten(cand), _flatten(ref), 2),
+    "rouge-su4": lambda cand, ref: rouge_su4(_flatten(cand), _flatten(ref)),
+}
 
 
 def best_against_references(
     candidate_sentences: SentenceSeq,
     reference_sets: Sequence[SentenceSeq],
-    variant: MetricVariant,
+    scorer: Callable[[SentenceSeq, SentenceSeq], RougeScore],
     aggregation: str,
-) -> tuple[RougeScore, int]:
-    """Aggregate a candidate's score over several reference summaries.
+) -> RougeScore:
+    """Aggregate a candidate's `scorer` score over several reference summaries.
 
-    With "max" aggregation returns the highest-F1 reference's score and
-    its index (ties resolved to the lowest index). With "mean" returns
-    componentwise means and index -1.
+    With "max" aggregation returns the highest-F1 reference's score (ties
+    resolved to the lowest index). With "mean" returns componentwise means.
     """
     if not reference_sets:
         raise ValueError("at least one reference summary is required")
-    scores = [score_variant(variant, candidate_sentences, ref) for ref in reference_sets]
+    scores = [scorer(candidate_sentences, ref) for ref in reference_sets]
     if aggregation == "max":
-        best_idx = 0
-        for idx, score in enumerate(scores):
-            if score.f1 > scores[best_idx].f1:
-                best_idx = idx
-        return scores[best_idx], best_idx
+        return max(scores, key=lambda s: s.f1)
     if aggregation == "mean":
         k = len(scores)
-        return (
-            RougeScore(
-                sum(s.precision for s in scores) / k,
-                sum(s.recall for s in scores) / k,
-                sum(s.f1 for s in scores) / k,
-            ),
-            -1,
+        return RougeScore(
+            sum(s.precision for s in scores) / k,
+            sum(s.recall for s in scores) / k,
+            sum(s.f1 for s in scores) / k,
         )
     raise ValueError(f"unknown aggregation: {aggregation!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, check_field_types
-from .corpus import Document
+from .corpus import Document, sentence_line
 from .oracle import OracleAlignment, SourceIndex, pick_reference, save_alignments, select_reference
 from .rouge import rouge_l_sentence
 
@@ -110,11 +110,6 @@ class _Uncontained:
         return True
 
 
-def _sentence_line(tokens: tuple[str, ...]) -> str:
-    text = " ".join(tokens) + "."
-    return text[0].upper() + text[1:]
-
-
 def _draw_sentence(rng, vocab, spec) -> tuple[str, ...]:
     length = int(rng.integers(spec.min_sentence_tokens, spec.max_sentence_tokens + 1))
     # One call for all tokens draws the same values as one call per token.
@@ -204,11 +199,11 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
         summaries_dir.mkdir(parents=True, exist_ok=True)
         for report_id, sentences, summaries in reports:
             (reports_dir / f"{report_id}.txt").write_text(
-                "\n".join(_sentence_line(s) for s in sentences) + "\n", encoding="utf-8"
+                "\n".join(sentence_line(s) for s in sentences) + "\n", encoding="utf-8"
             )
             for j, sents in enumerate(summaries):
                 (summaries_dir / f"{report_id}_{j + 1}.txt").write_text(
-                    "\n".join(_sentence_line(s) for s in sents) + "\n", encoding="utf-8"
+                    "\n".join(sentence_line(s) for s in sents) + "\n", encoding="utf-8"
                 )
         save_alignments(truth[split], root / f"truth_alignments_{split}.jsonl")
     with (root / "synth_spec.json").open("w", encoding="utf-8") as fh:

@@ -348,22 +348,6 @@ def tanh(a: ad.Value) -> ad.Value:
     return ad.Value(t, (a,), backward)
 
 
-def softmax_entropy(logits: ad.Value) -> ad.Value:
-    """Entropy of softmax(logits) as a scalar, fused for stability."""
-    ad._require(logits.data.ndim == 1, f"softmax_entropy: rank {logits.data.ndim}")
-    shifted = logits.data - logits.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    logp = shifted - np.log(e.sum())
-    h = -float(p @ logp)
-
-    def backward(g):
-        # dH/ds_j = -p_j (log p_j + H)
-        logits.accum(g * (-p * (logp + h)))
-
-    return ad.Value(h, (logits,), backward)
-
-
 def log_softmax_at(logits: ad.Value, index: int) -> ad.Value:
     """log softmax(logits)[index] as a scalar graph node."""
     ad._require(logits.data.ndim == 1, f"log_softmax_at: rank {logits.data.ndim}")

@@ -42,7 +42,6 @@ from percell import (
     neg,
     sigmoid,
     softmax,
-    softmax_entropy,
     stack_rows,
     sub,
     take_row,
@@ -524,7 +523,6 @@ def _op_builders():
         ("tanh", unary(tanh)),
         ("sigmoid", unary(sigmoid)),
         ("softmax", unary(softmax)),
-        ("softmax_entropy", lambda rng: ((lambda a: (lambda: softmax_entropy(a), [a]))(ad.param(rng.normal(size=5))))),
         ("log_softmax_at", build_log_softmax_at),
         ("cross_entropy", build_cross_entropy),
         ("embedding_lookup", build_embedding),
@@ -628,7 +626,6 @@ def test_a5_abstractor_copy_task():
 
 def _bandit_trajectory(theta, arm, reward):
     return Trajectory(
-        "bandit",
         [TrajectoryStep(arm, float(np.log(_softmax(theta.data)[arm])), reward)],
         [reward],
         [np.zeros(2)],

@@ -33,7 +33,6 @@ from percell import (
     neg,
     sigmoid,
     softmax,
-    softmax_entropy,
     stack_rows,
     sub,
     take_row,
@@ -265,7 +264,6 @@ def _primitive_cases(rng):
         ("tanh", lambda: weighted(tanh(a), wa), [a]),
         ("sigmoid", lambda: weighted(sigmoid(a), wa), [a]),
         ("softmax", lambda: weighted(softmax(a), wa), [a]),
-        ("softmax_entropy", lambda: softmax_entropy(a), [a]),
         ("log_softmax_at", lambda: log_softmax_at(a, target), [a]),
         ("cross_entropy", lambda: cross_entropy(a, target), [a]),
         ("embedding_lookup", lambda: weighted(ad.embedding_lookup(mat, ids), wid), [mat]),
@@ -462,13 +460,6 @@ def test_attention_weights_sum_to_one_and_mask_kills_position():
     assert abs(weights.data.sum() - 1.0) <= 1e-12
     assert weights.data[2] < 1e-20
     assert context.shape == (5,)
-
-
-def test_softmax_entropy_value():
-    logits = const([0.0, 0.0, 0.0, 0.0])
-    assert float(softmax_entropy(logits).data) == pytest.approx(np.log(4.0))
-    peaked = const([50.0, 0.0, 0.0, 0.0])
-    assert float(softmax_entropy(peaked).data) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- optimizer

@@ -21,9 +21,8 @@ from narrsum.corpus import (
     sentences_from_text,
 )
 from narrsum.extractor import ExtractorModel, doc_to_ids, pointer_chooser
-from narrsum.rouge import RougeScore
+from narrsum.rouge import REPORT_METRICS, RougeScore
 from narrsum.harness import (
-    REPORT_VARIANTS,
     EvaluationReport,
     _load_models,
     _resolve_config,
@@ -131,7 +130,7 @@ def _refs(rid: str, *texts: str) -> dict[str, list[list[tuple[str, ...]]]]:
 def test_evaluate_identical_prediction_scores_one():
     text = "Profit rose sharply this year. Operating costs fell."
     result = evaluate_system({"r1": text}, _refs("r1", text), CONFIG)
-    for label, _ in REPORT_VARIANTS:
+    for label in REPORT_METRICS:
         assert result.cells[label].f1 == pytest.approx(1.0)
         assert result.cells[label].precision == pytest.approx(1.0)
     assert result.missing_references == []
@@ -139,7 +138,7 @@ def test_evaluate_identical_prediction_scores_one():
 
 def test_evaluate_empty_prediction_scores_zero():
     result = evaluate_system({"r1": ""}, _refs("r1", "Profit rose."), CONFIG)
-    for label, _ in REPORT_VARIANTS:
+    for label in REPORT_METRICS:
         assert result.cells[label] == RougeScore(0.0, 0.0, 0.0)
     assert "r1" in result.per_document
 
@@ -149,7 +148,7 @@ def test_evaluate_missing_reference_excluded(caplog):
         result = evaluate_system({"ghost": "Profit rose."}, _refs("r1", "Profit rose."), CONFIG)
     assert result.missing_references == ["ghost"]
     assert result.per_document == {}
-    assert all(result.cells[label] == RougeScore(0.0, 0.0, 0.0) for label, _ in REPORT_VARIANTS)
+    assert all(result.cells[label] == RougeScore(0.0, 0.0, 0.0) for label in REPORT_METRICS)
     assert "without references" in caplog.text
 
 
@@ -647,6 +646,49 @@ def test_cli_training_with_malformed_alignments_is_data_error(pipeline, tmp_path
     args = [stage, "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]), "--out", str(out)]
     assert cli(args) == 2
     assert "alignments_training.jsonl line 2: malformed record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corruption", [
+    "float-target", "string-target", "bool-summary", "infinite-score",
+    "pairs-not-list", "targets-not-list", "pair-not-list", "pair-of-two", "numeric-report-id",
+])
+def test_cli_training_with_mistyped_alignment_field_is_data_error(pipeline, tmp_path, capsys, corruption):
+    """A record field of the wrong type is refused, not converted: exit 2
+    naming the file and the line, and no checkpoint is written."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in pipeline["out"].glob("alignments_*.jsonl"):
+        (out / path.name).write_bytes(path.read_bytes())
+    lines = (out / "alignments_training.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    targets, pair = record["targets"], record["pairs"][0]
+    if corruption == "float-target":
+        targets[-1] += 0.7
+    elif corruption == "string-target":
+        targets[-1] = str(targets[-1])
+    elif corruption == "bool-summary":
+        assert record["chosen_summary"] == 0
+        record["chosen_summary"] = False
+    elif corruption == "infinite-score":
+        pair[2] = math.inf
+    elif corruption == "pairs-not-list":
+        record["pairs"] = {}
+    elif corruption == "targets-not-list":
+        record["targets"] = "".join(str(t) for t in targets)
+    elif corruption == "pair-not-list":
+        record["pairs"][0] = "".join(str(v) for v in (*pair[:2], int(pair[2])))
+    elif corruption == "pair-of-two":
+        del pair[2]
+    else:
+        record["report_id"] = 5
+    lines[1] = json.dumps(record)
+    (out / "alignments_training.jsonl").write_text("\n".join(lines) + "\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    args = ["train-extractor", "--config", str(pipeline["cfg"]), "--data-root", str(pipeline["data"]),
+            "--out", str(out)]
+    assert cli(args) == 2
+    assert "alignments_training.jsonl line 2: malformed record" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("stage", ["train-extractor", "train-abstractor", "train-rl"])

@@ -262,7 +262,6 @@ def theta_rows(theta: ad.Value, steps: int) -> ad.Value:
 
 def bandit_trajectory(theta: ad.Value, arm: int, reward: float, state_dim: int = 2) -> Trajectory:
     return Trajectory(
-        "bandit",
         [TrajectoryStep(arm, float(np.log(softmax(theta.data)[arm])), reward)],
         [reward],
         [np.zeros(state_dim)],
@@ -305,7 +304,6 @@ def test_critic_regression_drives_loss_to_zero():
     def batch():
         return [
             Trajectory(
-                "fixed",
                 [TrajectoryStep(0, -0.5, ret)],
                 [ret],
                 [state],

@@ -2,13 +2,14 @@
 
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrsum.rouge import (
-    MetricVariant,
+    REPORT_METRICS,
     RougeScore,
     _ngrams,
     _su4_units,
@@ -19,8 +20,9 @@ from narrsum.rouge import (
     rouge_l_summary,
     rouge_n,
     rouge_su4,
-    score_variant,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # ---------------------------------------------------------------- oracles
 
@@ -376,8 +378,8 @@ def test_symmetry_of_ngram_metrics(a, b):
 @settings(max_examples=200)
 @given(sentences4, sentences4)
 def test_bounds_all_variants(cands, refs):
-    for variant in MetricVariant:
-        score = score_variant(variant, cands, refs)
+    for scorer in REPORT_METRICS.values():
+        score = scorer(cands, refs)
         for part in (score.precision, score.recall, score.f1):
             assert 0.0 <= part <= 1.0 + 1e-12
         assert score.f1 <= max(score.precision, score.recall) + 1e-12
@@ -389,44 +391,56 @@ def test_bounds_all_variants(cands, refs):
 def test_best_against_references_single():
     cand = [["a", "b"]]
     ref = [["a", "b"]]
-    score, idx = best_against_references(cand, [ref], MetricVariant.R1, "max")
-    assert idx == 0 and score.f1 == 1.0
+    score = best_against_references(cand, [ref], REPORT_METRICS["rouge-1"], "max")
+    assert score.f1 == 1.0
 
 
 def test_best_against_references_perfect_dominates():
     cand = [["u", "v", "w"]]
     refs = [[["u", "v", "w"]], [["zzz"]]]
-    score, idx = best_against_references(cand, refs, MetricVariant.RL_SUMMARY, "max")
+    score = best_against_references(cand, refs, REPORT_METRICS["rouge-l"], "max")
     assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
-    assert idx == 0
 
 
 def test_best_against_references_picks_max_f1():
     cand = [["a", "b", "c", "d"]]
     weak = [["a", "x", "y", "z"]]
     strong = [["a", "b", "c", "q"]]
-    score, idx = best_against_references(cand, [weak, strong], MetricVariant.R1, "max")
-    direct = score_variant(MetricVariant.R1, cand, strong)
-    assert idx == 1 and score.f1 == pytest.approx(direct.f1)
+    score = best_against_references(cand, [weak, strong], REPORT_METRICS["rouge-1"], "max")
+    assert score == REPORT_METRICS["rouge-1"](cand, strong)
 
 
 def test_best_against_references_tie_prefers_lowest_index():
+    """Two references tie on F1 (2/3 to the bit) but differ in precision
+    and recall; the first one's score is returned."""
     cand = [["a", "b"]]
-    refs = [[["a", "q"]], [["b", "q"]]]
-    _, idx = best_against_references(cand, refs, MetricVariant.R1, "max")
-    assert idx == 0
+    refs = [[["a"]], [["a", "b", "c", "d"]]]
+    first, second = (rouge_n(["a", "b"], ref[0], 1) for ref in refs)
+    assert first.f1 == second.f1 and (first.precision, first.recall) != (second.precision, second.recall)
+    score = best_against_references(cand, refs, REPORT_METRICS["rouge-1"], "max")
+    assert score == first and score.precision == 0.5
 
 
 def test_best_against_references_mean():
     cand = [["a", "b"]]
     refs = [[["a", "b"]], [["zzz", "qqq"]]]
-    score, idx = best_against_references(cand, refs, MetricVariant.R1, aggregation="mean")
-    assert idx == -1
+    score = best_against_references(cand, refs, REPORT_METRICS["rouge-1"], aggregation="mean")
     assert score.f1 == pytest.approx(0.5)
 
 
 def test_best_against_references_empty_errors():
     with pytest.raises(ValueError):
-        best_against_references([["a"]], [], MetricVariant.R1, "max")
+        best_against_references([["a"]], [], REPORT_METRICS["rouge-1"], "max")
     with pytest.raises(ValueError):
-        best_against_references([["a"]], [[["a"]]], MetricVariant.R1, aggregation="median")
+        best_against_references([["a"]], [[["a"]]], REPORT_METRICS["rouge-1"], aggregation="median")
+
+
+# ---------------------------------------------------------------- documentation
+
+
+def test_readme_library_use_block_runs(capsys):
+    """README's "Library use" example runs as written and prints a score."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library use)", "exec"), {})
+    assert capsys.readouterr().out.startswith("RougeScore(precision=")
