@@ -3,21 +3,27 @@
 
     python3 scripts/diff_outputs.py PARENT CHANGE --workload demo --seed 1001 [1002 ...]
 
-PARENT and CHANGE are source checkouts (each with `src/narrsum`). For each
-seed and each tree, in a run directory of its own, this writes the
-workload's synthesis spec and config as `perfbench/run.py` would, runs
-`synthgen` and then every CLI stage of the workload
+PARENT and CHANGE are source checkouts (each with `src/narrsum`). First,
+under `== cli texts`, it runs a fixed set of argument lists through each
+tree's `harness.cli`, in one process per tree and in sequence: no
+arguments, `-h`, an unknown command, and `<cmd> -h`, `-h <cmd>` and
+`<cmd> --bogus` for each command of that tree's `COMMANDS`. It lists every case
+whose exit status, stdout or stderr differs, and every case only one side
+has. Then, for each seed and each tree, in a run directory of its own,
+this writes the workload's synthesis spec and config as `perfbench/run.py`
+would, runs `synthgen` and then every CLI stage of the workload
 (`perfbench/workloads.py`, imported from this checkout), each as a process
-of its own with that tree's sources. Under a heading per seed it then lists
-every file under the corpus root or `--out` whose bytes differ, checkpoints
-included, every file only one side wrote, and every stage whose exit status
-or stdout differs, with the run directory written as `<run>`. A stage that
-fails on both sides is listed too. Each stage's stderr is kept beside the
-corpus root as `<stage>.stderr`; pass `--workdir` to keep the runs for
-reading, as `<workdir>/seed<N>/{parent,change}`.
+of its own with that tree's sources. Under a heading per seed it then
+lists every file under the corpus root or `--out` whose bytes differ,
+checkpoints included, every file only one side wrote, and every stage
+whose exit status or stdout differs, with the run directory written as
+`<run>`. A stage that fails on both sides is listed too. Each stage's
+stderr is kept beside the corpus root as `<stage>.stderr`; pass
+`--workdir` to keep the runs for reading, as
+`<workdir>/seed<N>/{parent,change}`.
 
-Exit status: 0 when nothing differs at any seed, 1 on any difference, 2 on
-bad usage.
+Exit status: 0 when no CLI text and nothing at any seed differs, 1 on any
+difference, 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -44,6 +50,37 @@ BLAS_THREAD_VARIABLES = (
 )
 
 
+# Run in a tree's process: print [case, exit status, stdout, stderr] per CLI case as JSON.
+CLI_TEXTS = """
+import contextlib, io, json, sys
+from narrsum.harness import COMMANDS, cli
+cases = [[], ["-h"], ["frobnicate"]]
+for name in COMMANDS:
+    cases += [[name, "-h"], ["-h", name], [name, "--bogus"]]
+texts = []
+for argv in cases:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli(argv)
+    texts.append([" ".join(["narrsum", *argv]), code, stdout.getvalue(), stderr.getvalue()])
+json.dump(texts, sys.stdout)
+"""
+
+
+def tree_env(tree: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    return env
+
+
+def cli_texts(tree: Path, run_dir: Path) -> dict[str, tuple]:
+    """Each CLI case's (exit status, stdout, stderr), by its command line; help wraps at 80 columns."""
+    run_dir.mkdir(parents=True)
+    done = subprocess.run([sys.executable, "-c", CLI_TEXTS], cwd=run_dir, env=dict(tree_env(tree), COLUMNS="80"),
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return {case: (code, stdout, stderr) for case, code, stdout, stderr in json.loads(done.stdout)}
+
+
 def stage_commands(wl: Workload, seed: int, run_dir: Path) -> list[tuple[str, list[str]]]:
     """Write the spec and config under `run_dir`; (stage, CLI argv) for synthgen and each stage."""
     data_root, out_dir = run_dir / "data", run_dir / "out"
@@ -60,8 +97,7 @@ def stage_commands(wl: Workload, seed: int, run_dir: Path) -> list[tuple[str, li
 def run_tree(tree: Path, wl: Workload, seed: int, run_dir: Path) -> tuple[dict[str, tuple], dict[str, str]]:
     """Each stage's (exit status, stdout) and each output file's digest, by run-relative path."""
     run_dir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
-    env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
+    env = tree_env(tree)
     stages = {}
     for stage, argv in stage_commands(wl, seed, run_dir):
         with (run_dir / f"{stage}.stderr").open("w") as stderr:
@@ -76,6 +112,27 @@ def run_tree(tree: Path, wl: Workload, seed: int, run_dir: Path) -> tuple[dict[s
     return stages, files
 
 
+def text_differs(what: str, parent: str, change: str) -> str:
+    return f"{what} differs\n--- PARENT\n{parent}--- CHANGE\n{change}---"
+
+
+def cli_text_differences(parent: dict[str, tuple], change: dict[str, tuple]) -> list[str]:
+    lines = []
+    for case in [*parent, *(case for case in change if case not in parent)]:
+        if case not in change:
+            lines.append(f"cli {case}: only in PARENT")
+        elif case not in parent:
+            lines.append(f"cli {case}: only in CHANGE")
+        else:
+            (code, stdout, stderr), (other_code, other_stdout, other_stderr) = parent[case], change[case]
+            if code != other_code:
+                lines.append(f"cli {case}: exit {code} in PARENT, {other_code} in CHANGE")
+            for stream, text, other_text in (("stdout", stdout, other_stdout), ("stderr", stderr, other_stderr)):
+                if text != other_text:
+                    lines.append(text_differs(f"cli {case}: {stream}", text, other_text))
+    return lines
+
+
 def differences(parent: tuple[dict, dict], change: tuple[dict, dict]) -> list[str]:
     (parent_stages, parent_files), (change_stages, change_files) = parent, change
     lines = []
@@ -86,7 +143,7 @@ def differences(parent: tuple[dict, dict], change: tuple[dict, dict]) -> list[st
         elif code != 0:  # equal outputs of a failed stage show nothing
             lines.append(f"stage {stage}: exit {code} on both sides")
         if stdout != other_stdout:
-            lines.append(f"stage {stage}: stdout differs\n--- PARENT\n{stdout}--- CHANGE\n{other_stdout}---")
+            lines.append(text_differs(f"stage {stage}: stdout", stdout, other_stdout))
     for name in sorted(parent_files.keys() | change_files.keys()):
         if name not in change_files:
             lines.append(f"file {name}: only in PARENT")
@@ -117,6 +174,15 @@ def main(argv: list[str] | None = None) -> int:
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="diff_outputs_"))
     differing = 0
     try:
+        texts = [cli_texts(tree.resolve(), workdir.resolve() / "cli" / side)
+                 for side, tree in (("parent", args.parent), ("change", args.change))]
+        lines = cli_text_differences(*texts)
+        print("== cli texts")
+        for line in lines:
+            print(line)
+        verdict = f"{len(lines)} differences" if lines else "no difference"
+        print(f"cli texts: {verdict} over {len(texts[0])} cases")
+        differing += bool(lines)
         for seed in args.seed:
             runs = [run_tree(tree.resolve(), wl, seed, workdir.resolve() / f"seed{seed}" / side)
                     for side, tree in (("parent", args.parent), ("change", args.change))]

@@ -137,7 +137,11 @@ class Vocab:
     def from_list(tokens: Sequence[str]) -> "Vocab":
         if tuple(tokens[:4]) != RESERVED_TOKENS:
             raise DataError("vocabulary list must start with the reserved tokens")
-        return Vocab({t: i for i, t in enumerate(tokens)}, list(tokens))
+        token_to_id = {t: i for i, t in enumerate(tokens)}
+        if len(token_to_id) != len(tokens):
+            repeated = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
+            raise DataError(f"vocabulary list repeats the token {repeated!r}")
+        return Vocab(token_to_id, list(tokens))
 
 
 def build_vocab(sentences: Sequence[Sequence[str]], max_size: int) -> Vocab:

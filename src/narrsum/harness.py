@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -219,7 +220,7 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, "_CommandParser"]  # set by `build_parser` on the top-level parser
+    commands: dict[str, "_Parser"]  # set by `build_parser` on the top-level parser
 
     def error(self, message):  # keep argparse from exiting with status 2
         raise UsageError(message, self.format_usage())
@@ -571,7 +572,7 @@ COMMANDS = {
         (("--split",), dict(default="testing", choices=SPLITS)),
     )),
     "evaluate": Command("score prediction directories against references", cmd_evaluate, (
-        (("--pred",), dict(nargs="+", default=argparse.SUPPRESS,
+        (("--pred",), dict(action="extend", nargs="+", default=argparse.SUPPRESS,
                            help="prediction directories (default: <out>/summaries)")),
         (("--split",), dict(default="testing", choices=SPLITS)),
     )),
@@ -581,47 +582,19 @@ COMMANDS = {
 }
 
 
-class _CommandParser(_Parser):
-    """One command's parser. It adds `-h`, the global flags and the command's
-    own arguments the first time it parses or formats, so a call builds only
-    the arguments of the command it runs: argparse hands the words after a
-    command name only to that command's parser."""
-
-    def __init__(self, spec: Command, **kwargs):
-        super().__init__(add_help=False, **kwargs)
-        self.spec = spec
-        self.built = False
-
-    def _build(self) -> None:
-        if not self.built:
-            self.built = True
-            self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
-                              help="show this help message and exit")
-            _add_global_flags(self)
-            for flags, options in self.spec.arguments:
-                self.add_argument(*flags, **options)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._build()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._build()
-        return super().format_usage()
-
-    def format_help(self):
-        self._build()
-        return super().format_help()
-
-
+@functools.cache
 def build_parser() -> _Parser:
-    """The CLI parser. Its `commands` maps each command name to that
-    command's parser."""
+    """The CLI parser, built once per process: every `cli` call parses with
+    it, so callers must not modify it. Its `commands` maps each command name
+    to that command's parser."""
     parser = _Parser(prog="narrsum", description=__doc__.splitlines()[0])
     _add_global_flags(parser)
-    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command")
     for name, spec in COMMANDS.items():
-        sub.add_parser(name, help=spec.help, spec=spec)
+        command = sub.add_parser(name, help=spec.help)
+        _add_global_flags(command)
+        for flags, options in spec.arguments:
+            command.add_argument(*flags, **options)
     parser.commands = sub.choices
     return parser
 

@@ -43,20 +43,6 @@ class HalveOnPlateau:
         return True
 
 
-def accumulate_gradients(
-    optimizer: ad.Adam, loss: Callable[..., ad.Value], batch: Sequence[tuple]
-) -> list[float]:
-    """Zero the optimizer's gradients, then accumulate those of the batch's
-    mean `loss(*item)`; returns each item's loss."""
-    optimizer.zero_grad()
-    losses = []
-    for item in batch:
-        node = ad.scale(loss(*item), 1.0 / len(batch))
-        ad.backward(node)
-        losses.append(float(node.data) * len(batch))
-    return losses
-
-
 def fit(
     params: dict[str, ad.Value],
     loss: Callable[..., ad.Value],
@@ -91,7 +77,11 @@ def fit(
         epoch_losses = []
         for start in range(0, len(items), batch_size):
             batch = [items[i] for i in order[start : start + batch_size]]
-            epoch_losses += accumulate_gradients(optimizer, loss, batch)
+            optimizer.zero_grad()
+            for item in batch:
+                node = ad.scale(loss(*item), 1.0 / len(batch))
+                ad.backward(node)
+                epoch_losses.append(float(node.data) * len(batch))
             optimizer.step()
             train_log.batches_seen += 1
             if periodic_save is not None and checkpoint_every > 0 and train_log.batches_seen % checkpoint_every == 0:

@@ -266,26 +266,16 @@ PARSE_CASES = [
     ["summarize", "--extractor", "e", "--abstractor", "a", "--split", "training"],
     ["synthgen", "--spec", "s.json", "--seed", "7"], ["train-rl", "--out", "o", "--config"],
     ["ingest", "--bogus"], ["--bogus"], ["--bogus", "ingest"], ["baseline", "--method", "lead", "extra"],
+    ["evaluate", "--pred", "a", "--pred", "b"],
 ]
 
 
-def _full_parser():
-    """The CLI parser with every command's arguments built before it parses."""
-    parser = build_parser()
-    for command in parser.commands.values():
-        command.format_usage()
-    return parser
-
-
-def _cli_outcome(argv, monkeypatch, capsys, full_parser):
-    """(exit code, namespaces handed to `_resolve_config`, stdout, stderr) of
-    `cli(argv)`, with every command's arguments built first when `full_parser`."""
+def _cli_outcome(argv, monkeypatch, capsys):
+    """(exit code, namespaces handed to `_resolve_config`, stdout, stderr) of `cli(argv)`."""
     namespaces = []
     resolve = harness._resolve_config
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_resolve_config", lambda ns: namespaces.append(vars(ns)) or resolve(ns))
-        if full_parser:
-            patch.setattr(harness, "build_parser", _full_parser)
         code = cli(argv)
     out, err = capsys.readouterr()
     return code, namespaces, out, err
@@ -293,17 +283,25 @@ def _cli_outcome(argv, monkeypatch, capsys, full_parser):
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
 def test_cli_parse_with_lazy_command_parsers_equals_the_full_parse(argv, tmp_path, monkeypatch, capsys):
+    """The parser `cli` builds on first use and keeps for the process gives
+    `argv` the outcome a freshly built parser gives it, after every other
+    case ran on it in either order."""
     monkeypatch.chdir(tmp_path)
-    assert _cli_outcome(argv, monkeypatch, capsys, False) == _cli_outcome(argv, monkeypatch, capsys, True)
+    others = [case for case in PARSE_CASES if case != argv]
+    build_parser.cache_clear()
+    fresh = _cli_outcome(argv, monkeypatch, capsys)
+    for order in (others, others[::-1]):
+        for case in order:
+            _cli_outcome(case, monkeypatch, capsys)
+        assert _cli_outcome(argv, monkeypatch, capsys) == fresh
 
 
-def test_cli_builds_only_the_parser_of_the_command_it_runs(tmp_path, monkeypatch, capsys):
+def test_cli_builds_the_parser_once_per_process(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    built = []
-    build = harness._CommandParser._build
-    monkeypatch.setattr(harness._CommandParser, "_build", lambda self: built.append(self.prog) or build(self))
+    build_parser.cache_clear()
     assert cli(["--out", "oracle", "baseline", "--method", "lead"]) == 1  # no --data-root
-    assert set(built) == {"narrsum baseline"}
+    assert cli(["ingest"]) == 1
+    assert build_parser.cache_info().misses == 1
 
 
 def test_cli_usage_error_prints_the_usage_of_the_failing_command(capsys):
@@ -759,11 +757,24 @@ def test_cli_evaluate_refuses_pred_dirs_sharing_a_name(pipeline, tmp_path, capsy
     for pred in (first, second):
         shutil.copytree(pipeline["out"] / "summaries", pred)
     out = tmp_path / "out"
-    args = ["evaluate", "--pred", str(first), str(second), *pipeline["base"][:4], "--out", str(out)]
-    assert cli(args) == 1
-    err = capsys.readouterr().err
-    assert str(first) in err and str(second) in err
-    assert not out.exists()
+    for preds in (["--pred", str(first), str(second)], ["--pred", str(first), "--pred", str(second)]):
+        assert cli(["evaluate", *preds, *pipeline["base"][:4], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err
+        assert not out.exists()
+
+
+def test_cli_evaluate_scores_every_repeated_pred_flag(pipeline, tmp_path):
+    """`--pred a --pred b` scores both systems, as `--pred a b` does."""
+    first, second = pipeline["out"] / "summaries", tmp_path / "copy"
+    shutil.copytree(first, second)
+    reports = {}
+    for name, preds in (("one", ["--pred", str(first), str(second)]),
+                        ("two", ["--pred", str(first), "--pred", str(second)])):
+        assert cli(["evaluate", *preds, *pipeline["base"][:4], "--out", str(tmp_path / name)]) == 0
+        reports[name] = (tmp_path / name / "report.csv").read_text()
+    assert reports["two"].splitlines()[0] == "metric,summaries,copy"
+    assert reports["two"] == reports["one"]
 
 
 def test_cli_evaluate_names_a_system_after_its_resolved_directory(pipeline, tmp_path, monkeypatch):
@@ -874,6 +885,17 @@ def test_cli_summarize_refuses_vocab_that_does_not_fit_the_embedding(pipeline, t
     err = capsys.readouterr().err
     assert str(paths["extractor"]) in err
     assert f"embeds {len(vocab)} vocabulary tokens" in err and f"vocab_size {size}" in err
+
+
+def test_cli_summarize_refuses_vocab_that_repeats_a_token(pipeline, tmp_path, capsys):
+    """A repeated token would encode to its last id only: exit 2 naming it, and no summary."""
+    ex_path, ab_path, _ = _toy_models(tmp_path, vocab_tail=(*(f"w{i}" for i in range(40)), "w5", "w5"))
+    out = tmp_path / "out"
+    args = ["summarize", "--extractor", str(ex_path), "--abstractor", str(ab_path),
+            "--data-root", str(pipeline["data"]), "--out", str(out)]
+    assert cli(args) == 2
+    assert "vocabulary list repeats the token 'w5'" in capsys.readouterr().err
+    assert not (out / "summaries").exists()
 
 
 @pytest.mark.parametrize(
