@@ -11,8 +11,8 @@ it once to warm up, then `--repeats` times under `time.process_time`. Every
 repeat is one training step's work on that block: `Adam.zero_grad`, the
 forward pass, a `mean_cross_entropy` loss over its output and `backward`,
 except for the `Adam.step` block, which times only the update, the `load`
-block, which times only the two loads, and the `synthgen` and `frontend`
-blocks.
+block, which times only the two loads, the `synthgen` and `frontend`
+blocks, and the `a2c` block, which times one whole actor-critic update.
 
 At `--size paper` (E=300, H=64) the blocks are:
 - `bilstm_batch`: 300 word sequences of up to 22 tokens, as the extractor's
@@ -38,6 +38,11 @@ At `--size paper` (E=300, H=64) the blocks are:
   parses a full `baseline` argv and exits 2 at a `--data-root` that does not
   exist, with stderr captured and `--out` in the temporary directory. It
   uses only `sentences_from_text` and `cli`, so it runs on older trees too.
+- `a2c`: one `A2CTrainer.update` over a wave of 4 sampled `rollout`s of the
+  first training report that `synthgen` wrote (300 sentences), with an
+  extractor over that report's vocabulary, a `Critic` and a paraphraser
+  that returns its input. Every repeat updates the same wave. It uses only
+  names older trees have too.
 `--size tiny` runs the same blocks at toy shapes, to check the script.
 
 It prints each block's median CPU milliseconds over all repeats of all
@@ -92,9 +97,11 @@ def blocks(size: dict, workdir: Path):
 
     from narrsum import autodiff as ad
     from narrsum.abstractor import AbstractorModel
-    from narrsum.corpus import sentences_from_text
+    from narrsum.config import RunConfig
+    from narrsum.corpus import build_vocab, load_dataset, sentences_from_text
     from narrsum.extractor import ExtractorModel
     from narrsum.harness import cli
+    from narrsum.rl import A2CTrainer, Critic, rollout
     from narrsum.synthgen import SynthSpec, generate
 
     rng = np.random.default_rng(0)
@@ -204,9 +211,23 @@ def blocks(size: dict, workdir: Path):
 
         return run
 
-    # `frontend` reads a report that `synthgen` writes, so it comes after it.
+    def a2c():
+        report = load_dataset(workdir / "corpus0", 60).training[0]
+        vocab = build_vocab(report.sentences, 60 * len(report.sentences))
+        extractor, critic = ExtractorModel(vocab.size, e, h, rng), Critic(h, rng)
+        trainer = A2CTrainer(extractor.params, critic, policy_lr=1e-3, critic_lr=1e-3, clip_norm=1.0)
+
+        class Identity:
+            def paraphrase(self, ids, config):
+                return list(ids)
+
+        wave = [rollout(report, report.summaries[0], extractor, Identity(), vocab, RunConfig(), mode="sample", rng=rng)
+                for _ in range(4)]
+        return lambda: trainer.update(wave)
+
+    # `frontend` and `a2c` read reports that `synthgen` writes, so they come after it.
     return [("bilstm_batch", bilstm), ("attention_decoder", decoder), ("pointer_decoder", pointer),
-            ("Adam.step", adam), ("load", load), ("synthgen", synthgen), ("frontend", frontend)]
+            ("Adam.step", adam), ("load", load), ("synthgen", synthgen), ("frontend", frontend), ("a2c", a2c)]
 
 
 def child(size_name: str, repeats: int) -> None:

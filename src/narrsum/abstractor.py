@@ -43,11 +43,6 @@ def _top(row: np.ndarray, width: int) -> np.ndarray:
     return candidates[np.argsort(-row[candidates], kind="stable")[:width]]
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 class AbstractorModel(ad.Checkpointed):
     """Encoder-decoder weights plus forward passes; state in .params."""
 
@@ -151,7 +146,7 @@ class AbstractorModel(ad.Checkpointed):
         return logits, state
 
     def _adjusted_logp(self, logits: np.ndarray, hyp: _Hypothesis, config: RunConfig) -> np.ndarray:
-        logp = _log_softmax(logits)
+        logp = ad.log_softmax(logits)
         logp[[PAD_ID, UNK_ID, START_ID]] = -np.inf
         penalty = np.log(config.repetition_penalty)
         if penalty > 0.0 and hyp.present:

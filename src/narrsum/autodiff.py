@@ -2,7 +2,7 @@
 
 Supplies exactly the primitives the sentence extractor and the sentence
 paraphraser need: affine maps, lookups, a batched BiLSTM, two attention
-decoders and classification losses, each recurrence one node with
+decoders and one weighted log-likelihood loss, each recurrence one node with
 hand-written backpropagation through time, plus Adam, global-norm
 clipping, and a binary checkpoint format. The LSTM gate step and the
 additive-attention step are NumPy helpers that every recurrence and the
@@ -132,31 +132,40 @@ def concat(parts: Sequence[Value]) -> Value:
 # ---------------------------------------------------------------- losses and lookup
 
 
-def mean_cross_entropy(logits: Value, targets: Sequence[int]) -> Value:
-    """Mean over the rows of `logits` (N, K) of `cross_entropy(row, target)`.
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log softmax over the last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-    Each row's loss is computed as `cross_entropy` computes it and the row
-    losses are summed in order, so the value matches a left-to-right chain
-    of `add` nodes over per-row `cross_entropy` nodes, scaled by 1/N.
-    """
-    _require(logits.data.ndim == 2, "mean_cross_entropy: rank {}", logits.data.ndim)
-    n, k = logits.shape
+
+def nll(rows: Value, targets: Sequence[int], weights: np.ndarray) -> Value:
+    """Weighted negative log-likelihood of `targets` under the softmax of each
+    row of `rows` (N, K): the sum over rows of
+    `weights[t] * -log_softmax(rows[t])[targets[t]]`, summed in order, as one node."""
+    _require(rows.data.ndim == 2, "nll: rank {}", rows.data.ndim)
+    n, k = rows.shape
     idx = np.asarray(list(targets), dtype=np.int64)
-    _require(n > 0 and idx.shape == (n,), "mean_cross_entropy: {} targets for {} rows", len(idx), n)
-    _require(idx.min() >= 0 and idx.max() < k, "mean_cross_entropy: target out of range for {}", logits.shape)
-    rows = np.arange(n)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[rows, idx]
-    s = 1.0 / n
+    _require(n > 0 and idx.shape == (n,), "nll: {} targets for {} rows", len(idx), n)
+    _require(idx.min() >= 0 and idx.max() < k, "nll: target out of range for {}", rows.shape)
+    weights = np.asarray(weights, dtype=np.float64)
+    _require(weights.shape == (n,), "nll: weights of shape {} for {} rows", weights.shape, n)
+    steps = np.arange(n)
+    log_probs = log_softmax(rows.data)
 
     def backward(g):
-        gs = g * s
-        delta = np.exp(shifted - lse[:, None]) * gs
-        delta[rows, idx] -= gs
-        logits.accum(delta)
+        coef = g * weights
+        delta = np.exp(log_probs) * coef[:, None]
+        delta[steps, idx] -= coef
+        rows.accum(delta)
 
-    return Value(np.cumsum(losses)[-1] * s, (logits,), backward)
+    return Value(np.cumsum(weights * -log_probs[steps, idx])[-1], (rows,), backward)
+
+
+def mean_cross_entropy(logits: Value, targets: Sequence[int]) -> Value:
+    """Mean over the rows of `logits` (N, K) of the cross-entropy of each
+    row's target: `nll` with unit weights, scaled by 1/N."""
+    weights = np.ones(logits.data.shape[:1])
+    return scale(nll(logits, targets, weights), 1.0 / weights.size)
 
 
 def embedding_lookup(table: Value, ids: Sequence[int]) -> Value:
@@ -710,6 +719,10 @@ def zero_grads(params: Iterable[Value]) -> None:
 # ---------------------------------------------------------------- optimization
 
 
+# Adam's moment decay rates and the offset of its update's denominator.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 def clip_global_norm(grads: Sequence[np.ndarray], max_norm: float, squares: Sequence[float] | None = None) -> float:
     """Scale all grads in place so the joint L2 norm is at most max_norm.
 
@@ -732,28 +745,25 @@ def adam_step(
     v: np.ndarray,
     t: int,
     lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
     work: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Standard bias-corrected Adam update, in place.
+    """Standard bias-corrected Adam update with `BETA1`, `BETA2` and `EPS`, in place.
 
     `work` is two scratch arrays of the parameter's shape. The update is
     `data -= lr * m_hat / (sqrt(v_hat) + eps)` evaluated with the same
     operations in the same order, only into `work` instead of temporaries.
     """
     a, b = work
-    m *= beta1
-    m += np.multiply(grad, 1.0 - beta1, out=a)
-    v *= beta2
-    np.multiply(grad, 1.0 - beta2, out=a)
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=a)
+    v *= BETA2
+    np.multiply(grad, 1.0 - BETA2, out=a)
     v += np.multiply(a, grad, out=a)
-    np.divide(m, 1.0 - beta1**t, out=a)
+    np.divide(m, 1.0 - BETA1**t, out=a)
     a *= lr
-    np.divide(v, 1.0 - beta2**t, out=b)
+    np.divide(v, 1.0 - BETA2**t, out=b)
     np.sqrt(b, out=b)
-    b += eps
+    b += EPS
     data -= np.divide(a, b, out=a)
 
 
@@ -771,15 +781,9 @@ class Adam:
         *,
         lr: float,
         clip_norm: float | None,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -818,17 +822,18 @@ class Adam:
         self.t += 1
         for k in names:
             p = self.params[k]
-            adam_step(
-                p.data, p.grad, self._m[k], self._v[k], self.t, self.lr, self.beta1, self.beta2, self.eps, self._work[k]
-            )
+            adam_step(p.data, p.grad, self._m[k], self._v[k], self.t, self.lr, self._work[k])
         return norm
 
 
 # ---------------------------------------------------------------- initialization
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], scale: float = 0.1) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape).astype(np.float64)
+INIT_SCALE = 0.1  # weights start uniform in [-INIT_SCALE, INIT_SCALE)
+
+
+def uniform_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(np.float64)
 
 
 def lstm_bias_init(hidden: int) -> np.ndarray:

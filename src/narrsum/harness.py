@@ -528,6 +528,10 @@ def cmd_evaluate(ns, config: RunConfig, out_dir: Path) -> int:
         if not pred_dir.is_dir():
             raise DataError(f"prediction directory not found: {pred_dir}")
         predictions = {path.stem: read_text(path) for path in sorted(pred_dir.glob("*.txt"))}
+        absent = [rid for rid in sorted(references) if references[rid] and rid not in predictions]
+        if absent:
+            raise DataError(f"--pred {pred_dir} has no summary for {len(absent)} {ns.split} report(s) "
+                            f"with gold summaries, the first {absent[0]}.txt")
         systems.append(evaluate_system(predictions, references, config, system=name))
     report = EvaluationReport(ns.split, config.reference_aggregation, systems)
     write_report(report, out_dir)

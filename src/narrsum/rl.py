@@ -107,27 +107,6 @@ class Critic(ad.Checkpointed):
         return ad.Value(np.cumsum(diff * diff)[-1], (w, b), backward)
 
 
-def policy_loss(rows: ad.Value, actions: Sequence[int], advantages: np.ndarray) -> ad.Value:
-    """The actor's loss over one trajectory's score rows (T, K), as one node:
-    the sum over steps of -advantage * log softmax(row)[action].
-
-    Each row's gradient is computed as a separate log-softmax node, scaled
-    by its advantage, would compute it."""
-    steps = np.arange(len(actions))
-    shifted = rows.data - rows.data.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1)[:, None])
-    p = np.exp(log_probs)
-    advantages = np.asarray(advantages, dtype=np.float64)
-
-    def backward(g):
-        coef = g * -advantages
-        delta = -p * coef[:, None]
-        delta[steps, actions] += coef
-        rows.accum(delta)
-
-    return ad.Value(-(advantages @ log_probs[steps, actions]), (rows,), backward)
-
-
 # ---------------------------------------------------------------- rollout
 
 
@@ -202,7 +181,8 @@ class UpdateStats:
 class A2CTrainer:
     """Separate Adam updates for the policy and for the critic.
 
-    Advantages enter the policy term as plain numbers, so critic
+    The actor's loss is `ad.nll` of the chosen actions, weighted by their
+    advantages. Advantages enter it as plain numbers, so critic
     gradients never flow into the policy update. Critic values are
     recomputed from the stored detached states at update time.
     """
@@ -247,7 +227,7 @@ class A2CTrainer:
             start = end - len(traj.steps)
             if traj.steps:
                 actions = [s.action for s in traj.steps]
-                ad.backward(policy_loss(traj.replay(), actions, advantages[start:end]))
+                ad.backward(ad.nll(traj.replay(), actions, advantages[start:end]))
             end = start
         policy_norm = self.policy_opt.step()
 

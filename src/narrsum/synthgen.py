@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, check_field_types
-from .corpus import Document, sentence_line
+from .corpus import DataError, Document, sentence_line
 from .oracle import OracleAlignment, SourceIndex, pick_reference, save_alignments, select_reference
 from .rouge import rouge_l_sentence
 
@@ -166,8 +166,9 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
     """Write the corpus tree under root; returns truth alignments per split.
 
     Every report is drawn before the first file is written, so a spec
-    that cannot be met leaves root as it was. Same spec and root contents
-    are byte-identical across runs.
+    that cannot be met, or a root holding report or summary files this
+    spec would not write, is refused with root left as it was. Same spec
+    and root contents are byte-identical across runs.
     """
     root = Path(root)
     vocab = [f"w{i}" for i in range(spec.vocabulary_size)]
@@ -176,10 +177,10 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
         "validation": spec.n_validation_reports,
         "testing": spec.n_testing_reports,
     }
-    drawn: dict[str, list[tuple[str, list, list]]] = {}
+    files: dict[Path, list[tuple[str, ...]]] = {}  # each file's sentences
     truth: dict[str, list[OracleAlignment]] = {}
     for split_idx, (split, n) in enumerate(counts.items()):
-        drawn[split], truth[split] = [], []
+        truth[split] = []
         for ridx in range(n):
             report_id = f"{_SPLIT_PREFIX[split]}{ridx:04d}"
             for attempt in range(20):
@@ -190,22 +191,20 @@ def generate(spec: SynthSpec, root: str | Path) -> dict[str, list[OracleAlignmen
             else:
                 raise ConfigError(f"synthesis spec cannot be met: no argmax-consistent report {report_id}")
             sentences, summaries, alignment = report
-            drawn[split].append((report_id, sentences, summaries))
-            truth[split].append(alignment)
-    for split, reports in drawn.items():
-        reports_dir = root / split / "annual_reports"
-        summaries_dir = root / split / "gold_summaries"
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        summaries_dir.mkdir(parents=True, exist_ok=True)
-        for report_id, sentences, summaries in reports:
-            (reports_dir / f"{report_id}.txt").write_text(
-                "\n".join(sentence_line(s) for s in sentences) + "\n", encoding="utf-8"
-            )
+            files[root / split / "annual_reports" / f"{report_id}.txt"] = sentences
             for j, sents in enumerate(summaries):
-                (summaries_dir / f"{report_id}_{j + 1}.txt").write_text(
-                    "\n".join(sentence_line(s) for s in sents) + "\n", encoding="utf-8"
-                )
-        save_alignments(truth[split], root / f"truth_alignments_{split}.jsonl")
+                files[root / split / "gold_summaries" / f"{report_id}_{j + 1}.txt"] = sents
+            truth[split].append(alignment)
+    dirs = [root / split / sub for split in counts for sub in ("annual_reports", "gold_summaries")]
+    stale = [path for d in dirs for path in sorted(d.glob("*.txt")) if path not in files]
+    if stale:
+        raise DataError(f"{stale[0]} is not a file of this spec; generate into an empty data root")
+    for d in dirs:
+        d.mkdir(parents=True, exist_ok=True)
+    for path, sents in files.items():
+        path.write_text("\n".join(sentence_line(s) for s in sents) + "\n", encoding="utf-8")
+    for split, alignments in truth.items():
+        save_alignments(alignments, root / f"truth_alignments_{split}.jsonl")
     with (root / "synth_spec.json").open("w", encoding="utf-8") as fh:
         json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -26,6 +26,11 @@ teacher-forced loss on it, one `cross_entropy` node per step, and
 `percell_policy_loss` the actor's loss over it, one `log_softmax_at` node
 per step.
 
+`mean_cross_entropy_node` and `policy_loss` are the two one-node losses that
+`autodiff.nll` replaced: the old body of `autodiff.mean_cross_entropy`, and
+the actor's loss as `rl.policy_loss` built it. `nll` must equal them bit for
+bit in every gradient, and `mean_cross_entropy` in its value too.
+
 The generic graph ops below (`const` to `cross_entropy`, and `sigmoid`,
 `softmax`, `vsum`, `mean` and `bahdanau_attention`) have no caller left in
 the package; the gradient checks and these references still use them.
@@ -548,13 +553,52 @@ def percell_pointer_loss(model, ids_lists: Sequence[Sequence[int]], targets: Seq
 
 
 def percell_policy_loss(rows: Sequence[ad.Value], actions: Sequence[int], advantages: Sequence[float]) -> ad.Value:
-    """`rl.policy_loss` over per-step score nodes: one scaled `log_softmax_at`
-    node per step."""
+    """The actor's loss, `autodiff.nll` of `actions` weighted by `advantages`,
+    over per-step score nodes: one scaled `log_softmax_at` node per step."""
     terms = [ad.scale(log_softmax_at(row, a), -float(adv)) for row, a, adv in zip(rows, actions, advantages)]
     total = terms[0]
     for term in terms[1:]:
         total = add(total, term)
     return total
+
+
+def mean_cross_entropy_node(logits: ad.Value, targets: Sequence[int]) -> ad.Value:
+    """`autodiff.mean_cross_entropy` as it was before it became `scale` over
+    `nll`: one node with its own log-softmax and backward pass."""
+    n, k = logits.shape
+    idx = np.asarray(list(targets), dtype=np.int64)
+    rows = np.arange(n)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    losses = lse - shifted[rows, idx]
+    s = 1.0 / n
+
+    def backward(g):
+        gs = g * s
+        delta = np.exp(shifted - lse[:, None]) * gs
+        delta[rows, idx] -= gs
+        logits.accum(delta)
+
+    return ad.Value(np.cumsum(losses)[-1] * s, (logits,), backward)
+
+
+def policy_loss(rows: ad.Value, actions: Sequence[int], advantages: np.ndarray) -> ad.Value:
+    """The actor's loss as `rl.policy_loss` computed it before the actor
+    trained through `autodiff.nll`: the sum over steps of
+    -advantage * log softmax(row)[action], as one node."""
+    steps = np.arange(len(actions))
+    shifted = rows.data - rows.data.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1)[:, None])
+    p = np.exp(log_probs)
+    advantages = np.asarray(advantages, dtype=np.float64)
+
+    def backward(g):
+        coef = g * -advantages
+        delta = -p * coef[:, None]
+        delta[steps, actions] += coef
+        rows.accum(delta)
+
+    return ad.Value(-(advantages @ log_probs[steps, actions]), (rows,), backward)
 
 
 # ---------------------------------------------------------------- verification

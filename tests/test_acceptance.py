@@ -463,6 +463,13 @@ def _op_builders():
         targets = [int(i) for i in rng.integers(0, k, size=n)]
         return lambda: ad.mean_cross_entropy(logits, targets), [logits]
 
+    def build_nll(rng):
+        n, k = int(rng.integers(1, 5)), 5
+        rows = ad.param(rng.normal(size=(n, k)))
+        targets = [int(i) for i in rng.integers(0, k, size=n)]
+        weights = rng.normal(size=n)
+        return lambda: ad.nll(rows, targets, weights), [rows]
+
     def build_extractor_loss(rng):
         model = ExtractorModel(8, 5, 4, rng)
         n_sents = int(rng.integers(2, 5))
@@ -538,6 +545,7 @@ def _op_builders():
         ("linear", build_linear),
         ("mean_cross_entropy", build_mean_cross_entropy),
         ("pointer_decoder", build_pointer_decoder),
+        ("nll", build_nll),
     ]
 
 

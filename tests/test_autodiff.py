@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narrsum import autodiff as ad
@@ -29,8 +29,10 @@ from percell import (
     lstm_gates_grad_allocating,
     matmul,
     mean,
+    mean_cross_entropy_node,
     mul,
     neg,
+    policy_loss,
     sigmoid,
     softmax,
     stack_rows,
@@ -150,6 +152,8 @@ def test_shape_mismatches_raise_at_construction():
         ad.mean_cross_entropy(m, [0])  # one target for two rows
     with pytest.raises(ad.ShapeError):
         ad.mean_cross_entropy(m, [0, 3])  # target outside the row
+    with pytest.raises(ad.ShapeError):
+        ad.nll(m, [0, 1], np.ones(3))  # three weights for two rows
     emb, keys, init = const(np.zeros((2, 3))), const(np.zeros((4, 5))), const(np.zeros(2))
     dec_w, dec_b = const(np.zeros((8, 3 + 5 + 2))), const(np.zeros(8))
     wq, wk, v = const(np.zeros((2, 6))), const(np.zeros((5, 6))), const(np.zeros(6))
@@ -245,6 +249,8 @@ def _primitive_cases(rng):
     target = int(rng.integers(0, n))
     ids = list(rng.integers(0, m, size=4))
     wid = rng.normal(size=(4, n))
+    row_targets = [int(i) for i in rng.integers(0, n, size=m)]
+    row_weights = rng.normal(size=m)
 
     cases = [
         ("add", lambda: weighted(add(a, b), wa), [a, b]),
@@ -269,6 +275,7 @@ def _primitive_cases(rng):
         ("embedding_lookup", lambda: weighted(ad.embedding_lookup(mat, ids), wid), [mat]),
         ("vsum", lambda: vsum(mat), [mat]),
         ("mean", lambda: mean(mat), [mat]),
+        ("nll", lambda: ad.nll(mat, row_targets, row_weights), [mat]),
     ]
     return cases
 
@@ -414,6 +421,38 @@ def test_gate_kernels_equal_the_allocating_reference_exactly(hidden, rows, seed)
         got_dc = ad.lstm_gates_grad(dh.copy(), dc_buffer, want_acts, want[1], c_prev, dz)
         assert got_dc is dc_buffer
         assert np.array_equal(got_dc, want_dc) and np.array_equal(dz, want_dz)
+
+
+def _grad_and_value(build, data, batch):
+    """Gradient and value of `build(rows)` over a fresh leaf holding `data`,
+    bare when `batch` is None and else inside `scale(., 1/batch)` as `fit` runs it."""
+    rows = ad.param(data)
+    loss = build(rows)
+    ad.backward(loss if batch is None else ad.scale(loss, 1.0 / batch))
+    return rows.grad, loss.data
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7), st.integers(2, 39), st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+    st.booleans(), st.sampled_from([None, 1, 3, 8]), st.integers(0, 2**32 - 1),
+)
+@example(1, 2, 100.0, True, 8, 0)  # one row, masked, inside `fit`'s scale
+def test_nll_equals_the_one_node_losses_it_replaced_exactly(n, k, magnitude, masked, batch, seed):
+    rng = rng_for(seed)
+    data = rng.normal(size=(n, k)) * magnitude
+    targets = [int(i) for i in rng.integers(0, k, size=n)]
+    if masked:  # a chosen candidate, as the pointer masks it
+        data[0, (targets[0] + 1) % k] += -1e9
+    weights = rng.normal(size=n) * (rng.random(size=n) < 0.8)  # either sign, and some 0
+
+    got = _grad_and_value(lambda rows: ad.mean_cross_entropy(rows, targets), data, batch)
+    want = _grad_and_value(lambda rows: mean_cross_entropy_node(rows, targets), data, batch)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    got_grad, _ = _grad_and_value(lambda rows: ad.nll(rows, targets, weights), data, batch)
+    want_grad, _ = _grad_and_value(lambda rows: policy_loss(rows, targets, weights), data, batch)
+    assert np.array_equal(got_grad, want_grad)
 
 
 @pytest.mark.parametrize("kind", ["extractor", "abstractor"])

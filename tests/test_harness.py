@@ -791,6 +791,22 @@ def test_cli_evaluate_names_a_system_after_its_resolved_directory(pipeline, tmp_
     assert (out / "report.csv").read_text() == by_dot
 
 
+def test_cli_evaluate_refuses_a_pred_dir_missing_a_report(pipeline, tmp_path, capsys):
+    """A system is scored on every report of the split that has gold
+    summaries or not at all: exit 2 naming the directory, the first missing
+    report and the count, and no report is written."""
+    pred = tmp_path / "partial"
+    shutil.copytree(pipeline["out"] / "summaries", pred)
+    first = sorted(pred.glob("*.txt"))[0]
+    first.unlink()
+    out = tmp_path / "out"
+    assert cli(["evaluate", "--pred", str(pipeline["out"] / "summaries"), str(pred),
+                *pipeline["base"][:4], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--pred {pred} has no summary for 1 testing report(s)" in err and first.name in err
+    assert not out.exists()
+
+
 def test_cli_evaluate_refuses_a_pred_dir_without_a_name(pipeline, tmp_path, capsys):
     """The root has no name to head a report column: exit 1, and nothing is written."""
     out = tmp_path / "out"

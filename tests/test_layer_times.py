@@ -20,7 +20,7 @@ def test_layer_times_prints_every_block_for_both_trees(capsys):
     assert lines[1].split() == ["block", "PARENT", "CHANGE", "CHANGE/PARENT"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert list(rows) == ["bilstm_batch", "attention_decoder", "pointer_decoder", "Adam.step", "load", "synthgen",
-                          "frontend"]
+                          "frontend", "a2c"]
     for name, (parent, change, _ratio) in rows.items():
         assert float(parent) >= 0.0 and float(change) >= 0.0, name
 

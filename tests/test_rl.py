@@ -16,7 +16,6 @@ from narrsum.oracle import OracleAlignment
 from narrsum.rl import (
     A2CTrainer,
     Critic,
-    policy_loss,
     Trajectory,
     TrajectoryStep,
     compute_reward,
@@ -356,7 +355,7 @@ def test_policy_loss_matches_per_step_nodes():
     actions, advantages = [0, 133, 2, 199], rng.normal(size=4)
     grads = []
     for build in (
-        lambda rows: policy_loss(rows, actions, advantages),
+        lambda rows: ad.nll(rows, actions, advantages),
         lambda rows: percell_policy_loss([take_row(rows, t) for t in range(4)], actions, advantages),
     ):
         rows = ad.param(data)

@@ -86,6 +86,29 @@ def test_cli_refused_spec_leaves_data_root_as_it_was(tmp_path):
     assert not (tmp_path / "absent").exists()
 
 
+@pytest.mark.parametrize(
+    "first, second, stale",
+    [
+        ({"n_reports": 4}, {"n_reports": 2}, "training/annual_reports/tr0002.txt"),
+        ({"summaries_per_report": 2}, {}, "training/gold_summaries/tr0000_2.txt"),
+    ],
+)
+def test_cli_refuses_a_root_holding_files_of_another_spec(tmp_path, capsys, first, second, stale):
+    """Rerunning a spec into its own root rewrites it alike; a spec that would
+    leave another's report or summary files behind exits 2 naming the first,
+    with the root as it was."""
+    data, spec = tmp_path / "data", tmp_path / "spec.json"
+    spec.write_text(json.dumps(first), encoding="utf-8")
+    for _ in range(2):
+        assert cli(["synthgen", "--spec", str(spec), "--data-root", str(data)]) == 0
+    before = tree_digest(data)
+    capsys.readouterr()
+    spec.write_text(json.dumps(second), encoding="utf-8")
+    assert cli(["synthgen", "--spec", str(spec), "--data-root", str(data)]) == 2
+    assert str(data / stale) in capsys.readouterr().err
+    assert tree_digest(data) == before
+
+
 def test_refused_report_in_a_later_split_writes_nothing(tmp_path, monkeypatch):
     accept = synthgen.select_reference
     monkeypatch.setattr(
