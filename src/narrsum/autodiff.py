@@ -36,8 +36,10 @@ class Value:
 
     A backward rule receives the node's gradient as its argument and holds
     references only to the node's parents, never to the node itself, so a
-    graph has no reference cycles and is freed as soon as its last node
-    goes out of scope.
+    graph has no reference cycles: one that is never backpropagated is freed
+    as soon as its last node goes out of scope. `backward` consumes the
+    graph it walks: each interior node keeps its `data` but loses its grad,
+    parents and rule, so it can be backpropagated only once.
     """
 
     __slots__ = ("data", "grad", "spare", "_parents", "_backward", "__weakref__")
@@ -693,22 +695,30 @@ def topo_order(root: Value) -> list[Value]:
     return order
 
 
-def backward(loss: Value) -> None:
-    """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf.
+def _consumed(_g: np.ndarray) -> None:
+    raise ShapeError("backward: the graph through this node was consumed by an earlier backward")
 
-    Interior grads are scratch space reset on every call, so repeated
-    calls add one full derivative to the leaves each time.
+
+def backward(loss: Value) -> None:
+    """Accumulate d(loss)/d(leaf) into .grad for every reachable leaf, and
+    consume the graph on the way.
+
+    Each interior node, once its rule has run, drops its grad, its parents
+    and its rule, and keeps only `data`; so the graph is freed as the walk
+    goes, even while the caller still holds `loss`. A consumed node that is
+    reached again, by a second `backward` of `loss` or of a new graph built
+    on it, raises ShapeError; the rules walked before it have already added
+    to their leaves.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got {loss.data.shape}")
     order = topo_order(loss)
-    for node in order:
-        if node._parents:
-            node.grad = None
     loss.accum(np.asarray(1.0))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _consumed
 
 
 def zero_grads(params: Iterable[Value]) -> None:

@@ -204,9 +204,9 @@ class A2CTrainer:
         """One A2C step over a batch; returns None when it is discarded.
 
         Each trajectory's graph is rebuilt by its `replay` and backpropagated
-        on its own, last trajectory first, so at most one graph is alive and
-        the gradients add up in the order that one graph over the whole
-        batch would add them.
+        on its own, last trajectory first, so the gradients add up in the
+        order that one graph over the whole batch would add them. `backward`
+        consumes each graph, so at most one is alive.
         """
         if not trajectories:
             raise ValueError("a2c update needs at least one trajectory")

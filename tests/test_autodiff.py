@@ -2,8 +2,11 @@
 
 import gc
 import json
-import tracemalloc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from percell import (
     tanh,
     vsum,
 )
+from yardsticks import traced_peak
 
 
 def rng_for(seed):
@@ -99,13 +103,17 @@ def test_backward_requires_scalar():
         ad.backward(add(w, w))
 
 
-def test_backward_accumulates_across_calls():
+def test_backward_refuses_a_consumed_graph():
     x = ad.param(2.0)
     loss = mul(x, x)
     ad.backward(loss)
-    first = float(x.grad)
-    ad.backward(loss)
-    assert float(x.grad) == pytest.approx(2.0 * first)
+    assert float(x.grad) == 4.0 and float(loss.data) == 4.0
+    with pytest.raises(ad.ShapeError):
+        ad.backward(loss)
+    assert float(x.grad) == 4.0
+    with pytest.raises(ad.ShapeError):
+        ad.backward(ad.scale(loss, 2.0))  # a new loss built on a consumed node
+    assert float(x.grad) == 4.0
 
 
 def test_diamond_graph_reuse():
@@ -460,19 +468,26 @@ def test_graph_holds_no_reference_cycle(kind):
     rng = rng_for(12)
     if kind == "extractor":
         model = ExtractorModel(10, 4, 3, rng)
-        loss = model.teacher_forced_loss([[4, 5, 6], [7], [8, 9]], [2, 0])
+        build = lambda: model.teacher_forced_loss([[4, 5, 6], [7], [8, 9]], [2, 0])
     else:
         model = AbstractorModel(10, 4, 3, rng)
         # One pair's fused graph has exactly 10 interior nodes; two pairs
         # sharing the parameters keep the graph above the floor below.
-        loss = add(model.teacher_forced_loss([4, 5, 6], [7, 8]), model.teacher_forced_loss([9, 4], [5]))
+        build = lambda: add(model.teacher_forced_loss([4, 5, 6], [7, 8]), model.teacher_forced_loss([9, 4], [5]))
     gc.disable()
     try:
-        ad.backward(loss)
+        loss = build()
         interior = [weakref.ref(node) for node in ad.topo_order(loss) if node._parents]
         assert len(interior) > 10
-        del loss
+        del loss  # never backpropagated, as a validation or inference graph is
         assert all(ref() is None for ref in interior)
+
+        loss = build()
+        interior = [weakref.ref(node) for node in ad.topo_order(loss)[:-1] if node._parents]
+        assert len(interior) > 10
+        ad.backward(loss)
+        assert all(ref() is None for ref in interior)  # freed by `backward` while `loss` is alive
+        assert ad.topo_order(loss) == [loss] and loss.data.shape == ()
     finally:
         gc.enable()
 
@@ -726,17 +741,6 @@ def test_config_hash_is_stable_and_order_free():
 CHECKPOINTED = [(ExtractorModel, (30, 8, 6)), (AbstractorModel, (30, 8, 6)), (Critic, (6,))]
 
 
-def traced_peak(run):
-    """The `tracemalloc` peak, in bytes, while `run()` runs (or raises)."""
-    tracemalloc.start()
-    try:
-        run()
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
-
-
 def write_inflated_sizes(source, target, **sizes):
     """`source` with the header's config sizes replaced and its hash recomputed; shapes and data kept."""
     line, blob = source.read_bytes().split(b"\n", 1)
@@ -833,3 +837,40 @@ def test_forward_is_bit_deterministic():
         return np.stack(outs)
 
     assert np.array_equal(run(), run())
+
+
+# A paper-size word encoder's forward and backward pass (300 sequences of up
+# to 22 tokens, E=300, H=64), digested. Its weight gradients are long-K
+# products, whose bits depend on how many BLAS threads split them.
+BLAS_PROBE = """
+import hashlib
+
+import narrsum  # before NumPy, as the CLI imports it
+import numpy as np
+
+from narrsum import autodiff as ad
+
+rng = np.random.default_rng(0)
+rows, steps, e, h = 300, 22, 300, 64
+x = ad.param(rng.normal(size=(rows, steps, e)))
+weights = [ad.param(ad.uniform_init(rng, (4 * h, e + h))), ad.param(ad.lstm_bias_init(h)),
+           ad.param(ad.uniform_init(rng, (4 * h, e + h))), ad.param(ad.lstm_bias_init(h))]
+states, finals = ad.bilstm_batch(x, rng.integers(1, steps + 1, size=rows), *weights, h)
+goal = rng.integers(0, 2 * h, size=rows * steps)
+ad.backward(ad.mean_cross_entropy(ad.reshape(states, (rows * steps, 2 * h)), goal))
+digest = hashlib.sha256()
+for array in [states.data, finals.data, x.grad] + [w.grad for w in weights]:
+    digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]

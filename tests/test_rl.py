@@ -37,7 +37,7 @@ from percell import (
     sub,
     take_row,
 )
-from yardsticks import mean_greedy_reward
+from yardsticks import mean_greedy_reward, traced_peak
 
 
 def softmax(x):
@@ -401,6 +401,29 @@ def test_update_matches_one_graph_over_the_wave():
         assert np.array_equal(p.data, model.params[name].data), name
     for name, p in critics[0].params.items():
         assert np.array_equal(p.data, critic.params[name].data), name
+
+
+def test_update_keeps_one_graph_alive_at_a_time():
+    """An update over a wave of 4 rollouts peaks as one over 1 does: each
+    trajectory's graph dies with its backward, before the next is built.
+    Measured: 1.008 of the one-rollout peak; 1.35 when every graph's nodes
+    are kept in a list, 3.15 when the graphs are kept whole."""
+    rng = np.random.default_rng(90)
+    vocab = Vocab.from_list(list(RESERVED_TOKENS) + WORDS)
+    doc = Document("r1", [tuple(WORDS[int(t)] for t in rng.integers(0, len(WORDS), size=12)) for _ in range(60)], [])
+    gold = [doc.sentences[i] for i in (3, 17, 40, 51)]
+
+    def peak(wave_size):
+        model = ExtractorModel(vocab.size, 32, 16, np.random.default_rng(91))
+        trainer = A2CTrainer(model.params, Critic(16, np.random.default_rng(92)), policy_lr=0.01, critic_lr=0.01,
+                             clip_norm=1.0)
+        sampler = np.random.default_rng(93)
+        wave = [rollout(doc, gold, model, IdentityParaphraser(), vocab, CONFIG, mode="sample", rng=sampler)
+                for _ in range(wave_size)]
+        assert all(traj.steps for traj in wave)
+        return traced_peak(lambda: trainer.update(wave))
+
+    assert peak(4) <= 1.1 * peak(1)
 
 
 # ---------------------------------------------------------------- training

@@ -1,19 +1,21 @@
 """The shared training loop: golden values of `fit` on both models.
 
 The golden values pin `fit`'s batch order, arithmetic and RNG draws
-exactly. The last tests pin the gradient arrays that `Adam.zero_grad` hands
-back for reuse.
+exactly. The next tests pin the gradient arrays that `Adam.zero_grad` hands
+back for reuse, and the last ones how long `fit` keeps a graph.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from narrsum import autodiff as ad
 from narrsum.abstractor import AbstractorModel
 from narrsum.config import RunConfig
 from narrsum.extractor import ExtractorModel, example_loss
 from narrsum.training import fit
+from yardsticks import traced_peak
 
 
 def params_digest(params):
@@ -101,3 +103,22 @@ def test_fit_with_reused_gradient_arrays_equals_fresh_arrays(monkeypatch):
     assert (reused_arrays, fresh_arrays) == (1, 20)
     for name, p in reused.params.items():
         assert np.array_equal(p.data, fresh.params[name].data), name
+
+
+@pytest.mark.parametrize("n_items, n_validation", [(3, 0), (1, 1)])
+def test_fit_keeps_one_graph_alive_at_a_time(n_items, n_validation):
+    """At batch 1, more items or a validation item add no graph to the peak
+    of one item: each graph dies with its backward. Measured: 1.008 and
+    0.999 of the one-item peak; 1.372 and 1.373 while `fit` kept the last
+    loss graph alive into the next forward pass, and 2.26 and 1.37 when
+    every graph is kept whole in a list."""
+    rng = np.random.default_rng(130)
+    items = [(f"r{k}", [rng.integers(4, 50, size=12).tolist() for _ in range(60)], [3, 17, 40]) for k in range(4)]
+
+    def peak(train, validation):
+        model = ExtractorModel(50, 32, 16, np.random.default_rng(131))
+        return traced_peak(lambda: fit(model.params, example_loss(model), train, RunConfig(batch_size=1), epochs=1,
+                                       rng=np.random.default_rng(132), validation=validation))
+
+    one = peak(items[:1], [])
+    assert peak(items[:n_items], items[n_items : n_items + n_validation]) <= 1.1 * one

@@ -1,7 +1,8 @@
 """Measures that only the tests read: the abstractor's teacher-forced
-accuracy (A5's metric) and the mean greedy-rollout reward (A6's yardstick).
-Neither is part of a CLI stage."""
+accuracy (A5's metric), the mean greedy-rollout reward (A6's yardstick) and
+the `tracemalloc` peak of a call. None is part of a CLI stage."""
 
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -51,3 +52,14 @@ def mean_greedy_reward(
         )
         rewards.append(traj.mean_reward())
     return float(np.mean(rewards))
+
+
+def traced_peak(run) -> int:
+    """The `tracemalloc` peak, in bytes, while `run()` runs (or raises)."""
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
